@@ -32,6 +32,7 @@ from .lab import (
     exp_projection,
     exp_resolvent_free,
     exp_resolvent_potential,
+    thread_cap,
 )
 from .operators import POTENTIAL_IDS, dense_matrix
 from .symbols import DiracParams, critical_points, lambda_mh, omega, spectrum_bounds
@@ -115,7 +116,6 @@ class RunConfig:
     N: int = 16
     out: Optional[str] = None
     format: str = "csv"
-    seed: int = 0
     threads: Optional[int] = None
 
     def validate(self):
@@ -176,7 +176,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
         p.add_argument("--out", type=str, default=None, help="output file path")
         p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None)
         if name == "spectrum":
             p.add_argument("--m", type=float, default=None)
@@ -225,7 +224,7 @@ def config_from_argv(argv) -> RunConfig:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         known = {"function", "potential", "sweep", "box", "m", "h", "z", "s",
-                 "refine", "grid", "N", "out", "format", "seed", "threads"}
+                 "refine", "grid", "N", "out", "format", "threads"}
         unknown = set(file_cfg) - known
         if unknown:
             raise ConfigError(f"unknown config file fields: {sorted(unknown)}")
@@ -396,6 +395,7 @@ def run(config: RunConfig) -> int:
     config.validate()
     if config.threads is not None:
         os.environ["LATTICE_DIRAC_THREADS"] = str(config.threads)
+    thread_cap(1)  # a malformed LATTICE_DIRAC_THREADS fails here, before any work
     if config.experiment == "spectrum":
         return _run_spectrum(config)
     if config.experiment == "omega-scan":

@@ -186,29 +186,22 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     return total
 
 
-def dft_oversampled(f: LatticeField, factor: int) -> tuple[np.ndarray, np.ndarray]:
+def dft_oversampled(f: LatticeField, factor: int) -> SpectralField:
     """The transform of ``J_h f`` evaluated on a ``factor``-times denser frequency grid.
 
     Zero-padding the site array evaluates the same finite sum exactly at
-    frequencies ``2*pi*k/(factor*L)``, which still span ``[-pi/h, pi/h)``.
-    Returns ``(coords, values)``.  The transform of a step field is a
-    trigonometric polynomial that agrees with the continuum transform of a
-    band-limited sampled function *at* the dual-grid points, so resolving it
-    between those points requires this denser evaluation.
+    frequencies ``2*pi*k/(factor*L)``, which still span ``[-pi/h, pi/h)``;
+    this is `dft` on the ``factor``-times larger mesh.  The transform of a
+    step field is a trigonometric polynomial that agrees with the continuum
+    transform of a band-limited sampled function *at* the dual-grid points,
+    so resolving it between those points requires this denser evaluation.
     """
     mesh = f.mesh
-    big = factor * mesh.N
-    pad = (big - mesh.N) // 2
-    shape = (big,) * mesh.d + (f.channels,)
-    work = np.zeros(shape, dtype=complex)
-    sl = tuple(slice(pad, pad + mesh.N) for _ in range(mesh.d)) + (slice(None),)
-    work[sl] = f.values
-    axes = tuple(range(mesh.d))
-    work = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(work, axes=axes), axes=axes), axes=axes)
-    work *= (2 * np.pi) ** (-mesh.d / 2) * mesh.h**mesh.d
-    freqs = 2 * np.pi * np.arange(-big // 2, big // 2) / (factor * mesh.L)
-    grids = np.meshgrid(*([freqs] * mesh.d), indexing="ij")
-    return np.stack(grids, axis=-1), work
+    big = Mesh(mesh.d, mesh.h, factor * mesh.N)
+    pad = (big.N - mesh.N) // 2
+    work = np.zeros(big.shape + (f.channels,), dtype=complex)
+    work[(slice(pad, pad + mesh.N),) * mesh.d] = f.values
+    return dft(LatticeField(big, work))
 
 
 def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float, oversample: int = 4) -> float:
@@ -227,15 +220,15 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float, oversample: 
         raise ValueError("weight exponent must be nonnegative")
     if phi.fourier is None:
         raise UnknownClosedForm(f"{phi.name} declares no closed-form transform")
-    coords, values = dft_oversampled(sample(phi, mesh), oversample)
+    u = dft_oversampled(sample(phi, mesh), oversample)
+    coords = u.grid.coords()
     weight = (1.0 + np.sum(coords**2, axis=-1)) ** (-s / 2.0)
     one_minus_a = np.ones(coords.shape[:-1], dtype=complex)
     for j in range(mesh.d):
         one_minus_a = one_minus_a * a_factor(mesh.h * coords[..., j])
     one_minus_a = 1.0 - one_minus_a
-    diff = (one_minus_a * weight)[..., None] * values
-    cell = (2 * np.pi / (oversample * mesh.L)) ** mesh.d
-    box_sq = cell * np.sum(np.abs(diff) ** 2)
+    diff = (one_minus_a * weight)[..., None] * u.values
+    box_sq = u.grid.cell_volume * np.sum(np.abs(diff) ** 2)
     tail_sq = _tail_integral(phi, np.pi / mesh.h, s)
     return float(np.sqrt(box_sq + tail_sq))
 

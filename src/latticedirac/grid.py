@@ -49,8 +49,8 @@ __all__ = [
     "FUNCTION_IDS",
 ]
 
-# 8-point production rule with an embedded 7-point rule for the error
-# self-estimate; |G8 - G7| conservatively bounds the returned G8 error.
+# 8-point production rule and a separate 7-point rule (no shared nodes) for the
+# error self-estimate; |G8 - G7| conservatively bounds the returned G8 error.
 _GAUSS_HI = np.polynomial.legendre.leggauss(8)
 _GAUSS_LO = np.polynomial.legendre.leggauss(7)
 
@@ -218,8 +218,8 @@ def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
 
     Uses fixed 8-point tensor Gauss-Legendre per cell, with cells split at
     declared kinks so piecewise-smooth catalog entries integrate exactly.
-    Raises `QuadratureFailure` when the embedded 4-vs-8-point estimate
-    exceeds ``1e-10 * max(1, sup_norm)``.
+    Raises `QuadratureFailure` when the 7-vs-8-point Gauss-Legendre
+    estimate exceeds ``1e-10 * max(1, sup_norm)``.
     """
     if phi.d != mesh.d:
         raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
@@ -287,7 +287,7 @@ def l2_error_vs_continuum(f: LatticeField, phi: ContinuumFunction) -> float:
 
     The integrand is smooth on each cell (after kink splitting), so the
     fixed-order rule resolves it to well below the tolerances used in tests;
-    the 4-vs-8-point self-estimate guards against misuse.
+    the 7-vs-8-point Gauss-Legendre self-estimate guards against misuse.
     """
     if phi.d != f.mesh.d:
         raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {f.mesh.d}-dimensional")

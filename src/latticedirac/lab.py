@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateFit, NotInResolventRegion
+from .errors import ConfigError, DegenerateFit
 from .fourier import inverse_ft_error, weighted_ft_error
 from .grid import (
     ContinuumFunction,
@@ -44,6 +44,7 @@ from .operators import (
     resolvent_with_potential,
     sample_potential,
     _apply_resolvent_zeta,
+    _require_resolvent_region,
     _solve_with_potential,
 )
 from .symbols import DiracParams
@@ -69,8 +70,14 @@ FLOOR_CUTOFF = 1e-12  # series entries below this are excluded from slope fits
 
 
 def thread_cap(n_tasks: int) -> int:
-    """Worker count for across-h parallelism, capped by LATTICE_DIRAC_THREADS."""
+    """Worker count for across-h parallelism, capped by LATTICE_DIRAC_THREADS.
+
+    Unset or empty means the CPU count; any value that is not a positive
+    integer raises `ConfigError`.
+    """
     cap = os.environ.get("LATTICE_DIRAC_THREADS")
+    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
+        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
     limit = int(cap) if cap else (os.cpu_count() or 1)
     return max(1, min(n_tasks, limit))
 
@@ -348,17 +355,14 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     V = sweep.resolved_potential()
     if V is None:
         raise ValueError("the potential sweep needs a potential id")
+    _require_resolvent_region(sweep.z, V)
     finest = sweep.mesh_for(min(sweep.hs), d=2)
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
     psi_fine = sample(phi, fine)
     Vh_fine = sample_potential(V, fine)
-    if not abs(complex(sweep.z).imag) > V.skew_bound + 1e-12:
-        raise NotInResolventRegion(
-            f"|Im z| = {abs(complex(sweep.z).imag):.6g} not above skew bound {V.skew_bound:.6g}"
-        )
     u_ref = _solve_with_potential(
         psi_fine, complex(sweep.z), sweep.m, Vh_fine, V.sup_norm,
-        policy=None, tol=sweep.tol, max_iter=2000, restart=50, symbol="continuum",
+        policy=None, tol=sweep.tol, max_iter=2000, restart=50,
     )
     reference = block_average(u_ref, finest)
 

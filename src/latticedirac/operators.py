@@ -21,7 +21,6 @@ operator (small lattices only) serves as the cross-validation oracle.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -188,6 +187,23 @@ def _apply_resolvent_zeta(values: np.ndarray, zeta: np.ndarray, m: float, z: com
     return np.stack([out0, out1], axis=-1)
 
 
+def _zeta_natural(mesh: Mesh, p: Optional[DiracParams]) -> np.ndarray:
+    """Lower-left symbol entry in natural FFT order; continuum ``xi1 + i*xi2`` if ``p`` is None."""
+    coords = np.roll(FrequencyGrid(mesh).coords(), mesh.N // 2, axis=(0, 1))
+    if p is None:
+        return coords[..., 0] + 1j * coords[..., 1]
+    return zeta_discrete(coords, p)
+
+
+def _multiplier_apply(values: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Fourier multiplier ``ifftn(f(fftn(values)))`` over the site axes, ``f`` in natural FFT order.
+
+    It commutes with circular shifts, so the centring shifts and scalings of `dft`/`idft` cancel.
+    """
+    axes = tuple(range(values.ndim - 1))
+    return np.fft.ifftn(f(np.fft.fftn(values, axes=axes)), axes=axes)
+
+
 def apply_dirac(
     psi: LatticeField,
     p: DiracParams,
@@ -210,10 +226,8 @@ def apply_dirac(
             [p.m * psi.values[..., :1] + upper, lower - p.m * psi.values[..., 1:]], axis=-1
         )
     elif path == "symbol":
-        u = dft(psi)
-        zeta = zeta_discrete(u.grid.coords(), p)
-        out_spec = _apply_symbol_zeta(u.values, zeta, p.m)
-        out = idft(SpectralField(u.grid, out_spec)).values
+        zeta = _zeta_natural(psi.mesh, p)
+        out = _multiplier_apply(psi.values, lambda u: _apply_symbol_zeta(u, zeta, p.m))
     else:
         raise ValueError(f"unknown path {path!r}")
     if V is not None:
@@ -247,14 +261,21 @@ def _require_complex_shift(z: complex):
         raise RealShift(f"shift {z} lies on the real axis")
 
 
+def _require_resolvent_region(z: complex, V: PotentialSpec):
+    """Raise `NotInResolventRegion` unless ``|Im z| > skew_bound`` by more than 1e-12."""
+    if not abs(complex(z).imag) > V.skew_bound + 1e-12:
+        raise NotInResolventRegion(
+            f"|Im z| = {abs(complex(z).imag):.6g} not above skew bound {V.skew_bound:.6g}"
+        )
+
+
 def resolvent_free(psi: LatticeField, q: ResolventQuery) -> LatticeField:
     """Free resolvent ``(D - z)**-1 psi`` by closed-form symbol inversion."""
     _require_complex_shift(q.z)
     _check_spinor(psi, q.p)
-    u = dft(psi)
-    zeta = zeta_discrete(u.grid.coords(), q.p)
-    out = _apply_resolvent_zeta(u.values, zeta, q.p.m, complex(q.z))
-    return idft(SpectralField(u.grid, out))
+    zeta = _zeta_natural(psi.mesh, q.p)
+    out = _multiplier_apply(psi.values, lambda u: _apply_resolvent_zeta(u, zeta, q.p.m, complex(q.z)))
+    return LatticeField(psi.mesh, out)
 
 
 def block_average(f: LatticeField, coarse: Mesh) -> LatticeField:
@@ -311,40 +332,10 @@ def resolvent_continuum(
     return LatticeField(mesh, coarse_vals)
 
 
-def _free_resolvent_apply(mesh: Mesh, m: float, z: complex, symbol: str, p: Optional[DiracParams]):
-    """Pointwise-in-frequency resolvent and operator application closures."""
-    grid = FrequencyGrid(mesh)
-    coords = grid.coords()
-    if symbol == "discrete":
-        zeta = zeta_discrete(coords, p)
-    elif symbol == "continuum":
-        zeta = coords[..., 0] + 1j * coords[..., 1]
-    else:
-        raise ValueError(f"unknown symbol kind {symbol!r}")
-
-    def resolvent(values):
-        u = dft(LatticeField(mesh, values))
-        out = _apply_resolvent_zeta(u.values, zeta, m, z)
-        return idft(SpectralField(grid, out)).values
-
-    def operator(values):
-        u = dft(LatticeField(mesh, values))
-        out = _apply_symbol_zeta(u.values, zeta, m)
-        return idft(SpectralField(grid, out)).values
-
-    return resolvent, operator
-
-
 def _gmres(matvec, b_vec, tol, restart, max_iter):
     n = b_vec.size
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    kwargs = {"maxiter": max(1, max_iter // restart), "restart": restart}
-    if "rtol" in inspect.signature(spla.gmres).parameters:
-        kwargs["rtol"] = tol
-    else:  # scipy < 1.12
-        kwargs["tol"] = tol
-    sol, info = spla.gmres(op, b_vec, **kwargs)
-    return sol, info
+    return spla.gmres(op, b_vec, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
 
 
 def _solve_with_potential(
@@ -357,21 +348,26 @@ def _solve_with_potential(
     tol: float,
     max_iter: int,
     restart: int,
-    symbol: str = "discrete",
     p: Optional[DiracParams] = None,
 ) -> LatticeField:
-    """Core factorized solve of ``(D + V - z) u = psi`` on one mesh."""
+    """Core factorized solve of ``(D + V - z) u = psi`` on one mesh.
+
+    ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
+    ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
+    """
     mesh = psi.mesh
-    resolvent, operator = _free_resolvent_apply(mesh, m, complex(z), symbol, p)
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
         return LatticeField(mesh, np.zeros_like(psi.values))
+    zeta = _zeta_natural(mesh, p)
+
+    def resolvent(values):
+        return _multiplier_apply(values, lambda u: _apply_resolvent_zeta(u, zeta, m, z))
 
     def vmul(values):
         return np.einsum("...ab,...b->...a", Vh, values)
 
-    def residual(u_values):
-        r = operator(u_values) + vmul(u_values) - complex(z) * u_values - psi.values
+    def relative(r):
         return norm_l2(LatticeField(mesh, r)) / psi_norm
 
     if policy is None:
@@ -380,19 +376,22 @@ def _solve_with_potential(
     if policy == "dense-oracle":
         if mesh.N > 32:
             raise TooLarge(f"dense oracle capped at N=32, got N={mesh.N}")
-        A = _dense_from_parts(mesh, m, Vh, symbol, p)
+        if p is None:
+            raise ValueError("dense assembly only implements the discrete stencils")
+        A = _dense_from_parts(mesh, m, Vh)
         shifted = A - complex(z) * np.eye(A.shape[0])
         u_vec = np.linalg.solve(shifted, field_to_vec(psi))
         return vec_to_field(u_vec, mesh)
 
     if policy == "neumann":
-        w = psi.values.copy()
-        for it in range(1, max_iter + 1):
+        w = psi.values
+        for _ in range(max_iter):
             u = resolvent(w)
-            res = residual(u)
+            w_next = psi.values - vmul(u)
+            res = relative(w - w_next)
             if res <= tol:
                 return LatticeField(mesh, u)
-            w = psi.values - vmul(u)
+            w = w_next
         raise NoConvergence(max_iter, res)
 
     # krylov: residual-minimizing iteration on w + V R_z w = psi
@@ -401,8 +400,9 @@ def _solve_with_potential(
         return (w + vmul(resolvent(w))).ravel()
 
     w_vec, info = _gmres(matvec, psi.values.ravel(), tol * 1e-2, restart, max_iter)
-    u = resolvent(w_vec.reshape(psi.values.shape))
-    res = residual(u)
+    w = w_vec.reshape(psi.values.shape)
+    u = resolvent(w)
+    res = relative(w + vmul(u) - psi.values)
     if res > tol:
         raise NoConvergence(info if info > 0 else max_iter, res)
     return LatticeField(mesh, u)
@@ -418,14 +418,10 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
     """
     _require_complex_shift(q.z)
     _check_spinor(psi, q.p)
-    if not abs(complex(q.z).imag) > V.skew_bound + 1e-12:
-        raise NotInResolventRegion(
-            f"|Im z| = {abs(complex(q.z).imag):.6g} not above skew bound {V.skew_bound:.6g}"
-        )
+    _require_resolvent_region(q.z, V)
     Vh = sample_potential(V, psi.mesh)
     return _solve_with_potential(
-        psi, complex(q.z), q.p.m, Vh, V.sup_norm,
-        q.policy, q.tol, q.max_iter, q.restart, symbol="discrete", p=q.p,
+        psi, complex(q.z), q.p.m, Vh, V.sup_norm, q.policy, q.tol, q.max_iter, q.restart, p=q.p
     )
 
 
@@ -453,11 +449,7 @@ def _diff_matrix_1d(N: int, h: float) -> np.ndarray:
     return (S - np.eye(N)) / h
 
 
-def _dense_from_parts(
-    mesh: Mesh, m: float, Vh: Optional[np.ndarray], symbol: str, p: Optional[DiracParams]
-) -> np.ndarray:
-    if symbol != "discrete":
-        raise ValueError("dense assembly only implements the discrete stencils")
+def _dense_from_parts(mesh: Mesh, m: float, Vh: Optional[np.ndarray]) -> np.ndarray:
     N, h = mesh.N, mesh.h
     D1 = _diff_matrix_1d(N, h)
     eye = np.eye(N)
@@ -490,7 +482,7 @@ def dense_matrix(p: DiracParams, mesh: Mesh, V: Optional[PotentialSpec] = None) 
     if mesh.N > 32:
         raise TooLarge(f"dense oracle capped at N=32, got N={mesh.N}")
     Vh = sample_potential(V, mesh) if V is not None else None
-    return _dense_from_parts(mesh, p.m, Vh, "discrete", p)
+    return _dense_from_parts(mesh, p.m, Vh)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,15 @@ def test_project_seeded_by_config_file(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_thread_count_is_a_config_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", value)
+    assert main(["project", "--sweep", "0.4,0.2,0.1", "--function", "gaussian1d"]) == 1
+    err = capsys.readouterr().err
+    assert "LATTICE_DIRAC_THREADS must be a positive integer" in err
+    assert repr(value) in err
+
+
 def test_resolvent_region_violation_is_an_error(capsys):
     code = main(["resolve-potential", "--sweep", "0.4,0.2", "--z", "0.5i",
                  "--potential", "nonhermitian-gaussian"])

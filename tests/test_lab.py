@@ -164,6 +164,21 @@ def test_resolvent_potential_region_violation():
         )
 
 
+def test_resolvent_potential_region_checked_before_sampling(monkeypatch):
+    from latticedirac import lab
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("fine fields sampled before the region check")
+
+    monkeypatch.setattr(lab, "sample", no_sampling)
+    monkeypatch.setattr(lab, "sample_potential", no_sampling)
+    with pytest.raises(NotInResolventRegion):
+        exp_resolvent_potential(
+            Sweep(hs=(0.4, 0.2), box=9.6, function="gaussian-spinor", z=0.5j,
+                  potential="nonhermitian-gaussian")
+        )
+
+
 # ---------------------------------------------------------------------------
 # report assembly
 

@@ -9,11 +9,14 @@ from latticedirac import (
     LatticeField,
     Mesh,
     ResolventQuery,
+    SpectralField,
     apply_dirac,
     block_average,
     dense_matrix,
+    dft,
     diff_backward,
     diff_forward,
+    idft,
     inner,
     lambda_mh,
     norm_l2,
@@ -39,6 +42,7 @@ from latticedirac.errors import (
 from latticedirac.grid import gaussian_spinor, modulated_gaussian, _stack_channels
 from latticedirac.operators import (
     POTENTIAL_IDS,
+    _solve_with_potential,
     field_to_vec,
     potential_catalog,
     vec_to_field,
@@ -325,6 +329,39 @@ def test_factorized_identity_consistency(rng):
     Vh = sample_potential(V, mesh)
     lhs = w.values + np.einsum("...ab,...b->...a", Vh, resolvent_free(w, q).values)
     assert norm_l2(LatticeField(mesh, lhs - psi.values)) / norm_l2(psi) < 1e-9
+
+
+@pytest.mark.parametrize("policy", ["neumann", "krylov"])
+def test_solver_stopping_test_bounds_the_true_residual(policy, rng):
+    # the solvers stop on w + V u - psi for u = R_z w; the residual of
+    # (D + V - z) u = psi, with D applied by its stencils, must stay within tolerance
+    mesh = Mesh(2, 0.5, 16)
+    p = DiracParams(1.0, 0.5)
+    psi = random_field(mesh, 2, rng)
+    V = potential_catalog("nonhermitian-gaussian")
+    q = ResolventQuery(z=3j, p=p, policy=policy)
+    u = resolvent_with_potential(psi, q, V)
+    r = apply_dirac(u, p, V, path="stencil").values - q.z * u.values - psi.values
+    assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= 2 * q.tol
+
+
+@pytest.mark.parametrize("policy", ["neumann", "krylov"])
+def test_continuum_symbol_solve_bounds_the_true_residual(policy, rng):
+    # the same with the continuum symbol, D applied through the public transform pair
+    mesh = Mesh(2, 0.25, 32)
+    m, z, tol = 1.0, 3j, 1e-10
+    psi = random_field(mesh, 2, rng)
+    V = potential_catalog("nonhermitian-gaussian")
+    Vh = sample_potential(V, mesh)
+    u = _solve_with_potential(psi, z, m, Vh, V.sup_norm, policy, tol, 2000, 50)
+    u_hat = dft(u)
+    xi = u_hat.grid.coords()
+    zeta = xi[..., 0] + 1j * xi[..., 1]
+    v0, v1 = u_hat.values[..., 0], u_hat.values[..., 1]
+    Du_hat = np.stack([m * v0 + np.conj(zeta) * v1, zeta * v0 - m * v1], axis=-1)
+    Du = idft(SpectralField(u_hat.grid, Du_hat)).values
+    r = Du + np.einsum("...ab,...b->...a", Vh, u.values) - z * u.values - psi.values
+    assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= 2 * tol
 
 
 def test_dense_oracle_policy_agrees_with_iteration(rng):
