@@ -6,7 +6,7 @@ error.  Output files (CSV or JSON, chosen by ``--format``) are byte-stable
 for a given config: fixed field order and 17-significant-digit floats.
 Complex shifts are written in ``a+bi`` literal form.  A JSON config file can
 seed any flag; explicit flags win.  LATTICE_DIRAC_THREADS caps the across-h
-parallelism of the sweeps.
+parallelism of the sweeps; ``--threads`` overrides it for one run.
 """
 
 from __future__ import annotations
@@ -393,16 +393,18 @@ def _run_oracle_eigs(config: RunConfig) -> int:
 def run(config: RunConfig) -> int:
     """Execute one experiment; returns 0 on pass, 2 on assertion failure."""
     config.validate()
+    saved = os.environ.get("LATTICE_DIRAC_THREADS")
     if config.threads is not None:
         os.environ["LATTICE_DIRAC_THREADS"] = str(config.threads)
-    thread_cap(1)  # a malformed LATTICE_DIRAC_THREADS fails here, before any work
-    if config.experiment == "spectrum":
-        return _run_spectrum(config)
-    if config.experiment == "omega-scan":
-        return _run_omega_scan(config)
-    if config.experiment == "oracle-eigs":
-        return _run_oracle_eigs(config)
-    return _run_sweep_experiment(config)
+    runners = {"spectrum": _run_spectrum, "omega-scan": _run_omega_scan, "oracle-eigs": _run_oracle_eigs}
+    try:
+        thread_cap(1)  # a malformed LATTICE_DIRAC_THREADS fails here, before any work
+        return runners.get(config.experiment, _run_sweep_experiment)(config)
+    finally:  # --threads holds for this run only
+        if saved is None:
+            os.environ.pop("LATTICE_DIRAC_THREADS", None)
+        else:
+            os.environ["LATTICE_DIRAC_THREADS"] = saved
 
 
 def main(argv=None) -> int:

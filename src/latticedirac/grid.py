@@ -175,42 +175,62 @@ def sample(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     return LatticeField(mesh, phi(mesh.site_coords()))
 
 
-def _axis_nodes(mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
-    """Gauss nodes mapped into every cell along one axis, shape ``(N, q)``."""
-    left = mesh.h * mesh.indices
-    return left[:, None] + mesh.h * 0.5 * (nodes[None, :] + 1.0)
+def _cell_points(mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
+    """Gauss nodes mapped into every cell, ``(N, q, 1)`` in 1D and ``(N, q, N, q, 2)`` in 2D.
+
+    The leading axis of each ``(N, q)`` pair indexes the cell, the other the node.
+    """
+    x = (mesh.h * mesh.indices)[:, None] + mesh.h * 0.5 * (nodes[None, :] + 1.0)
+    if mesh.d == 1:
+        return x[..., None]
+    return np.stack(np.broadcast_arrays(x[:, :, None, None], x[None, None, :, :]), axis=-1)
 
 
 def _cell_means(phi: ContinuumFunction, mesh: Mesh, rule) -> np.ndarray:
     """Per-cell averages of ``phi`` by tensor Gauss quadrature, shape ``(*shape, c)``."""
     nodes, weights = rule
     w = weights / 2.0  # averaging weights on a cell
+    vals = phi(_cell_points(mesh, nodes))
     if mesh.d == 1:
-        pts = _axis_nodes(mesh, nodes)[..., None]  # (N, q, 1)
-        vals = phi(pts)  # (N, q, c)
         return np.einsum("nqc,q->nc", vals, w)
-    x1 = _axis_nodes(mesh, nodes)
-    X1 = x1[:, :, None, None]
-    X2 = x1[None, None, :, :]
-    pts = np.stack(np.broadcast_arrays(X1, X2), axis=-1)  # (N, q, N, q, 2)
-    vals = phi(pts)  # (N, q, N, q, c)
     return np.einsum("aqbrc,q,r->abc", vals, w, w)
-
-
-def _split_points(lo: float, hi: float, brk: Sequence[float]) -> np.ndarray:
-    inside = [b for b in brk if lo < b < hi]
-    return np.array([lo, *sorted(inside), hi])
 
 
 def _mean_1d_split(phi: ContinuumFunction, lo: float, hi: float, brk, rule) -> np.ndarray:
     """Average of a 1D function over ``[lo, hi)``, integrating each smooth piece."""
     nodes, weights = rule
-    cuts = _split_points(lo, hi, brk)
+    cuts = np.array([lo, *sorted(b for b in brk if lo < b < hi), hi])
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         pts = (a + (b - a) * 0.5 * (nodes + 1.0))[:, None]
         total = total + (b - a) * 0.5 * np.einsum("qc,q->c", phi(pts), weights)
     return total / (hi - lo)
+
+
+def _checked_means(
+    phi: ContinuumFunction, mesh: Mesh, brk, cell_fn, bound: float, what: str
+) -> np.ndarray:
+    """8-point Gauss cell means of ``phi``, checked against the separate 7-point rule.
+
+    ``brk`` holds per-axis kinks like `ContinuumFunction.breakpoints`, or is None; a 1D
+    cell holding a kink is integrated piece by piece, with ``cell_fn(i)`` as the integrand
+    of cell ``i``.  Raises `QuadratureFailure` when ``max |G8 - G7|`` exceeds ``bound``.
+    """
+    if brk is not None and mesh.d != 1:
+        raise NotImplementedError("kink splitting implemented for d=1 catalog entries")
+    hi = _cell_means(phi, mesh, _GAUSS_HI)
+    lo = _cell_means(phi, mesh, _GAUSS_LO)
+    if brk is not None:
+        kinks = brk[0]
+        for i, a in enumerate(mesh.h * mesh.indices):
+            if np.any((kinks > a) & (kinks < a + mesh.h)):
+                piece = cell_fn(i)
+                hi[i] = _mean_1d_split(piece, a, a + mesh.h, kinks, _GAUSS_HI)
+                lo[i] = _mean_1d_split(piece, a, a + mesh.h, kinks, _GAUSS_LO)
+    est = np.max(np.abs(hi - lo))
+    if est > bound:
+        raise QuadratureFailure(f"{what} self-estimate {est:.3e} above tolerance")
+    return hi
 
 
 def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
@@ -223,21 +243,10 @@ def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     """
     if phi.d != mesh.d:
         raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
-    hi = _cell_means(phi, mesh, _GAUSS_HI)
-    lo = _cell_means(phi, mesh, _GAUSS_LO)
-    if phi.breakpoints is not None:
-        if mesh.d != 1:
-            raise NotImplementedError("kink splitting implemented for d=1 catalog entries")
-        brk = phi.breakpoints[0]
-        edges = mesh.h * mesh.indices
-        for i, a in enumerate(edges):
-            if np.any((brk > a) & (brk < a + mesh.h)):
-                hi[i] = _mean_1d_split(phi, a, a + mesh.h, brk, _GAUSS_HI)
-                lo[i] = _mean_1d_split(phi, a, a + mesh.h, brk, _GAUSS_LO)
-    est = np.max(np.abs(hi - lo))
-    if est > 1e-10 * max(1.0, phi.sup_norm):
-        raise QuadratureFailure(f"cell-average self-estimate {est:.3e} above tolerance")
-    return LatticeField(mesh, hi)
+    bound = 1e-10 * max(1.0, phi.sup_norm)
+    return LatticeField(
+        mesh, _checked_means(phi, mesh, phi.breakpoints, lambda i: phi, bound, "cell-average")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -294,25 +303,16 @@ def l2_error_vs_continuum(f: LatticeField, phi: ContinuumFunction) -> float:
     mesh = f.mesh
 
     def gap_sq(points):
-        diff = phi(points) - _broadcast_cell_values(f, points)
+        diff = phi(points) - _broadcast_cell_values(f)
         return np.sum(np.abs(diff) ** 2, axis=-1, keepdims=True)
 
     gap = ContinuumFunction(name="gap", d=mesh.d, channels=1, evaluate=gap_sq)
-    means_hi = _cell_means(gap, mesh, _GAUSS_HI)
-    means_lo = _cell_means(gap, mesh, _GAUSS_LO)
-    if phi.breakpoints is not None:
-        brk = phi.breakpoints[0]
-        edges = mesh.h * mesh.indices
-        for i, a in enumerate(edges):
-            if np.any((brk > a) & (brk < a + mesh.h)):
-                cell_gap = _constant_gap(phi, f.values[i])
-                means_hi[i] = _mean_1d_split(cell_gap, a, a + mesh.h, brk, _GAUSS_HI)
-                means_lo[i] = _mean_1d_split(cell_gap, a, a + mesh.h, brk, _GAUSS_LO)
     scale = max(1.0, (phi.sup_norm + float(np.max(np.abs(f.values)))) ** 2)
-    est = np.max(np.abs(means_hi - means_lo))
-    if est > 1e-10 * scale:
-        raise QuadratureFailure(f"error-norm self-estimate {est:.3e} above tolerance")
-    return float(np.sqrt(np.real(np.sum(means_hi)) * mesh.h**mesh.d))
+    means = _checked_means(
+        gap, mesh, phi.breakpoints, lambda i: _constant_gap(phi, f.values[i]), 1e-10 * scale,
+        "error-norm",
+    )
+    return float(np.sqrt(np.real(np.sum(means)) * mesh.h**mesh.d))
 
 
 def _constant_gap(phi: ContinuumFunction, cell_value: np.ndarray) -> ContinuumFunction:
@@ -325,17 +325,9 @@ def _constant_gap(phi: ContinuumFunction, cell_value: np.ndarray) -> ContinuumFu
     return ContinuumFunction(name="gap-cell", d=phi.d, channels=1, evaluate=ev)
 
 
-def _broadcast_cell_values(f: LatticeField, points: np.ndarray) -> np.ndarray:
-    """Step-function values at quadrature points laid out per cell.
-
-    ``points`` comes from `_cell_means` layouts: ``(N, q, 1)`` in 1D and
-    ``(N, q, N, q, 2)`` in 2D, where the leading axis of each pair indexes
-    the cell; values are constant across the in-cell axes.
-    """
-    vals = f.values
-    if f.mesh.d == 1:
-        return vals[:, None, :]
-    return vals[:, None, :, None, :]
+def _broadcast_cell_values(f: LatticeField) -> np.ndarray:
+    """Site values of ``f`` laid out like `_cell_points`, constant across the in-cell node axes."""
+    return f.values[:, None, :] if f.mesh.d == 1 else f.values[:, None, :, None, :]
 
 
 def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
@@ -345,15 +337,8 @@ def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
     bound; the probe set is the tensor Gauss-node family of every cell.
     """
     f = sample(phi, mesh)
-    nodes, _ = _GAUSS_HI
-    if mesh.d == 1:
-        pts = _axis_nodes(mesh, nodes)[..., None]
-    else:
-        x1 = _axis_nodes(mesh, nodes)
-        X1 = x1[:, :, None, None]
-        X2 = x1[None, None, :, :]
-        pts = np.stack(np.broadcast_arrays(X1, X2), axis=-1)
-    gap = np.sum(np.abs(phi(pts) - _broadcast_cell_values(f, pts)) ** 2, axis=-1) ** 0.5
+    pts = _cell_points(mesh, _GAUSS_HI[0])
+    gap = np.sum(np.abs(phi(pts) - _broadcast_cell_values(f)) ** 2, axis=-1) ** 0.5
     weight = (1.0 + np.sum(pts**2, axis=-1)) ** (k / 2.0)
     return float(np.max(weight * gap))
 

@@ -6,7 +6,9 @@ reports the least-squares slope on ``(log h, log err)``.  Strong-convergence
 statements are tested per test vector: the gates are error decrease on fixed
 catalog members, never operator-norm decrease.  Entries below 1e-12 are
 excluded from slope fits (roundoff floor), and an optional guard runs one
-extra halving of the finest mesh to flag a reached error floor.
+extra halving of the finest mesh to flag a reached error floor.  The
+resolvent sweeps build one refined reference on the finest level they run,
+the floor-guard level included, and block-average it to every level.
 
 Experiments parallelize across mesh sizes; each per-h run is deterministic,
 so reports are bit-for-bit reproducible for a given configuration.
@@ -23,7 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DegenerateFit
-from .fourier import inverse_ft_error, weighted_ft_error
+from .fourier import FrequencyGrid, inverse_ft_error, weighted_ft_error
 from .grid import (
     ContinuumFunction,
     LatticeField,
@@ -43,9 +45,10 @@ from .operators import (
     resolvent_free,
     resolvent_with_potential,
     sample_potential,
-    _apply_resolvent_zeta,
     _require_resolvent_region,
+    _resolvent_multiplier,
     _solve_with_potential,
+    _zeta,
 )
 from .symbols import DiracParams
 
@@ -67,6 +70,8 @@ __all__ = [
 DYADIC_HS = (0.4, 0.2, 0.1, 0.05)
 
 FLOOR_CUTOFF = 1e-12  # series entries below this are excluded from slope fits
+
+_PROBE_COUNT, _PROBE_SEED = 16, 0  # frequency bumps drawn by `weighted_operator_gap_probe`
 
 
 def thread_cap(n_tasks: int) -> int:
@@ -106,9 +111,13 @@ class Sweep:
             raise ValueError("sweep needs at least one mesh size")
         if any(a <= b for a, b in zip(self.hs, self.hs[1:])):
             raise ValueError("mesh sizes must be strictly decreasing")
-        hs = list(self.hs) + ([self.hs[-1] / 2] if self.check_floor else [])
-        for h in hs:
+        for h in self.levels:
             self.mesh_for(h)  # validates divisibility and parity
+
+    @property
+    def levels(self) -> tuple[float, ...]:
+        """Every mesh size the sweep runs: ``hs``, then ``hs[-1] / 2`` when ``check_floor`` is set."""
+        return tuple(self.hs) + ((self.hs[-1] / 2,) if self.check_floor else ())
 
     def mesh_for(self, h: float, d: Optional[int] = None) -> Mesh:
         ratio = self.box / h
@@ -258,6 +267,34 @@ def _assemble(
     )
 
 
+def _sweep(experiment: str, sweep: Sweep, names: Sequence[str], worker) -> ConvergenceReport:
+    """Run ``worker(h)``, which returns one error per series name, on every level of ``sweep``.
+
+    The ``hs`` levels run through `_run_levels`; the floor-guard level, when
+    set, runs after them.
+    """
+    results, timings = _run_levels(sweep.hs, worker)
+    errors = {name: [r[i] for r in results] for i, name in enumerate(names)}
+    extra = dict(zip(names, worker(sweep.levels[-1]))) if sweep.check_floor else None
+    Ns = [sweep.mesh_for(h).N for h in sweep.hs]
+    return _assemble(experiment, sweep, errors, timings, Ns, extra)
+
+
+def _resolvent_worker(sweep: Sweep, reference: LatticeField, V: Optional[PotentialSpec]):
+    """Per-level error ``||R_z P_h phi - block_average(reference)||``, with ``V`` if given."""
+    phi = sweep.resolved_function()
+
+    def worker(h):
+        mesh = sweep.mesh_for(h, d=2)
+        psi = project(phi, mesh)
+        query = ResolventQuery(z=sweep.z, p=DiracParams(sweep.m, h), tol=sweep.tol)
+        u = resolvent_free(psi, query) if V is None else resolvent_with_potential(psi, query, V)
+        ref_h = block_average(reference, mesh)
+        return (norm_l2(LatticeField(mesh, u.values - ref_h.values)),)
+
+    return worker
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -272,17 +309,7 @@ def exp_projection(sweep: Sweep) -> ConvergenceReport:
         proj = l2_error_vs_continuum(project(phi, mesh), phi)
         return samp, proj
 
-    results, timings = _run_levels(sweep.hs, worker)
-    errors = {
-        "sampling": [r[0] for r in results],
-        "projection": [r[1] for r in results],
-    }
-    extra = None
-    if sweep.check_floor:
-        s_extra, p_extra = worker(sweep.hs[-1] / 2)
-        extra = {"sampling": s_extra, "projection": p_extra}
-    Ns = [sweep.mesh_for(h).N for h in sweep.hs]
-    return _assemble("project", sweep, errors, timings, Ns, extra)
+    return _sweep("project", sweep, ("sampling", "projection"), worker)
 
 
 def exp_ft(sweep: Sweep) -> ConvergenceReport:
@@ -290,134 +317,84 @@ def exp_ft(sweep: Sweep) -> ConvergenceReport:
     if sweep.s <= 0:
         raise ValueError("the weighted transform sweep needs s > 0")
     phi = sweep.resolved_function()
-
-    def worker(h):
-        return weighted_ft_error(phi, sweep.mesh_for(h), sweep.s)
-
-    results, timings = _run_levels(sweep.hs, worker)
-    extra = {"weighted-ft": worker(sweep.hs[-1] / 2)} if sweep.check_floor else None
-    Ns = [sweep.mesh_for(h).N for h in sweep.hs]
-    return _assemble("ft", sweep, {"weighted-ft": results}, timings, Ns, extra)
+    return _sweep(
+        "ft", sweep, ("weighted-ft",),
+        lambda h: (weighted_ft_error(phi, sweep.mesh_for(h), sweep.s),),
+    )
 
 
 def exp_ift(sweep: Sweep) -> ConvergenceReport:
     """Inverse-transform error for a frequency-window catalog entry, per h."""
     u = sweep.resolved_function()
-
-    def worker(h):
-        return inverse_ft_error(u, sweep.mesh_for(h))
-
-    results, timings = _run_levels(sweep.hs, worker)
-    extra = {"inverse-ft": worker(sweep.hs[-1] / 2)} if sweep.check_floor else None
-    Ns = [sweep.mesh_for(h).N for h in sweep.hs]
-    return _assemble("ift", sweep, {"inverse-ft": results}, timings, Ns, extra)
-
-
-def _free_reference(sweep: Sweep, phi: ContinuumFunction) -> LatticeField:
-    """Continuum-resolvent surrogate on the finest sweep mesh (shared by all levels)."""
-    finest = sweep.mesh_for(min(sweep.hs), d=2)
-    return resolvent_continuum(phi, sweep.z, sweep.m, finest, refine=sweep.refine)
+    return _sweep("ift", sweep, ("inverse-ft",), lambda h: (inverse_ft_error(u, sweep.mesh_for(h)),))
 
 
 def exp_resolvent_free(sweep: Sweep) -> ConvergenceReport:
     """Per-vector error of the free discrete resolvent against the continuum surrogate.
 
     One reference is computed on the ``refine``-fold refinement of the finest
-    mesh and block-averaged to every level, so all levels share the same
-    comparison target.
+    level (the floor-guard level when set) and block-averaged to every level,
+    so all levels share the same comparison target.
     """
-    phi = sweep.resolved_function()
-    reference = _free_reference(sweep, phi)
-
-    def worker(h):
-        mesh = sweep.mesh_for(h, d=2)
-        query = ResolventQuery(z=sweep.z, p=DiracParams(sweep.m, h))
-        u = resolvent_free(project(phi, mesh), query)
-        ref_h = block_average(reference, mesh)
-        return norm_l2(LatticeField(mesh, u.values - ref_h.values))
-
-    results, timings = _run_levels(sweep.hs, worker)
-    extra = None
-    if sweep.check_floor:
-        extra = {"resolvent-free": worker(sweep.hs[-1] / 2)}
-    Ns = [sweep.mesh_for(h).N for h in sweep.hs]
-    return _assemble("resolve-free", sweep, {"resolvent-free": results}, timings, Ns, extra)
+    finest = sweep.mesh_for(sweep.levels[-1], d=2)
+    reference = resolvent_continuum(
+        sweep.resolved_function(), sweep.z, sweep.m, finest, refine=sweep.refine
+    )
+    worker = _resolvent_worker(sweep, reference, None)
+    return _sweep("resolve-free", sweep, ("resolvent-free",), worker)
 
 
 def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     """Per-vector error of the perturbed resolvent against a refined-grid reference.
 
-    The reference runs the same Neumann/Krylov factorization on the refined
-    mesh with the continuum symbol and the potential sampled at the fine
+    The reference runs the same Neumann/Krylov factorization on the
+    ``refine``-fold refinement of the finest level (the floor-guard level when
+    set), with the continuum symbol and the potential sampled at the fine
     sites.
     """
-    phi = sweep.resolved_function()
     V = sweep.resolved_potential()
     if V is None:
         raise ValueError("the potential sweep needs a potential id")
     _require_resolvent_region(sweep.z, V)
-    finest = sweep.mesh_for(min(sweep.hs), d=2)
+    finest = sweep.mesh_for(sweep.levels[-1], d=2)
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
-    psi_fine = sample(phi, fine)
-    Vh_fine = sample_potential(V, fine)
-    u_ref = _solve_with_potential(
-        psi_fine, complex(sweep.z), sweep.m, Vh_fine, V.sup_norm,
+    u_fine = _solve_with_potential(
+        sample(sweep.resolved_function(), fine), complex(sweep.z), sweep.m,
+        sample_potential(V, fine), V.sup_norm,
         policy=None, tol=sweep.tol, max_iter=2000, restart=50,
     )
-    reference = block_average(u_ref, finest)
-
-    def worker(h):
-        mesh = sweep.mesh_for(h, d=2)
-        query = ResolventQuery(z=sweep.z, p=DiracParams(sweep.m, h), tol=sweep.tol)
-        u = resolvent_with_potential(project(phi, mesh), query, V)
-        ref_h = block_average(reference, mesh)
-        return norm_l2(LatticeField(mesh, u.values - ref_h.values))
-
-    results, timings = _run_levels(sweep.hs, worker)
-    extra = None
-    if sweep.check_floor:
-        extra = {"resolvent-potential": worker(sweep.hs[-1] / 2)}
-    Ns = [sweep.mesh_for(h).N for h in sweep.hs]
-    return _assemble(
-        "resolve-potential", sweep, {"resolvent-potential": results}, timings, Ns, extra
-    )
+    reference = block_average(u_fine, finest)
+    worker = _resolvent_worker(sweep, reference, V)
+    return _sweep("resolve-potential", sweep, ("resolvent-potential",), worker)
 
 
 # ---------------------------------------------------------------------------
 # weighted-operator-norm diagnostic
 
 
-def weighted_operator_gap_probe(
-    m: float, z: complex, s: float, h: float, box: float, n_probe: int = 16, seed: int = 0
-) -> float:
+def weighted_operator_gap_probe(m: float, z: complex, s: float, h: float, box: float) -> float:
     """Probe-set surrogate for the weighted-space operator-norm resolvent gap.
 
     Applies the pointwise difference of the discrete and continuum symbol
-    resolvents to ``n_probe`` deterministic Gaussian frequency bumps and
-    returns the max ratio of output norm to weighted input norm.  Diagnostic
-    only; not an acceptance gate.
+    resolvents to 16 deterministic Gaussian frequency bumps and returns the
+    max ratio of output norm to weighted input norm.  Diagnostic only; not an
+    acceptance gate.
     """
-    from .fourier import FrequencyGrid
-    from .symbols import zeta_discrete
-
     mesh = Mesh(2, h, round(box / h))
     grid = FrequencyGrid(mesh)
     coords = grid.coords()
-    p = DiracParams(m, h)
-    zeta_h = zeta_discrete(coords, p)
-    zeta_c = coords[..., 0] + 1j * coords[..., 1]
-    rng = np.random.default_rng(seed)
+    discrete = _resolvent_multiplier(_zeta(coords, DiracParams(m, h)), m, z)
+    continuum = _resolvent_multiplier(_zeta(coords, None), m, z)
+    rng = np.random.default_rng(_PROBE_SEED)
     weight_sq = (1.0 + np.sum(coords**2, axis=-1)) ** s
     worst = 0.0
-    for _ in range(n_probe):
+    for _ in range(_PROBE_COUNT):
         center = rng.uniform(-0.5, 0.5, size=2) * np.pi / h
         width = rng.uniform(0.5, 2.0)
         spinor = rng.normal(size=2) + 1j * rng.normal(size=2)
         bump = np.exp(-np.sum((coords - center) ** 2, axis=-1) / (2 * width**2))
         u = bump[..., None] * spinor
-        gap = _apply_resolvent_zeta(u, zeta_h, m, complex(z)) - _apply_resolvent_zeta(
-            u, zeta_c, m, complex(z)
-        )
+        gap = discrete(u) - continuum(u)
         out = np.sqrt(grid.cell_volume * np.sum(np.abs(gap) ** 2))
         win = np.sqrt(grid.cell_volume * np.sum(weight_sq[..., None] * np.abs(u) ** 2))
         worst = max(worst, out / win)

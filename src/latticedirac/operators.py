@@ -178,21 +178,36 @@ def _apply_symbol_zeta(values: np.ndarray, zeta: np.ndarray, m: float) -> np.nda
     return np.stack([m * v0 + np.conj(zeta) * v1, zeta * v0 - m * v1], axis=-1)
 
 
-def _apply_resolvent_zeta(values: np.ndarray, zeta: np.ndarray, m: float, z: complex) -> np.ndarray:
-    """Apply ``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` pointwise."""
-    v0, v1 = values[..., 0], values[..., 1]
+def _resolvent_multiplier(
+    zeta: np.ndarray, m: float, z: complex
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Pointwise ``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
+
+    The denominator and ``conj(zeta)`` are computed here once, not on every apply.
+    """
+    z = complex(z)
     den = np.abs(zeta) ** 2 + m * m - z * z
-    out0 = ((m + z) * v0 + np.conj(zeta) * v1) / den
-    out1 = (zeta * v0 + (z - m) * v1) / den
-    return np.stack([out0, out1], axis=-1)
+    zeta_bar = np.conj(zeta)
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        v0, v1 = values[..., 0], values[..., 1]
+        out0 = ((m + z) * v0 + zeta_bar * v1) / den
+        out1 = (zeta * v0 + (z - m) * v1) / den
+        return np.stack([out0, out1], axis=-1)
+
+    return apply
 
 
-def _zeta_natural(mesh: Mesh, p: Optional[DiracParams]) -> np.ndarray:
-    """Lower-left symbol entry in natural FFT order; continuum ``xi1 + i*xi2`` if ``p`` is None."""
-    coords = np.roll(FrequencyGrid(mesh).coords(), mesh.N // 2, axis=(0, 1))
+def _zeta(coords: np.ndarray, p: Optional[DiracParams]) -> np.ndarray:
+    """Lower-left symbol entry at ``coords``: discrete for ``p``, continuum ``xi1 + i*xi2`` if None."""
     if p is None:
         return coords[..., 0] + 1j * coords[..., 1]
     return zeta_discrete(coords, p)
+
+
+def _zeta_natural(mesh: Mesh, p: Optional[DiracParams]) -> np.ndarray:
+    """`_zeta` on the dual grid of ``mesh`` in natural FFT order."""
+    return _zeta(np.roll(FrequencyGrid(mesh).coords(), mesh.N // 2, axis=(0, 1)), p)
 
 
 def _multiplier_apply(values: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -273,9 +288,8 @@ def resolvent_free(psi: LatticeField, q: ResolventQuery) -> LatticeField:
     """Free resolvent ``(D - z)**-1 psi`` by closed-form symbol inversion."""
     _require_complex_shift(q.z)
     _check_spinor(psi, q.p)
-    zeta = _zeta_natural(psi.mesh, q.p)
-    out = _multiplier_apply(psi.values, lambda u: _apply_resolvent_zeta(u, zeta, q.p.m, complex(q.z)))
-    return LatticeField(psi.mesh, out)
+    apply = _resolvent_multiplier(_zeta_natural(psi.mesh, q.p), q.p.m, q.z)
+    return LatticeField(psi.mesh, _multiplier_apply(psi.values, apply))
 
 
 def block_average(f: LatticeField, coarse: Mesh) -> LatticeField:
@@ -322,8 +336,7 @@ def resolvent_continuum(
         spec = phi.fourier(coords)
     else:
         spec = dft(project(phi, ref)).values
-    zeta = coords[..., 0] + 1j * coords[..., 1]
-    out = _apply_resolvent_zeta(spec, zeta, m, complex(z))
+    out = _resolvent_multiplier(_zeta(coords, None), m, z)(spec)
     averager = np.ones(coords.shape[:-1], dtype=complex)
     for j in range(mesh.d):
         averager = averager * np.conj(a_factor(mesh.h * coords[..., j]))
@@ -359,10 +372,10 @@ def _solve_with_potential(
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
         return LatticeField(mesh, np.zeros_like(psi.values))
-    zeta = _zeta_natural(mesh, p)
+    symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
 
     def resolvent(values):
-        return _multiplier_apply(values, lambda u: _apply_resolvent_zeta(u, zeta, m, z))
+        return _multiplier_apply(values, symbol)
 
     def vmul(values):
         return np.einsum("...ab,...b->...a", Vh, values)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -168,6 +169,17 @@ def test_bad_thread_count_is_a_config_error(value, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "LATTICE_DIRAC_THREADS must be a positive integer" in err
     assert repr(value) in err
+
+
+@pytest.mark.parametrize("before", [None, "3"])
+def test_threads_flag_leaves_environment_as_found(before, monkeypatch):
+    if before is None:
+        monkeypatch.delenv("LATTICE_DIRAC_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LATTICE_DIRAC_THREADS", before)
+    argv = ["project", "--sweep", "0.4,0.2,0.1", "--function", "gaussian1d", "--threads", "1"]
+    assert main(argv) == 0
+    assert os.environ.get("LATTICE_DIRAC_THREADS") == before
 
 
 def test_resolvent_region_violation_is_an_error(capsys):

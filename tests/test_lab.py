@@ -188,6 +188,17 @@ def test_projection_floor_guard_not_triggered():
         Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function="gaussian1d", check_floor=True)
     )
     assert rep.floor_reached is False
+    # the guard level is finer than every hs level; the resolvent references must cover it
+    short = dict(hs=(0.4, 0.2), box=9.6, refine=2, check_floor=True)
+    runs = [
+        (exp_ft, Sweep(**{**short, "box": 25.6}, function="gaussian1d")),
+        (exp_ift, Sweep(**short, function="freqbump1d")),
+        (exp_resolvent_free, Sweep(**short, function="gaussian-spinor")),
+        (exp_resolvent_potential, Sweep(**short, function="gaussian-spinor", z=3j,
+                                        potential="nonhermitian-gaussian")),
+    ]
+    for experiment, sweep in runs:
+        assert isinstance(experiment(sweep).floor_reached, bool)
 
 
 def test_floor_guard_flags_stalled_series():
