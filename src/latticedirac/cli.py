@@ -6,7 +6,8 @@ error.  Output files (CSV or JSON, chosen by ``--format``) are byte-stable
 for a given config: fixed field order and 17-significant-digit floats.
 Complex shifts are written in ``a+bi`` literal form.  A JSON config file can
 seed any flag; explicit flags win.  LATTICE_DIRAC_THREADS caps the across-h
-parallelism of the sweeps; ``--threads`` overrides it for one run.
+parallelism of the sweeps and the FFT workers of the solves; ``--threads``
+overrides it for one run.
 """
 
 from __future__ import annotations

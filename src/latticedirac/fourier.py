@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import SupportViolation, UnknownClosedForm
 from .grid import ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample
@@ -156,6 +155,7 @@ def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
 
 def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     """``int_{|xi|_inf > b} <xi>**(-2s) |Fphi|**2`` from the closed form, per channel summed."""
+    from scipy import integrate  # not at module level: importing scipy costs start-up time
 
     if phi.d == 1:
 

@@ -118,7 +118,7 @@ class LatticeField:
             raise ValueError(f"values shape {vals.shape} incompatible with mesh {expected}")
         if vals.shape[-1] not in (1, 2):
             raise ValueError(f"channel count must be 1 or 2, got {vals.shape[-1]}")
-        if not np.all(np.isfinite(vals.view(float))):
+        if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 

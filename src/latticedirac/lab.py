@@ -16,7 +16,6 @@ so reports are bit-for-bit reproducible for a given configuration.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFit
+from .errors import DegenerateFit
 from .fourier import FrequencyGrid, inverse_ft_error, weighted_ft_error
 from .grid import (
     ContinuumFunction,
@@ -45,6 +44,7 @@ from .operators import (
     resolvent_free,
     resolvent_with_potential,
     sample_potential,
+    thread_cap,
     _require_resolvent_region,
     _resolvent_multiplier,
     _solve_with_potential,
@@ -72,19 +72,6 @@ DYADIC_HS = (0.4, 0.2, 0.1, 0.05)
 FLOOR_CUTOFF = 1e-12  # series entries below this are excluded from slope fits
 
 _PROBE_COUNT, _PROBE_SEED = 16, 0  # frequency bumps drawn by `weighted_operator_gap_probe`
-
-
-def thread_cap(n_tasks: int) -> int:
-    """Worker count for across-h parallelism, capped by LATTICE_DIRAC_THREADS.
-
-    Unset or empty means the CPU count; any value that is not a positive
-    integer raises `ConfigError`.
-    """
-    cap = os.environ.get("LATTICE_DIRAC_THREADS")
-    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
-        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
 
 
 @dataclass(frozen=True)
@@ -393,9 +380,9 @@ def weighted_operator_gap_probe(m: float, z: complex, s: float, h: float, box: f
         width = rng.uniform(0.5, 2.0)
         spinor = rng.normal(size=2) + 1j * rng.normal(size=2)
         bump = np.exp(-np.sum((coords - center) ** 2, axis=-1) / (2 * width**2))
-        u = bump[..., None] * spinor
-        gap = discrete(u) - continuum(u)
+        u = spinor[:, None, None] * bump  # channel-first, as the multipliers take it
+        gap = discrete(u.copy()) - continuum(u.copy())
         out = np.sqrt(grid.cell_volume * np.sum(np.abs(gap) ** 2))
-        win = np.sqrt(grid.cell_volume * np.sum(weight_sq[..., None] * np.abs(u) ** 2))
+        win = np.sqrt(grid.cell_volume * np.sum(weight_sq * np.abs(u) ** 2))
         worst = max(worst, out / win)
     return float(worst)

@@ -17,18 +17,24 @@ Perturbed resolvents solve ``(D + V - z) u = psi`` through the factorization
 contraction ``sup||V|| / |Im z| <= 0.9`` is certified and by a restarted
 residual-minimizing Krylov iteration otherwise.  A dense matrix of the full
 operator (small lattices only) serves as the cross-validation oracle.
+
+Fourier multipliers work channel-first: the two spinor channels are held as
+one contiguous ``(2, *sites)`` array, transformed with `scipy.fft` over the
+site axes (with as many workers as `thread_cap` allows) and multiplied in
+place one block of rows at a time.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (
     AxisOutOfRange,
+    ConfigError,
     MeshMismatch,
     NoConvergence,
     NotInResolventRegion,
@@ -172,30 +178,90 @@ def diff_backward(f: LatticeField, j: int) -> LatticeField:
     return LatticeField(f.mesh, out)
 
 
-def _apply_symbol_zeta(values: np.ndarray, zeta: np.ndarray, m: float) -> np.ndarray:
-    """Apply ``[[m, conj(zeta)], [zeta, -m]]`` pointwise to two-channel values."""
-    v0, v1 = values[..., 0], values[..., 1]
-    return np.stack([m * v0 + np.conj(zeta) * v1, zeta * v0 - m * v1], axis=-1)
+# Sites per block of the in-place multiplier and potential passes: the several
+# operations on one block run on cached data instead of each streaming whole arrays.
+_BLOCK_SITES = 16384
 
 
-def _resolvent_multiplier(
-    zeta: np.ndarray, m: float, z: complex
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Pointwise ``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
+def thread_cap(n_tasks: int) -> int:
+    """Worker count for ``n_tasks`` independent tasks, capped by LATTICE_DIRAC_THREADS.
 
-    The denominator and ``conj(zeta)`` are computed here once, not on every apply.
+    Unset or empty means the CPU count; any value that is not a positive
+    integer raises `ConfigError`.  The cap bounds the across-h parallelism of
+    the sweeps and the FFT workers of every Fourier multiplier.
+    """
+    cap = os.environ.get("LATTICE_DIRAC_THREADS")
+    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
+        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
+    limit = int(cap) if cap else (os.cpu_count() or 1)
+    return max(1, min(n_tasks, limit))
+
+
+def _row_blocks(x: np.ndarray):
+    """Slices of about `_BLOCK_SITES` sites along the first site axis of channel-first ``x``."""
+    n = x.shape[1]
+    rows = max(1, _BLOCK_SITES // x[0, 0].size)
+    return [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+
+
+def _channel_first(values: np.ndarray) -> np.ndarray:
+    """Contiguous complex ``(channels, *sites)`` copy of channel-last field values, never a view."""
+    return np.array(np.moveaxis(values, -1, 0), dtype=complex, order="C")
+
+
+def _channel_last(x: np.ndarray) -> np.ndarray:
+    """Channel-last view of a channel-first array, as `LatticeField` holds values."""
+    return np.moveaxis(x, 0, -1)
+
+
+@dataclass(frozen=True)
+class _Multiplier:
+    """Pointwise 2x2 symbol ``[[c0 * s, conj_s], [zeta_s, c1 * s]]``.
+
+    ``s``, ``zeta_s`` and ``conj_s`` are arrays over the sites' frequencies
+    (``s`` may be a broadcast constant); ``c0`` and ``c1`` are scalars.
+    """
+
+    s: np.ndarray
+    zeta_s: np.ndarray
+    conj_s: np.ndarray
+    c0: complex
+    c1: complex
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Multiply channel-first ``x`` in place, one block of rows at a time, and return it."""
+        blocks = _row_blocks(x)
+        t0 = np.empty_like(x[0, blocks[0]])
+        t1 = np.empty_like(t0)
+        for rows in blocks:
+            a, b, s = x[0, rows], x[1, rows], self.s[rows]
+            out0, out1 = t0[: a.shape[0]], t1[: a.shape[0]]
+            np.multiply(s, a, out=out0)
+            out0 *= self.c0
+            np.multiply(self.conj_s[rows], b, out=out1)
+            out0 += out1
+            np.multiply(self.zeta_s[rows], a, out=out1)
+            np.multiply(s, b, out=a)
+            a *= self.c1
+            out1 += a
+            a[...] = out0
+            b[...] = out1
+        return x
+
+
+def _dirac_multiplier(zeta: np.ndarray, m: float) -> _Multiplier:
+    """The symbol ``M = [[m, conj(zeta)], [zeta, -m]]``."""
+    return _Multiplier(np.broadcast_to(1.0, zeta.shape), zeta, np.conj(zeta), m, -m)
+
+
+def _resolvent_multiplier(zeta: np.ndarray, m: float, z: complex) -> _Multiplier:
+    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
+
+    ``1/den``, ``zeta/den`` and ``conj(zeta)/den`` are computed here once, not on every apply.
     """
     z = complex(z)
-    den = np.abs(zeta) ** 2 + m * m - z * z
-    zeta_bar = np.conj(zeta)
-
-    def apply(values: np.ndarray) -> np.ndarray:
-        v0, v1 = values[..., 0], values[..., 1]
-        out0 = ((m + z) * v0 + zeta_bar * v1) / den
-        out1 = (zeta * v0 + (z - m) * v1) / den
-        return np.stack([out0, out1], axis=-1)
-
-    return apply
+    s = 1.0 / (np.abs(zeta) ** 2 + m * m - z * z)
+    return _Multiplier(s, zeta * s, np.conj(zeta) * s, m + z, z - m)
 
 
 def _zeta(coords: np.ndarray, p: Optional[DiracParams]) -> np.ndarray:
@@ -210,13 +276,44 @@ def _zeta_natural(mesh: Mesh, p: Optional[DiracParams]) -> np.ndarray:
     return _zeta(np.roll(FrequencyGrid(mesh).coords(), mesh.N // 2, axis=(0, 1)), p)
 
 
-def _multiplier_apply(values: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Fourier multiplier ``ifftn(f(fftn(values)))`` over the site axes, ``f`` in natural FFT order.
+def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
+    """Fourier multiplier ``ifftn(M fftn(x))`` over the site axes of channel-first ``x``.
 
-    It commutes with circular shifts, so the centring shifts and scalings of `dft`/`idft` cancel.
+    Works in the memory of ``x``, which is overwritten; pass a copy to keep it.
+    ``M`` is in natural FFT order.  It commutes with circular shifts, so the
+    centring shifts and scalings of `dft`/`idft` cancel.  pocketfft splits a
+    transform into independent 1D lines, so the result is the same at any
+    worker count.
     """
-    axes = tuple(range(values.ndim - 1))
-    return np.fft.ifftn(f(np.fft.fftn(values, axes=axes)), axes=axes)
+    import scipy.fft  # not at module level: importing scipy costs start-up time
+
+    axes = tuple(range(1, x.ndim))
+    workers = thread_cap(x.size // x.shape[-1])
+    spec = multiplier(scipy.fft.fftn(x, axes=axes, workers=workers, overwrite_x=True))
+    return scipy.fft.ifftn(spec, axes=axes, workers=workers, overwrite_x=True)
+
+
+def _vmul_blocks(Vh: np.ndarray, u: np.ndarray):
+    """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u``.
+
+    ``Vh`` is read through views, never copied; the yielded block buffer is reused.
+    """
+    blocks = _row_blocks(u)
+    buf = np.empty_like(u[:, blocks[0]])
+    tmp = np.empty_like(buf[0])
+    for rows in blocks:
+        k = rows.stop - rows.start
+        vu, t = buf[:, :k], tmp[:k]
+        for a in range(2):
+            np.multiply(Vh[rows, ..., a, 0], u[0, rows], out=vu[a])
+            np.multiply(Vh[rows, ..., a, 1], u[1, rows], out=t)
+            vu[a] += t
+        yield rows, vu
+
+
+def _sum_sq(x: np.ndarray) -> float:
+    """``sum |x|**2`` over a channel-first block."""
+    return sum(np.vdot(c, c).real for c in x)
 
 
 def apply_dirac(
@@ -241,8 +338,8 @@ def apply_dirac(
             [p.m * psi.values[..., :1] + upper, lower - p.m * psi.values[..., 1:]], axis=-1
         )
     elif path == "symbol":
-        zeta = _zeta_natural(psi.mesh, p)
-        out = _multiplier_apply(psi.values, lambda u: _apply_symbol_zeta(u, zeta, p.m))
+        symbol = _dirac_multiplier(_zeta_natural(psi.mesh, p), p.m)
+        out = _channel_last(_multiplier_apply(_channel_first(psi.values), symbol))
     else:
         raise ValueError(f"unknown path {path!r}")
     if V is not None:
@@ -288,8 +385,8 @@ def resolvent_free(psi: LatticeField, q: ResolventQuery) -> LatticeField:
     """Free resolvent ``(D - z)**-1 psi`` by closed-form symbol inversion."""
     _require_complex_shift(q.z)
     _check_spinor(psi, q.p)
-    apply = _resolvent_multiplier(_zeta_natural(psi.mesh, q.p), q.p.m, q.z)
-    return LatticeField(psi.mesh, _multiplier_apply(psi.values, apply))
+    symbol = _resolvent_multiplier(_zeta_natural(psi.mesh, q.p), q.p.m, q.z)
+    return LatticeField(psi.mesh, _channel_last(_multiplier_apply(_channel_first(psi.values), symbol)))
 
 
 def block_average(f: LatticeField, coarse: Mesh) -> LatticeField:
@@ -336,16 +433,19 @@ def resolvent_continuum(
         spec = phi.fourier(coords)
     else:
         spec = dft(project(phi, ref)).values
-    out = _resolvent_multiplier(_zeta(coords, None), m, z)(spec)
+    out = _resolvent_multiplier(_zeta(coords, None), m, z)(_channel_first(spec))
     averager = np.ones(coords.shape[:-1], dtype=complex)
     for j in range(mesh.d):
         averager = averager * np.conj(a_factor(mesh.h * coords[..., j]))
-    fine = idft(SpectralField(grid, out * averager[..., None]))
+    out *= averager
+    fine = idft(SpectralField(grid, _channel_last(out)))
     coarse_vals = fine.values[::refine, ::refine, :]
     return LatticeField(mesh, coarse_vals)
 
 
 def _gmres(matvec, b_vec, tol, restart, max_iter):
+    import scipy.sparse.linalg as spla  # not at module level: importing scipy costs start-up time
+
     n = b_vec.size
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
     return spla.gmres(op, b_vec, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
@@ -372,16 +472,9 @@ def _solve_with_potential(
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
         return LatticeField(mesh, np.zeros_like(psi.values))
-    symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
 
-    def resolvent(values):
-        return _multiplier_apply(values, symbol)
-
-    def vmul(values):
-        return np.einsum("...ab,...b->...a", Vh, values)
-
-    def relative(r):
-        return norm_l2(LatticeField(mesh, r)) / psi_norm
+    def relative(sum_sq):
+        return float(np.sqrt(mesh.h**mesh.d * sum_sq)) / psi_norm
 
     if policy is None:
         policy = "neumann" if sup_norm / abs(complex(z).imag) <= 0.9 else "krylov"
@@ -396,29 +489,46 @@ def _solve_with_potential(
         u_vec = np.linalg.solve(shifted, field_to_vec(psi))
         return vec_to_field(u_vec, mesh)
 
+    symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
+    rhs = _channel_first(psi.values)
+
     if policy == "neumann":
-        w = psi.values
+        w, u = rhs.copy(), np.empty_like(rhs)
         for _ in range(max_iter):
-            u = resolvent(w)
-            w_next = psi.values - vmul(u)
-            res = relative(w - w_next)
+            np.copyto(u, w)
+            u = _multiplier_apply(u, symbol)
+            sum_sq = 0.0
+            for rows, vu in _vmul_blocks(Vh, u):
+                w_next = np.subtract(rhs[:, rows], vu, out=vu)
+                step = w[:, rows]
+                step -= w_next
+                sum_sq += _sum_sq(step)
+                step[...] = w_next
+            res = relative(sum_sq)
             if res <= tol:
-                return LatticeField(mesh, u)
-            w = w_next
+                return LatticeField(mesh, _channel_last(u))
         raise NoConvergence(max_iter, res)
 
-    # krylov: residual-minimizing iteration on w + V R_z w = psi
+    # krylov: residual-minimizing iteration on w + V R_z w = psi, in channel-first vector order
     def matvec(w_vec):
-        w = w_vec.reshape(psi.values.shape)
-        return (w + vmul(resolvent(w))).ravel()
+        w = w_vec.reshape(rhs.shape)
+        out = _multiplier_apply(w.copy(), symbol)
+        for rows, vu in _vmul_blocks(Vh, out):
+            np.add(w[:, rows], vu, out=out[:, rows])
+        return out.ravel()
 
-    w_vec, info = _gmres(matvec, psi.values.ravel(), tol * 1e-2, restart, max_iter)
-    w = w_vec.reshape(psi.values.shape)
-    u = resolvent(w)
-    res = relative(w + vmul(u) - psi.values)
+    w_vec, info = _gmres(matvec, rhs.ravel(), tol * 1e-2, restart, max_iter)
+    w = w_vec.reshape(rhs.shape)
+    u = _multiplier_apply(w.copy(), symbol)
+    sum_sq = 0.0
+    for rows, vu in _vmul_blocks(Vh, u):
+        vu += w[:, rows]
+        vu -= rhs[:, rows]
+        sum_sq += _sum_sq(vu)
+    res = relative(sum_sq)
     if res > tol:
         raise NoConvergence(info if info > 0 else max_iter, res)
-    return LatticeField(mesh, u)
+    return LatticeField(mesh, _channel_last(u))
 
 
 def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialSpec) -> LatticeField:
@@ -443,16 +553,12 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
 
 
 def field_to_vec(f: LatticeField) -> np.ndarray:
-    """Channel-major flattening matching `dense_matrix` row order."""
-    return np.concatenate([f.values[..., 0].ravel(), f.values[..., 1].ravel()])
+    """Channel-major flattening matching `dense_matrix` row order: the channel-first layout."""
+    return _channel_first(f.values).ravel()
 
 
 def vec_to_field(vec: np.ndarray, mesh: Mesh) -> LatticeField:
-    nsites = mesh.N**mesh.d
-    vals = np.stack(
-        [vec[:nsites].reshape(mesh.shape), vec[nsites:].reshape(mesh.shape)], axis=-1
-    )
-    return LatticeField(mesh, vals)
+    return LatticeField(mesh, _channel_last(np.reshape(vec, (-1,) + mesh.shape)))
 
 
 def _diff_matrix_1d(N: int, h: float) -> np.ndarray:

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +171,24 @@ def test_bad_thread_count_is_a_config_error(value, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "LATTICE_DIRAC_THREADS must be a positive integer" in err
     assert repr(value) in err
+
+
+def test_import_and_config_error_load_no_scipy():
+    # scipy loads inside the functions that use it, so a config error fails before it
+    code = (
+        "import os, sys\n"
+        "import latticedirac.cli as cli\n"
+        "os.environ['LATTICE_DIRAC_THREADS'] = 'abc'\n"
+        "assert cli.main(['project', '--sweep', '0.4,0.2,0.1', '--function', 'gaussian1d']) == 1\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "LATTICE_DIRAC_THREADS must be a positive integer" in proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("before", [None, "3"])

@@ -64,6 +64,16 @@ def test_field_rejects_nonfinite_values():
         LatticeField(mesh, vals)
 
 
+def test_field_accepts_non_contiguous_values():
+    # a channel-last view of channel-first memory, as the solvers hand results back
+    mesh = Mesh(2, 0.5, 8)
+    vals = np.ones((2, 8, 8), dtype=complex)
+    LatticeField(mesh, np.moveaxis(vals, 0, -1))
+    vals[1, 3, 4] = np.nan
+    with pytest.raises(ValueError, match="field values must be finite"):
+        LatticeField(mesh, np.moveaxis(vals, 0, -1))
+
+
 def test_cells_tile_box():
     # every point of the box lands in exactly one cell, recovered by floor
     mesh = Mesh(1, 0.25, 8)

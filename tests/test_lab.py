@@ -234,3 +234,15 @@ def test_thread_cap_does_not_change_results(monkeypatch):
     parallel = exp_projection(sweep)
     for a, b in zip(serial.series, parallel.series):
         assert a.errors == b.errors
+
+
+@pytest.mark.parametrize("z", [3j, 1.2j])  # Neumann, then Krylov
+def test_fft_workers_do_not_change_resolvent_results(z, monkeypatch):
+    # the cap sets the FFT workers of every solve as well as the across-h pool
+    sweep = Sweep(hs=(0.8, 0.4, 0.2), box=9.6, function="gaussian-spinor", z=z,
+                  potential="nonhermitian-gaussian", refine=2)
+    errors = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+        errors.append(exp_resolvent_potential(sweep).primary.errors)
+    assert errors[0] == errors[1]

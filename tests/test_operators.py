@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticedirac import (
     DiracParams,
@@ -50,6 +52,11 @@ from latticedirac.operators import (
 from latticedirac.symbols import SIGMA1, SIGMA2, SIGMA3, opnorm_2x2
 
 from conftest import random_field
+
+# few examples, drawn the same way on every run, so tier-1 stays quick and repeatable
+PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
+EVEN_N = st.sampled_from([4, 6, 8, 10, 12, 14, 16])
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +135,16 @@ def test_stencil_and_symbol_paths_agree(rng):
         b = apply_dirac(psi, p, path="symbol")
         scale = max(1.0, float(np.max(np.abs(a.values))))
         assert np.max(np.abs(a.values - b.values)) < 1e-11 * scale
+
+
+@PROPERTY
+@given(N=EVEN_N, h=st.floats(0.05, 2.0), m=st.floats(0.5, 1.5), seed=SEEDS)
+def test_symbol_path_matches_stencils_property(N, h, m, seed):
+    p = DiracParams(m, h)
+    psi = random_field(Mesh(2, h, N), 2, np.random.default_rng(seed))
+    a = apply_dirac(psi, p, path="stencil").values
+    b = apply_dirac(psi, p, path="symbol").values
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 def test_sigma_block_form_is_the_same_operator(rng):
@@ -372,6 +389,41 @@ def test_dense_oracle_policy_agrees_with_iteration(rng):
     u1 = resolvent_with_potential(psi, ResolventQuery(z=2j, p=p), V)
     u2 = resolvent_with_potential(psi, ResolventQuery(z=2j, p=p, policy="dense-oracle"), V)
     assert np.max(np.abs(u1.values - u2.values)) < 1e-8
+
+
+@PROPERTY
+@given(N=EVEN_N, h=st.sampled_from([0.5, 1.0]), m=st.floats(0.5, 1.5),
+       name=st.sampled_from(POTENTIAL_IDS), margin=st.floats(0.25, 3.0),
+       re=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]), seed=SEEDS)
+def test_iterative_solvers_agree_with_dense_oracle_property(N, h, m, name, margin, re, sign, seed):
+    mesh = Mesh(2, h, N)
+    V = potential_catalog(name)
+    z = complex(re, sign * (V.skew_bound + margin))
+    psi = random_field(mesh, 2, np.random.default_rng(seed))
+
+    def query(policy):
+        return ResolventQuery(z=z, p=DiracParams(m, h), policy=policy)
+
+    dense = resolvent_with_potential(psi, query("dense-oracle"), V)
+    certified = V.sup_norm / abs(z.imag) <= 0.9
+    for policy in ["krylov"] + (["neumann"] if certified else []):
+        u = resolvent_with_potential(psi, query(policy), V)
+        assert norm_l2(LatticeField(mesh, u.values - dense.values)) <= 1e-8 * norm_l2(dense)
+
+
+def test_solves_leave_their_input_untouched(rng):
+    # results are channel-last views of channel-first memory, and the transforms
+    # work in place; feeding a result back in must not overwrite it
+    mesh = Mesh(2, 0.5, 16)
+    p = DiracParams(1.0, 0.5)
+    V = potential_catalog("nonhermitian-gaussian")
+    u = resolvent_free(random_field(mesh, 2, rng), ResolventQuery(z=3j, p=p))
+    before = u.values.copy()
+    apply_dirac(u, p, path="symbol")
+    resolvent_free(u, ResolventQuery(z=3j, p=p))
+    for policy in ("neumann", "krylov"):
+        resolvent_with_potential(u, ResolventQuery(z=3j, p=p, policy=policy), V)
+    assert np.array_equal(u.values, before)
 
 
 def test_resolvent_region_enforced(rng):
