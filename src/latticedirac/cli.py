@@ -6,8 +6,8 @@ error.  Output files (CSV or JSON, chosen by ``--format``) are byte-stable
 for a given config: fixed field order and 17-significant-digit floats.
 Complex shifts are written in ``a+bi`` literal form.  A JSON config file can
 seed any flag; explicit flags win.  LATTICE_DIRAC_THREADS caps the across-h
-parallelism of the sweeps and the FFT workers of the solves; ``--threads``
-overrides it for one run.
+parallelism of the sweeps, the row-block workers of the cell quadrature and
+the FFT workers of the solves; ``--threads`` overrides it for one run.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .lab import (
     exp_projection,
     exp_resolvent_free,
     exp_resolvent_potential,
-    thread_cap,
 )
-from .operators import POTENTIAL_IDS, dense_matrix
+from .operators import POTENTIAL_IDS, dense_matrix, thread_cap
 from .symbols import DiracParams, critical_points, lambda_mh, omega, spectrum_bounds
 
 __all__ = ["RunConfig", "run", "main", "parse_complex", "format_complex"]

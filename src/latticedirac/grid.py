@@ -15,16 +15,24 @@ Grid transfers:
   giving the step function usually written ``phi_h``.
 * ``project``  -- orthogonal projection onto step functions, realized as
   per-cell averages computed with fixed-order Gauss-Legendre quadrature.
+
+Cell quadrature walks the mesh in blocks of whole cell rows (about
+`_BLOCK_CELLS` cells each), so node arrays never span the whole mesh, and
+runs the blocks on up to `thread_cap` threads.  Per-cell results land in
+full arrays that are reduced once at the end, so every result is the same
+at any block size and thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import MeshMismatch, OutOfDomain, QuadratureFailure
+from .errors import ConfigError, MeshMismatch, OutOfDomain, QuadratureFailure
 
 __all__ = [
     "Mesh",
@@ -53,6 +61,25 @@ __all__ = [
 # error self-estimate; |G8 - G7| conservatively bounds the returned G8 error.
 _GAUSS_HI = np.polynomial.legendre.leggauss(8)
 _GAUSS_LO = np.polynomial.legendre.leggauss(7)
+_RULES = (_GAUSS_HI, _GAUSS_LO)
+
+# Cells per row block of the quadrature walk: one block's node arrays stay a few MB.
+_BLOCK_CELLS = 1024
+
+
+def thread_cap(n_tasks: int) -> int:
+    """Worker count for ``n_tasks`` independent tasks, capped by LATTICE_DIRAC_THREADS.
+
+    Unset or empty means the CPU count; any value that is not a positive
+    integer raises `ConfigError`.  The cap bounds the across-h parallelism of
+    the sweeps, the quadrature row-block workers and the FFT workers of every
+    Fourier multiplier.
+    """
+    cap = os.environ.get("LATTICE_DIRAC_THREADS")
+    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
+        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
+    limit = int(cap) if cap else (os.cpu_count() or 1)
+    return max(1, min(n_tasks, limit))
 
 
 @dataclass(frozen=True)
@@ -175,23 +202,40 @@ def sample(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     return LatticeField(mesh, phi(mesh.site_coords()))
 
 
-def _cell_points(mesh: Mesh, nodes: np.ndarray) -> np.ndarray:
-    """Gauss nodes mapped into every cell, ``(N, q, 1)`` in 1D and ``(N, q, N, q, 2)`` in 2D.
+def _for_row_blocks(mesh: Mesh, block_fn) -> None:
+    """Call ``block_fn(rows)`` on slices of whole cell rows, about `_BLOCK_CELLS` cells each.
 
-    The leading axis of each ``(N, q)`` pair indexes the cell, the other the node.
+    The blocks run on up to `thread_cap` threads.  Each call writes only its own
+    rows of its outputs, and numpy releases the GIL inside the array work of a
+    block, so the threads run in parallel.
+    """
+    step = max(1, _BLOCK_CELLS // mesh.N ** (mesh.d - 1))
+    blocks = [slice(r, min(r + step, mesh.N)) for r in range(0, mesh.N, step)]
+    workers = thread_cap(len(blocks))
+    if workers == 1:
+        for rows in blocks:
+            block_fn(rows)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block_fn, blocks))
+
+
+def _cell_points(mesh: Mesh, nodes: np.ndarray, rows: slice) -> np.ndarray:
+    """Gauss nodes mapped into the cells of row block ``rows``.
+
+    Shape ``(n, q, 1)`` in 1D and ``(n, q, N, q, 2)`` in 2D for ``n`` rows; the
+    leading axis of each ``(cells, q)`` pair indexes the cell, the other the node.
     """
     x = (mesh.h * mesh.indices)[:, None] + mesh.h * 0.5 * (nodes[None, :] + 1.0)
     if mesh.d == 1:
-        return x[..., None]
-    return np.stack(np.broadcast_arrays(x[:, :, None, None], x[None, None, :, :]), axis=-1)
+        return x[rows, :, None]
+    return np.stack(np.broadcast_arrays(x[rows, :, None, None], x[None, None, :, :]), axis=-1)
 
 
-def _cell_means(phi: ContinuumFunction, mesh: Mesh, rule) -> np.ndarray:
-    """Per-cell averages of ``phi`` by tensor Gauss quadrature, shape ``(*shape, c)``."""
-    nodes, weights = rule
+def _block_means(vals: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
+    """Per-cell tensor Gauss averages of node values laid out like `_cell_points`."""
     w = weights / 2.0  # averaging weights on a cell
-    vals = phi(_cell_points(mesh, nodes))
-    if mesh.d == 1:
+    if d == 1:
         return np.einsum("nqc,q->nc", vals, w)
     return np.einsum("aqbrc,q,r->abc", vals, w, w)
 
@@ -207,30 +251,65 @@ def _mean_1d_split(phi: ContinuumFunction, lo: float, hi: float, brk, rule) -> n
     return total / (hi - lo)
 
 
-def _checked_means(
-    phi: ContinuumFunction, mesh: Mesh, brk, cell_fn, bound: float, what: str
-) -> np.ndarray:
-    """8-point Gauss cell means of ``phi``, checked against the separate 7-point rule.
+def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = False) -> list:
+    """8- and 7-point tensor Gauss cell averages from one evaluation of ``phi`` per rule.
 
-    ``brk`` holds per-axis kinks like `ContinuumFunction.breakpoints`, or is None; a 1D
-    cell holding a kink is integrated piece by piece, with ``cell_fn(i)`` as the integrand
-    of cell ``i``.  Raises `QuadratureFailure` when ``max |G8 - G7|`` exceeds ``bound``.
+    Returns ``(G8, G7)`` pairs of full per-cell arrays: first the averages of
+    ``phi`` itself when ``means`` is set, then, for each entry ``v`` of ``gaps``,
+    the averages of the squared gap ``|phi - v|**2``.  An entry is an array of
+    site values, or None for the 8-point averages of ``phi`` on each cell.  A 1D
+    cell holding a declared kink is integrated piece by piece; 2D functions
+    with breakpoints raise `NotImplementedError` before any quadrature.
     """
-    if brk is not None and mesh.d != 1:
+    if phi.breakpoints is not None and mesh.d != 1:
         raise NotImplementedError("kink splitting implemented for d=1 catalog entries")
-    hi = _cell_means(phi, mesh, _GAUSS_HI)
-    lo = _cell_means(phi, mesh, _GAUSS_LO)
-    if brk is not None:
-        kinks = brk[0]
-        for i, a in enumerate(mesh.h * mesh.indices):
-            if np.any((kinks > a) & (kinks < a + mesh.h)):
-                piece = cell_fn(i)
-                hi[i] = _mean_1d_split(piece, a, a + mesh.h, kinks, _GAUSS_HI)
-                lo[i] = _mean_1d_split(piece, a, a + mesh.h, kinks, _GAUSS_LO)
+    kinks = None if phi.breakpoints is None else phi.breakpoints[0]
+    corners = mesh.h * mesh.indices
+    split = [] if kinks is None else [
+        i for i, a in enumerate(corners) if np.any((kinks > a) & (kinks < a + mesh.h))
+    ]
+    need_own = means or any(v is None for v in gaps)
+    own = [np.empty(mesh.shape + (phi.channels,), complex) for _ in _RULES if need_own]
+    gap_means = [[np.empty(mesh.shape + (1,)) for _ in _RULES] for _ in gaps]
+
+    def block(rows):
+        vals = [phi(_cell_points(mesh, nodes, rows)) for nodes, _ in _RULES]
+        cells = [i for i in split if rows.start <= i < rows.stop]
+
+        def fill(outs, integrands, piece):
+            # block averages per rule, then the split cells, integrating piece(i) on cell i
+            for out, v, rule in zip(outs, integrands, _RULES):
+                out[rows] = _block_means(v, rule[1], mesh.d)
+                for i in cells:
+                    out[i] = _mean_1d_split(piece(i), corners[i], corners[i] + mesh.h, kinks, rule)
+
+        if need_own:
+            got = vals[0].shape[-1]
+            if got != phi.channels:  # one channel would broadcast into the per-cell arrays
+                raise ValueError(f"{phi.name} declares {phi.channels} channels, evaluates to {got}")
+            fill(own, vals, lambda i: phi)
+        for outs, values in zip(gap_means, gaps):
+            values = own[0] if values is None else values
+            cell_values = _broadcast_cell_values(values[rows], mesh.d)
+            integrands = [_gap_sq(v, cell_values) for v in vals]
+            fill(outs, integrands, lambda i: _constant_gap(phi, values[i]))
+
+    _for_row_blocks(mesh, block)
+    return ([tuple(own)] if means else []) + [tuple(outs) for outs in gap_means]
+
+
+def _checked(pair, bound: float, what: str) -> np.ndarray:
+    """The G8 half of ``pair``; `QuadratureFailure` when ``max |G8 - G7|`` exceeds ``bound``."""
+    hi, lo = pair
     est = np.max(np.abs(hi - lo))
     if est > bound:
         raise QuadratureFailure(f"{what} self-estimate {est:.3e} above tolerance")
     return hi
+
+
+def _cell_averages(phi: ContinuumFunction, mesh: Mesh, pair) -> LatticeField:
+    """Checked cell averages as a field; the bound is ``1e-10 * max(1, sup_norm)``."""
+    return LatticeField(mesh, _checked(pair, 1e-10 * max(1.0, phi.sup_norm), "cell-average"))
 
 
 def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
@@ -239,14 +318,14 @@ def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     Uses fixed 8-point tensor Gauss-Legendre per cell, with cells split at
     declared kinks so piecewise-smooth catalog entries integrate exactly.
     Raises `QuadratureFailure` when the 7-vs-8-point Gauss-Legendre
-    estimate exceeds ``1e-10 * max(1, sup_norm)``.
+    estimate exceeds ``1e-10 * max(1, sup_norm)``.  The cells are integrated
+    in row blocks (see the module docstring); `exp_projection` gets these
+    averages from the same node values as its error integrals.
     """
     if phi.d != mesh.d:
         raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
-    bound = 1e-10 * max(1.0, phi.sup_norm)
-    return LatticeField(
-        mesh, _checked_means(phi, mesh, phi.breakpoints, lambda i: phi, bound, "cell-average")
-    )
+    (pair,) = _cell_quadrature(phi, mesh, means=True)
+    return _cell_averages(phi, mesh, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -296,51 +375,75 @@ def l2_error_vs_continuum(f: LatticeField, phi: ContinuumFunction) -> float:
 
     The integrand is smooth on each cell (after kink splitting), so the
     fixed-order rule resolves it to well below the tolerances used in tests;
-    the 7-vs-8-point Gauss-Legendre self-estimate guards against misuse.
+    the 7-vs-8-point Gauss-Legendre self-estimate guards against misuse.  The
+    cells are integrated in row blocks (see the module docstring);
+    `exp_projection` evaluates ``phi`` at the nodes once per level for this
+    integral, the one of the projection and `project` itself.
     """
     if phi.d != f.mesh.d:
         raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {f.mesh.d}-dimensional")
-    mesh = f.mesh
+    (pair,) = _cell_quadrature(phi, f.mesh, [f.values])
+    return _error_norm(pair, f.values, phi, f.mesh)
 
-    def gap_sq(points):
-        diff = phi(points) - _broadcast_cell_values(f)
-        return np.sum(np.abs(diff) ** 2, axis=-1, keepdims=True)
 
-    gap = ContinuumFunction(name="gap", d=mesh.d, channels=1, evaluate=gap_sq)
-    scale = max(1.0, (phi.sup_norm + float(np.max(np.abs(f.values)))) ** 2)
-    means = _checked_means(
-        gap, mesh, phi.breakpoints, lambda i: _constant_gap(phi, f.values[i]), 1e-10 * scale,
-        "error-norm",
-    )
+def _projection_errors(phi: ContinuumFunction, mesh: Mesh) -> tuple[float, float]:
+    """``l2_error_vs_continuum`` of ``sample(phi, mesh)`` and of ``project(phi, mesh)``.
+
+    Both errors and the projection come from one evaluation of ``phi`` per
+    Gauss rule; the results are bit-identical to the separate calls, and
+    so is the first failure raised: the sampling error-norm check, then the
+    cell-average check, then the projection error-norm check.
+    """
+    f = sample(phi, mesh)
+    means, sampling, projection = _cell_quadrature(phi, mesh, [f.values, None], means=True)
+    samp = _error_norm(sampling, f.values, phi, mesh)
+    p = _cell_averages(phi, mesh, means)
+    return samp, _error_norm(projection, p.values, phi, mesh)
+
+
+def _error_norm(pair, values: np.ndarray, phi: ContinuumFunction, mesh: Mesh) -> float:
+    """L2 norm of ``J_h f - phi`` from the squared-gap averages ``pair`` of site values of ``f``."""
+    scale = max(1.0, (phi.sup_norm + float(np.max(np.abs(values)))) ** 2)
+    means = _checked(pair, 1e-10 * scale, "error-norm")
     return float(np.sqrt(np.real(np.sum(means)) * mesh.h**mesh.d))
+
+
+def _gap_sq(vals: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
+    """Squared pointwise 2-norm of ``vals - cell_values``, keeping a unit channel axis."""
+    return np.sum(np.abs(vals - cell_values) ** 2, axis=-1, keepdims=True)
 
 
 def _constant_gap(phi: ContinuumFunction, cell_value: np.ndarray) -> ContinuumFunction:
     """Squared gap against a fixed cell value, for split-cell quadrature."""
-
-    def ev(points):
-        diff = phi(points) - cell_value
-        return np.sum(np.abs(diff) ** 2, axis=-1, keepdims=True)
-
-    return ContinuumFunction(name="gap-cell", d=phi.d, channels=1, evaluate=ev)
+    return ContinuumFunction(
+        name="gap-cell", d=phi.d, channels=1,
+        evaluate=lambda points: _gap_sq(phi(points), cell_value),
+    )
 
 
-def _broadcast_cell_values(f: LatticeField) -> np.ndarray:
-    """Site values of ``f`` laid out like `_cell_points`, constant across the in-cell node axes."""
-    return f.values[:, None, :] if f.mesh.d == 1 else f.values[:, None, :, None, :]
+def _broadcast_cell_values(values: np.ndarray, d: int) -> np.ndarray:
+    """Site values laid out like `_cell_points`, constant across the in-cell node axes."""
+    return values[:, None, :] if d == 1 else values[:, None, :, None, :]
 
 
 def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
     """Max over quadrature probe points of ``<x>**k * |phi_h(x) - phi(x)|``.
 
     Qualitative uniform-in-h diagnostic for the weighted pointwise sampling
-    bound; the probe set is the tensor Gauss-node family of every cell.
+    bound; the probe set is the 8-point tensor Gauss-node family of every
+    cell, walked in row blocks.
     """
     f = sample(phi, mesh)
-    pts = _cell_points(mesh, _GAUSS_HI[0])
-    gap = np.sum(np.abs(phi(pts) - _broadcast_cell_values(f)) ** 2, axis=-1) ** 0.5
-    weight = (1.0 + np.sum(pts**2, axis=-1)) ** (k / 2.0)
-    return float(np.max(weight * gap))
+    row_max = np.empty(mesh.N)
+
+    def block(rows):
+        pts = _cell_points(mesh, _GAUSS_HI[0], rows)
+        gap = _gap_sq(phi(pts), _broadcast_cell_values(f.values[rows], mesh.d))[..., 0] ** 0.5
+        weight = (1.0 + np.sum(pts**2, axis=-1)) ** (k / 2.0)
+        row_max[rows] = np.max(weight * gap, axis=tuple(range(1, gap.ndim)))
+
+    _for_row_blocks(mesh, block)
+    return float(np.max(row_max))
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ from .grid import (
     LatticeField,
     Mesh,
     function_catalog,
-    l2_error_vs_continuum,
+    l2_error_vs_continuum,  # unused here; perfbench/spans.py times calls through this name
     norm_l2,
     project,
     sample,
+    thread_cap,
+    _projection_errors,
 )
 from .operators import (
     PotentialSpec,
@@ -44,7 +46,6 @@ from .operators import (
     resolvent_free,
     resolvent_with_potential,
     sample_potential,
-    thread_cap,
     _require_resolvent_region,
     _resolvent_multiplier,
     _solve_with_potential,
@@ -64,7 +65,6 @@ __all__ = [
     "exp_resolvent_potential",
     "weighted_operator_gap_probe",
     "DYADIC_HS",
-    "thread_cap",
 ]
 
 DYADIC_HS = (0.4, 0.2, 0.1, 0.05)
@@ -287,16 +287,16 @@ def _resolvent_worker(sweep: Sweep, reference: LatticeField, V: Optional[Potenti
 
 
 def exp_projection(sweep: Sweep) -> ConvergenceReport:
-    """Sampling and cell-average projection errors against the continuum function."""
+    """Sampling and cell-average projection errors against the continuum function.
+
+    Each level evaluates the function once per Gauss rule at the cell nodes
+    and forms the projection and both error integrals from those values.
+    """
     phi = sweep.resolved_function()
-
-    def worker(h):
-        mesh = sweep.mesh_for(h)
-        samp = l2_error_vs_continuum(sample(phi, mesh), phi)
-        proj = l2_error_vs_continuum(project(phi, mesh), phi)
-        return samp, proj
-
-    return _sweep("project", sweep, ("sampling", "projection"), worker)
+    return _sweep(
+        "project", sweep, ("sampling", "projection"),
+        lambda h: _projection_errors(phi, sweep.mesh_for(h)),
+    )
 
 
 def exp_ft(sweep: Sweep) -> ConvergenceReport:

@@ -26,7 +26,6 @@ place one block of rows at a time.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,7 +33,6 @@ import numpy as np
 
 from .errors import (
     AxisOutOfRange,
-    ConfigError,
     MeshMismatch,
     NoConvergence,
     NotInResolventRegion,
@@ -42,7 +40,7 @@ from .errors import (
     TooLarge,
 )
 from .fourier import FrequencyGrid, SpectralField, a_factor, dft, idft
-from .grid import ContinuumFunction, LatticeField, Mesh, norm_l2, project
+from .grid import ContinuumFunction, LatticeField, Mesh, norm_l2, project, thread_cap
 from .symbols import DiracParams, opnorm_2x2, zeta_discrete
 
 __all__ = [
@@ -181,20 +179,6 @@ def diff_backward(f: LatticeField, j: int) -> LatticeField:
 # Sites per block of the in-place multiplier and potential passes: the several
 # operations on one block run on cached data instead of each streaming whole arrays.
 _BLOCK_SITES = 16384
-
-
-def thread_cap(n_tasks: int) -> int:
-    """Worker count for ``n_tasks`` independent tasks, capped by LATTICE_DIRAC_THREADS.
-
-    Unset or empty means the CPU count; any value that is not a positive
-    integer raises `ConfigError`.  The cap bounds the across-h parallelism of
-    the sweeps and the FFT workers of every Fourier multiplier.
-    """
-    cap = os.environ.get("LATTICE_DIRAC_THREADS")
-    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
-        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
 
 
 def _row_blocks(x: np.ndarray):

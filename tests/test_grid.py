@@ -1,5 +1,7 @@
 """Tests for lattice geometry, grid transfers, and step-function norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,6 +19,7 @@ from latticedirac import (
     sample,
 )
 from latticedirac.errors import MeshMismatch, OutOfDomain, QuadratureFailure
+from latticedirac import grid
 from latticedirac.grid import (
     bandlimited,
     function_catalog,
@@ -24,6 +27,7 @@ from latticedirac.grid import (
     hat,
     modulated_gaussian,
     weighted_sampling_gap,
+    _projection_errors,
 )
 
 from conftest import random_field
@@ -124,6 +128,25 @@ def test_weighted_pointwise_gap_uniform_in_h():
     assert max(ratios) / min(ratios) < 2.0
 
 
+# weighted_sampling_gap(phi, Mesh(2, 9.6 / N, N), k=2), recorded when the probe
+# points were still evaluated as one (N, 8, N, 8, 2) array
+WEIGHTED_GAP_PINS = {
+    ("gaussian2d", 24): 0.9943075003454215,
+    ("gaussian2d", 48): 0.465182854164096,
+    ("modwave2d", 24): 1.0143813274830593,
+    ("modwave2d", 48): 0.4723967198843121,
+    ("gaussian-spinor", 24): 1.175848717292078,
+    ("gaussian-spinor", 48): 0.5386796049376851,
+}
+
+
+@pytest.mark.parametrize("name,N", sorted(WEIGHTED_GAP_PINS))
+def test_weighted_sampling_gap_is_unchanged_by_row_blocks(name, N):
+    # a max does not depend on the order of its terms, so the row blocks reproduce it exactly
+    phi = function_catalog(name)
+    assert weighted_sampling_gap(phi, Mesh(2, 9.6 / N, N), k=2) == WEIGHTED_GAP_PINS[name, N]
+
+
 # ---------------------------------------------------------------------------
 # projection
 
@@ -164,6 +187,92 @@ def test_project_undeclared_kink_fails_quadrature():
     )
     with pytest.raises(QuadratureFailure):
         project(bad, Mesh(1, 0.4, 16))
+
+
+def _cone_in_cell(mesh, row, col, sup_norm=1.0):
+    """Cone of height 1 on a disc inside one cell: its rim is a kink line no other cell sees."""
+    centre = mesh.h * (np.array([row, col]) - mesh.N // 2 + 0.5)
+    radius = 0.4 * mesh.h
+
+    def evaluate(pts):
+        r = np.sqrt(np.sum((pts - centre) ** 2, axis=-1))
+        return np.maximum(0.0, 1.0 - r / radius)[..., None].astype(complex)
+
+    return ContinuumFunction("cone", 2, 1, evaluate, sup_norm=sup_norm)
+
+
+def _block_edge_rows():
+    """A 2D mesh with a partial last row block, and rows on either side of block edges."""
+    mesh = Mesh(2, 0.1, 96)
+    rows = grid._BLOCK_CELLS // mesh.N
+    assert 1 < rows and mesh.N % rows  # several blocks, the last one partial
+    return mesh, {"end-of-first": rows - 1, "start-of-second": rows, "last": mesh.N - 1}
+
+
+@pytest.mark.parametrize("edge", ["end-of-first", "start-of-second", "last"])
+def test_undeclared_kink_on_a_row_block_edge_fails_quadrature(edge):
+    mesh, rows = _block_edge_rows()
+    cone = _cone_in_cell(mesh, rows[edge], 3)
+    with pytest.raises(QuadratureFailure, match="^cell-average self-estimate"):
+        project(cone, mesh)
+    zero = LatticeField(mesh, np.zeros(mesh.shape + (1,)))
+    with pytest.raises(QuadratureFailure, match="^error-norm self-estimate"):
+        l2_error_vs_continuum(zero, cone)
+
+
+@pytest.mark.parametrize("name,mesh", [
+    ("gaussian2d", Mesh(2, 0.2, 48)),
+    ("modwave2d", Mesh(2, 0.2, 48)),
+    ("gaussian-spinor", Mesh(2, 0.2, 48)),
+    ("hat", Mesh(1, 0.3, 32)),  # cells split at the kinks 0.5 and 1.0
+])
+def test_projection_errors_match_the_separate_calls(name, mesh):
+    phi = function_catalog(name)
+    samp, proj = _projection_errors(phi, mesh)
+    assert samp == l2_error_vs_continuum(sample(phi, mesh), phi)
+    assert proj == l2_error_vs_continuum(project(phi, mesh), phi)
+
+
+@pytest.mark.parametrize("sup_norm,first", [
+    (1.0, "error-norm"),  # every check fails; the sampling error norm is checked first
+    (1e5, "cell-average"),  # the error-norm bounds scale with sup_norm**2 and pass
+])
+def test_projection_errors_fail_like_the_separate_calls(sup_norm, first):
+    mesh, rows = _block_edge_rows()
+    cone = _cone_in_cell(mesh, rows["start-of-second"], 3, sup_norm)
+
+    def separate():
+        l2_error_vs_continuum(sample(cone, mesh), cone)
+        l2_error_vs_continuum(project(cone, mesh), cone)
+
+    messages = []
+    for call in (separate, lambda: _projection_errors(cone, mesh)):
+        with pytest.raises(QuadratureFailure) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[1].startswith(f"{first} self-estimate")
+
+
+def test_projection_error_memory_peak_is_bounded(monkeypatch):
+    # the row-block walk never holds a whole (N, q, N, q, 2) node array (38 MB here);
+    # each of the two threads holds one block at a time
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "2")
+    phi = gaussian(2)
+    tracemalloc.start()
+    try:
+        l2_error_vs_continuum(project(phi, Mesh(2, 0.05, 192)), phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
+def test_project_rejects_a_wrong_channel_count():
+    # the per-cell arrays are sized by the declared count; one value must not fill two channels
+    liar = ContinuumFunction("liar", 2, 2, constant_function(2).evaluate)
+    with pytest.raises(ValueError, match="declares 2 channels, evaluates to 1"):
+        project(liar, Mesh(2, 0.5, 8))
 
 
 def test_projection_idempotent_on_step_functions(rng):

@@ -1,5 +1,7 @@
 """Tests for the convergence laboratory: sweeps, rate fits, and reports."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,23 @@ def test_thread_cap_does_not_change_results(monkeypatch):
     parallel = exp_projection(sweep)
     for a, b in zip(serial.series, parallel.series):
         assert a.errors == b.errors
+
+
+@pytest.mark.parametrize("function", ["gaussian2d", "gaussian-spinor"])
+def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch):
+    # the cap sets the row-block workers of the cell quadrature as well as the across-h
+    # pool; 8 workers and a short switch interval stress the shared per-cell arrays
+    sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=function)
+    errors = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+            errors.append([series.errors for series in exp_projection(sweep).series])
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors[0] == errors[1] == errors[2]
 
 
 @pytest.mark.parametrize("z", [3j, 1.2j])  # Neumann, then Krylov

@@ -411,6 +411,32 @@ def test_iterative_solvers_agree_with_dense_oracle_property(N, h, m, name, margi
         assert norm_l2(LatticeField(mesh, u.values - dense.values)) <= 1e-8 * norm_l2(dense)
 
 
+@PROPERTY
+@given(N=EVEN_N, h=st.sampled_from([0.5, 1.0]), m=st.floats(0.5, 1.5),
+       name=st.sampled_from(POTENTIAL_IDS),
+       margins=st.tuples(st.floats(0.25, 3.0), st.floats(0.25, 3.0)),
+       res=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])), seed=SEEDS)
+def test_resolvent_identity_property(N, h, m, name, margins, res, signs, seed):
+    # R_z - R_w = (z - w) R_z R_w, for the free resolvent and the perturbed one
+    mesh = Mesh(2, h, N)
+    V = potential_catalog(name)
+    z, w = (complex(r, s * (V.skew_bound + g)) for r, s, g in zip(res, signs, margins))
+    psi = random_field(mesh, 2, np.random.default_rng(seed))
+    p = DiracParams(m, h)
+
+    def free(f, shift):
+        return resolvent_free(f, ResolventQuery(z=shift, p=p))
+
+    def perturbed(f, shift):
+        return resolvent_with_potential(f, ResolventQuery(z=shift, p=p), V)
+
+    for R, tol in ((free, 1e-12), (perturbed, 1e-8)):
+        lhs = R(psi, z).values - R(psi, w).values
+        rhs = (z - w) * R(R(psi, w), z).values
+        assert norm_l2(LatticeField(mesh, lhs - rhs)) <= tol * norm_l2(psi)
+
+
 def test_solves_leave_their_input_untouched(rng):
     # results are channel-last views of channel-first memory, and the transforms
     # work in place; feeding a result back in must not overwrite it
