@@ -47,6 +47,7 @@ from .operators import (
     resolvent_with_potential,
     sample_potential,
     _require_resolvent_region,
+    _require_tolerance,
     _resolvent_multiplier,
     _solve_with_potential,
     _zeta,
@@ -94,6 +95,7 @@ class Sweep:
     check_floor: bool = False
 
     def __post_init__(self):
+        _require_tolerance(self.tol)
         if len(self.hs) < 1:
             raise ValueError("sweep needs at least one mesh size")
         if any(a <= b for a, b in zip(self.hs, self.hs[1:])):
@@ -337,7 +339,8 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     The reference runs the same Neumann/Krylov factorization on the
     ``refine``-fold refinement of the finest level (the floor-guard level when
     set), with the continuum symbol and the potential sampled at the fine
-    sites.
+    sites.  Like the level solves, a Neumann reference takes complex64 steps
+    until the step norm reaches 1e-6 and complex128 steps to ``sweep.tol``.
     """
     V = sweep.resolved_potential()
     if V is None:

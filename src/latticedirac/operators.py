@@ -15,8 +15,12 @@ well defined for every ``Im z != 0`` including the degenerate massless modes.
 Perturbed resolvents solve ``(D + V - z) u = psi`` through the factorization
 ``u = R_z w`` with ``(I + V R_z) w = psi``, by Neumann iteration when the
 contraction ``sup||V|| / |Im z| <= 0.9`` is certified and by a restarted
-residual-minimizing Krylov iteration otherwise.  A dense matrix of the full
-operator (small lattices only) serves as the cross-validation oracle.
+residual-minimizing Krylov iteration otherwise.  The Neumann iteration runs
+in two precisions: complex64 steps down to a relative step norm of 1e-6,
+then complex128 steps down to the tolerance, so every result passes the
+double-precision test; the Krylov iteration is complex128 throughout.  A
+dense matrix of the full operator (small lattices only) serves as the
+cross-validation oracle.
 
 Fourier multipliers work channel-first: the two spinor channels are held as
 one contiguous ``(2, *sites)`` array, transformed with `scipy.fft` over the
@@ -188,9 +192,9 @@ def _row_blocks(x: np.ndarray):
     return [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
 
 
-def _channel_first(values: np.ndarray) -> np.ndarray:
-    """Contiguous complex ``(channels, *sites)`` copy of channel-last field values, never a view."""
-    return np.array(np.moveaxis(values, -1, 0), dtype=complex, order="C")
+def _channel_first(values: np.ndarray, dtype=np.complex128) -> np.ndarray:
+    """Contiguous ``(channels, *sites)`` copy of channel-last field values at ``dtype``, never a view."""
+    return np.array(np.moveaxis(values, -1, 0), dtype=dtype, order="C")
 
 
 def _channel_last(x: np.ndarray) -> np.ndarray:
@@ -239,11 +243,11 @@ def _dirac_multiplier(zeta: np.ndarray, m: float) -> _Multiplier:
 
 
 def _resolvent_multiplier(zeta: np.ndarray, m: float, z: complex) -> _Multiplier:
-    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
+    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``, at its dtype.
 
     ``1/den``, ``zeta/den`` and ``conj(zeta)/den`` are computed here once, not on every apply.
     """
-    z = complex(z)
+    m, z = float(m), complex(z)  # Python scalars keep the dtype of ``zeta``
     s = 1.0 / (np.abs(zeta) ** 2 + m * m - z * z)
     return _Multiplier(s, zeta * s, np.conj(zeta) * s, m + z, z - m)
 
@@ -280,24 +284,31 @@ def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
 def _vmul_blocks(Vh: np.ndarray, u: np.ndarray):
     """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u``.
 
-    ``Vh`` is read through views, never copied; the yielded block buffer is reused.
+    ``Vh`` is never copied whole: it is read through views or, when wider than
+    ``u``, cast one row block at a time into a reused buffer of ``u``'s dtype, so
+    the products run at that dtype.  The yielded block buffer is reused.
     """
     blocks = _row_blocks(u)
     buf = np.empty_like(u[:, blocks[0]])
     tmp = np.empty_like(buf[0])
+    wider = np.promote_types(Vh.dtype, u.dtype) != u.dtype
+    cast = np.empty(Vh[blocks[0]].shape, dtype=u.dtype) if wider else None
     for rows in blocks:
         k = rows.stop - rows.start
-        vu, t = buf[:, :k], tmp[:k]
+        vu, t, V = buf[:, :k], tmp[:k], Vh[rows]
+        if wider:
+            V = cast[:k]
+            V[...] = Vh[rows]
         for a in range(2):
-            np.multiply(Vh[rows, ..., a, 0], u[0, rows], out=vu[a])
-            np.multiply(Vh[rows, ..., a, 1], u[1, rows], out=t)
+            np.multiply(V[..., a, 0], u[0, rows], out=vu[a])
+            np.multiply(V[..., a, 1], u[1, rows], out=t)
             vu[a] += t
         yield rows, vu
 
 
 def _sum_sq(x: np.ndarray) -> float:
-    """``sum |x|**2`` over a channel-first block."""
-    return sum(np.vdot(c, c).real for c in x)
+    """``sum |x|**2`` over a channel-first block, accumulated in float64 at any dtype of ``x``."""
+    return sum(float(np.vdot(c, c).real) for c in x)
 
 
 def apply_dirac(
@@ -338,7 +349,11 @@ def apply_dirac(
 
 @dataclass(frozen=True)
 class ResolventQuery:
-    """Shift, operator parameters, and solver policy for a resolvent solve."""
+    """Shift, operator parameters, and solver policy for a resolvent solve.
+
+    Raises `ValueError` on construction for an unknown policy, a ``tol`` that is
+    not finite and positive, or ``max_iter`` or ``restart`` below 1.
+    """
 
     z: complex
     p: DiracParams
@@ -350,6 +365,17 @@ class ResolventQuery:
     def __post_init__(self):
         if self.policy not in (None, "neumann", "krylov", "dense-oracle"):
             raise ValueError(f"unknown solver policy {self.policy!r}")
+        _require_tolerance(self.tol)
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+        if self.restart < 1:
+            raise ValueError(f"restart must be at least 1, got {self.restart!r}")
+
+
+def _require_tolerance(tol: float):
+    """Raise `ValueError` unless ``tol`` is finite and positive."""
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"solver tolerance must be finite and positive, got {tol!r}")
 
 
 def _require_complex_shift(z: complex):
@@ -435,6 +461,65 @@ def _gmres(matvec, b_vec, tol, restart, max_iter):
     return spla.gmres(op, b_vec, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
 
 
+# Neumann steps run in complex64 until the relative step norm reaches this (single
+# precision stagnates near 1e-7); complex128 steps then continue down to the tolerance.
+_SINGLE_PRECISION_STOP = 1e-6
+
+
+def _neumann_steps(w, values, symbol, Vh, steps, relative, goal, stop_on_rise):
+    """Up to ``steps`` Neumann steps ``w <- psi - V R_z w`` in place, at the dtype of ``w``.
+
+    ``symbol`` has the same dtype; ``psi`` (from channel-last ``values``) and
+    ``u = R_z w`` are held at it for this call only.  Stops once the relative
+    step norm ``||w_old - w_new|| / ||psi||``, which is the residual of
+    ``w_old``, is at most ``goal`` or, with ``stop_on_rise``, no lower than the
+    one before.  Returns the steps taken, the last step norm and the last ``u``.
+    """
+    rhs = _channel_first(values, w.dtype)
+    u = np.empty_like(w)
+    res = np.inf
+    for taken in range(1, steps + 1):
+        np.copyto(u, w)
+        u = _multiplier_apply(u, symbol)
+        sum_sq = 0.0
+        for rows, vu in _vmul_blocks(Vh, u):
+            w_next = np.subtract(rhs[:, rows], vu, out=vu)
+            step = w[:, rows]
+            step -= w_next
+            sum_sq += _sum_sq(step)
+            step[...] = w_next
+        last, res = res, relative(sum_sq)
+        if res <= goal or (stop_on_rise and res >= last):
+            return taken, res, u
+    return steps, res, u
+
+
+def _neumann(values, zeta, m, z, Vh, tol, max_iter, relative) -> np.ndarray:
+    """Neumann iteration on ``(I + V R_z) w = psi`` in two precisions; returns ``u = R_z w``.
+
+    Complex64 steps run until the step norm reaches ``max(tol,
+    _SINGLE_PRECISION_STOP)`` or stops falling, leaving at least one of the
+    ``max_iter`` steps.  ``w`` is then cast to complex128 and complex128 steps
+    continue until ``tol``, so the channel-first complex128 ``u`` returned comes
+    from a step that passed the double-precision test.  Each phase holds its
+    own symbol, ``psi`` and ``u`` (``V`` is cast per row block), and those of
+    the complex64 phase are gone before the complex128 phase allocates, so the
+    memory peak is that of the complex128 phase alone.
+    """
+    w = _channel_first(values, np.complex64)
+    taken = _neumann_steps(
+        w, values, _resolvent_multiplier(zeta.astype(np.complex64), m, z), Vh,
+        max_iter - 1, relative, max(tol, _SINGLE_PRECISION_STOP), stop_on_rise=True,
+    )[0]  # keeps the step count only, so the complex64 u dies here
+    w = w.astype(np.complex128)
+    symbol = _resolvent_multiplier(zeta, m, z)
+    del zeta  # freed before the complex128 phase allocates
+    _, res, u = _neumann_steps(w, values, symbol, Vh, max_iter - taken, relative, tol, stop_on_rise=False)
+    if res > tol:
+        raise NoConvergence(max_iter, res)
+    return u
+
+
 def _solve_with_potential(
     psi: LatticeField,
     z: complex,
@@ -451,6 +536,10 @@ def _solve_with_potential(
 
     ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
     ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
+    Both iterations stop when its relative norm is at most ``tol``.  Neumann (see
+    `_neumann`) runs complex64 steps first and complex128 steps last, at most
+    ``max_iter`` in all; Krylov runs complex128 GMRES.  Either way the returned
+    ``u`` is complex128 and passed the test in double precision.
     """
     mesh = psi.mesh
     psi_norm = norm_l2(psi)
@@ -473,25 +562,12 @@ def _solve_with_potential(
         u_vec = np.linalg.solve(shifted, field_to_vec(psi))
         return vec_to_field(u_vec, mesh)
 
+    if policy == "neumann":
+        u = _neumann(psi.values, _zeta_natural(mesh, p), m, z, Vh, tol, max_iter, relative)
+        return LatticeField(mesh, _channel_last(u))
+
     symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
     rhs = _channel_first(psi.values)
-
-    if policy == "neumann":
-        w, u = rhs.copy(), np.empty_like(rhs)
-        for _ in range(max_iter):
-            np.copyto(u, w)
-            u = _multiplier_apply(u, symbol)
-            sum_sq = 0.0
-            for rows, vu in _vmul_blocks(Vh, u):
-                w_next = np.subtract(rhs[:, rows], vu, out=vu)
-                step = w[:, rows]
-                step -= w_next
-                sum_sq += _sum_sq(step)
-                step[...] = w_next
-            res = relative(sum_sq)
-            if res <= tol:
-                return LatticeField(mesh, _channel_last(u))
-        raise NoConvergence(max_iter, res)
 
     # krylov: residual-minimizing iteration on w + V R_z w = psi, in channel-first vector order
     def matvec(w_vec):

@@ -58,6 +58,14 @@ def test_fit_rate_degenerate_inputs():
 # sweep validation
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_sweep_rejects_bad_tolerance(tol):
+    # raised on construction, so no experiment can start its reference solve
+    with pytest.raises(ValueError, match="tolerance"):
+        Sweep(hs=(0.8, 0.4, 0.2), box=9.6, function="gaussian-spinor", z=3j,
+              potential="nonhermitian-gaussian", tol=tol)
+
+
 def test_sweep_requires_commensurate_box():
     with pytest.raises(ValueError):
         Sweep(hs=(0.3,), box=1.0, function="gaussian1d")  # 1.0/0.3 not integral

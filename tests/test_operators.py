@@ -463,6 +463,76 @@ def test_resolvent_region_enforced(rng):
         resolvent_with_potential(psi, ResolventQuery(z=1j, p=p), V)
 
 
+def _spy_fftn(monkeypatch) -> list:
+    """Record the dtype of every array the solvers hand to `scipy.fft.fftn`."""
+    import scipy.fft
+
+    dtypes, fftn = [], scipy.fft.fftn
+
+    def spy(x, *args, **kwargs):
+        dtypes.append(x.dtype)
+        return fftn(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "fftn", spy)
+    return dtypes
+
+
+def test_neumann_runs_complex64_steps_then_complex128(monkeypatch, rng):
+    mesh = Mesh(2, 0.15, 64)
+    psi = random_field(mesh, 2, rng)
+    q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.15), policy="neumann")
+    dtypes = _spy_fftn(monkeypatch)
+    u = resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
+    single = dtypes.count(np.complex64)
+    assert 0 < single < len(dtypes)
+    assert dtypes == [np.dtype(np.complex64)] * single + [np.dtype(np.complex128)] * (len(dtypes) - single)
+    assert u.values.dtype == np.complex128
+
+
+def test_neumann_step_cap_spans_both_phases(monkeypatch, rng):
+    # three steps do not reach the tolerance; the last one is still a complex128 step
+    mesh = Mesh(2, 0.5, 16)
+    psi = random_field(mesh, 2, rng)
+    q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.5), policy="neumann", max_iter=3)
+    dtypes = _spy_fftn(monkeypatch)
+    with pytest.raises(NoConvergence) as info:
+        resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
+    assert info.value.iterations == 3
+    assert dtypes == [np.dtype(np.complex64)] * 2 + [np.dtype(np.complex128)]
+
+
+@PROPERTY
+@given(N=EVEN_N, h=st.sampled_from([0.5, 1.0]), m=st.floats(0.5, 1.5),
+       name=st.sampled_from(POTENTIAL_IDS), gap=st.floats(0.25, 3.0),
+       re=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]), seed=SEEDS)
+def test_two_precision_neumann_matches_a_double_loop_property(N, h, m, name, gap, re, sign, seed):
+    # the solver against a plain complex128 Neumann loop, at shifts where sup||V|| / |Im z| < 0.9
+    mesh = Mesh(2, h, N)
+    V = potential_catalog(name)
+    z = complex(re, sign * (V.sup_norm + gap) / 0.9)
+    psi = random_field(mesh, 2, np.random.default_rng(seed))
+    q = ResolventQuery(z=z, p=DiracParams(m, h), policy="neumann")
+    Vh = sample_potential(V, mesh)
+    w = psi.values
+    for _ in range(q.max_iter):
+        u = resolvent_free(LatticeField(mesh, w), q)
+        w_next = psi.values - np.einsum("...ab,...b->...a", Vh, u.values)
+        if norm_l2(LatticeField(mesh, w - w_next)) <= q.tol * norm_l2(psi):
+            break
+        w = w_next
+    solved = resolvent_with_potential(psi, q, V)
+    assert norm_l2(LatticeField(mesh, solved.values - u.values)) <= 1e-8 * norm_l2(u)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
+    {"max_iter": 0}, {"restart": 0},
+])
+def test_resolvent_query_rejects_bad_solver_parameters(bad):
+    with pytest.raises(ValueError):
+        ResolventQuery(z=3j, p=DiracParams(1.0, 0.5), policy="neumann", **bad)
+
+
 def test_forced_neumann_reports_stall(rng):
     # contraction not certified: sup||V|| / |Im z| = 1.25
     mesh = Mesh(2, 0.5, 8)
