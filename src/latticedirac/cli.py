@@ -7,7 +7,7 @@ for a given config: fixed field order and 17-significant-digit floats.
 Complex shifts are written in ``a+bi`` literal form.  A JSON config file can
 seed any flag; explicit flags win.  LATTICE_DIRAC_THREADS caps the across-h
 parallelism of the sweeps, the row-block workers of the cell quadrature and
-the FFT workers of the solves; ``--threads`` overrides it for one run.
+the workers of every FFT; ``--threads`` overrides it for one run.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
 from .errors import ConfigError, LatticeDiracError
 from .fourier import FrequencyGrid
-from .grid import FUNCTION_IDS, Mesh
+from .grid import FUNCTION_IDS, Mesh, thread_cap
 from .lab import (
     DYADIC_HS,
     ConvergenceReport,
@@ -34,7 +34,7 @@ from .lab import (
     exp_resolvent_free,
     exp_resolvent_potential,
 )
-from .operators import POTENTIAL_IDS, dense_matrix, thread_cap
+from .operators import POTENTIAL_IDS, dense_matrix
 from .symbols import DiracParams, critical_points, lambda_mh, omega, spectrum_bounds
 
 __all__ = ["RunConfig", "run", "main", "parse_complex", "format_complex"]
@@ -151,6 +151,22 @@ class RunConfig:
                 raise ConfigError(f"output directory {parent!r} does not exist")
 
 
+# the JSON types that can seed each type of RunConfig field; booleans seed none
+_FILE_TYPES = {str: str, int: int, float: (int, float), complex: (str, int, float), type(None): type(None)}
+
+
+def _check_file_value(key: str, value):
+    """Raise `ConfigError` naming ``key`` unless its config-file ``value`` can seed its field."""
+    if key == "sweep":  # 'dyadic', comma-separated floats, or a list of numbers
+        kinds, items = ([float], value) if isinstance(value, list) else ([str], [value])
+    else:
+        hint = get_type_hints(RunConfig)[key]
+        kinds, items = get_args(hint) or [hint], [value]  # Optional[X] gives (X, NoneType)
+    types = tuple(_FILE_TYPES[k] for k in kinds)
+    if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
+        raise ConfigError(f"config file field {key!r} has the wrong type: {value!r}")
+
+
 def _parse_sweep(text: str) -> tuple[float, ...]:
     if text == "dyadic":
         return DYADIC_HS
@@ -223,11 +239,12 @@ def config_from_argv(argv) -> RunConfig:
             raise ConfigError(f"cannot read config file {config_path!r}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        known = {"function", "potential", "sweep", "box", "m", "h", "z", "s",
-                 "refine", "grid", "N", "out", "format", "threads"}
-        unknown = set(file_cfg) - known
+        keys = {f.name for f in fields(RunConfig)} - {"experiment", "hs"} | {"sweep"}  # sweep seeds hs
+        unknown = set(file_cfg) - keys
         if unknown:
             raise ConfigError(f"unknown config file fields: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_file_value(key, value)
         merged.update(file_cfg)
     for key, value in vars(ns).items():
         if key in ("config", "experiment") or value is None:
@@ -238,10 +255,7 @@ def config_from_argv(argv) -> RunConfig:
         merged["hs"] = _parse_sweep(sweep_val) if isinstance(sweep_val, str) else tuple(sweep_val)
     if "z" in merged and isinstance(merged["z"], str):
         merged["z"] = parse_complex(merged["z"])
-    try:
-        config = RunConfig(experiment=ns.experiment, **merged)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = RunConfig(experiment=ns.experiment, **merged)
     config.validate()
     return config
 

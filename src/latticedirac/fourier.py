@@ -12,6 +12,10 @@ the round-trip identities hold to roundoff.  The frequency box is
 The factor ``a(theta) = (1 - exp(-i*theta)) / (i*theta)`` relates the exact
 continuum Fourier transform of a step function to the discrete transform:
 on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``.
+
+`_fftn` is the one FFT entry point, for `dft`/`idft` (on a copy rolled into
+natural FFT order) and the multipliers of `operators`.  It runs `scipy.fft` on
+up to `thread_cap` workers, with the same result at any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolation, UnknownClosedForm
-from .grid import ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample
+from .grid import ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap
 
 __all__ = [
     "FrequencyGrid",
@@ -83,13 +87,19 @@ def spectral_norm(u: SpectralField) -> float:
     return float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2)))
 
 
+def _fftn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
+    """``fftn`` (``ifftn`` if ``inverse``) over ``axes``; may overwrite ``x``, so pass memory you own."""
+    import scipy.fft  # not at module level: importing scipy costs start-up time
+
+    transform = scipy.fft.ifftn if inverse else scipy.fft.fftn
+    return transform(x, axes=axes, workers=thread_cap(x.size // x.shape[axes[-1]]), overwrite_x=True)
+
+
 def dft(f: LatticeField) -> SpectralField:
     """Discrete Fourier transform of a step field, exact on the truncation."""
     mesh = f.mesh
-    axes = tuple(range(mesh.d))
-    work = np.fft.ifftshift(f.values, axes=axes)
-    work = np.fft.fftn(work, axes=axes)
-    work = np.fft.fftshift(work, axes=axes)
+    axes, shift = tuple(range(mesh.d)), (mesh.N // 2,) * mesh.d  # N is even: rolls by N/2 centre
+    work = np.roll(_fftn(np.roll(f.values, shift, axes), axes), shift, axes)
     work *= (2 * np.pi) ** (-mesh.d / 2) * mesh.h**mesh.d
     return SpectralField(FrequencyGrid(mesh), work)
 
@@ -97,10 +107,8 @@ def dft(f: LatticeField) -> SpectralField:
 def idft(u: SpectralField) -> LatticeField:
     """Inverse transform; two-sided inverse of `dft` on the truncation."""
     mesh = u.grid.mesh
-    axes = tuple(range(mesh.d))
-    work = np.fft.ifftshift(u.values, axes=axes)
-    work = np.fft.ifftn(work, axes=axes)
-    work = np.fft.fftshift(work, axes=axes)
+    axes, shift = tuple(range(mesh.d)), (mesh.N // 2,) * mesh.d
+    work = np.roll(_fftn(np.roll(u.values, shift, axes), axes, inverse=True), shift, axes)
     work *= (2 * np.pi) ** (-mesh.d / 2) * (2 * np.pi / mesh.h) ** mesh.d
     return LatticeField(mesh, work)
 

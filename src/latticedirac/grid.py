@@ -18,9 +18,9 @@ Grid transfers:
 
 Cell quadrature walks the mesh in blocks of whole cell rows (about
 `_BLOCK_CELLS` cells each), so node arrays never span the whole mesh, and
-runs the blocks on up to `thread_cap` threads.  Per-cell results land in
-full arrays that are reduced once at the end, so every result is the same
-at any block size and thread count.
+runs the blocks through `_thread_map`, the one thread pool of the library.
+Per-cell results land in full arrays that are reduced once at the end, so
+every result is the same at any block size and thread count.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ def thread_cap(n_tasks: int) -> int:
     """Worker count for ``n_tasks`` independent tasks, capped by LATTICE_DIRAC_THREADS.
 
     Unset or empty means the CPU count; any value that is not a positive
-    integer raises `ConfigError`.  The cap bounds the across-h parallelism of
-    the sweeps, the quadrature row-block workers and the FFT workers of every
-    Fourier multiplier.
+    integer raises `ConfigError`.  The cap bounds the threads of `_thread_map`
+    (the across-h levels of the sweeps and the quadrature row blocks) and the
+    workers of `fourier._fftn` (every transform).
     """
     cap = os.environ.get("LATTICE_DIRAC_THREADS")
     if cap and not (cap.strip().isdecimal() and int(cap) > 0):
@@ -202,22 +202,22 @@ def sample(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     return LatticeField(mesh, phi(mesh.site_coords()))
 
 
-def _for_row_blocks(mesh: Mesh, block_fn) -> None:
-    """Call ``block_fn(rows)`` on slices of whole cell rows, about `_BLOCK_CELLS` cells each.
+def _thread_map(fn, tasks: Sequence) -> list:
+    """``[fn(t) for t in tasks]`` on up to `thread_cap` threads, serially at a cap of 1.
 
-    The blocks run on up to `thread_cap` threads.  Each call writes only its own
-    rows of its outputs, and numpy releases the GIL inside the array work of a
-    block, so the threads run in parallel.
+    Each task must write only its own outputs; threads overlap where numpy releases the GIL.
     """
-    step = max(1, _BLOCK_CELLS // mesh.N ** (mesh.d - 1))
-    blocks = [slice(r, min(r + step, mesh.N)) for r in range(0, mesh.N, step)]
-    workers = thread_cap(len(blocks))
+    workers = thread_cap(len(tasks))
     if workers == 1:
-        for rows in blocks:
-            block_fn(rows)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block_fn, blocks))
+        return [fn(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _for_row_blocks(mesh: Mesh, block_fn) -> list:
+    """`_thread_map` of ``block_fn`` over slices of whole cell rows, about `_BLOCK_CELLS` cells each."""
+    step = max(1, _BLOCK_CELLS // mesh.N ** (mesh.d - 1))
+    return _thread_map(block_fn, [slice(r, min(r + step, mesh.N)) for r in range(0, mesh.N, step)])
 
 
 def _cell_points(mesh: Mesh, nodes: np.ndarray, rows: slice) -> np.ndarray:
@@ -434,16 +434,14 @@ def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
     cell, walked in row blocks.
     """
     f = sample(phi, mesh)
-    row_max = np.empty(mesh.N)
 
     def block(rows):
         pts = _cell_points(mesh, _GAUSS_HI[0], rows)
         gap = _gap_sq(phi(pts), _broadcast_cell_values(f.values[rows], mesh.d))[..., 0] ** 0.5
         weight = (1.0 + np.sum(pts**2, axis=-1)) ** (k / 2.0)
-        row_max[rows] = np.max(weight * gap, axis=tuple(range(1, gap.ndim)))
+        return np.max(weight * gap)
 
-    _for_row_blocks(mesh, block)
-    return float(np.max(row_max))
+    return float(max(_for_row_blocks(mesh, block)))
 
 
 # ---------------------------------------------------------------------------

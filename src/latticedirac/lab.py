@@ -10,14 +10,13 @@ extra halving of the finest mesh to flag a reached error floor.  The
 resolvent sweeps build one refined reference on the finest level they run,
 the floor-guard level included, and block-average it to every level.
 
-Experiments parallelize across mesh sizes; each per-h run is deterministic,
-so reports are bit-for-bit reproducible for a given configuration.
+Experiments run their levels in parallel through `grid._thread_map`; each
+per-h run is deterministic, so reports are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -34,8 +33,8 @@ from .grid import (
     norm_l2,
     project,
     sample,
-    thread_cap,
     _projection_errors,
+    _thread_map,
 )
 from .operators import (
     PotentialSpec,
@@ -108,13 +107,12 @@ class Sweep:
         """Every mesh size the sweep runs: ``hs``, then ``hs[-1] / 2`` when ``check_floor`` is set."""
         return tuple(self.hs) + ((self.hs[-1] / 2,) if self.check_floor else ())
 
-    def mesh_for(self, h: float, d: Optional[int] = None) -> Mesh:
+    def mesh_for(self, h: float) -> Mesh:
         ratio = self.box / h
         N = round(ratio)
         if abs(ratio - N) > 1e-9 or N % 2 or N < 4:
             raise ValueError(f"box {self.box} with h={h} gives invalid site count {ratio}")
-        dim = d if d is not None else self.resolved_function().d
-        return Mesh(dim, h, N)
+        return Mesh(self.resolved_function().d, h, N)
 
     def resolved_function(self) -> ContinuumFunction:
         if isinstance(self.function, ContinuumFunction):
@@ -212,23 +210,14 @@ def _make_series(name: str, hs: Sequence[float], errors: Sequence[float]) -> Ser
 
 
 def _run_levels(hs, worker):
-    """Evaluate ``worker(h)`` for each level, in parallel, preserving order."""
-    results = [None] * len(hs)
-    timings = [0.0] * len(hs)
+    """``worker(h)`` for each level through `_thread_map`, in order, with wall times in ms."""
 
-    def timed(i):
+    def timed(h):
         start = time.perf_counter()
-        results[i] = worker(hs[i])
-        timings[i] = (time.perf_counter() - start) * 1e3
+        return worker(h), (time.perf_counter() - start) * 1e3
 
-    workers = thread_cap(len(hs))
-    if workers == 1:
-        for i in range(len(hs)):
-            timed(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(timed, range(len(hs))))
-    return results, timings
+    runs = _thread_map(timed, hs)
+    return [r for r, _ in runs], [t for _, t in runs]
 
 
 def _assemble(
@@ -259,14 +248,15 @@ def _assemble(
 def _sweep(experiment: str, sweep: Sweep, names: Sequence[str], worker) -> ConvergenceReport:
     """Run ``worker(h)``, which returns one error per series name, on every level of ``sweep``.
 
-    The ``hs`` levels run through `_run_levels`; the floor-guard level, when
-    set, runs after them.
+    All of ``sweep.levels``, the floor-guard level included, run through one
+    `_run_levels` call; the floor-guard level is compared, not reported.
     """
-    results, timings = _run_levels(sweep.hs, worker)
-    errors = {name: [r[i] for r in results] for i, name in enumerate(names)}
-    extra = dict(zip(names, worker(sweep.levels[-1]))) if sweep.check_floor else None
+    results, timings = _run_levels(sweep.levels, worker)
+    n = len(sweep.hs)
+    errors = {name: [r[i] for r in results[:n]] for i, name in enumerate(names)}
+    extra = dict(zip(names, results[n])) if sweep.check_floor else None
     Ns = [sweep.mesh_for(h).N for h in sweep.hs]
-    return _assemble(experiment, sweep, errors, timings, Ns, extra)
+    return _assemble(experiment, sweep, errors, timings[:n], Ns, extra)
 
 
 def _resolvent_worker(sweep: Sweep, reference: LatticeField, V: Optional[PotentialSpec]):
@@ -274,7 +264,7 @@ def _resolvent_worker(sweep: Sweep, reference: LatticeField, V: Optional[Potenti
     phi = sweep.resolved_function()
 
     def worker(h):
-        mesh = sweep.mesh_for(h, d=2)
+        mesh = sweep.mesh_for(h)
         psi = project(phi, mesh)
         query = ResolventQuery(z=sweep.z, p=DiracParams(sweep.m, h), tol=sweep.tol)
         u = resolvent_free(psi, query) if V is None else resolvent_with_potential(psi, query, V)
@@ -325,7 +315,7 @@ def exp_resolvent_free(sweep: Sweep) -> ConvergenceReport:
     level (the floor-guard level when set) and block-averaged to every level,
     so all levels share the same comparison target.
     """
-    finest = sweep.mesh_for(sweep.levels[-1], d=2)
+    finest = sweep.mesh_for(sweep.levels[-1])
     reference = resolvent_continuum(
         sweep.resolved_function(), sweep.z, sweep.m, finest, refine=sweep.refine
     )
@@ -346,7 +336,7 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     if V is None:
         raise ValueError("the potential sweep needs a potential id")
     _require_resolvent_region(sweep.z, V)
-    finest = sweep.mesh_for(sweep.levels[-1], d=2)
+    finest = sweep.mesh_for(sweep.levels[-1])
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
     u_fine = _solve_with_potential(
         sample(sweep.resolved_function(), fine), complex(sweep.z), sweep.m,

@@ -23,9 +23,9 @@ dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
 Fourier multipliers work channel-first: the two spinor channels are held as
-one contiguous ``(2, *sites)`` array, transformed with `scipy.fft` over the
-site axes (with as many workers as `thread_cap` allows) and multiplied in
-place one block of rows at a time.
+one contiguous ``(2, *sites)`` array, transformed over the site axes by
+`fourier._fftn` (the library's one FFT entry point) and multiplied in place
+one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from .errors import (
     RealShift,
     TooLarge,
 )
-from .fourier import FrequencyGrid, SpectralField, a_factor, dft, idft
-from .grid import ContinuumFunction, LatticeField, Mesh, norm_l2, project, thread_cap
+from .fourier import FrequencyGrid, SpectralField, _fftn, a_factor, dft, idft
+from .grid import ContinuumFunction, LatticeField, Mesh, norm_l2, project
 from .symbols import DiracParams, opnorm_2x2, zeta_discrete
 
 __all__ = [
@@ -269,16 +269,10 @@ def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
 
     Works in the memory of ``x``, which is overwritten; pass a copy to keep it.
     ``M`` is in natural FFT order.  It commutes with circular shifts, so the
-    centring shifts and scalings of `dft`/`idft` cancel.  pocketfft splits a
-    transform into independent 1D lines, so the result is the same at any
-    worker count.
+    centring shifts and scalings of `dft`/`idft` cancel.
     """
-    import scipy.fft  # not at module level: importing scipy costs start-up time
-
     axes = tuple(range(1, x.ndim))
-    workers = thread_cap(x.size // x.shape[-1])
-    spec = multiplier(scipy.fft.fftn(x, axes=axes, workers=workers, overwrite_x=True))
-    return scipy.fft.ifftn(spec, axes=axes, workers=workers, overwrite_x=True)
+    return _fftn(multiplier(_fftn(x, axes)), axes, inverse=True)
 
 
 def _vmul_blocks(Vh: np.ndarray, u: np.ndarray):
@@ -538,8 +532,8 @@ def _solve_with_potential(
     ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
     Both iterations stop when its relative norm is at most ``tol``.  Neumann (see
     `_neumann`) runs complex64 steps first and complex128 steps last, at most
-    ``max_iter`` in all; Krylov runs complex128 GMRES.  Either way the returned
-    ``u`` is complex128 and passed the test in double precision.
+    ``max_iter`` in all; Krylov runs complex128 GMRES, then one `_neumann_steps` step
+    for ``u`` and the residual.  Either way ``u`` is complex128 and passed a complex128 test.
     """
     mesh = psi.mesh
     psi_norm = norm_l2(psi)
@@ -567,25 +561,19 @@ def _solve_with_potential(
         return LatticeField(mesh, _channel_last(u))
 
     symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
-    rhs = _channel_first(psi.values)
+    shape = (psi.channels,) + mesh.shape
 
     # krylov: residual-minimizing iteration on w + V R_z w = psi, in channel-first vector order
     def matvec(w_vec):
-        w = w_vec.reshape(rhs.shape)
+        w = w_vec.reshape(shape)
         out = _multiplier_apply(w.copy(), symbol)
         for rows, vu in _vmul_blocks(Vh, out):
             np.add(w[:, rows], vu, out=out[:, rows])
         return out.ravel()
 
-    w_vec, info = _gmres(matvec, rhs.ravel(), tol * 1e-2, restart, max_iter)
-    w = w_vec.reshape(rhs.shape)
-    u = _multiplier_apply(w.copy(), symbol)
-    sum_sq = 0.0
-    for rows, vu in _vmul_blocks(Vh, u):
-        vu += w[:, rows]
-        vu -= rhs[:, rows]
-        sum_sq += _sum_sq(vu)
-    res = relative(sum_sq)
+    w_vec, info = _gmres(matvec, _channel_first(psi.values).ravel(), tol * 1e-2, restart, max_iter)
+    # one Neumann step forms u = R_z w and the residual of w (the step itself is discarded)
+    _, res, u = _neumann_steps(w_vec.reshape(shape), psi.values, symbol, Vh, 1, relative, tol, False)
     if res > tol:
         raise NoConvergence(info if info > 0 else max_iter, res)
     return LatticeField(mesh, _channel_last(u))

@@ -78,6 +78,32 @@ def test_config_file_unknown_field_rejected(tmp_path):
         config_from_argv(["spectrum", "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("content", [{"box": "9.6"}, {"threads": "2"}, {"m": None}])
+def test_config_file_value_of_wrong_type_is_a_config_error(content, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(content))
+    assert main(["project", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    (field,) = content
+    assert err.startswith("error: config file field ") and repr(field) in err
+
+
+@pytest.mark.parametrize("content", [{"experiment": "ft"}, {"hs": [0.4, 0.2, 0.1]}])
+def test_config_file_keys_are_the_flags(content, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(content))
+    with pytest.raises(ConfigError, match="unknown config file fields"):
+        config_from_argv(["project", "--config", str(cfg)])
+
+
+def test_config_file_accepts_every_json_form_of_its_fields(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"sweep": [0.4, 0.2], "box": 10, "m": 0.5, "z": "1+2i",
+                               "potential": None, "refine": 2, "threads": 1, "out": None}))
+    config = config_from_argv(["resolve-free", "--config", str(cfg)])
+    assert (config.hs, config.box, config.z, config.refine, config.threads) == ((0.4, 0.2), 10, 1 + 2j, 2, 1)
+
+
 def test_config_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
         config_from_argv(["spectrum", "--h", "-1.0"])

@@ -65,6 +65,42 @@ def test_dft_unitary_and_invertible(rng):
         np.testing.assert_allclose(dft(idft(v)).values, v.values, atol=1e-12)
 
 
+def test_dft_pair_transforms_through_scipy_fft(monkeypatch, rng):
+    import scipy.fft
+
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def spy(x, *args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
+            calls.append(_name)
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    idft(dft(random_field(Mesh(2, 0.5, 8), 2, rng)))
+    assert calls == ["fftn", "ifftn"]
+
+
+def test_dft_pair_is_the_same_at_any_thread_cap(monkeypatch, rng):
+    f = random_field(Mesh(2, 0.3, 32), 2, rng)
+    results = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+        u = dft(f)
+        results.append((u.values, idft(u).values))
+    assert np.all(results[0][0] == results[1][0])
+    assert np.all(results[0][1] == results[1][1])
+
+
+def test_dft_pair_leaves_its_input_untouched(rng):
+    for d, N in ((1, 32), (2, 12)):
+        f = random_field(Mesh(d, 0.4, N), 2, rng)
+        sites = f.values.copy()
+        u = dft(f)
+        spectrum = u.values.copy()
+        idft(u)
+        assert np.array_equal(f.values, sites)
+        assert np.array_equal(u.values, spectrum)
+
+
 def test_dft_matches_direct_summation(rng):
     mesh = Mesh(2, 0.5, 8)
     f = random_field(mesh, 2, rng)

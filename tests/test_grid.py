@@ -1,5 +1,6 @@
 """Tests for lattice geometry, grid transfers, and step-function norms."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,7 @@ from latticedirac.grid import (
     modulated_gaussian,
     weighted_sampling_gap,
     _projection_errors,
+    _thread_map,
 )
 
 from conftest import random_field
@@ -266,6 +268,19 @@ def test_projection_error_memory_peak_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 32e6
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_thread_map_keeps_task_order(threads, monkeypatch):
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+    on_main = []
+
+    def task(i):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return i * i
+
+    assert _thread_map(task, range(7)) == [i * i for i in range(7)]
+    assert all(on_main) == (threads == "1")  # a cap of 1 runs serially, in the caller
 
 
 def test_project_rejects_a_wrong_channel_count():

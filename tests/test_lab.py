@@ -18,7 +18,7 @@ from latticedirac import (
     norm_l2,
     project,
 )
-from latticedirac.errors import DegenerateFit, NotInResolventRegion
+from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion
 from latticedirac.grid import bandlimited_spinor
 from latticedirac.lab import _assemble, weighted_operator_gap_probe
 
@@ -209,6 +209,33 @@ def test_projection_floor_guard_not_triggered():
     ]
     for experiment, sweep in runs:
         assert isinstance(experiment(sweep).floor_reached, bool)
+
+
+def test_floor_guard_level_runs_with_the_other_levels(monkeypatch):
+    from latticedirac import lab
+
+    seen, run_levels = [], lab._run_levels
+
+    def spy(hs, worker):
+        seen.append(tuple(hs))
+        return run_levels(hs, worker)
+
+    monkeypatch.setattr(lab, "_run_levels", spy)
+    sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function="gaussian1d", check_floor=True)
+    exp_projection(sweep)
+    assert seen == [sweep.levels]
+
+
+@pytest.mark.parametrize("experiment, extra, message", [
+    (exp_resolvent_free, {}, "continuum resolvent acts on 2D two-channel functions"),
+    (exp_resolvent_potential, {"z": 3j, "potential": "nonhermitian-gaussian"},
+     "function is 1-dimensional, mesh is 2-dimensional"),
+])
+def test_resolvent_sweeps_reject_1d_functions(experiment, extra, message):
+    sweep = Sweep(hs=(0.4, 0.2), box=9.6, function="gaussian1d", refine=2, **extra)
+    with pytest.raises(MeshMismatch) as info:
+        experiment(sweep)
+    assert str(info.value) == message
 
 
 def test_floor_guard_flags_stalled_series():

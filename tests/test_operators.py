@@ -545,6 +545,17 @@ def test_forced_neumann_reports_stall(rng):
     assert info.value.residual > 0
 
 
+def test_krylov_reports_no_convergence(rng):
+    # one restart cycle of one step falls short; the residual is the one the final check measured
+    mesh = Mesh(2, 0.5, 16)
+    psi = random_field(mesh, 2, rng)
+    q = ResolventQuery(z=1.2j, p=DiracParams(1.0, 0.5), policy="krylov", max_iter=1, restart=1)
+    with pytest.raises(NoConvergence) as info:
+        resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
+    assert q.tol < info.value.residual < 1.0
+    assert info.value.iterations >= 1
+
+
 # ---------------------------------------------------------------------------
 # dense oracle
 
