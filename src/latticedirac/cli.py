@@ -119,6 +119,10 @@ class RunConfig:
     threads: Optional[int] = None
 
     def validate(self):
+        numbers = [("m", self.m), ("h", self.h), ("box", self.box), ("s", self.s), ("z", self.z)]
+        for name, value in numbers + [("sweep", hv) for hv in self.hs]:
+            if not np.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.function not in FUNCTION_IDS:

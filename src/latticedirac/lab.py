@@ -95,6 +95,8 @@ class Sweep:
 
     def __post_init__(self):
         _require_tolerance(self.tol)
+        if not isinstance(self.refine, (int, np.integer)) or self.refine < 1:
+            raise ValueError(f"refine must be an integer >= 1, got {self.refine!r}")
         if len(self.hs) < 1:
             raise ValueError("sweep needs at least one mesh size")
         if any(a <= b for a, b in zip(self.hs, self.hs[1:])):
@@ -329,8 +331,11 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     The reference runs the same Neumann/Krylov factorization on the
     ``refine``-fold refinement of the finest level (the floor-guard level when
     set), with the continuum symbol and the potential sampled at the fine
-    sites.  Like the level solves, a Neumann reference takes complex64 steps
-    until the step norm reaches 1e-6 and complex128 steps to ``sweep.tol``.
+    sites, and the solver limits of a default `ResolventQuery`.  The continuum
+    symbol does not change with the mesh size, so the reference is first solved
+    on the even sites (recursively, while the site count stays a multiple of
+    4) and iterated on each finer mesh from the interpolated coarser solution;
+    its own double-precision residual test certifies it at ``sweep.tol``.
     """
     V = sweep.resolved_potential()
     if V is None:
@@ -341,7 +346,7 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     u_fine = _solve_with_potential(
         sample(sweep.resolved_function(), fine), complex(sweep.z), sweep.m,
         sample_potential(V, fine), V.sup_norm,
-        policy=None, tol=sweep.tol, max_iter=2000, restart=50,
+        policy=None, tol=sweep.tol, max_iter=ResolventQuery.max_iter, restart=ResolventQuery.restart,
     )
     reference = block_average(u_fine, finest)
     worker = _resolvent_worker(sweep, reference, V)

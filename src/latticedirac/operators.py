@@ -18,7 +18,11 @@ contraction ``sup||V|| / |Im z| <= 0.9`` is certified and by a restarted
 residual-minimizing Krylov iteration otherwise.  The Neumann iteration runs
 in two precisions: complex64 steps down to a relative step norm of 1e-6,
 then complex128 steps down to the tolerance, so every result passes the
-double-precision test; the Krylov iteration is complex128 throughout.  A
+double-precision test; the Krylov iteration is complex128 throughout.  With
+the continuum symbol, which does not depend on the mesh size, a solve on a
+mesh with ``N % 4 == 0`` first solves the same problem on the even sites (the
+half mesh of the same box), interpolates that solution spectrally, and
+iterates from there in complex128 until the fine mesh's own test passes.  A
 dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
@@ -447,12 +451,12 @@ def resolvent_continuum(
     return LatticeField(mesh, coarse_vals)
 
 
-def _gmres(matvec, b_vec, tol, restart, max_iter):
+def _gmres(matvec, b_vec, tol, restart, max_iter, x0=None):
     import scipy.sparse.linalg as spla  # not at module level: importing scipy costs start-up time
 
     n = b_vec.size
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    return spla.gmres(op, b_vec, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
+    return spla.gmres(op, b_vec, x0, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
 
 
 # Neumann steps run in complex64 until the relative step norm reaches this (single
@@ -463,13 +467,14 @@ _SINGLE_PRECISION_STOP = 1e-6
 def _neumann_steps(w, values, symbol, Vh, steps, relative, goal, stop_on_rise):
     """Up to ``steps`` Neumann steps ``w <- psi - V R_z w`` in place, at the dtype of ``w``.
 
-    ``symbol`` has the same dtype; ``psi`` (from channel-last ``values``) and
-    ``u = R_z w`` are held at it for this call only.  Stops once the relative
+    ``symbol`` has the same dtype; ``u = R_z w`` is held at it for this call
+    only, and ``psi`` is read through a channel-first view of ``values``, cast
+    to it for this call only when the dtypes differ.  Stops once the relative
     step norm ``||w_old - w_new|| / ||psi||``, which is the residual of
     ``w_old``, is at most ``goal`` or, with ``stop_on_rise``, no lower than the
     one before.  Returns the steps taken, the last step norm and the last ``u``.
     """
-    rhs = _channel_first(values, w.dtype)
+    rhs = np.moveaxis(values.astype(w.dtype, copy=False), -1, 0)
     u = np.empty_like(w)
     res = np.inf
     for taken in range(1, steps + 1):
@@ -488,30 +493,54 @@ def _neumann_steps(w, values, symbol, Vh, steps, relative, goal, stop_on_rise):
     return steps, res, u
 
 
-def _neumann(values, zeta, m, z, Vh, tol, max_iter, relative) -> np.ndarray:
+def _neumann(values, zeta, m, z, Vh, tol, max_iter, relative, w=None) -> np.ndarray:
     """Neumann iteration on ``(I + V R_z) w = psi`` in two precisions; returns ``u = R_z w``.
 
-    Complex64 steps run until the step norm reaches ``max(tol,
-    _SINGLE_PRECISION_STOP)`` or stops falling, leaving at least one of the
-    ``max_iter`` steps.  ``w`` is then cast to complex128 and complex128 steps
-    continue until ``tol``, so the channel-first complex128 ``u`` returned comes
-    from a step that passed the double-precision test.  Each phase holds its
-    own symbol, ``psi`` and ``u`` (``V`` is cast per row block), and those of
-    the complex64 phase are gone before the complex128 phase allocates, so the
-    memory peak is that of the complex128 phase alone.
+    From ``psi`` (``w`` None), complex64 steps run until the step norm reaches
+    ``max(tol, _SINGLE_PRECISION_STOP)`` or stops falling, leaving at least one
+    of the ``max_iter`` steps, and ``w`` is then cast to complex128.  A given
+    complex128 start ``w`` (overwritten) skips that phase, since casting an
+    accurate iterate to complex64 would lose most of its digits.  Complex128
+    steps then continue until ``tol``, so the channel-first complex128 ``u``
+    returned comes from a step that passed the double-precision test.  Each
+    phase holds its own symbol and ``u`` (``psi`` is copied only for the cast
+    to complex64, ``V`` is cast per row block), and those of the complex64
+    phase are gone before the complex128 phase allocates, so the memory peak
+    is that of the complex128 phase alone.
     """
-    w = _channel_first(values, np.complex64)
-    taken = _neumann_steps(
-        w, values, _resolvent_multiplier(zeta.astype(np.complex64), m, z), Vh,
-        max_iter - 1, relative, max(tol, _SINGLE_PRECISION_STOP), stop_on_rise=True,
-    )[0]  # keeps the step count only, so the complex64 u dies here
-    w = w.astype(np.complex128)
+    taken = 0
+    if w is None:
+        w = _channel_first(values, np.complex64)
+        taken = _neumann_steps(
+            w, values, _resolvent_multiplier(zeta.astype(np.complex64), m, z), Vh,
+            max_iter - 1, relative, max(tol, _SINGLE_PRECISION_STOP), stop_on_rise=True,
+        )[0]  # keeps the step count only, so the complex64 u dies here
+        w = w.astype(np.complex128)
     symbol = _resolvent_multiplier(zeta, m, z)
     del zeta  # freed before the complex128 phase allocates
     _, res, u = _neumann_steps(w, values, symbol, Vh, max_iter - taken, relative, tol, stop_on_rise=False)
     if res > tol:
         raise NoConvergence(max_iter, res)
     return u
+
+
+def _prolong(u: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Trigonometric interpolation of channel-last half-mesh values onto ``mesh``, channel-first.
+
+    The half-mesh spectrum is zero-padded in natural FFT order, so its Nyquist
+    row and column stay at the frequency ``-N/4`` where its symbol put them, and
+    scaled by ``(N / (N/2))**2`` for the unnormalized inverse: the result equals
+    ``u`` on the even sites.
+    """
+    axes = (1, 2)
+    spec = _fftn(_channel_first(u), axes)
+    half = spec.shape[1] // 2
+    spec *= (mesh.N / spec.shape[1]) ** 2
+    fine = np.zeros((spec.shape[0],) + mesh.shape, dtype=spec.dtype)
+    for rows in (slice(None, half), slice(-half, None)):
+        for cols in (slice(None, half), slice(-half, None)):
+            fine[:, rows, cols] = spec[:, rows, cols]
+    return _fftn(fine, axes, inverse=True)
 
 
 def _solve_with_potential(
@@ -534,6 +563,14 @@ def _solve_with_potential(
     `_neumann`) runs complex64 steps first and complex128 steps last, at most
     ``max_iter`` in all; Krylov runs complex128 GMRES, then one `_neumann_steps` step
     for ``u`` and the residual.  Either way ``u`` is complex128 and passed a complex128 test.
+
+    The continuum symbol is the same on every mesh of the box, so for ``p`` None and
+    ``N % 4 == 0`` (``N >= 8``) the problem restricted to the even sites, which are
+    the sites of the half mesh, is solved first by this function, with the policy
+    chosen here.  Its solution, interpolated by `_prolong`, gives the start
+    ``w = psi - V u`` of complex128 Neumann steps or of GMRES, each with its own
+    ``max_iter``.  For smooth data the first step already passes the test.  A level
+    that does not converge raises `NoConvergence` for its own residual.
     """
     mesh = psi.mesh
     psi_norm = norm_l2(psi)
@@ -556,8 +593,18 @@ def _solve_with_potential(
         u_vec = np.linalg.solve(shifted, field_to_vec(psi))
         return vec_to_field(u_vec, mesh)
 
+    w = None  # the cold start: psi for Neumann, zero for GMRES
+    if p is None and mesh.N % 4 == 0 and mesh.N >= 8:
+        half = LatticeField(Mesh(mesh.d, 2 * mesh.h, mesh.N // 2), psi.values[::2, ::2])
+        u = _solve_with_potential(half, z, m, Vh[::2, ::2], sup_norm, policy, tol, max_iter, restart)
+        w = _prolong(u.values, mesh)
+        del u
+        rhs = np.moveaxis(psi.values, -1, 0)
+        for rows, vu in _vmul_blocks(Vh, w):  # w <- psi - V w, one row block at a time
+            np.subtract(rhs[:, rows], vu, out=w[:, rows])
+
     if policy == "neumann":
-        u = _neumann(psi.values, _zeta_natural(mesh, p), m, z, Vh, tol, max_iter, relative)
+        u = _neumann(psi.values, _zeta_natural(mesh, p), m, z, Vh, tol, max_iter, relative, w)
         return LatticeField(mesh, _channel_last(u))
 
     symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
@@ -571,7 +618,8 @@ def _solve_with_potential(
             np.add(w[:, rows], vu, out=out[:, rows])
         return out.ravel()
 
-    w_vec, info = _gmres(matvec, _channel_first(psi.values).ravel(), tol * 1e-2, restart, max_iter)
+    x0 = None if w is None else w.ravel()
+    w_vec, info = _gmres(matvec, _channel_first(psi.values).ravel(), tol * 1e-2, restart, max_iter, x0)
     # one Neumann step forms u = R_z w and the residual of w (the step itself is discarded)
     _, res, u = _neumann_steps(w_vec.reshape(shape), psi.values, symbol, Vh, 1, relative, tol, False)
     if res > tol:

@@ -115,6 +115,20 @@ def test_config_validation_rejects_bad_values():
         config_from_argv(["ft", "--sweep", "0.4,banana"])
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["spectrum", "--m", "nan", "--h", "1"], None),
+    (["project"], {"box": float("nan")}),
+    (["project"], {"h": float("inf")}),
+])
+def test_non_finite_numbers_are_config_errors(argv, content, tmp_path, capsys):
+    if content is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(content))  # Python's json writes NaN and Infinity
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 

@@ -66,6 +66,14 @@ def test_sweep_rejects_bad_tolerance(tol):
               potential="nonhermitian-gaussian", tol=tol)
 
 
+@pytest.mark.parametrize("refine", [0, -2, 2.5, 2.0])
+def test_sweep_rejects_bad_refine(refine):
+    # raised on construction, before any reference is sampled or solved
+    with pytest.raises(ValueError, match="refine"):
+        Sweep(hs=(0.8, 0.4), box=9.6, function="gaussian-spinor", z=3j,
+              potential="nonhermitian-gaussian", refine=refine)
+
+
 def test_sweep_requires_commensurate_box():
     with pytest.raises(ValueError):
         Sweep(hs=(0.3,), box=1.0, function="gaussian1d")  # 1.0/0.3 not integral

@@ -26,6 +26,7 @@ from latticedirac import (
     resolvent_continuum,
     resolvent_free,
     resolvent_with_potential,
+    sample,
     sample_potential,
     spectra_strip_check,
     spectrum_bounds,
@@ -463,14 +464,14 @@ def test_resolvent_region_enforced(rng):
         resolvent_with_potential(psi, ResolventQuery(z=1j, p=p), V)
 
 
-def _spy_fftn(monkeypatch) -> list:
-    """Record the dtype of every array the solvers hand to `scipy.fft.fftn`."""
+def _spy_fftn(monkeypatch, record=lambda x: x.dtype) -> list:
+    """Record ``record(x)``, by default the dtype, of every array the solvers hand to `scipy.fft.fftn`."""
     import scipy.fft
 
     dtypes, fftn = [], scipy.fft.fftn
 
     def spy(x, *args, **kwargs):
-        dtypes.append(x.dtype)
+        dtypes.append(record(x))
         return fftn(x, *args, **kwargs)
 
     monkeypatch.setattr(scipy.fft, "fftn", spy)
@@ -522,6 +523,84 @@ def test_two_precision_neumann_matches_a_double_loop_property(N, h, m, name, gap
         w = w_next
     solved = resolvent_with_potential(psi, q, V)
     assert norm_l2(LatticeField(mesh, solved.values - u.values)) <= 1e-8 * norm_l2(u)
+
+
+def _continuum_neumann_loop(psi, z, m, Vh, tol, max_iter=2000):
+    """Plain complex128 Neumann loop ``w <- psi - V R_z w`` with the continuum symbol, on `dft`/`idft`."""
+    mesh = psi.mesh
+    xi = FrequencyGrid(mesh).coords()
+    zeta = xi[..., 0] + 1j * xi[..., 1]
+    den = np.abs(zeta) ** 2 + m * m - z * z
+    w = psi.values
+    for _ in range(max_iter):
+        w_hat = dft(LatticeField(mesh, w))
+        a, b = w_hat.values[..., 0], w_hat.values[..., 1]
+        u_hat = np.stack([(m + z) * a + np.conj(zeta) * b, zeta * a + (z - m) * b], axis=-1) / den[..., None]
+        u = idft(SpectralField(w_hat.grid, u_hat)).values
+        w_next = psi.values - np.einsum("...ab,...b->...a", Vh, u)
+        if norm_l2(LatticeField(mesh, w - w_next)) <= tol * norm_l2(psi):
+            return u
+        w = w_next
+    raise AssertionError("the reference loop did not converge")
+
+
+@PROPERTY
+@given(N=st.sampled_from([8, 12, 16, 24, 32, 48, 64]), h=st.sampled_from([0.5, 1.0]),
+       m=st.floats(0.5, 1.5), name=st.sampled_from(POTENTIAL_IDS), gap=st.floats(0.25, 3.0),
+       re=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]), seed=SEEDS)
+def test_nested_continuum_solve_matches_a_double_loop_property(N, h, m, name, gap, re, sign, seed):
+    # N % 4 == 0: the solve starts from its half-mesh solution, here of rough data
+    mesh = Mesh(2, h, N)
+    V = potential_catalog(name)
+    z = complex(re, sign * (V.sup_norm + gap) / 0.9)
+    psi = random_field(mesh, 2, np.random.default_rng(seed))
+    Vh = sample_potential(V, mesh)
+    u = _continuum_neumann_loop(psi, z, m, Vh, 1e-10)
+    solved = _solve_with_potential(psi, z, m, Vh, V.sup_norm, None, 1e-10, 2000, 50)
+    assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
+
+
+def test_nested_continuum_solve_takes_at_most_two_full_size_steps(monkeypatch):
+    # smooth data: the interpolated half-mesh solution passes the fine test within two steps
+    mesh = Mesh(2, 9.6 / 256, 256)
+    V = potential_catalog("nonhermitian-gaussian")
+    psi = sample(gaussian_spinor(), mesh)
+    shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
+    _solve_with_potential(psi, 3j, 1.0, sample_potential(V, mesh), V.sup_norm, None, 1e-10, 2000, 50)
+    assert 1 <= shapes.count((2, 256, 256)) <= 2
+    assert (2, 128, 128) in shapes
+
+
+@pytest.mark.parametrize("policy", ["neumann", "krylov"])
+def test_discrete_symbol_solve_stays_on_its_mesh(policy, monkeypatch, rng):
+    mesh = Mesh(2, 0.5, 16)
+    psi = random_field(mesh, 2, rng)
+    q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.5), policy=policy)
+    shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
+    resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
+    assert shapes and set(shapes) == {(2, 16, 16)}
+
+
+def test_continuum_solve_with_odd_half_does_not_coarsen(monkeypatch, rng):
+    mesh = Mesh(2, 0.5, 18)  # 18 / 2 = 9 sites is no mesh
+    psi = random_field(mesh, 2, rng)
+    V = potential_catalog("hermitian-gaussian")
+    Vh = sample_potential(V, mesh)
+    u = _continuum_neumann_loop(psi, 3j, 1.0, Vh, 1e-10)
+    shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
+    solved = _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50)
+    assert shapes and set(shapes) == {(2, 18, 18)}
+    assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
+
+
+def test_continuum_solve_step_cap_reports_no_convergence(rng):
+    mesh = Mesh(2, 0.5, 16)
+    psi = random_field(mesh, 2, rng)
+    V = potential_catalog("nonhermitian-gaussian")
+    tol = 1e-10
+    with pytest.raises(NoConvergence) as info:
+        _solve_with_potential(psi, 3j, 1.0, sample_potential(V, mesh), V.sup_norm, None, tol, 3, 50)
+    assert info.value.residual > tol
 
 
 @pytest.mark.parametrize("bad", [
