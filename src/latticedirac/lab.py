@@ -45,7 +45,9 @@ from .operators import (
     resolvent_free,
     resolvent_with_potential,
     sample_potential,
+    _require_refine,
     _require_resolvent_region,
+    _require_spinor_function,
     _require_tolerance,
     _resolvent_multiplier,
     _solve_with_potential,
@@ -95,8 +97,11 @@ class Sweep:
 
     def __post_init__(self):
         _require_tolerance(self.tol)
-        if not isinstance(self.refine, (int, np.integer)) or self.refine < 1:
-            raise ValueError(f"refine must be an integer >= 1, got {self.refine!r}")
+        _require_refine(self.refine)
+        if not 0.0 <= self.m < np.inf:
+            raise ValueError(f"mass must be finite and nonnegative, got {self.m!r}")
+        if not np.isfinite(complex(self.z)):
+            raise ValueError(f"shift z must be finite, got {self.z!r}")
         if len(self.hs) < 1:
             raise ValueError("sweep needs at least one mesh size")
         if any(a <= b for a, b in zip(self.hs, self.hs[1:])):
@@ -331,20 +336,23 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     The reference runs the same Neumann/Krylov factorization on the
     ``refine``-fold refinement of the finest level (the floor-guard level when
     set), with the continuum symbol and the potential sampled at the fine
-    sites, and the solver limits of a default `ResolventQuery`.  The continuum
-    symbol does not change with the mesh size, so the reference is first solved
-    on the even sites (recursively, while the site count stays a multiple of
-    4) and iterated on each finer mesh from the interpolated coarser solution;
-    its own double-precision residual test certifies it at ``sweep.tol``.
+    sites, and the solver limits of a default `ResolventQuery`, in complex128
+    throughout.  The continuum symbol does not change with the mesh size, so
+    the reference is first solved on the even sites (recursively, while the
+    site count stays a multiple of 4) and iterated on each finer mesh from the
+    interpolated coarser solution; the fine mesh's own residual test certifies
+    it at ``sweep.tol``.
     """
     V = sweep.resolved_potential()
     if V is None:
         raise ValueError("the potential sweep needs a potential id")
     _require_resolvent_region(sweep.z, V)
+    phi = sweep.resolved_function()
     finest = sweep.mesh_for(sweep.levels[-1])
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
+    _require_spinor_function(phi, fine)
     u_fine = _solve_with_potential(
-        sample(sweep.resolved_function(), fine), complex(sweep.z), sweep.m,
+        sample(phi, fine), complex(sweep.z), sweep.m,
         sample_potential(V, fine), V.sup_norm,
         policy=None, tol=sweep.tol, max_iter=ResolventQuery.max_iter, restart=ResolventQuery.restart,
     )

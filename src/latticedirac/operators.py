@@ -15,16 +15,13 @@ well defined for every ``Im z != 0`` including the degenerate massless modes.
 Perturbed resolvents solve ``(D + V - z) u = psi`` through the factorization
 ``u = R_z w`` with ``(I + V R_z) w = psi``, by Neumann iteration when the
 contraction ``sup||V|| / |Im z| <= 0.9`` is certified and by a restarted
-residual-minimizing Krylov iteration otherwise.  The Neumann iteration runs
-in two precisions: complex64 steps down to a relative step norm of 1e-6,
-then complex128 steps down to the tolerance, so every result passes the
-double-precision test; the Krylov iteration is complex128 throughout.  With
-the continuum symbol, which does not depend on the mesh size, a solve on a
-mesh with ``N % 4 == 0`` first solves the same problem on the even sites (the
-half mesh of the same box), interpolates that solution spectrally, and
-iterates from there in complex128 until the fine mesh's own test passes.  A
-dense matrix of the full operator (small lattices only) serves as the
-cross-validation oracle.
+residual-minimizing Krylov iteration otherwise, both in complex128 and both
+certified by one residual test.  With the continuum symbol, which does not
+depend on the mesh size, a solve on a mesh with ``N % 4 == 0`` first solves
+the same problem on the even sites (the half mesh of the same box),
+interpolates that solution spectrally, and iterates from there until the fine
+mesh's own test passes.  A dense matrix of the full operator (small lattices
+only) serves as the cross-validation oracle.
 
 Fourier multipliers work channel-first: the two spinor channels are held as
 one contiguous ``(2, *sites)`` array, transformed over the site axes by
@@ -196,9 +193,9 @@ def _row_blocks(x: np.ndarray):
     return [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
 
 
-def _channel_first(values: np.ndarray, dtype=np.complex128) -> np.ndarray:
-    """Contiguous ``(channels, *sites)`` copy of channel-last field values at ``dtype``, never a view."""
-    return np.array(np.moveaxis(values, -1, 0), dtype=dtype, order="C")
+def _channel_first(values: np.ndarray) -> np.ndarray:
+    """Contiguous complex128 ``(channels, *sites)`` copy of channel-last field values, never a view."""
+    return np.array(np.moveaxis(values, -1, 0), dtype=np.complex128, order="C")
 
 
 def _channel_last(x: np.ndarray) -> np.ndarray:
@@ -247,11 +244,11 @@ def _dirac_multiplier(zeta: np.ndarray, m: float) -> _Multiplier:
 
 
 def _resolvent_multiplier(zeta: np.ndarray, m: float, z: complex) -> _Multiplier:
-    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``, at its dtype.
+    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
 
     ``1/den``, ``zeta/den`` and ``conj(zeta)/den`` are computed here once, not on every apply.
     """
-    m, z = float(m), complex(z)  # Python scalars keep the dtype of ``zeta``
+    m, z = float(m), complex(z)  # Python scalars, so a float32 mass cannot narrow ``m + z``
     s = 1.0 / (np.abs(zeta) ** 2 + m * m - z * z)
     return _Multiplier(s, zeta * s, np.conj(zeta) * s, m + z, z - m)
 
@@ -282,21 +279,14 @@ def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
 def _vmul_blocks(Vh: np.ndarray, u: np.ndarray):
     """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u``.
 
-    ``Vh`` is never copied whole: it is read through views or, when wider than
-    ``u``, cast one row block at a time into a reused buffer of ``u``'s dtype, so
-    the products run at that dtype.  The yielded block buffer is reused.
+    ``Vh`` is read through views, never copied whole.  The yielded block buffer is reused.
     """
     blocks = _row_blocks(u)
     buf = np.empty_like(u[:, blocks[0]])
     tmp = np.empty_like(buf[0])
-    wider = np.promote_types(Vh.dtype, u.dtype) != u.dtype
-    cast = np.empty(Vh[blocks[0]].shape, dtype=u.dtype) if wider else None
     for rows in blocks:
         k = rows.stop - rows.start
         vu, t, V = buf[:, :k], tmp[:k], Vh[rows]
-        if wider:
-            V = cast[:k]
-            V[...] = Vh[rows]
         for a in range(2):
             np.multiply(V[..., a, 0], u[0, rows], out=vu[a])
             np.multiply(V[..., a, 1], u[1, rows], out=t)
@@ -305,7 +295,7 @@ def _vmul_blocks(Vh: np.ndarray, u: np.ndarray):
 
 
 def _sum_sq(x: np.ndarray) -> float:
-    """``sum |x|**2`` over a channel-first block, accumulated in float64 at any dtype of ``x``."""
+    """``sum |x|**2`` over a channel-first block, one channel at a time."""
     return sum(float(np.vdot(c, c).real) for c in x)
 
 
@@ -376,6 +366,20 @@ def _require_tolerance(tol: float):
         raise ValueError(f"solver tolerance must be finite and positive, got {tol!r}")
 
 
+def _require_refine(refine: int):
+    """Raise `ValueError` unless ``refine`` is an integer of at least 1."""
+    if not isinstance(refine, (int, np.integer)) or refine < 1:
+        raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
+
+
+def _require_spinor_function(phi: ContinuumFunction, mesh: Mesh):
+    """Raise `MeshMismatch` unless ``phi`` has the dimension of ``mesh``, which is 2, and two channels."""
+    if phi.d != mesh.d:
+        raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
+    if mesh.d != 2 or phi.channels != 2:
+        raise MeshMismatch("continuum resolvent acts on 2D two-channel functions")
+
+
 def _require_complex_shift(z: complex):
     if complex(z).imag == 0:
         raise RealShift(f"shift {z} lies on the real axis")
@@ -432,8 +436,8 @@ def resolvent_continuum(
     corners.  Adequacy is checked by refinement doubling in tests.
     """
     _require_complex_shift(z)
-    if mesh.d != 2 or phi.channels != 2:
-        raise MeshMismatch("continuum resolvent acts on 2D two-channel functions")
+    _require_spinor_function(phi, mesh)
+    _require_refine(refine)
     ref = Mesh(mesh.d, mesh.h / refine, mesh.N * refine)
     grid = FrequencyGrid(ref)
     coords = grid.coords()
@@ -459,25 +463,17 @@ def _gmres(matvec, b_vec, tol, restart, max_iter, x0=None):
     return spla.gmres(op, b_vec, x0, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
 
 
-# Neumann steps run in complex64 until the relative step norm reaches this (single
-# precision stagnates near 1e-7); complex128 steps then continue down to the tolerance.
-_SINGLE_PRECISION_STOP = 1e-6
+def _neumann_steps(w, values, symbol, Vh, steps, relative, goal):
+    """Up to ``steps`` Neumann steps ``w <- psi - V R_z w`` in place.
 
-
-def _neumann_steps(w, values, symbol, Vh, steps, relative, goal, stop_on_rise):
-    """Up to ``steps`` Neumann steps ``w <- psi - V R_z w`` in place, at the dtype of ``w``.
-
-    ``symbol`` has the same dtype; ``u = R_z w`` is held at it for this call
-    only, and ``psi`` is read through a channel-first view of ``values``, cast
-    to it for this call only when the dtypes differ.  Stops once the relative
-    step norm ``||w_old - w_new|| / ||psi||``, which is the residual of
-    ``w_old``, is at most ``goal`` or, with ``stop_on_rise``, no lower than the
-    one before.  Returns the steps taken, the last step norm and the last ``u``.
+    ``psi`` is read through a channel-first view of ``values``, and ``u = R_z w``
+    is held for this call only.  Stops once the relative step norm
+    ``||w_old - w_new|| / ||psi||``, which is the residual of ``w_old``, is at
+    most ``goal``.  Returns the last step norm and the last ``u``, ``R_z w_old``.
     """
-    rhs = np.moveaxis(values.astype(w.dtype, copy=False), -1, 0)
+    rhs = np.moveaxis(values, -1, 0)
     u = np.empty_like(w)
-    res = np.inf
-    for taken in range(1, steps + 1):
+    for _ in range(steps):
         np.copyto(u, w)
         u = _multiplier_apply(u, symbol)
         sum_sq = 0.0
@@ -487,41 +483,10 @@ def _neumann_steps(w, values, symbol, Vh, steps, relative, goal, stop_on_rise):
             step -= w_next
             sum_sq += _sum_sq(step)
             step[...] = w_next
-        last, res = res, relative(sum_sq)
-        if res <= goal or (stop_on_rise and res >= last):
-            return taken, res, u
-    return steps, res, u
-
-
-def _neumann(values, zeta, m, z, Vh, tol, max_iter, relative, w=None) -> np.ndarray:
-    """Neumann iteration on ``(I + V R_z) w = psi`` in two precisions; returns ``u = R_z w``.
-
-    From ``psi`` (``w`` None), complex64 steps run until the step norm reaches
-    ``max(tol, _SINGLE_PRECISION_STOP)`` or stops falling, leaving at least one
-    of the ``max_iter`` steps, and ``w`` is then cast to complex128.  A given
-    complex128 start ``w`` (overwritten) skips that phase, since casting an
-    accurate iterate to complex64 would lose most of its digits.  Complex128
-    steps then continue until ``tol``, so the channel-first complex128 ``u``
-    returned comes from a step that passed the double-precision test.  Each
-    phase holds its own symbol and ``u`` (``psi`` is copied only for the cast
-    to complex64, ``V`` is cast per row block), and those of the complex64
-    phase are gone before the complex128 phase allocates, so the memory peak
-    is that of the complex128 phase alone.
-    """
-    taken = 0
-    if w is None:
-        w = _channel_first(values, np.complex64)
-        taken = _neumann_steps(
-            w, values, _resolvent_multiplier(zeta.astype(np.complex64), m, z), Vh,
-            max_iter - 1, relative, max(tol, _SINGLE_PRECISION_STOP), stop_on_rise=True,
-        )[0]  # keeps the step count only, so the complex64 u dies here
-        w = w.astype(np.complex128)
-    symbol = _resolvent_multiplier(zeta, m, z)
-    del zeta  # freed before the complex128 phase allocates
-    _, res, u = _neumann_steps(w, values, symbol, Vh, max_iter - taken, relative, tol, stop_on_rise=False)
-    if res > tol:
-        raise NoConvergence(max_iter, res)
-    return u
+        res = relative(sum_sq)
+        if res <= goal:
+            break
+    return res, u
 
 
 def _prolong(u: np.ndarray, mesh: Mesh) -> np.ndarray:
@@ -559,16 +524,16 @@ def _solve_with_potential(
 
     ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
     ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
-    Both iterations stop when its relative norm is at most ``tol``.  Neumann (see
-    `_neumann`) runs complex64 steps first and complex128 steps last, at most
-    ``max_iter`` in all; Krylov runs complex128 GMRES, then one `_neumann_steps` step
-    for ``u`` and the residual.  Either way ``u`` is complex128 and passed a complex128 test.
+    Everything runs in complex128.  Neumann takes at most ``max_iter`` `_neumann_steps`
+    steps; Krylov runs GMRES and hands its ``w`` to one such step, which forms ``u``
+    and the residual.  Either way ``u`` comes from a step whose residual was measured,
+    and a relative residual above ``tol`` raises `NoConvergence`.
 
     The continuum symbol is the same on every mesh of the box, so for ``p`` None and
     ``N % 4 == 0`` (``N >= 8``) the problem restricted to the even sites, which are
     the sites of the half mesh, is solved first by this function, with the policy
     chosen here.  Its solution, interpolated by `_prolong`, gives the start
-    ``w = psi - V u`` of complex128 Neumann steps or of GMRES, each with its own
+    ``w = psi - V u`` of Neumann steps or of GMRES, each with its own
     ``max_iter``.  For smooth data the first step already passes the test.  A level
     that does not converge raises `NoConvergence` for its own residual.
     """
@@ -603,25 +568,25 @@ def _solve_with_potential(
         for rows, vu in _vmul_blocks(Vh, w):  # w <- psi - V w, one row block at a time
             np.subtract(rhs[:, rows], vu, out=w[:, rows])
 
-    if policy == "neumann":
-        u = _neumann(psi.values, _zeta_natural(mesh, p), m, z, Vh, tol, max_iter, relative, w)
-        return LatticeField(mesh, _channel_last(u))
-
     symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
-    shape = (psi.channels,) + mesh.shape
+    steps, info = max_iter, 0
+    if policy == "krylov":
+        shape = (psi.channels,) + mesh.shape
 
-    # krylov: residual-minimizing iteration on w + V R_z w = psi, in channel-first vector order
-    def matvec(w_vec):
-        w = w_vec.reshape(shape)
-        out = _multiplier_apply(w.copy(), symbol)
-        for rows, vu in _vmul_blocks(Vh, out):
-            np.add(w[:, rows], vu, out=out[:, rows])
-        return out.ravel()
+        # residual-minimizing iteration on w + V R_z w = psi, in channel-first vector order
+        def matvec(w_vec):
+            w = w_vec.reshape(shape)
+            out = _multiplier_apply(w.copy(), symbol)
+            for rows, vu in _vmul_blocks(Vh, out):
+                np.add(w[:, rows], vu, out=out[:, rows])
+            return out.ravel()
 
-    x0 = None if w is None else w.ravel()
-    w_vec, info = _gmres(matvec, _channel_first(psi.values).ravel(), tol * 1e-2, restart, max_iter, x0)
-    # one Neumann step forms u = R_z w and the residual of w (the step itself is discarded)
-    _, res, u = _neumann_steps(w_vec.reshape(shape), psi.values, symbol, Vh, 1, relative, tol, False)
+        x0 = None if w is None else w.ravel()
+        w_vec, info = _gmres(matvec, _channel_first(psi.values).ravel(), tol * 1e-2, restart, max_iter, x0)
+        w, steps = w_vec.reshape(shape), 1  # the one step forms u = R_z w and the residual of w
+    elif w is None:
+        w = _channel_first(psi.values)
+    res, u = _neumann_steps(w, psi.values, symbol, Vh, steps, relative, tol)
     if res > tol:
         raise NoConvergence(info if info > 0 else max_iter, res)
     return LatticeField(mesh, _channel_last(u))

@@ -249,6 +249,14 @@ def test_resolvent_region_violation_is_an_error(capsys):
     assert "NotInResolventRegion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("function", ["gaussian2d", "modwave2d", "freqbump2d"])
+def test_one_channel_function_is_a_resolvent_sweep_error(function, capsys):
+    code = main(["resolve-potential", "--function", function,
+                 "--potential", "nonhermitian-gaussian", "--z", "3i"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: MeshMismatch: ")
+
+
 def test_resolvent_gate_failure_exits_two(capsys):
     # two levels only: errors roughly halve, so "final < first/4" must fail
     code = main(["resolve-free", "--sweep", "0.4,0.2", "--refine", "4"])

@@ -74,6 +74,17 @@ def test_sweep_rejects_bad_refine(refine):
               potential="nonhermitian-gaussian", refine=refine)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"m": -1.0}, "mass"), ({"m": float("nan")}, "mass"), ({"m": float("inf")}, "mass"),
+    ({"z": complex(float("nan"), 3.0)}, "shift"), ({"z": complex(0.0, float("inf"))}, "shift"),
+])
+def test_sweep_rejects_bad_mass_or_shift(bad, message):
+    # raised on construction, before any reference is sampled or solved
+    with pytest.raises(ValueError, match=message):
+        Sweep(**{"hs": (0.8, 0.4), "box": 9.6, "function": "gaussian-spinor", "z": 3j,
+                 "potential": "nonhermitian-gaussian", **bad})
+
+
 def test_sweep_requires_commensurate_box():
     with pytest.raises(ValueError):
         Sweep(hs=(0.3,), box=1.0, function="gaussian1d")  # 1.0/0.3 not integral
@@ -238,9 +249,14 @@ def test_floor_guard_level_runs_with_the_other_levels(monkeypatch):
     (exp_resolvent_free, {}, "continuum resolvent acts on 2D two-channel functions"),
     (exp_resolvent_potential, {"z": 3j, "potential": "nonhermitian-gaussian"},
      "function is 1-dimensional, mesh is 2-dimensional"),
+    # one-channel 2D functions are rejected before any reference work, by the same check
+    (exp_resolvent_free, {"function": "gaussian2d"},
+     "continuum resolvent acts on 2D two-channel functions"),
+    (exp_resolvent_potential, {"function": "gaussian2d", "z": 3j, "potential": "nonhermitian-gaussian"},
+     "continuum resolvent acts on 2D two-channel functions"),
 ])
 def test_resolvent_sweeps_reject_1d_functions(experiment, extra, message):
-    sweep = Sweep(hs=(0.4, 0.2), box=9.6, function="gaussian1d", refine=2, **extra)
+    sweep = Sweep(**{"hs": (0.4, 0.2), "box": 9.6, "function": "gaussian1d", "refine": 2, **extra})
     with pytest.raises(MeshMismatch) as info:
         experiment(sweep)
     assert str(info.value) == message

@@ -250,6 +250,12 @@ def test_continuum_resolvent_stable_under_refinement_doubling():
     assert np.max(np.abs(r8.values - r16.values)) < 1e-8
 
 
+@pytest.mark.parametrize("refine", [0, -2, 2.5, 2.0])
+def test_continuum_resolvent_rejects_bad_refine(refine):
+    with pytest.raises(ValueError, match="refine"):
+        resolvent_continuum(gaussian_spinor(), 2j, 1.0, Mesh(2, 0.4, 24), refine=refine)
+
+
 def test_continuum_resolvent_stationary_mode_limit():
     # a spinor with transform concentrated near xi0 sees (symbol(xi0)-z)^-1;
     # the gap shrinks with the frequency width (box grows to hold the state)
@@ -478,35 +484,36 @@ def _spy_fftn(monkeypatch, record=lambda x: x.dtype) -> list:
     return dtypes
 
 
-def test_neumann_runs_complex64_steps_then_complex128(monkeypatch, rng):
+def test_solves_run_in_complex128(monkeypatch, rng):
+    # every transform of either policy, with the discrete symbol and the continuum one, and every result
     mesh = Mesh(2, 0.15, 64)
     psi = random_field(mesh, 2, rng)
-    q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.15), policy="neumann")
+    V = potential_catalog("nonhermitian-gaussian")
+    Vh = sample_potential(V, mesh)
     dtypes = _spy_fftn(monkeypatch)
-    u = resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
-    single = dtypes.count(np.complex64)
-    assert 0 < single < len(dtypes)
-    assert dtypes == [np.dtype(np.complex64)] * single + [np.dtype(np.complex128)] * (len(dtypes) - single)
-    assert u.values.dtype == np.complex128
+    for policy in ("neumann", "krylov"):
+        q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.15), policy=policy)
+        discrete = resolvent_with_potential(psi, q, V)
+        continuum = _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, policy, 1e-10, 2000, 50)
+        assert discrete.values.dtype == continuum.values.dtype == np.complex128
+    assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
 
 
-def test_neumann_step_cap_spans_both_phases(monkeypatch, rng):
-    # three steps do not reach the tolerance; the last one is still a complex128 step
+def test_neumann_step_cap_spans_both_phases(rng):
+    # three steps do not reach the tolerance
     mesh = Mesh(2, 0.5, 16)
     psi = random_field(mesh, 2, rng)
     q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.5), policy="neumann", max_iter=3)
-    dtypes = _spy_fftn(monkeypatch)
     with pytest.raises(NoConvergence) as info:
         resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
     assert info.value.iterations == 3
-    assert dtypes == [np.dtype(np.complex64)] * 2 + [np.dtype(np.complex128)]
 
 
 @PROPERTY
 @given(N=EVEN_N, h=st.sampled_from([0.5, 1.0]), m=st.floats(0.5, 1.5),
        name=st.sampled_from(POTENTIAL_IDS), gap=st.floats(0.25, 3.0),
        re=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]), seed=SEEDS)
-def test_two_precision_neumann_matches_a_double_loop_property(N, h, m, name, gap, re, sign, seed):
+def test_neumann_matches_a_double_loop_property(N, h, m, name, gap, re, sign, seed):
     # the solver against a plain complex128 Neumann loop, at shifts where sup||V|| / |Im z| < 0.9
     mesh = Mesh(2, h, N)
     V = potential_catalog(name)
