@@ -100,18 +100,18 @@ def _fmt(value) -> str:
 
 @dataclass
 class RunConfig:
-    """Validated experiment configuration; one field per CLI flag."""
+    """Validated experiment configuration; one field per CLI flag, with the defaults of `Sweep`."""
 
     experiment: str
-    function: str = "gaussian2d"
-    potential: Optional[str] = None
-    hs: tuple[float, ...] = DYADIC_HS
-    box: float = 9.6
-    m: float = 1.0
+    function: str = Sweep.function
+    potential: Optional[str] = Sweep.potential
+    hs: tuple[float, ...] = Sweep.hs
+    box: float = Sweep.box
+    m: float = Sweep.m
     h: float = 1.0
-    z: complex = 2j
-    s: float = 1.0
-    refine: int = 8
+    z: complex = Sweep.z
+    s: float = Sweep.s
+    refine: int = Sweep.refine
     grid: int = 256
     N: int = 16
     out: Optional[str] = None
@@ -315,16 +315,8 @@ def _gate_report(report: ConvergenceReport) -> tuple[bool, str]:
 
 
 def _run_sweep_experiment(config: RunConfig) -> int:
-    sweep = Sweep(
-        hs=config.hs,
-        box=config.box,
-        function=config.function,
-        m=config.m,
-        z=config.z,
-        potential=config.potential,
-        s=config.s,
-        refine=config.refine,
-    )
+    shared = {f.name for f in fields(Sweep)} & {f.name for f in fields(RunConfig)}
+    sweep = Sweep(**{name: getattr(config, name) for name in shared})
     runner = {
         "project": exp_projection,
         "ft": exp_ft,

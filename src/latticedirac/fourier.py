@@ -148,10 +148,15 @@ def continuum_ft_of_step(f: LatticeField, xi) -> np.ndarray:
     vals = f.values.reshape(-1, f.channels)
     phase = np.exp(-1j * (xi @ sites.T))  # (..., nsites)
     base = (2 * np.pi) ** (-mesh.d / 2) * mesh.h**mesh.d * (phase @ vals)
+    return base * _step_factor(xi, mesh.h)[..., None]
+
+
+def _step_factor(xi: np.ndarray, h: float) -> np.ndarray:
+    """``prod_j a(h*xi_j)`` over the last axis of ``xi``."""
     factor = np.ones(xi.shape[:-1], dtype=complex)
-    for j in range(mesh.d):
-        factor = factor * a_factor(mesh.h * xi[..., j])
-    return base * factor[..., None]
+    for j in range(xi.shape[-1]):
+        factor = factor * a_factor(h * xi[..., j])
+    return factor
 
 
 def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
@@ -187,7 +192,8 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     for lo, hi in ((b, np.inf), (-np.inf, -b)):
         val, _ = integrate.dblquad(integrand, lo, hi, -np.inf, np.inf, **opts)
         total += val
-    # remaining horizontal strips |xi_1| <= b, |xi_2| > b
+    # meant as the horizontal strips |xi_1| <= b, |xi_2| > b, but the swapped arguments integrate
+    # |xi_1| > b, |xi_2| <= b again: exact only for spectra symmetric under xi_1 <-> xi_2
     for lo, hi in ((b, np.inf), (-np.inf, -b)):
         val, _ = integrate.dblquad(lambda q1, q2: integrand(q2, q1), -b, b, lo, hi, **opts)
         total += val
@@ -224,18 +230,14 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float, oversample: 
     form, which is integrated adaptively.  Returns the root of the summed
     squares.  ``s = 0`` is allowed as an unweighted diagnostic.
     """
-    if s < 0:
-        raise ValueError("weight exponent must be nonnegative")
+    if not 0 <= s < np.inf:
+        raise ValueError(f"weight exponent must be finite and nonnegative, got {s!r}")
     if phi.fourier is None:
         raise UnknownClosedForm(f"{phi.name} declares no closed-form transform")
     u = dft_oversampled(sample(phi, mesh), oversample)
     coords = u.grid.coords()
     weight = (1.0 + np.sum(coords**2, axis=-1)) ** (-s / 2.0)
-    one_minus_a = np.ones(coords.shape[:-1], dtype=complex)
-    for j in range(mesh.d):
-        one_minus_a = one_minus_a * a_factor(mesh.h * coords[..., j])
-    one_minus_a = 1.0 - one_minus_a
-    diff = (one_minus_a * weight)[..., None] * u.values
+    diff = ((1.0 - _step_factor(coords, mesh.h)) * weight)[..., None] * u.values
     box_sq = u.grid.cell_volume * np.sum(np.abs(diff) ** 2)
     tail_sq = _tail_integral(phi, np.pi / mesh.h, s)
     return float(np.sqrt(box_sq + tail_sq))

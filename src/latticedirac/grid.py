@@ -98,8 +98,8 @@ class Mesh:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.d}")
-        if not self.h > 0:
-            raise ValueError(f"mesh size must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"mesh size must be finite and positive, got {self.h!r}")
         if self.N < 4 or self.N % 2:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
 
@@ -197,9 +197,14 @@ class ContinuumFunction:
 
 def sample(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     """Pointwise samples ``phi(h*n)`` interpreted as the step function ``phi_h``."""
+    _require_dimension(phi, mesh)
+    return LatticeField(mesh, phi(mesh.site_coords()))
+
+
+def _require_dimension(phi: ContinuumFunction, mesh: Mesh):
+    """Raise `MeshMismatch` unless ``phi`` has the dimension of ``mesh``."""
     if phi.d != mesh.d:
         raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
-    return LatticeField(mesh, phi(mesh.site_coords()))
 
 
 def _thread_map(fn, tasks: Sequence) -> list:
@@ -322,8 +327,7 @@ def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     in row blocks (see the module docstring); `exp_projection` gets these
     averages from the same node values as its error integrals.
     """
-    if phi.d != mesh.d:
-        raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
+    _require_dimension(phi, mesh)
     (pair,) = _cell_quadrature(phi, mesh, means=True)
     return _cell_averages(phi, mesh, pair)
 
@@ -380,8 +384,7 @@ def l2_error_vs_continuum(f: LatticeField, phi: ContinuumFunction) -> float:
     `exp_projection` evaluates ``phi`` at the nodes once per level for this
     integral, the one of the projection and `project` itself.
     """
-    if phi.d != f.mesh.d:
-        raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {f.mesh.d}-dimensional")
+    _require_dimension(phi, f.mesh)
     (pair,) = _cell_quadrature(phi, f.mesh, [f.values])
     return _error_norm(pair, f.values, phi, f.mesh)
 

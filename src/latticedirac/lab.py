@@ -53,7 +53,7 @@ from .operators import (
     _solve_with_potential,
     _zeta,
 )
-from .symbols import DiracParams
+from .symbols import DiracParams, _require_mass
 
 __all__ = [
     "Sweep",
@@ -98,10 +98,12 @@ class Sweep:
     def __post_init__(self):
         _require_tolerance(self.tol)
         _require_refine(self.refine)
-        if not 0.0 <= self.m < np.inf:
-            raise ValueError(f"mass must be finite and nonnegative, got {self.m!r}")
-        if not np.isfinite(complex(self.z)):
-            raise ValueError(f"shift z must be finite, got {self.z!r}")
+        _require_mass(self.m)
+        # finiteness only: the sweeps that ignore z take a real one, and the resolvent solves reject it
+        numbers = [("shift z", self.z), ("box", self.box), ("s", self.s)]
+        for name, value in numbers + [("mesh size", h) for h in self.hs]:
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if len(self.hs) < 1:
             raise ValueError("sweep needs at least one mesh size")
         if any(a <= b for a, b in zip(self.hs, self.hs[1:])):
@@ -341,7 +343,9 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     the reference is first solved on the even sites (recursively, while the
     site count stays a multiple of 4) and iterated on each finer mesh from the
     interpolated coarser solution; the fine mesh's own residual test certifies
-    it at ``sweep.tol``.
+    it at ``sweep.tol``.  The levels compare against block averages of its point
+    values: a left-endpoint rule on each coarse cell, biased at first order in
+    ``h / refine``, where the free sweep's reference holds exact cell averages.
     """
     V = sweep.resolved_potential()
     if V is None:

@@ -41,12 +41,11 @@ from .errors import (
     MeshMismatch,
     NoConvergence,
     NotInResolventRegion,
-    RealShift,
     TooLarge,
 )
-from .fourier import FrequencyGrid, SpectralField, _fftn, a_factor, dft, idft
-from .grid import ContinuumFunction, LatticeField, Mesh, norm_l2, project
-from .symbols import DiracParams, opnorm_2x2, zeta_discrete
+from .fourier import FrequencyGrid, SpectralField, _fftn, _step_factor, dft, idft
+from .grid import ContinuumFunction, LatticeField, Mesh, _require_dimension, norm_l2, project
+from .symbols import DiracParams, _require_complex_shift, _require_mass, opnorm_2x2, zeta_discrete
 
 __all__ = [
     "PotentialSpec",
@@ -156,13 +155,18 @@ def potential_catalog(name: str) -> PotentialSpec:
 # difference operators and the Dirac stencil
 
 
-def _check_spinor(psi: LatticeField, p: DiracParams):
-    if psi.mesh.d != 2:
+def _check_operator_mesh(p: DiracParams, mesh: Mesh):
+    """Raise `MeshMismatch` unless ``mesh`` is 2D with the mesh size of ``p``."""
+    if mesh.d != 2:
         raise MeshMismatch("the Dirac operator acts on 2D meshes")
+    if abs(p.h - mesh.h) > 1e-14 * p.h:
+        raise MeshMismatch(f"operator mesh size {p.h} differs from mesh size {mesh.h}")
+
+
+def _check_spinor(psi: LatticeField, p: DiracParams):
+    _check_operator_mesh(p, psi.mesh)
     if psi.channels != 2:
         raise MeshMismatch("the Dirac operator acts on two-channel fields")
-    if abs(p.h - psi.mesh.h) > 1e-14 * p.h:
-        raise MeshMismatch(f"operator mesh size {p.h} differs from field mesh size {psi.mesh.h}")
 
 
 def diff_forward(f: LatticeField, j: int) -> LatticeField:
@@ -339,8 +343,9 @@ def apply_dirac(
 class ResolventQuery:
     """Shift, operator parameters, and solver policy for a resolvent solve.
 
-    Raises `ValueError` on construction for an unknown policy, a ``tol`` that is
-    not finite and positive, or ``max_iter`` or ``restart`` below 1.
+    Raises on construction `RealShift` for a real shift, and `ValueError` for a shift that
+    is not finite, an unknown policy, a ``tol`` that is not finite and positive, or
+    ``max_iter`` or ``restart`` below 1.
     """
 
     z: complex
@@ -351,6 +356,7 @@ class ResolventQuery:
     restart: int = 50
 
     def __post_init__(self):
+        _require_complex_shift(self.z)
         if self.policy not in (None, "neumann", "krylov", "dense-oracle"):
             raise ValueError(f"unknown solver policy {self.policy!r}")
         _require_tolerance(self.tol)
@@ -374,15 +380,9 @@ def _require_refine(refine: int):
 
 def _require_spinor_function(phi: ContinuumFunction, mesh: Mesh):
     """Raise `MeshMismatch` unless ``phi`` has the dimension of ``mesh``, which is 2, and two channels."""
-    if phi.d != mesh.d:
-        raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
+    _require_dimension(phi, mesh)
     if mesh.d != 2 or phi.channels != 2:
         raise MeshMismatch("continuum resolvent acts on 2D two-channel functions")
-
-
-def _require_complex_shift(z: complex):
-    if complex(z).imag == 0:
-        raise RealShift(f"shift {z} lies on the real axis")
 
 
 def _require_resolvent_region(z: complex, V: PotentialSpec):
@@ -395,7 +395,6 @@ def _require_resolvent_region(z: complex, V: PotentialSpec):
 
 def resolvent_free(psi: LatticeField, q: ResolventQuery) -> LatticeField:
     """Free resolvent ``(D - z)**-1 psi`` by closed-form symbol inversion."""
-    _require_complex_shift(q.z)
     _check_spinor(psi, q.p)
     symbol = _resolvent_multiplier(_zeta_natural(psi.mesh, q.p), q.p.m, q.z)
     return LatticeField(psi.mesh, _channel_last(_multiplier_apply(_channel_first(psi.values), symbol)))
@@ -436,6 +435,7 @@ def resolvent_continuum(
     corners.  Adequacy is checked by refinement doubling in tests.
     """
     _require_complex_shift(z)
+    _require_mass(m)
     _require_spinor_function(phi, mesh)
     _require_refine(refine)
     ref = Mesh(mesh.d, mesh.h / refine, mesh.N * refine)
@@ -446,10 +446,7 @@ def resolvent_continuum(
     else:
         spec = dft(project(phi, ref)).values
     out = _resolvent_multiplier(_zeta(coords, None), m, z)(_channel_first(spec))
-    averager = np.ones(coords.shape[:-1], dtype=complex)
-    for j in range(mesh.d):
-        averager = averager * np.conj(a_factor(mesh.h * coords[..., j]))
-    out *= averager
+    out *= np.conj(_step_factor(coords, mesh.h))
     fine = idft(SpectralField(grid, _channel_last(out)))
     coarse_vals = fine.values[::refine, ::refine, :]
     return LatticeField(mesh, coarse_vals)
@@ -548,16 +545,6 @@ def _solve_with_potential(
     if policy is None:
         policy = "neumann" if sup_norm / abs(complex(z).imag) <= 0.9 else "krylov"
 
-    if policy == "dense-oracle":
-        if mesh.N > 32:
-            raise TooLarge(f"dense oracle capped at N=32, got N={mesh.N}")
-        if p is None:
-            raise ValueError("dense assembly only implements the discrete stencils")
-        A = _dense_from_parts(mesh, m, Vh)
-        shifted = A - complex(z) * np.eye(A.shape[0])
-        u_vec = np.linalg.solve(shifted, field_to_vec(psi))
-        return vec_to_field(u_vec, mesh)
-
     w = None  # the cold start: psi for Neumann, zero for GMRES
     if p is None and mesh.N % 4 == 0 and mesh.N >= 8:
         half = LatticeField(Mesh(mesh.d, 2 * mesh.h, mesh.N // 2), psi.values[::2, ::2])
@@ -598,11 +585,14 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
     Requires ``|Im z| > skew_bound`` with an absolute margin of 1e-12;
     equality is outside the guaranteed region.  Policy ``None`` selects
     Neumann iteration when the contraction is certified and the Krylov
-    fallback otherwise.
+    fallback otherwise; ``"dense-oracle"`` solves with `dense_matrix`.
     """
-    _require_complex_shift(q.z)
     _check_spinor(psi, q.p)
     _require_resolvent_region(q.z, V)
+    if q.policy == "dense-oracle":
+        A = dense_matrix(q.p, psi.mesh, V)
+        u_vec = np.linalg.solve(A - complex(q.z) * np.eye(A.shape[0]), field_to_vec(psi))
+        return vec_to_field(u_vec, psi.mesh)
     Vh = sample_potential(V, psi.mesh)
     return _solve_with_potential(
         psi, complex(q.z), q.p.m, Vh, V.sup_norm, q.policy, q.tol, q.max_iter, q.restart, p=q.p
@@ -629,40 +619,33 @@ def _diff_matrix_1d(N: int, h: float) -> np.ndarray:
     return (S - np.eye(N)) / h
 
 
-def _dense_from_parts(mesh: Mesh, m: float, Vh: Optional[np.ndarray]) -> np.ndarray:
-    N, h = mesh.N, mesh.h
-    D1 = _diff_matrix_1d(N, h)
-    eye = np.eye(N)
-    dx = np.kron(D1, eye)  # forward difference along axis 0
-    dy = np.kron(eye, D1)  # forward difference along axis 1
-    nsites = N * N
-    A = np.zeros((2 * nsites, 2 * nsites), dtype=complex)
-    A[:nsites, :nsites] = m * np.eye(nsites)
-    A[nsites:, nsites:] = -m * np.eye(nsites)
-    A[:nsites, nsites:] = 1j * dx.T + dy.T  # adjoints of the forward differences
-    A[nsites:, :nsites] = -1j * dx + dy
-    if Vh is not None:
-        for a in range(2):
-            for b in range(2):
-                block = np.diag(Vh[..., a, b].ravel())
-                A[a * nsites : (a + 1) * nsites, b * nsites : (b + 1) * nsites] += block
-    return A
-
-
 def dense_matrix(p: DiracParams, mesh: Mesh, V: Optional[PotentialSpec] = None) -> np.ndarray:
     """Explicit ``(2*N**2) x (2*N**2)`` matrix of the operator with periodic stencils.
 
     Test oracle only; capped at ``N <= 32``.  Hermitian exactly when the
     potential has no skew part.
     """
-    if mesh.d != 2:
-        raise MeshMismatch("dense oracle is built for 2D meshes")
-    if abs(p.h - mesh.h) > 1e-14 * p.h:
-        raise MeshMismatch(f"operator mesh size {p.h} differs from mesh size {mesh.h}")
+    _check_operator_mesh(p, mesh)
     if mesh.N > 32:
         raise TooLarge(f"dense oracle capped at N=32, got N={mesh.N}")
-    Vh = sample_potential(V, mesh) if V is not None else None
-    return _dense_from_parts(mesh, p.m, Vh)
+    N = mesh.N
+    D1 = _diff_matrix_1d(N, mesh.h)
+    eye = np.eye(N)
+    dx = np.kron(D1, eye)  # forward difference along axis 0
+    dy = np.kron(eye, D1)  # forward difference along axis 1
+    nsites = N * N
+    A = np.zeros((2 * nsites, 2 * nsites), dtype=complex)
+    A[:nsites, :nsites] = p.m * np.eye(nsites)
+    A[nsites:, nsites:] = -p.m * np.eye(nsites)
+    A[:nsites, nsites:] = 1j * dx.T + dy.T  # adjoints of the forward differences
+    A[nsites:, :nsites] = -1j * dx + dy
+    if V is not None:
+        Vh = sample_potential(V, mesh)
+        for a in range(2):
+            for b in range(2):
+                block = np.diag(Vh[..., a, b].ravel())
+                A[a * nsites : (a + 1) * nsites, b * nsites : (b + 1) * nsites] += block
+    return A
 
 
 @dataclass(frozen=True)

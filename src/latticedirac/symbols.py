@@ -61,10 +61,23 @@ class DiracParams:
     h: float
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError(f"mass must be nonnegative, got {self.m}")
-        if not self.h > 0:
-            raise ValueError(f"mesh size must be positive, got {self.h}")
+        _require_mass(self.m)
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"mesh size must be finite and positive, got {self.h!r}")
+
+
+def _require_mass(m: float):
+    """Raise `ValueError` unless the mass ``m`` is finite and nonnegative."""
+    if not 0.0 <= m < np.inf:
+        raise ValueError(f"mass must be finite and nonnegative, got {m!r}")
+
+
+def _require_complex_shift(z: complex):
+    """Raise `ValueError` unless ``z`` is finite, then `RealShift` if it is real."""
+    if not np.isfinite(complex(z)):
+        raise ValueError(f"shift z must be finite, got {z!r}")
+    if complex(z).imag == 0:
+        raise RealShift(f"shift {z} lies on the real axis")
 
 
 @dataclass(frozen=True)
@@ -219,8 +232,7 @@ def resolvent_norm_bound(z: complex, xi=None, p: DiracParams | None = None, eps:
     while ``h < sqrt(eps)/(2*|Re z|)``, the sharper ``2*h/sqrt(eps)`` branch
     applies and the minimum of the two is returned (diagnostic only).
     """
-    if z.imag == 0:
-        raise RealShift("resolvent bound undefined on the real axis")
+    _require_complex_shift(z)
     generic = 1.0 / abs(z.imag)
     if eps is None:
         return generic

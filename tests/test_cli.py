@@ -5,11 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from latticedirac.cli import config_from_argv, format_complex, main, parse_complex
+from latticedirac import Sweep
+from latticedirac.cli import RunConfig, config_from_argv, format_complex, main, parse_complex
 from latticedirac.errors import ConfigError
 
 
@@ -69,6 +71,14 @@ def test_config_file_with_flag_override(tmp_path):
     assert config.m == 3.0  # flag wins
     assert config.h == 0.5  # file survives
     assert config.format == "json"
+
+
+def test_run_config_defaults_are_the_sweep_defaults():
+    config, sweep = RunConfig("project"), Sweep()
+    shared = {f.name for f in fields(RunConfig)} & {f.name for f in fields(Sweep)}
+    assert shared == {"hs", "box", "function", "m", "z", "potential", "s", "refine"}
+    for name in shared:
+        assert getattr(config, name) == getattr(sweep, name), name
 
 
 def test_config_file_unknown_field_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for difference stencils, the Dirac operator, resolvents, and the dense oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from latticedirac import (
     Mesh,
     ResolventQuery,
     SpectralField,
+    Sweep,
     apply_dirac,
     block_average,
     dense_matrix,
@@ -33,16 +36,18 @@ from latticedirac import (
     split_hermitian,
     symbol_continuum,
     symbol_discrete,
+    weighted_ft_error,
 )
 from latticedirac.errors import (
     AxisOutOfRange,
+    LatticeDiracError,
     MeshMismatch,
     NoConvergence,
     NotInResolventRegion,
     RealShift,
     TooLarge,
 )
-from latticedirac.grid import gaussian_spinor, modulated_gaussian, _stack_channels
+from latticedirac.grid import gaussian, gaussian_spinor, modulated_gaussian, _stack_channels
 from latticedirac.operators import (
     POTENTIAL_IDS,
     _solve_with_potential,
@@ -50,7 +55,7 @@ from latticedirac.operators import (
     potential_catalog,
     vec_to_field,
 )
-from latticedirac.symbols import SIGMA1, SIGMA2, SIGMA3, opnorm_2x2
+from latticedirac.symbols import SIGMA1, SIGMA2, SIGMA3, opnorm_2x2, resolvent_norm_bound
 
 from conftest import random_field
 
@@ -470,18 +475,18 @@ def test_resolvent_region_enforced(rng):
         resolvent_with_potential(psi, ResolventQuery(z=1j, p=p), V)
 
 
-def _spy_fftn(monkeypatch, record=lambda x: x.dtype) -> list:
-    """Record ``record(x)``, by default the dtype, of every array the solvers hand to `scipy.fft.fftn`."""
+def _spy_fftn(monkeypatch, record=lambda x: x.dtype, names=("fftn",)) -> list:
+    """Record ``record(x)``, by default the dtype, of every array handed to the `scipy.fft` ``names``."""
     import scipy.fft
 
-    dtypes, fftn = [], scipy.fft.fftn
+    seen = []
+    for name in names:
+        def spy(x, *args, _transform=getattr(scipy.fft, name), **kwargs):
+            seen.append(record(x))
+            return _transform(x, *args, **kwargs)
 
-    def spy(x, *args, **kwargs):
-        dtypes.append(record(x))
-        return fftn(x, *args, **kwargs)
-
-    monkeypatch.setattr(scipy.fft, "fftn", spy)
-    return dtypes
+        monkeypatch.setattr(scipy.fft, name, spy)
+    return seen
 
 
 def test_solves_run_in_complex128(monkeypatch, rng):
@@ -610,6 +615,44 @@ def test_continuum_solve_step_cap_reports_no_convergence(rng):
     assert info.value.residual > tol
 
 
+def _nonfinite_input_cases():
+    """Calls that take one number, by the input they pass it to."""
+    mesh, p = Mesh(2, 0.5, 8), DiracParams(1.0, 0.5)
+    psi = LatticeField(mesh, np.ones(mesh.shape + (2,)))
+    sweep = {"hs": (0.8, 0.4), "box": 9.6, "function": "gaussian-spinor", "z": 3j,
+             "potential": "nonhermitian-gaussian"}
+    return {
+        "DiracParams-m": lambda x: DiracParams(x, 0.5),
+        "DiracParams-h": lambda x: DiracParams(1.0, x),
+        "Mesh-h": lambda x: Mesh(2, x, 8),
+        "Sweep-m": lambda x: Sweep(**{**sweep, "m": x}),
+        "Sweep-z": lambda x: Sweep(**{**sweep, "z": complex(1.0, x)}),
+        "Sweep-box": lambda x: Sweep(**{**sweep, "box": x}),
+        "Sweep-s": lambda x: Sweep(**{**sweep, "s": x}),
+        "Sweep-hs": lambda x: Sweep(**{**sweep, "hs": (x, 0.4)}),
+        "ResolventQuery-z": lambda x: ResolventQuery(z=complex(1.0, x), p=p),
+        "resolvent_free-z": lambda x: resolvent_free(psi, ResolventQuery(z=complex(x, 1.0), p=p)),
+        "resolvent_with_potential-z": lambda x: resolvent_with_potential(
+            psi, ResolventQuery(z=complex(x, 3.0), p=p), potential_catalog("nonhermitian-gaussian")),
+        "resolvent_continuum-m": lambda x: resolvent_continuum(gaussian_spinor(), 2j, x, Mesh(2, 0.4, 24), 2),
+        "resolvent_continuum-z": lambda x: resolvent_continuum(
+            gaussian_spinor(), complex(x, 2.0), 1.0, Mesh(2, 0.4, 24), 2),
+        "weighted_ft_error-s": lambda x: weighted_ft_error(gaussian(1), Mesh(1, 0.4, 24), x),
+        "resolvent_norm_bound-z": lambda x: resolvent_norm_bound(complex(x, 1.0)),
+    }
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("case", sorted(_nonfinite_input_cases()))
+def test_non_finite_inputs_fail_before_any_transform(case, value, monkeypatch):
+    transforms = _spy_fftn(monkeypatch, names=("fftn", "ifftn"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, LatticeDiracError)):
+            _nonfinite_input_cases()[case](value)
+    assert transforms == []
+
+
 @pytest.mark.parametrize("bad", [
     {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
     {"max_iter": 0}, {"restart": 0},
@@ -677,6 +720,10 @@ def test_dense_eigenvalues_sample_the_bands():
 def test_dense_matrix_size_cap():
     with pytest.raises(TooLarge):
         dense_matrix(DiracParams(1.0, 0.1), Mesh(2, 0.1, 64))
+    psi = LatticeField(Mesh(2, 0.1, 34), np.ones((34, 34, 2)))
+    with pytest.raises(TooLarge):  # the dense-oracle policy solves with the same matrix
+        resolvent_with_potential(psi, ResolventQuery(z=2j, p=DiracParams(1.0, 0.1), policy="dense-oracle"),
+                                 potential_catalog("zero"))
 
 
 def test_strip_check_hermitian_and_nonhermitian():
