@@ -1,11 +1,15 @@
-"""Command-line front end: config parsing, experiment dispatch, result emission.
+"""Command-line front end: one table of experiments, config parsing, result emission.
 
-Every experiment prints a one-line summary with the pass/fail state of its
-built-in assertion and exits 0 on pass, 2 on assertion failure, 1 on any
-error.  Output files (CSV or JSON, chosen by ``--format``) are byte-stable
-for a given config: fixed field order and 17-significant-digit floats.
-Complex shifts are written in ``a+bi`` literal form.  A JSON config file can
-seed any flag; explicit flags win.  LATTICE_DIRAC_THREADS caps the across-h
+`_EXPERIMENTS` is the one list of subcommands.  Each entry names the
+experiment's own flags, the defaults it sets over `RunConfig`'s and its
+driver; the subparsers, the per-experiment defaults and the dispatch are all
+read from it.  Every experiment prints a one-line summary with the pass/fail
+state of its built-in assertion and exits 0 on pass, 2 on assertion failure,
+1 on any error.  Output files (CSV or JSON, chosen by ``--format``) are
+byte-stable for a given config: fixed field order and 17-significant-digit
+floats.  Complex shifts are written in ``a+bi`` literal form, and a flag's
+value may start with ``-`` (``--z -2i``).  A JSON config file can seed any
+flag; explicit flags win.  LATTICE_DIRAC_THREADS caps the across-h
 parallelism of the sweeps, the row-block workers of the cell quadrature and
 the workers of every FFT; ``--threads`` overrides it for one run.
 """
@@ -26,7 +30,6 @@ from .fourier import FrequencyGrid
 from .grid import FUNCTION_IDS, Mesh, thread_cap
 from .lab import (
     DYADIC_HS,
-    ConvergenceReport,
     Sweep,
     exp_ft,
     exp_ift,
@@ -39,17 +42,6 @@ from .symbols import DiracParams, critical_points, lambda_mh, omega, spectrum_bo
 
 __all__ = ["RunConfig", "run", "main", "parse_complex", "format_complex"]
 
-EXPERIMENTS = (
-    "omega-scan",
-    "spectrum",
-    "project",
-    "ft",
-    "ift",
-    "resolve-free",
-    "resolve-potential",
-    "oracle-eigs",
-)
-
 
 # ---------------------------------------------------------------------------
 # complex literals and float formatting
@@ -61,20 +53,9 @@ def parse_complex(text: str) -> complex:
     if not t:
         raise ConfigError("empty complex literal")
     try:
-        if not t.endswith("i"):
-            return complex(float(t), 0.0)
-        body = t[:-1]
-        split = 0
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                split = k
-                break
-        real, imag = body[:split], body[split:]
-        if imag in ("", "+"):
-            imag = "1"
-        elif imag == "-":
-            imag = "-1"
-        return complex(float(real) if real else 0.0, float(imag))
+        if set(t) & set("jJ()"):  # forms complex() takes that are not `a+bi` literals
+            raise ValueError(t)
+        return complex(t[:-1] + "j" if t.endswith("i") else t)
     except ValueError as exc:
         raise ConfigError(f"bad complex literal {text!r}") from exc
 
@@ -123,7 +104,7 @@ class RunConfig:
         for name, value in numbers + [("sweep", hv) for hv in self.hs]:
             if not np.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value!r}")
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.function not in FUNCTION_IDS:
             raise ConfigError(f"unknown test function {self.function!r}; ids: {FUNCTION_IDS}")
@@ -155,6 +136,8 @@ class RunConfig:
                 raise ConfigError(f"output directory {parent!r} does not exist")
 
 
+_HINTS = get_type_hints(RunConfig)
+
 # the JSON types that can seed each type of RunConfig field; booleans seed none
 _FILE_TYPES = {str: str, int: int, float: (int, float), complex: (str, int, float), type(None): type(None)}
 
@@ -164,8 +147,7 @@ def _check_file_value(key: str, value):
     if key == "sweep":  # 'dyadic', comma-separated floats, or a list of numbers
         kinds, items = ([float], value) if isinstance(value, list) else ([str], [value])
     else:
-        hint = get_type_hints(RunConfig)[key]
-        kinds, items = get_args(hint) or [hint], [value]  # Optional[X] gives (X, NoneType)
+        kinds, items = get_args(_HINTS[key]) or [_HINTS[key]], [value]  # Optional[X] gives (X, NoneType)
     types = tuple(_FILE_TYPES[k] for k in kinds)
     if not all(isinstance(v, types) and not isinstance(v, bool) for v in items):
         raise ConfigError(f"config file field {key!r} has the wrong type: {value!r}")
@@ -188,59 +170,56 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="lattice-dirac", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, add_help=True)
-        p.add_argument("--config", type=str, default=None, help="JSON config file; flags win")
-        p.add_argument("--out", type=str, default=None, help="output file path")
-        p.add_argument("--format", type=str, default=None, choices=("csv", "json"))
-        p.add_argument("--threads", type=int, default=None)
-        if name == "spectrum":
-            p.add_argument("--m", type=float, default=None)
-            p.add_argument("--h", type=float, default=None)
-        elif name == "omega-scan":
-            p.add_argument("--grid", type=int, default=None)
-        elif name == "oracle-eigs":
-            p.add_argument("--N", type=int, default=None)
-            p.add_argument("--h", type=float, default=None)
-            p.add_argument("--m", type=float, default=None)
-        else:
-            p.add_argument("--function", type=str, default=None)
-            p.add_argument("--sweep", type=str, default=None, help="'dyadic' or h1,h2,...")
-            p.add_argument("--box", type=float, default=None)
-            if name == "ft":
-                p.add_argument("--s", type=float, default=None)
-            if name in ("resolve-free", "resolve-potential"):
-                p.add_argument("--m", type=float, default=None)
-                p.add_argument("--z", type=str, default=None, help="complex literal, e.g. 2i")
-                p.add_argument("--refine", type=int, default=None)
-            if name == "resolve-potential":
-                p.add_argument("--potential", type=str, default=None)
-    return parser
-
-
-_EXPERIMENT_DEFAULTS = {
-    "project": {"function": "gaussian2d"},
-    "ft": {"function": "gaussian1d", "box": 25.6},
-    "ift": {"function": "freqbump1d"},
-    "resolve-free": {"function": "gaussian-spinor"},
-    "resolve-potential": {"function": "gaussian-spinor", "potential": "hermitian-gaussian"},
+# flags every experiment takes, ahead of its own; argparse options beyond a flag's type
+_SHARED_FLAGS = ("config", "out", "format", "threads")
+_FLAG_OPTIONS = {
+    "config": {"help": "JSON config file; flags win"},
+    "out": {"help": "output file path"},
+    "format": {"choices": ("csv", "json")},
+    "sweep": {"help": "'dyadic' or h1,h2,..."},
+    "z": {"help": "complex literal, e.g. 2i"},
 }
 
 
+def _flag_type(name: str):
+    """argparse type of a flag: its field's, ``X`` for ``Optional[X]``; ``z`` is parsed after the merge."""
+    hint = _HINTS.get(name, str)  # config and sweep are no fields
+    return str if hint is complex else (get_args(hint) or [hint])[0]
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="lattice-dirac", description=__doc__, add_help=True)
+    sub = parser.add_subparsers(dest="experiment", required=True)
+    for name, (flags, _, _) in _EXPERIMENTS.items():
+        p = sub.add_parser(name, add_help=True)
+        for flag in _SHARED_FLAGS + flags:
+            p.add_argument(f"--{flag}", type=_flag_type(flag), default=None, **_FLAG_OPTIONS.get(flag, {}))
+    return parser
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--flag -2i`` as ``--flag=-2i``: argparse takes ``-2i`` for an option."""
+    entry = _EXPERIMENTS.get(argv[0]) if argv else None
+    flags = {f"--{flag}" for flag in _SHARED_FLAGS + entry[0]} if entry else set()
+    out: list[str] = []
+    for token in argv:
+        is_option = token.startswith("--") or token == "-h"
+        if out and out[-1] in flags and token.startswith("-") and not is_option:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def config_from_argv(argv) -> RunConfig:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    merged: dict = dict(_EXPERIMENT_DEFAULTS.get(ns.experiment, {}))
-    config_path = getattr(ns, "config", None)
-    if config_path:
+    ns = _build_parser().parse_args(_attach_dash_values(list(argv)))
+    merged: dict = dict(_EXPERIMENTS[ns.experiment][1])
+    if ns.config:
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with open(ns.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {config_path!r}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {ns.config!r}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         keys = {f.name for f in fields(RunConfig)} - {"experiment", "hs"} | {"sweep"}  # sweep seeds hs
@@ -268,8 +247,11 @@ def config_from_argv(argv) -> RunConfig:
 # emission
 
 
-def _write_rows(path: str, fmt: str, columns: list[str], rows: list[dict]):
-    if fmt == "csv":
+def _emit_report(config: RunConfig, columns: list[str], rows: list[dict]):
+    """Write ``rows`` to ``config.out`` as CSV or JSON; nothing without ``--out``."""
+    if config.out is None:
+        return
+    if config.format == "csv":
         lines = [",".join(columns)]
         for row in rows:
             lines.append(",".join(_fmt(row.get(col)) for col in columns))
@@ -282,81 +264,55 @@ def _write_rows(path: str, fmt: str, columns: list[str], rows: list[dict]):
         ]
         payload = json.dumps({"schema-version": "1", "columns": columns, "rows": body}, indent=1)
         payload += "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)
 
 
-def _emit_report(report: ConvergenceReport, config: RunConfig):
-    if config.out is None:
-        return
-    columns = ["experiment", "h", "N", "error", "slope-so-far", "wall-ms"]
-    _write_rows(config.out, config.format, columns, report.rows())
-
-
 # ---------------------------------------------------------------------------
-# experiment drivers
+# experiment drivers: each returns (ok, summary, columns, rows)
 
 
-def _gate_report(report: ConvergenceReport) -> tuple[bool, str]:
-    prim = report.primary
-    decreasing = all(ser.monotone for ser in report.series)
-    ok = decreasing
-    notes = [f"errors {prim.errors[0]:.4g} -> {prim.errors[-1]:.4g}"]
-    if prim.slope is not None:
-        notes.append(f"slope {prim.slope:.3f}")
-    if report.experiment == "project":
-        sampling = next(s for s in report.series if s.name == "sampling")
-        ok = ok and sampling.slope is not None and 0.8 <= sampling.slope <= 1.2
-    elif report.experiment == "ift":
-        ok = ok and prim.slope is not None and 0.8 <= prim.slope <= 1.2
-    elif report.experiment == "resolve-free":
-        ok = ok and prim.errors[-1] < prim.errors[0] / 4
-    return ok, ", ".join(notes)
+def _sweep(experiment, gate=lambda report: True):
+    """Driver of a convergence sweep: its errors must decrease and ``gate(report)`` hold."""
+
+    def driver(config: RunConfig):
+        shared = {f.name for f in fields(Sweep)} & {f.name for f in fields(RunConfig)}
+        report = experiment(Sweep(**{name: getattr(config, name) for name in shared}))
+        prim = report.primary
+        ok = all(ser.monotone for ser in report.series) and gate(report)
+        notes = f"errors {prim.errors[0]:.4g} -> {prim.errors[-1]:.4g}"
+        if prim.slope is not None:
+            notes += f", slope {prim.slope:.3f}"
+        extra = f" z={format_complex(config.z)}" if config.experiment.startswith("resolve") else ""
+        columns = ["experiment", "h", "N", "error", "slope-so-far", "wall-ms"]
+        return ok, f"{config.experiment} function={config.function}{extra}: {notes}", columns, report.rows()
+
+    return driver
 
 
-def _run_sweep_experiment(config: RunConfig) -> int:
-    shared = {f.name for f in fields(Sweep)} & {f.name for f in fields(RunConfig)}
-    sweep = Sweep(**{name: getattr(config, name) for name in shared})
-    runner = {
-        "project": exp_projection,
-        "ft": exp_ft,
-        "ift": exp_ift,
-        "resolve-free": exp_resolvent_free,
-        "resolve-potential": exp_resolvent_potential,
-    }[config.experiment]
-    report = runner(sweep)
-    _emit_report(report, config)
-    ok, notes = _gate_report(report)
-    state = "PASS" if ok else "FAIL"
-    extra = f" z={format_complex(config.z)}" if config.experiment.startswith("resolve") else ""
-    print(f"{config.experiment} function={config.function}{extra}: {notes}  {state}")
-    return 0 if ok else 2
+def _primary_slope_near_one(report) -> bool:
+    slope = report.primary.slope
+    return slope is not None and 0.8 <= slope <= 1.2
 
 
-def _run_spectrum(config: RunConfig) -> int:
-    params = DiracParams(config.m, config.h)
-    (neg_lo, neg_hi), (pos_lo, pos_hi) = spectrum_bounds(params)
+def _spectrum(config: RunConfig):
+    (neg_lo, neg_hi), (pos_lo, pos_hi) = spectrum_bounds(DiracParams(config.m, config.h))
 
     def short(v):
         txt = f"{v + 0.0:.8f}".rstrip("0").rstrip(".")
         return txt if txt not in ("-0", "") else "0"
 
     text = f"[{short(neg_lo)}, {short(neg_hi)}] ∪ [{short(pos_lo)}, {short(pos_hi)}]"
-    if config.out is not None:
-        columns = ["m", "h", "lower-min", "lower-max", "upper-min", "upper-max"]
-        rows = [{"m": config.m, "h": config.h, "lower-min": neg_lo, "lower-max": neg_hi,
-                 "upper-min": pos_lo, "upper-max": pos_hi}]
-        _write_rows(config.out, config.format, columns, rows)
-    print(f"spectrum m={_fmt(config.m)} h={_fmt(config.h)}: {text}  PASS")
-    return 0
+    columns = ["m", "h", "lower-min", "lower-max", "upper-min", "upper-max"]
+    row = dict(zip(columns, (config.m, config.h, neg_lo, neg_hi, pos_lo, pos_hi)))
+    return True, f"spectrum m={_fmt(config.m)} h={_fmt(config.h)}: {text}", columns, [row]
 
 
-def _run_omega_scan(config: RunConfig) -> int:
+def _omega_scan(config: RunConfig):
     n = config.grid
     axis = -np.pi + 2 * np.pi * np.arange(n) / n
     t1, t2 = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([t1, t2], axis=-1)
-    values = omega(pts)
+    values = omega(np.stack([t1, t2], axis=-1))
     rows = [
         {"kind": "grid", "xi1": float(t1[i, j]), "xi2": float(t2[i, j]), "omega": float(values[i, j])}
         for i in range(n)
@@ -368,36 +324,45 @@ def _run_omega_scan(config: RunConfig) -> int:
     bounds_ok = bool(
         np.all(values >= -1e-13) and np.all(values <= 2 * (t1**2 + t2**2) + 1e-13)
     )
-    if config.out is not None:
-        _write_rows(config.out, config.format, ["kind", "xi1", "xi2", "omega"], rows)
-    ok = bounds_ok and len(cps) == 6
-    state = "PASS" if ok else "FAIL"
-    print(
-        f"omega-scan grid={n}: {len(cps)} critical points verified, "
-        f"bounds {'hold' if bounds_ok else 'VIOLATED'}  {state}"
-    )
-    return 0 if ok else 2
+    summary = (f"omega-scan grid={n}: {len(cps)} critical points verified, "
+               f"bounds {'hold' if bounds_ok else 'VIOLATED'}")
+    return bounds_ok and len(cps) == 6, summary, ["kind", "xi1", "xi2", "omega"], rows
 
 
-def _run_oracle_eigs(config: RunConfig) -> int:
+def _oracle_eigs(config: RunConfig):
     mesh = Mesh(2, config.h, config.N)
     params = DiracParams(config.m, config.h)
     eigs = np.sort(np.linalg.eigvalsh(dense_matrix(params, mesh)))
     lam = lambda_mh(FrequencyGrid(mesh).coords(), params).ravel()
     expected = np.sort(np.concatenate([lam, -lam]))
     deviation = np.abs(eigs - expected)
-    if config.out is not None:
-        rows = [
-            {"index": i, "eig": float(eigs[i]), "expected": float(expected[i]),
-             "deviation": float(deviation[i])}
-            for i in range(eigs.size)
-        ]
-        _write_rows(config.out, config.format, ["index", "eig", "expected", "deviation"], rows)
+    rows = [
+        {"index": i, "eig": float(eigs[i]), "expected": float(expected[i]), "deviation": float(deviation[i])}
+        for i in range(eigs.size)
+    ]
     worst = float(np.max(deviation))
-    ok = worst < 1e-10
-    state = "PASS" if ok else "FAIL"
-    print(f"oracle-eigs N={config.N} h={_fmt(config.h)} m={_fmt(config.m)}: max deviation {worst:.3e}  {state}")
-    return 0 if ok else 2
+    summary = f"oracle-eigs N={config.N} h={_fmt(config.h)} m={_fmt(config.m)}: max deviation {worst:.3e}"
+    return worst < 1e-10, summary, ["index", "eig", "expected", "deviation"], rows
+
+
+_SWEEP_FLAGS = ("function", "sweep", "box")
+_RESOLVENT_FLAGS = _SWEEP_FLAGS + ("m", "z", "refine")
+
+# subcommand -> (its flags after the shared ones, in --help order; defaults over RunConfig's; driver)
+_EXPERIMENTS = {
+    "omega-scan": (("grid",), {}, _omega_scan),
+    "spectrum": (("m", "h"), {}, _spectrum),
+    # the primary series of project is its sampling error
+    "project": (_SWEEP_FLAGS, {"function": "gaussian2d"}, _sweep(exp_projection, _primary_slope_near_one)),
+    "ft": (_SWEEP_FLAGS + ("s",), {"function": "gaussian1d", "box": 25.6}, _sweep(exp_ft)),
+    "ift": (_SWEEP_FLAGS, {"function": "freqbump1d"}, _sweep(exp_ift, _primary_slope_near_one)),
+    "resolve-free": (_RESOLVENT_FLAGS, {"function": "gaussian-spinor"},
+                     _sweep(exp_resolvent_free, lambda r: r.primary.errors[-1] < r.primary.errors[0] / 4)),
+    "resolve-potential": (_RESOLVENT_FLAGS + ("potential",),
+                          {"function": "gaussian-spinor", "potential": "hermitian-gaussian"},
+                          _sweep(exp_resolvent_potential)),
+    "oracle-eigs": (("N", "h", "m"), {}, _oracle_eigs),
+}
 
 
 def run(config: RunConfig) -> int:
@@ -406,15 +371,17 @@ def run(config: RunConfig) -> int:
     saved = os.environ.get("LATTICE_DIRAC_THREADS")
     if config.threads is not None:
         os.environ["LATTICE_DIRAC_THREADS"] = str(config.threads)
-    runners = {"spectrum": _run_spectrum, "omega-scan": _run_omega_scan, "oracle-eigs": _run_oracle_eigs}
     try:
         thread_cap(1)  # a malformed LATTICE_DIRAC_THREADS fails here, before any work
-        return runners.get(config.experiment, _run_sweep_experiment)(config)
+        ok, summary, columns, rows = _EXPERIMENTS[config.experiment][2](config)
     finally:  # --threads holds for this run only
         if saved is None:
             os.environ.pop("LATTICE_DIRAC_THREADS", None)
         else:
             os.environ["LATTICE_DIRAC_THREADS"] = saved
+    _emit_report(config, columns, rows)
+    print(f"{summary}  {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 2
 
 
 def main(argv=None) -> int:

@@ -124,7 +124,7 @@ class Mesh:
         return np.stack(grids, axis=-1)
 
     def compatible(self, other: "Mesh") -> bool:
-        return self.d == other.d and self.N == other.N and np.isclose(self.h, other.h, rtol=1e-14)
+        return self.d == other.d and self.N == other.N and abs(self.h - other.h) <= 1e-14 * self.h
 
 
 @dataclass(frozen=True)
@@ -637,31 +637,22 @@ def freq_window(d: int, R: float, p: int = 8) -> ContinuumFunction:
 
 _DEFAULT_BUMP_R = np.pi / 0.8  # fits inside the frequency box of the coarsest default mesh
 
-FUNCTION_IDS = (
-    "gaussian1d",
-    "gaussian2d",
-    "modwave2d",
-    "hat",
-    "gaussian-spinor",
-    "bandlimited-spinor",
-    "freqbump1d",
-    "freqbump2d",
-)
+# the closed catalog of test functions addressable by id (used by the CLI)
+_FUNCTIONS = {
+    "gaussian1d": lambda: gaussian(1),
+    "gaussian2d": lambda: gaussian(2),
+    "modwave2d": lambda: modulated_gaussian(2, a=1.0, k0=(1.0, -0.5)),
+    "hat": lambda: hat(0.5),
+    "gaussian-spinor": lambda: gaussian_spinor(),
+    "bandlimited-spinor": lambda: bandlimited_spinor(),
+    "freqbump1d": lambda: freq_window(1, _DEFAULT_BUMP_R),
+    "freqbump2d": lambda: freq_window(2, _DEFAULT_BUMP_R),
+}
+FUNCTION_IDS = tuple(_FUNCTIONS)
 
 
 def function_catalog(name: str) -> ContinuumFunction:
-    """Closed catalog of test functions addressable by id (used by the CLI)."""
-    builders = {
-        "gaussian1d": lambda: gaussian(1),
-        "gaussian2d": lambda: gaussian(2),
-        "modwave2d": lambda: modulated_gaussian(2, a=1.0, k0=(1.0, -0.5)),
-        "hat": lambda: hat(0.5),
-        "gaussian-spinor": lambda: gaussian_spinor(),
-        "bandlimited-spinor": lambda: bandlimited_spinor(),
-        "freqbump1d": lambda: freq_window(1, _DEFAULT_BUMP_R),
-        "freqbump2d": lambda: freq_window(2, _DEFAULT_BUMP_R),
-    }
-    try:
-        return builders[name]()
-    except KeyError:
-        raise KeyError(f"unknown test function {name!r}; known ids: {sorted(builders)}") from None
+    """A fresh instance of the catalog's test function ``name``."""
+    if name not in _FUNCTIONS:
+        raise KeyError(f"unknown test function {name!r}; known ids: {sorted(_FUNCTIONS)}")
+    return _FUNCTIONS[name]()

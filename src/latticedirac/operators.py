@@ -125,30 +125,26 @@ def _envelope_potential(name: str, matrix: np.ndarray, rate: float | None) -> Po
     )
 
 
-POTENTIAL_IDS = ("zero", "const-hermitian", "const-shift", "hermitian-gaussian", "nonhermitian-gaussian")
+# the closed catalog of potentials addressable by id (used by the CLI)
+_POTENTIALS = {
+    "zero": lambda: _envelope_potential("zero", np.zeros((2, 2)), None),
+    "const-hermitian": lambda: _envelope_potential("const-hermitian", np.array([[0.5, 0.2], [0.2, -0.3]]), None),
+    "const-shift": lambda: _envelope_potential("const-shift", 2.5 * np.eye(2), None),
+    "hermitian-gaussian": lambda: _envelope_potential(
+        "hermitian-gaussian", np.array([[1.0, 0.4 - 0.3j], [0.4 + 0.3j, -0.5]]), 1.0
+    ),
+    "nonhermitian-gaussian": lambda: _envelope_potential(
+        "nonhermitian-gaussian", np.array([[0.3 + 1.0j, 0.1], [0.1, -0.2 - 1.0j]]), 1.0
+    ),
+}
+POTENTIAL_IDS = tuple(_POTENTIALS)
 
 
 def potential_catalog(name: str) -> PotentialSpec:
-    """Closed catalog of potentials addressable by id (used by the CLI)."""
-    builders = {
-        "zero": lambda: _envelope_potential("zero", np.zeros((2, 2)), None),
-        "const-hermitian": lambda: _envelope_potential(
-            "const-hermitian", np.array([[0.5, 0.2], [0.2, -0.3]]), None
-        ),
-        "const-shift": lambda: _envelope_potential("const-shift", 2.5 * np.eye(2), None),
-        "hermitian-gaussian": lambda: _envelope_potential(
-            "hermitian-gaussian", np.array([[1.0, 0.4 - 0.3j], [0.4 + 0.3j, -0.5]]), 1.0
-        ),
-        "nonhermitian-gaussian": lambda: _envelope_potential(
-            "nonhermitian-gaussian",
-            np.array([[0.3 + 1.0j, 0.1], [0.1, -0.2 - 1.0j]]),
-            1.0,
-        ),
-    }
-    try:
-        return builders[name]()
-    except KeyError:
-        raise KeyError(f"unknown potential {name!r}; known ids: {sorted(builders)}") from None
+    """A fresh instance of the catalog's potential ``name``."""
+    if name not in _POTENTIALS:
+        raise KeyError(f"unknown potential {name!r}; known ids: {sorted(_POTENTIALS)}")
+    return _POTENTIALS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "CriticalPoint",
     "omega",
     "omega_additive",
-    "omega_gradient",
     "omega_hessian",
     "critical_points",
     "lambda_mh",
@@ -100,14 +99,6 @@ def omega_additive(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     t1, t2 = xi[..., 0], xi[..., 1]
     return 4 + 2 * np.sin(t1 - t2) - 2 * (np.sin(t1) + np.cos(t1)) + 2 * (np.sin(t2) - np.cos(t2))
-
-
-def omega_gradient(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    t1, t2 = xi[..., 0], xi[..., 1]
-    g1 = 2 * np.cos(t1 - t2) - 2 * (np.cos(t1) - np.sin(t1))
-    g2 = -2 * np.cos(t1 - t2) + 2 * (np.cos(t2) + np.sin(t2))
-    return np.stack([g1, g2], axis=-1)
 
 
 def omega_hessian(xi) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -10,7 +11,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from latticedirac import Sweep
+from latticedirac import Sweep, cli
 from latticedirac.cli import RunConfig, config_from_argv, format_complex, main, parse_complex
 from latticedirac.errors import ConfigError
 
@@ -35,7 +36,7 @@ def test_parse_complex(text, expected):
     assert parse_complex(text) == expected
 
 
-@pytest.mark.parametrize("bad", ["", "xi", "1+2j", "2ii"])
+@pytest.mark.parametrize("bad", ["", "xi", "1+2j", "2ii", "2J", "(2i)", "1+2J"])
 def test_parse_complex_rejects(bad):
     with pytest.raises(ConfigError):
         parse_complex(bad)
@@ -285,3 +286,69 @@ def test_resolve_free_dyadic_passes(tmp_path, capsys):
     errs = [float(r["error"]) for r in rows]
     assert len(errs) == 4
     assert all(b < a for a, b in zip(errs, errs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# flags that start with '-', the experiment table and its documentation
+
+
+def test_negative_values_follow_their_flags(capsys):
+    assert config_from_argv(["resolve-free", "--z", "-2i"]).z == -2j
+    assert main(["spectrum", "--m", "-inf"]) == 1
+    assert "m must be finite" in capsys.readouterr().err
+    assert main(["spectrum", "--m", "-1"]) == 1
+    assert "mass must be nonnegative" in capsys.readouterr().err
+
+
+# each experiment's flags after --config, --out, --format and --threads, in --help order
+_EXPECTED_FLAGS = {
+    "omega-scan": ("grid",),
+    "spectrum": ("m", "h"),
+    "project": ("function", "sweep", "box"),
+    "ft": ("function", "sweep", "box", "s"),
+    "ift": ("function", "sweep", "box"),
+    "resolve-free": ("function", "sweep", "box", "m", "z", "refine"),
+    "resolve-potential": ("function", "sweep", "box", "m", "z", "refine", "potential"),
+    "oracle-eigs": ("N", "h", "m"),
+}
+_SHARED = ("config", "out", "format", "threads")
+# a valid value for each flag and the RunConfig field and value it sets
+_FLAG_VALUES = {
+    "config": ("{}", None, None), "out": ("o.csv", "out", None), "format": ("json", "format", "json"),
+    "threads": ("1", "threads", 1), "grid": ("16", "grid", 16), "m": ("0.5", "m", 0.5),
+    "h": ("0.5", "h", 0.5), "N": ("8", "N", 8), "function": ("gaussian2d", "function", "gaussian2d"),
+    "sweep": ("0.4,0.2", "hs", (0.4, 0.2)), "box": ("9.6", "box", 9.6), "s": ("2", "s", 2.0),
+    "z": ("3i", "z", 3j), "refine": ("2", "refine", 2), "potential": ("zero", "potential", "zero"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPECTED_FLAGS))
+def test_each_experiment_takes_exactly_its_flags(experiment, tmp_path):
+    (tmp_path / "{}").write_text("{}")
+    for flag, (value, field, expected) in _FLAG_VALUES.items():
+        argv = [experiment, f"--{flag}", str(tmp_path / value) if flag in ("config", "out") else value]
+        own = _SHARED + _EXPECTED_FLAGS[experiment]
+        if flag in own:
+            config = config_from_argv(argv)
+            if field is not None:
+                assert getattr(config, field) == (argv[-1] if expected is None else expected), flag
+        elif not any(name.startswith(flag) for name in own + ("help",)):  # argparse expands prefixes
+            with pytest.raises(ConfigError, match="unrecognized arguments"):
+                config_from_argv(argv)
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPECTED_FLAGS))
+def test_each_experiment_help_lists_its_flags_in_order(experiment, capsys):
+    with pytest.raises(SystemExit) as exc:
+        config_from_argv([experiment, "--help"])
+    assert exc.value.code == 0
+    listed = re.findall(r"^  --(\w+)", capsys.readouterr().out, flags=re.M)
+    assert tuple(listed) == _SHARED + _EXPECTED_FLAGS[experiment]
+
+
+def test_readme_names_every_subcommand():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    line = re.search(r"^Subcommands:(.*?)\.(\s|$)", text, flags=re.M | re.S).group(1)
+    assert re.findall(r"`([\w-]+)`", line) == list(cli._EXPERIMENTS)

@@ -436,3 +436,11 @@ def test_function_catalog_ids_resolve():
         assert entry.d in (1, 2)
     with pytest.raises(KeyError):
         function_catalog("nope")
+
+
+def test_inner_mesh_mismatch_at_tiny_mesh_sizes(rng):
+    # mesh sizes far below 1e-8 still differ by a factor of 3
+    f = random_field(Mesh(2, 1e-9, 4), 1, rng)
+    g = random_field(Mesh(2, 3e-9, 4), 1, rng)
+    with pytest.raises(MeshMismatch):
+        inner(f, g)
