@@ -8,10 +8,11 @@ state of its built-in assertion and exits 0 on pass, 2 on assertion failure,
 1 on any error.  Output files (CSV or JSON, chosen by ``--format``) are
 byte-stable for a given config: fixed field order and 17-significant-digit
 floats.  Complex shifts are written in ``a+bi`` literal form, and a flag's
-value may start with ``-`` (``--z -2i``).  A JSON config file can seed any
-flag; explicit flags win.  LATTICE_DIRAC_THREADS caps the across-h
-parallelism of the sweeps, the row-block workers of the cell quadrature and
-the workers of every FFT; ``--threads`` overrides it for one run.
+value may start with ``-`` (``--z -2i``).  Flags are spelled in full; no
+prefix stands for one.  A JSON config file can seed any flag; explicit
+flags win.  LATTICE_DIRAC_THREADS caps the across-h parallelism of the
+sweeps, the row-block workers of the cell quadrature and the workers of
+every FFT; ``--threads`` overrides it for one run.
 """
 
 from __future__ import annotations
@@ -188,10 +189,10 @@ def _flag_type(name: str):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="lattice-dirac", description=__doc__, add_help=True)
+    parser = _Parser(prog="lattice-dirac", description=__doc__, add_help=True, allow_abbrev=False)
     sub = parser.add_subparsers(dest="experiment", required=True)
     for name, (flags, _, _) in _EXPERIMENTS.items():
-        p = sub.add_parser(name, add_help=True)
+        p = sub.add_parser(name, add_help=True, allow_abbrev=False)
         for flag in _SHARED_FLAGS + flags:
             p.add_argument(f"--{flag}", type=_flag_type(flag), default=None, **_FLAG_OPTIONS.get(flag, {}))
     return parser

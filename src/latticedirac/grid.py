@@ -16,9 +16,11 @@ Grid transfers:
 * ``project``  -- orthogonal projection onto step functions, realized as
   per-cell averages computed with fixed-order Gauss-Legendre quadrature.
 
-Cell quadrature walks the mesh in blocks of whole cell rows (about
-`_BLOCK_CELLS` cells each), so node arrays never span the whole mesh, and
-runs the blocks through `_thread_map`, the one thread pool of the library.
+Cell quadrature cuts every cell at the function's declared kinks through
+the weights of `_axis_rules`, so every cell takes one vectorized path.  It
+walks the mesh in blocks of whole cell rows (about `_BLOCK_CELLS` cells
+each), so node arrays never span the whole mesh, and runs the blocks
+through `_thread_map`, the one thread pool of the library.
 Per-cell results land in full arrays that are reduced once at the end, so
 every result is the same at any block size and thread count.
 """
@@ -168,8 +170,9 @@ class ContinuumFunction:
     inverse_fourier : callable, optional
         Closed-form inverse transform; declared for frequency-side entries.
     breakpoints : tuple of arrays, optional
-        Per-axis kink locations where the function is continuous but not
-        smooth; quadrature splits cells there.
+        One array per axis of kink coordinates where the function is continuous
+        but not smooth; cell quadrature cuts cells there (`_axis_rules`).
+        Stored sorted; anything but ``d`` finite 1-D arrays raises `ValueError`.
     sup_norm : float
         Declared sup of the pointwise 2-norm; quadrature tolerances are
         relative to ``max(1, sup_norm)``.
@@ -186,6 +189,13 @@ class ContinuumFunction:
     breakpoints: Optional[tuple[np.ndarray, ...]] = None
     sup_norm: float = 1.0
     support_inf: Optional[float] = None
+
+    def __post_init__(self):
+        if self.breakpoints is not None:
+            kinks = tuple(np.asarray(b, dtype=float) for b in self.breakpoints)
+            if len(kinks) != self.d or any(b.ndim != 1 or not np.isfinite(b).all() for b in kinks):
+                raise ValueError(f"breakpoints must be {self.d} one-dimensional arrays of finite kinks")
+            object.__setattr__(self, "breakpoints", tuple(np.sort(b) for b in kinks))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)
@@ -225,79 +235,73 @@ def _for_row_blocks(mesh: Mesh, block_fn) -> list:
     return _thread_map(block_fn, [slice(r, min(r + step, mesh.N)) for r in range(0, mesh.N, step)])
 
 
-def _cell_points(mesh: Mesh, nodes: np.ndarray, rows: slice) -> np.ndarray:
-    """Gauss nodes mapped into the cells of row block ``rows``.
+def _axis_rules(phi: ContinuumFunction, mesh: Mesh, rule) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-axis ``(nodes, weights)`` of ``rule`` on every cell, each of shape ``(N, P*q)``.
+
+    Each cell is cut at the ``P - 1`` declared kinks of its axis and the rule
+    runs on every piece; a kink outside the cell leaves an empty piece of
+    weight 0.  Offsets from the cell corner keep a kinkless axis bit-identical
+    to the plain per-cell rule.  The weights average over the cell.
+    """
+    nodes, weights = rule
+    corners = (mesh.h * mesh.indices)[:, None]
+    out = []
+    for j in range(mesh.d):
+        kinks = () if phi.breakpoints is None else phi.breakpoints[j]
+        edges = np.clip(np.hstack([-np.inf, kinks, np.inf]) - corners, 0.0, mesh.h)
+        start, width = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
+        x = corners[:, :, None] + (start + width * 0.5 * (nodes + 1.0))
+        w = width / mesh.h * (weights / 2.0)
+        out.append((x.reshape(mesh.N, -1), w.reshape(mesh.N, -1)))
+    return out
+
+
+def _cell_points(axes, rows: slice) -> np.ndarray:
+    """Nodes of the per-axis rules ``axes`` (see `_axis_rules`) in the cells of row block ``rows``.
 
     Shape ``(n, q, 1)`` in 1D and ``(n, q, N, q, 2)`` in 2D for ``n`` rows; the
     leading axis of each ``(cells, q)`` pair indexes the cell, the other the node.
     """
-    x = (mesh.h * mesh.indices)[:, None] + mesh.h * 0.5 * (nodes[None, :] + 1.0)
-    if mesh.d == 1:
-        return x[rows, :, None]
-    return np.stack(np.broadcast_arrays(x[rows, :, None, None], x[None, None, :, :]), axis=-1)
+    x = axes[0][0][rows]
+    if len(axes) == 1:
+        return x[:, :, None]
+    return np.stack(np.broadcast_arrays(x[:, :, None, None], axes[1][0][None, None]), axis=-1)
 
 
-def _block_means(vals: np.ndarray, weights: np.ndarray, d: int) -> np.ndarray:
-    """Per-cell tensor Gauss averages of node values laid out like `_cell_points`."""
-    w = weights / 2.0  # averaging weights on a cell
-    if d == 1:
-        return np.einsum("nqc,q->nc", vals, w)
-    return np.einsum("aqbrc,q,r->abc", vals, w, w)
-
-
-def _mean_1d_split(phi: ContinuumFunction, lo: float, hi: float, brk, rule) -> np.ndarray:
-    """Average of a 1D function over ``[lo, hi)``, integrating each smooth piece."""
-    nodes, weights = rule
-    cuts = np.array([lo, *sorted(b for b in brk if lo < b < hi), hi])
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        pts = (a + (b - a) * 0.5 * (nodes + 1.0))[:, None]
-        total = total + (b - a) * 0.5 * np.einsum("qc,q->c", phi(pts), weights)
-    return total / (hi - lo)
+def _block_means(vals: np.ndarray, axes, rows: slice) -> np.ndarray:
+    """Per-cell averages of node values laid out like `_cell_points`, with the weights of ``axes``."""
+    if len(axes) == 1:
+        return np.einsum("nqc,nq->nc", vals, axes[0][1][rows])
+    return np.einsum("aqbrc,aq,br->abc", vals, axes[0][1][rows], axes[1][1])
 
 
 def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = False) -> list:
-    """8- and 7-point tensor Gauss cell averages from one evaluation of ``phi`` per rule.
+    """8- and 7-point Gauss cell averages from one evaluation of ``phi`` per rule.
 
     Returns ``(G8, G7)`` pairs of full per-cell arrays: first the averages of
     ``phi`` itself when ``means`` is set, then, for each entry ``v`` of ``gaps``,
     the averages of the squared gap ``|phi - v|**2``.  An entry is an array of
-    site values, or None for the 8-point averages of ``phi`` on each cell.  A 1D
-    cell holding a declared kink is integrated piece by piece; 2D functions
-    with breakpoints raise `NotImplementedError` before any quadrature.
+    site values, or None for the 8-point averages of ``phi`` on each cell.
+    Cells are cut at declared kinks through the weights of `_axis_rules`.
     """
-    if phi.breakpoints is not None and mesh.d != 1:
-        raise NotImplementedError("kink splitting implemented for d=1 catalog entries")
-    kinks = None if phi.breakpoints is None else phi.breakpoints[0]
-    corners = mesh.h * mesh.indices
-    split = [] if kinks is None else [
-        i for i, a in enumerate(corners) if np.any((kinks > a) & (kinks < a + mesh.h))
-    ]
+    rules = [_axis_rules(phi, mesh, rule) for rule in _RULES]
     need_own = means or any(v is None for v in gaps)
     own = [np.empty(mesh.shape + (phi.channels,), complex) for _ in _RULES if need_own]
     gap_means = [[np.empty(mesh.shape + (1,)) for _ in _RULES] for _ in gaps]
 
     def block(rows):
-        vals = [phi(_cell_points(mesh, nodes, rows)) for nodes, _ in _RULES]
-        cells = [i for i in split if rows.start <= i < rows.stop]
-
-        def fill(outs, integrands, piece):
-            # block averages per rule, then the split cells, integrating piece(i) on cell i
-            for out, v, rule in zip(outs, integrands, _RULES):
-                out[rows] = _block_means(v, rule[1], mesh.d)
-                for i in cells:
-                    out[i] = _mean_1d_split(piece(i), corners[i], corners[i] + mesh.h, kinks, rule)
-
+        vals = [phi(_cell_points(axes, rows)) for axes in rules]
         if need_own:
             got = vals[0].shape[-1]
             if got != phi.channels:  # one channel would broadcast into the per-cell arrays
                 raise ValueError(f"{phi.name} declares {phi.channels} channels, evaluates to {got}")
-            fill(own, vals, lambda i: phi)
+            for out, v, axes in zip(own, vals, rules):
+                out[rows] = _block_means(v, axes, rows)
         for outs, values in zip(gap_means, gaps):
             values = own[0] if values is None else values
             cell_values = _broadcast_cell_values(values[rows], mesh.d)
-            integrands = [_gap_sq(v, cell_values) for v in vals]
-            fill(outs, integrands, lambda i: _constant_gap(phi, values[i]))
+            for out, v, axes in zip(outs, vals, rules):
+                out[rows] = _block_means(_gap_sq(v, cell_values), axes, rows)
 
     _for_row_blocks(mesh, block)
     return ([tuple(own)] if means else []) + [tuple(outs) for outs in gap_means]
@@ -320,7 +324,7 @@ def _cell_averages(phi: ContinuumFunction, mesh: Mesh, pair) -> LatticeField:
 def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     """Orthogonal projection onto step functions: per-cell averages of ``phi``.
 
-    Uses fixed 8-point tensor Gauss-Legendre per cell, with cells split at
+    Uses fixed 8-point tensor Gauss-Legendre per cell, with cells cut at
     declared kinks so piecewise-smooth catalog entries integrate exactly.
     Raises `QuadratureFailure` when the 7-vs-8-point Gauss-Legendre
     estimate exceeds ``1e-10 * max(1, sup_norm)``.  The cells are integrated
@@ -377,8 +381,8 @@ def evaluate_step(f: LatticeField, x) -> np.ndarray:
 def l2_error_vs_continuum(f: LatticeField, phi: ContinuumFunction) -> float:
     """L2-over-the-box norm of ``J_h f - phi``, by per-cell Gauss quadrature.
 
-    The integrand is smooth on each cell (after kink splitting), so the
-    fixed-order rule resolves it to well below the tolerances used in tests;
+    The integrand is smooth on each piece of a cell cut at declared kinks, so
+    the fixed-order rule resolves it to well below the tolerances used in tests;
     the 7-vs-8-point Gauss-Legendre self-estimate guards against misuse.  The
     cells are integrated in row blocks (see the module docstring);
     `exp_projection` evaluates ``phi`` at the nodes once per level for this
@@ -416,14 +420,6 @@ def _gap_sq(vals: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(vals - cell_values) ** 2, axis=-1, keepdims=True)
 
 
-def _constant_gap(phi: ContinuumFunction, cell_value: np.ndarray) -> ContinuumFunction:
-    """Squared gap against a fixed cell value, for split-cell quadrature."""
-    return ContinuumFunction(
-        name="gap-cell", d=phi.d, channels=1,
-        evaluate=lambda points: _gap_sq(phi(points), cell_value),
-    )
-
-
 def _broadcast_cell_values(values: np.ndarray, d: int) -> np.ndarray:
     """Site values laid out like `_cell_points`, constant across the in-cell node axes."""
     return values[:, None, :] if d == 1 else values[:, None, :, None, :]
@@ -433,13 +429,14 @@ def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
     """Max over quadrature probe points of ``<x>**k * |phi_h(x) - phi(x)|``.
 
     Qualitative uniform-in-h diagnostic for the weighted pointwise sampling
-    bound; the probe set is the 8-point tensor Gauss-node family of every
-    cell, walked in row blocks.
+    bound; the probe set is the 8-point tensor Gauss nodes of every piece of
+    every cell (see `_axis_rules`), walked in row blocks.
     """
     f = sample(phi, mesh)
+    axes = _axis_rules(phi, mesh, _GAUSS_HI)
 
     def block(rows):
-        pts = _cell_points(mesh, _GAUSS_HI[0], rows)
+        pts = _cell_points(axes, rows)
         gap = _gap_sq(phi(pts), _broadcast_cell_values(f.values[rows], mesh.d))[..., 0] ** 0.5
         weight = (1.0 + np.sum(pts**2, axis=-1)) ** (k / 2.0)
         return np.max(weight * gap)
@@ -530,7 +527,7 @@ def hat(width: float = 0.5) -> ContinuumFunction:
 
     Equals the convolution of the indicators of ``[-3w/2, 3w/2]`` and
     ``[-w/2, w/2]``, which gives the closed-form transform below.  Kinks at
-    ``+-w, +-2w`` are declared so quadrature splits cells there.
+    ``+-w, +-2w`` are declared so quadrature cuts cells there.
     """
     w = float(width)
     if w <= 0:

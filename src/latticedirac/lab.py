@@ -53,7 +53,7 @@ from .operators import (
     _solve_with_potential,
     _zeta,
 )
-from .symbols import DiracParams, _require_mass
+from .symbols import DiracParams, _require_complex_shift, _require_mass
 
 __all__ = [
     "Sweep",
@@ -173,12 +173,7 @@ class ConvergenceReport:
         for ser in self.series:
             tag = self.experiment if len(self.series) == 1 else f"{self.experiment}:{ser.name}"
             for i, h in enumerate(self.hs):
-                partial = None
-                if i >= 2:
-                    try:
-                        partial, _ = fit_rate(self.hs[: i + 1], ser.errors[: i + 1])
-                    except DegenerateFit:
-                        partial = None
+                partial, _ = _floor_fit(self.hs[: i + 1], ser.errors[: i + 1])
                 out.append(
                     {
                         "experiment": tag,
@@ -208,12 +203,15 @@ def fit_rate(hs: Sequence[float], errs: Sequence[float]) -> tuple[float, float]:
     return float(slope), float(intercept)
 
 
+def _floor_fit(hs: Sequence[float], errors: Sequence[float]):
+    """`fit_rate` over the entries above `FLOOR_CUTOFF`; ``(None, None)`` when fewer than 3 remain."""
+    keep = [(h, e) for h, e in zip(hs, errors) if e > FLOOR_CUTOFF]
+    return fit_rate(*zip(*keep)) if len(keep) >= 3 else (None, None)
+
+
 def _make_series(name: str, hs: Sequence[float], errors: Sequence[float]) -> Series:
     errors = [float(e) for e in errors]
-    keep = [(h, e) for h, e in zip(hs, errors) if e > FLOOR_CUTOFF]
-    slope = intercept = None
-    if len(keep) >= 3:
-        slope, intercept = fit_rate([h for h, _ in keep], [e for _, e in keep])
+    slope, intercept = _floor_fit(hs, errors)
     monotone = all(b < a for a, b in zip(errors[:-1], errors[1:]))
     return Series(name, tuple(errors), slope, intercept, monotone)
 
@@ -375,8 +373,9 @@ def weighted_operator_gap_probe(m: float, z: complex, s: float, h: float, box: f
     Applies the pointwise difference of the discrete and continuum symbol
     resolvents to 16 deterministic Gaussian frequency bumps and returns the
     max ratio of output norm to weighted input norm.  Diagnostic only; not an
-    acceptance gate.
+    acceptance gate.  A non-finite shift raises `ValueError`, a real one `RealShift`.
     """
+    _require_complex_shift(z)
     mesh = Mesh(2, h, round(box / h))
     grid = FrequencyGrid(mesh)
     coords = grid.coords()

@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
 )
 from .fourier import FrequencyGrid, SpectralField, _fftn, _step_factor, dft, idft
-from .grid import ContinuumFunction, LatticeField, Mesh, _require_dimension, norm_l2, project
+from .grid import ContinuumFunction, LatticeField, Mesh, _require_dimension, norm_l2, sample
 from .symbols import DiracParams, _require_complex_shift, _require_mass, opnorm_2x2, zeta_discrete
 
 __all__ = [
@@ -424,11 +424,13 @@ def resolvent_continuum(
     Works pseudo-spectrally with the continuum symbol on the ``refine``-fold
     refinement of the experiment mesh (same box, so the frequency box is
     ``refine`` times wider), seeding the transform from the closed form when
-    declared.  The result is handed back as exact cell averages on the
-    experiment mesh: averaging ``exp(i*x.xi)`` over a width-``H`` cell
-    multiplies it by ``conj(a(H*xi_j))`` per axis, so the projection is a
-    frequency-side multiplier followed by subsampling at the coarse cell
-    corners.  Adequacy is checked by refinement doubling in tests.
+    declared, else from the `dft` of point samples on the refined mesh (that
+    of cell averages is biased by ``conj(a(h_f*xi_j))`` per axis).  The
+    result is handed back as exact cell averages on the experiment mesh:
+    averaging ``exp(i*x.xi)`` over a width-``H`` cell multiplies it by
+    ``conj(a(H*xi_j))`` per axis, so the projection is a frequency-side
+    multiplier followed by subsampling at the coarse cell corners.  Adequacy
+    is checked by refinement doubling in tests.
     """
     _require_complex_shift(z)
     _require_mass(m)
@@ -440,7 +442,7 @@ def resolvent_continuum(
     if phi.fourier is not None:
         spec = phi.fourier(coords)
     else:
-        spec = dft(project(phi, ref)).values
+        spec = dft(sample(phi, ref)).values
     out = _resolvent_multiplier(_zeta(coords, None), m, z)(_channel_first(spec))
     out *= np.conj(_step_factor(coords, mesh.h))
     fine = idft(SpectralField(grid, _channel_last(out)))

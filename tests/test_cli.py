@@ -352,3 +352,13 @@ def test_readme_names_every_subcommand():
         text = fh.read()
     line = re.search(r"^Subcommands:(.*?)\.(\s|$)", text, flags=re.M | re.S).group(1)
     assert re.findall(r"`([\w-]+)`", line) == list(cli._EXPERIMENTS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["project", "--s", "1"],  # not a prefix of --sweep
+    ["project", "--h", "0.5"],  # not a prefix of --help
+    ["resolve-potential", "--pot", "zero"],
+])
+def test_flag_prefixes_are_not_expanded(argv):
+    with pytest.raises(ConfigError, match="unrecognized arguments"):
+        config_from_argv(argv)

@@ -444,3 +444,40 @@ def test_inner_mesh_mismatch_at_tiny_mesh_sizes(rng):
     g = random_field(Mesh(2, 3e-9, 4), 1, rng)
     with pytest.raises(MeshMismatch):
         inner(f, g)
+
+
+def _tent2d(width=0.5, breakpoints="both"):
+    """``hat(x) * hat(y)``: kinks on both axes."""
+    edge = hat(width)
+    kinks = edge.breakpoints[0]
+    return ContinuumFunction(
+        name="tent2d", d=2, channels=1,
+        evaluate=lambda pts: edge(pts[..., :1]) * edge(pts[..., 1:]),
+        breakpoints=(kinks, kinks) if breakpoints == "both" else breakpoints,
+        sup_norm=width**2,
+    )
+
+
+@pytest.mark.parametrize("h", [0.4, 0.3, 0.15])  # kinks +-0.5, +-1 strictly inside cells
+def test_project_2d_tent_is_outer_product_of_1d_projections(h):
+    N = 2 * round(2.4 / h)
+    edge = project(hat(0.5), Mesh(1, h, N)).values[:, 0]
+    got = project(_tent2d(), Mesh(2, h, N)).values[..., 0]
+    np.testing.assert_allclose(got, np.outer(edge, edge), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("breakpoints", [
+    (np.array([-0.5, 0.5]),),  # one array for a 2D function
+    (np.array([0.5]), np.array([[0.5]])),  # not one-dimensional
+    (np.array([0.5]), np.array([np.nan])),
+])
+def test_breakpoints_need_one_finite_array_per_axis(breakpoints):
+    with pytest.raises(ValueError, match="breakpoints"):
+        _tent2d(breakpoints=breakpoints)
+
+
+def test_unsorted_breakpoints_integrate_like_sorted_ones():
+    mesh = Mesh(1, 0.3, 16)
+    shuffled = ContinuumFunction(name="hat", d=1, channels=1, evaluate=hat(0.5).evaluate,
+                                 breakpoints=(np.array([0.5, -1.0, 1.0, -0.5]),), sup_norm=0.5)
+    np.testing.assert_array_equal(project(shuffled, mesh).values, project(hat(0.5), mesh).values)

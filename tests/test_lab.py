@@ -18,7 +18,7 @@ from latticedirac import (
     norm_l2,
     project,
 )
-from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion
+from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion, RealShift
 from latticedirac.grid import bandlimited_spinor
 from latticedirac.lab import _assemble, weighted_operator_gap_probe
 
@@ -324,3 +324,17 @@ def test_fft_workers_do_not_change_resolvent_results(z, monkeypatch):
         monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
         errors.append(exp_resolvent_potential(sweep).primary.errors)
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("z,error", [(1.0, RealShift), (complex(np.nan, 2.0), ValueError)])
+def test_weighted_operator_gap_probe_rejects_bad_shift(z, error):
+    with pytest.raises(error):
+        weighted_operator_gap_probe(1.0, z, 1.0, 0.4, 9.6)
+
+
+def test_last_row_slope_is_the_series_slope():
+    # the last entry sits between fit_rate's floor (1e-14) and FLOOR_CUTOFF (1e-12)
+    sweep = Sweep(hs=(0.4, 0.2, 0.1, 0.05), box=9.6, function="gaussian1d")
+    report = _assemble("synthetic", sweep, {"err": [1e-6, 1e-8, 1e-10, 5e-13]}, [0.0] * 4,
+                       [24, 48, 96, 192])
+    assert report.rows()[-1]["slope-so-far"] == report.primary.slope

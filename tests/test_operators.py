@@ -1,5 +1,6 @@
 """Tests for difference stencils, the Dirac operator, resolvents, and the dense oracle."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -758,3 +759,12 @@ def test_block_average_of_refined_step_is_exact(rng):
     np.testing.assert_allclose(back.values, f.values, atol=1e-14)
     with pytest.raises(MeshMismatch):
         block_average(f, Mesh(2, 0.4, 10))
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_continuum_resolvent_without_closed_form_matches_closed_form(refine):
+    phi = gaussian_spinor()
+    mesh = Mesh(2, 0.2, 48)
+    reference = resolvent_continuum(phi, 2j, 1.0, mesh, refine=1).values
+    got = resolvent_continuum(dataclasses.replace(phi, fourier=None), 2j, 1.0, mesh, refine=refine).values
+    assert np.linalg.norm(got - reference) / np.linalg.norm(reference) < 1e-9
