@@ -11,11 +11,12 @@ the round-trip identities hold to roundoff.  The frequency box is
 
 The factor ``a(theta) = (1 - exp(-i*theta)) / (i*theta)`` relates the exact
 continuum Fourier transform of a step function to the discrete transform:
-on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``.
+on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``;
+`a_factor` takes the closed form ``exp(-i*theta/2) * sinc``, with no small-``theta`` branch.
 
-`_fftn` is the one FFT entry point, for `dft`/`idft` (on a copy rolled into
-natural FFT order) and the multipliers of `operators`.  It runs `scipy.fft` on
-up to `thread_cap` workers, with the same result at any worker count.
+`_fftn` is the one FFT entry point, for `dft`/`idft` (`_centred_fftn`: on a
+copy rolled into natural FFT order) and the multipliers of `operators`.  It
+runs `scipy.fft` on up to `thread_cap` workers, the same at any worker count.
 """
 
 from __future__ import annotations
@@ -95,11 +96,16 @@ def _fftn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.nda
     return transform(x, axes=axes, workers=thread_cap(x.size // x.shape[axes[-1]]), overwrite_x=True)
 
 
+def _centred_fftn(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
+    """`_fftn` over the ``d`` site axes of centred ``values``; ``N`` is even, so rolls by ``N/2`` centre."""
+    axes, shift = tuple(range(d)), (values.shape[0] // 2,) * d
+    return np.roll(_fftn(np.roll(values, shift, axes), axes, inverse), shift, axes)
+
+
 def dft(f: LatticeField) -> SpectralField:
     """Discrete Fourier transform of a step field, exact on the truncation."""
     mesh = f.mesh
-    axes, shift = tuple(range(mesh.d)), (mesh.N // 2,) * mesh.d  # N is even: rolls by N/2 centre
-    work = np.roll(_fftn(np.roll(f.values, shift, axes), axes), shift, axes)
+    work = _centred_fftn(f.values, mesh.d)
     work *= (2 * np.pi) ** (-mesh.d / 2) * mesh.h**mesh.d
     return SpectralField(FrequencyGrid(mesh), work)
 
@@ -107,29 +113,20 @@ def dft(f: LatticeField) -> SpectralField:
 def idft(u: SpectralField) -> LatticeField:
     """Inverse transform; two-sided inverse of `dft` on the truncation."""
     mesh = u.grid.mesh
-    axes, shift = tuple(range(mesh.d)), (mesh.N // 2,) * mesh.d
-    work = np.roll(_fftn(np.roll(u.values, shift, axes), axes, inverse=True), shift, axes)
+    work = _centred_fftn(u.values, mesh.d, inverse=True)
     work *= (2 * np.pi) ** (-mesh.d / 2) * (2 * np.pi / mesh.h) ** mesh.d
     return LatticeField(mesh, work)
-
-
-_A_TAYLOR = [1.0, -1j / 2, -1.0 / 6, 1j / 24, 1.0 / 120, -1j / 720, -1.0 / 5040]
 
 
 def a_factor(theta):
     """The step-function factor ``(1 - exp(-i*theta)) / (i*theta)``.
 
-    The removable singularity at 0 is handled by a degree-6 Taylor
-    polynomial for ``|theta| < 1e-4`` (crossover error below 1e-16).
+    Computed as ``exp(-i*theta/2) * sin(theta/2) / (theta/2)`` (``np.sinc``
+    of ``theta/(2*pi)``), which is 1 at 0 and keeps full relative accuracy at
+    small ``|theta|``, where the quotient loses digits to cancellation.
     """
     theta = np.asarray(theta, dtype=float)
-    small = np.abs(theta) < 1e-4
-    safe = np.where(small, 1.0, theta)
-    direct = (1.0 - np.exp(-1j * safe)) / (1j * safe)
-    series = np.zeros(theta.shape, dtype=complex)
-    for c in reversed(_A_TAYLOR):
-        series = series * (theta) + c
-    out = np.where(small, series, direct)
+    out = np.exp(-0.5j * theta) * np.sinc(theta / (2 * np.pi))
     return out if out.shape else complex(out)
 
 
@@ -200,41 +197,30 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     return total
 
 
-def dft_oversampled(f: LatticeField, factor: int) -> SpectralField:
-    """The transform of ``J_h f`` evaluated on a ``factor``-times denser frequency grid.
-
-    Zero-padding the site array evaluates the same finite sum exactly at
-    frequencies ``2*pi*k/(factor*L)``, which still span ``[-pi/h, pi/h)``;
-    this is `dft` on the ``factor``-times larger mesh.  The transform of a
-    step field is a trigonometric polynomial that agrees with the continuum
-    transform of a band-limited sampled function *at* the dual-grid points,
-    so resolving it between those points requires this denser evaluation.
-    """
-    mesh = f.mesh
-    big = Mesh(mesh.d, mesh.h, factor * mesh.N)
-    pad = (big.N - mesh.N) // 2
-    work = np.zeros(big.shape + (f.channels,), dtype=complex)
-    work[(slice(pad, pad + mesh.N),) * mesh.d] = f.values
-    return dft(LatticeField(big, work))
+def _require_weight_exponent(s: float):
+    """Raise `ValueError` unless the weight exponent ``s`` is finite and nonnegative."""
+    if not 0 <= s < np.inf:
+        raise ValueError(f"weight exponent must be finite and nonnegative, got {s!r}")
 
 
-def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float, oversample: int = 4) -> float:
+def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
     """Weighted L2 distance between the discrete and continuum transforms, via ``phi_h``.
 
     Inside the frequency box the integrand is the gap between the two
     transforms of the sampled step function, which by the product formula is
     ``<xi>**(-s) * (1 - prod_j a(h*xi_j)) * [F_h phi_h](xi)``; it vanishes
-    at the dual-grid points themselves, so the Riemann sum runs on an
-    ``oversample``-times denser grid that resolves it.  Outside the box the
-    step-function transform is within aliasing error of the declared closed
-    form, which is integrated adaptively.  Returns the root of the summed
-    squares.  ``s = 0`` is allowed as an unweighted diagnostic.
+    at the dual-grid points themselves, so the Riemann sum runs on a 4-times
+    denser grid that resolves it: the sites zero-padded to ``4*N`` per axis
+    give the same finite sum at ``2*pi*k/(4*L)``, still in ``[-pi/h, pi/h)``.
+    Outside the box the step-function transform is within aliasing error of
+    the declared closed form, which is integrated adaptively.  Returns the
+    root of the summed squares.  ``s = 0`` is allowed as an unweighted diagnostic.
     """
-    if not 0 <= s < np.inf:
-        raise ValueError(f"weight exponent must be finite and nonnegative, got {s!r}")
+    _require_weight_exponent(s)
     if phi.fourier is None:
         raise UnknownClosedForm(f"{phi.name} declares no closed-form transform")
-    u = dft_oversampled(sample(phi, mesh), oversample)
+    pad = [(3 * mesh.N // 2,) * 2] * mesh.d + [(0, 0)]  # centred in 4*N sites per axis
+    u = dft(LatticeField(Mesh(mesh.d, mesh.h, 4 * mesh.N), np.pad(sample(phi, mesh).values, pad)))
     coords = u.grid.coords()
     weight = (1.0 + np.sum(coords**2, axis=-1)) ** (-s / 2.0)
     diff = ((1.0 - _step_factor(coords, mesh.h)) * weight)[..., None] * u.values

@@ -16,8 +16,8 @@ Grid transfers:
 * ``project``  -- orthogonal projection onto step functions, realized as
   per-cell averages computed with fixed-order Gauss-Legendre quadrature.
 
-Cell quadrature cuts every cell at the function's declared kinks through
-the weights of `_axis_rules`, so every cell takes one vectorized path.  It
+Cell quadrature cuts each cell at the declared kinks strictly inside it,
+through the weights of `_axis_rules`, so every cell takes one vectorized path.  It
 walks the mesh in blocks of whole cell rows (about `_BLOCK_CELLS` cells
 each), so node arrays never span the whole mesh, and runs the blocks
 through `_thread_map`, the one thread pool of the library.
@@ -171,7 +171,8 @@ class ContinuumFunction:
         Closed-form inverse transform; declared for frequency-side entries.
     breakpoints : tuple of arrays, optional
         One array per axis of kink coordinates where the function is continuous
-        but not smooth; cell quadrature cuts cells there (`_axis_rules`).
+        but not smooth; cell quadrature cuts a cell at the kinks strictly
+        inside it (`_axis_rules`).
         Stored sorted; anything but ``d`` finite 1-D arrays raises `ValueError`.
     sup_norm : float
         Declared sup of the pointwise 2-norm; quadrature tolerances are
@@ -238,10 +239,11 @@ def _for_row_blocks(mesh: Mesh, block_fn) -> list:
 def _axis_rules(phi: ContinuumFunction, mesh: Mesh, rule) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-axis ``(nodes, weights)`` of ``rule`` on every cell, each of shape ``(N, P*q)``.
 
-    Each cell is cut at the ``P - 1`` declared kinks of its axis and the rule
-    runs on every piece; a kink outside the cell leaves an empty piece of
-    weight 0.  Offsets from the cell corner keep a kinkless axis bit-identical
-    to the plain per-cell rule.  The weights average over the cell.
+    Each cell is cut at the declared kinks of its axis strictly inside it and
+    the rule runs on every piece; ``P`` is one more than the most kinks inside
+    one cell, and a cell with fewer is padded with empty pieces of weight 0.
+    Offsets from the cell corner keep a kinkless axis bit-identical to the
+    plain per-cell rule.  The weights average over the cell.
     """
     nodes, weights = rule
     corners = (mesh.h * mesh.indices)[:, None]
@@ -249,6 +251,10 @@ def _axis_rules(phi: ContinuumFunction, mesh: Mesh, rule) -> list[tuple[np.ndarr
     for j in range(mesh.d):
         kinks = () if phi.breakpoints is None else phi.breakpoints[j]
         edges = np.clip(np.hstack([-np.inf, kinks, np.inf]) - corners, 0.0, mesh.h)
+        # kinks outside a cell clip to its ends: sort them to the right end, then drop the columns
+        # past one more than the most edges short of it (the corner and the kinks inside)
+        edges[:, 1:] = np.sort(np.where(edges[:, 1:] > 0.0, edges[:, 1:], mesh.h), axis=1)
+        edges = edges[:, : 1 + np.max(np.sum(edges < mesh.h, axis=1))]
         start, width = edges[:, :-1, None], np.diff(edges, axis=1)[:, :, None]
         x = corners[:, :, None] + (start + width * 0.5 * (nodes + 1.0))
         w = width / mesh.h * (weights / 2.0)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DegenerateFit
-from .fourier import FrequencyGrid, inverse_ft_error, weighted_ft_error
+from .fourier import FrequencyGrid, inverse_ft_error, weighted_ft_error, _require_weight_exponent
 from .grid import (
     ContinuumFunction,
     LatticeField,
@@ -76,6 +76,17 @@ FLOOR_CUTOFF = 1e-12  # series entries below this are excluded from slope fits
 _PROBE_COUNT, _PROBE_SEED = 16, 0  # frequency bumps drawn by `weighted_operator_gap_probe`
 
 
+def _box_mesh(d: int, h: float, box: float) -> Mesh:
+    """The ``d``-dimensional mesh of size ``h`` whose site count ``box / h`` is even and at least 4."""
+    if not (0 < h < np.inf and 0 < box < np.inf):
+        raise ValueError(f"box and mesh size must be finite and positive, got box={box!r}, h={h!r}")
+    ratio = box / h
+    N = round(ratio)
+    if abs(ratio - N) > 1e-9 or N % 2 or N < 4:
+        raise ValueError(f"box {box} with h={h} gives invalid site count {ratio}")
+    return Mesh(d, h, N)
+
+
 @dataclass(frozen=True)
 class Sweep:
     """Mesh sizes, fixed box, and experiment parameters for one sweep.
@@ -100,8 +111,7 @@ class Sweep:
         _require_refine(self.refine)
         _require_mass(self.m)
         # finiteness only: the sweeps that ignore z take a real one, and the resolvent solves reject it
-        numbers = [("shift z", self.z), ("box", self.box), ("s", self.s)]
-        for name, value in numbers + [("mesh size", h) for h in self.hs]:
+        for name, value in (("shift z", self.z), ("s", self.s)):  # box and hs: `_box_mesh`
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if len(self.hs) < 1:
@@ -109,7 +119,7 @@ class Sweep:
         if any(a <= b for a, b in zip(self.hs, self.hs[1:])):
             raise ValueError("mesh sizes must be strictly decreasing")
         for h in self.levels:
-            self.mesh_for(h)  # validates divisibility and parity
+            self.mesh_for(h)  # validates h, box, divisibility and parity
 
     @property
     def levels(self) -> tuple[float, ...]:
@@ -117,11 +127,7 @@ class Sweep:
         return tuple(self.hs) + ((self.hs[-1] / 2,) if self.check_floor else ())
 
     def mesh_for(self, h: float) -> Mesh:
-        ratio = self.box / h
-        N = round(ratio)
-        if abs(ratio - N) > 1e-9 or N % 2 or N < 4:
-            raise ValueError(f"box {self.box} with h={h} gives invalid site count {ratio}")
-        return Mesh(self.resolved_function().d, h, N)
+        return _box_mesh(self.resolved_function().d, h, self.box)
 
     def resolved_function(self) -> ContinuumFunction:
         if isinstance(self.function, ContinuumFunction):
@@ -373,10 +379,12 @@ def weighted_operator_gap_probe(m: float, z: complex, s: float, h: float, box: f
     Applies the pointwise difference of the discrete and continuum symbol
     resolvents to 16 deterministic Gaussian frequency bumps and returns the
     max ratio of output norm to weighted input norm.  Diagnostic only; not an
-    acceptance gate.  A non-finite shift raises `ValueError`, a real one `RealShift`.
+    acceptance gate.  A non-finite shift raises `ValueError`, a real one `RealShift`;
+    an ``s``, ``h`` or ``box`` that `weighted_ft_error` or `Sweep` rejects raises `ValueError`.
     """
     _require_complex_shift(z)
-    mesh = Mesh(2, h, round(box / h))
+    _require_weight_exponent(s)
+    mesh = _box_mesh(2, h, box)
     grid = FrequencyGrid(mesh)
     coords = grid.coords()
     discrete = _resolvent_multiplier(_zeta(coords, DiracParams(m, h)), m, z)

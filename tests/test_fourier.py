@@ -1,5 +1,7 @@
 """Tests for the discrete transform pair, the a-factor, and the FT error measures."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -341,3 +343,12 @@ def test_inverse_ft_error_of_zero_window_is_zero():
         sup_norm=0.0, support_inf=1.0,
     )
     assert inverse_ft_error(zero, Mesh(1, 0.4, 24)) < 1e-13
+
+
+def test_a_factor_matches_its_taylor_polynomial_at_small_theta():
+    # where the quotient (1 - exp(-i*theta)) / (i*theta) cancels most digits; the
+    # degree-6 polynomial sum_k (-i*theta)**k / (k+1)! is exact to 1e-25 here
+    theta = np.geomspace(1e-6, 1e-3, 301)
+    theta = np.concatenate([-theta[::-1], theta])
+    taylor = sum((-1j * theta) ** k / math.factorial(k + 1) for k in range(7))
+    np.testing.assert_allclose(a_factor(theta), taylor, rtol=1e-15, atol=0)

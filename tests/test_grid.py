@@ -481,3 +481,24 @@ def test_unsorted_breakpoints_integrate_like_sorted_ones():
     shuffled = ContinuumFunction(name="hat", d=1, channels=1, evaluate=hat(0.5).evaluate,
                                  breakpoints=(np.array([0.5, -1.0, 1.0, -0.5]),), sup_norm=0.5)
     np.testing.assert_array_equal(project(shuffled, mesh).values, project(hat(0.5), mesh).values)
+
+
+def _counting(phi, seen):
+    """``phi`` that appends the number of points of each evaluation to ``seen``."""
+    def evaluate(pts):
+        seen.append(pts[..., 0].size)
+        return phi(pts)
+
+    return ContinuumFunction(name=phi.name, d=phi.d, channels=phi.channels, evaluate=evaluate,
+                             breakpoints=phi.breakpoints, sup_norm=phi.sup_norm)
+
+
+def test_2d_tent_cuts_only_the_cells_its_kinks_fall_in():
+    # kinks +-0.5, +-1 are 0.5 apart, so no cell of size 0.15 holds two on one axis:
+    # at most 2 pieces per axis, 4 per 2D cell (25 when every cell is cut at all 4 kinks)
+    mesh = Mesh(2, 0.15, 32)
+    kinked, kinkless = [], []
+    project(_counting(_tent2d(), kinked), mesh)
+    project(_counting(gaussian(2), kinkless), mesh)
+    assert sum(kinkless) == mesh.N**2 * (8**2 + 7**2)
+    assert sum(kinked) <= 4 * sum(kinkless)

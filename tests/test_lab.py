@@ -338,3 +338,25 @@ def test_last_row_slope_is_the_series_slope():
     report = _assemble("synthetic", sweep, {"err": [1e-6, 1e-8, 1e-10, 5e-13]}, [0.0] * 4,
                        [24, 48, 96, 192])
     assert report.rows()[-1]["slope-so-far"] == report.primary.slope
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf, -1.0])
+def test_weighted_operator_gap_probe_rejects_bad_weight_exponent(s):
+    with pytest.raises(ValueError, match="weight exponent"):
+        weighted_operator_gap_probe(1.0, 2j, s, 0.4, 9.6)
+
+
+@pytest.mark.parametrize("h,box,message", [
+    (0.4, 9.8, "invalid site count"),  # 24.5 sites, not rounded to the 9.6 answer
+    (0.0, 9.6, "finite and positive"),
+    (0.4, np.inf, "finite and positive"),
+    (-0.4, 9.6, "finite and positive"),
+])
+def test_weighted_operator_gap_probe_needs_an_even_site_count(h, box, message):
+    with pytest.raises(ValueError, match=message):
+        weighted_operator_gap_probe(1.0, 2j, 1.0, h, box)
+
+
+def test_sweep_rejects_a_zero_mesh_size():
+    with pytest.raises(ValueError, match="finite and positive"):
+        Sweep(hs=(0.4, 0.0), function="gaussian1d")
