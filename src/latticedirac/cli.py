@@ -10,9 +10,9 @@ byte-stable for a given config: fixed field order and 17-significant-digit
 floats.  Complex shifts are written in ``a+bi`` literal form, and a flag's
 value may start with ``-`` (``--z -2i``).  Flags are spelled in full; no
 prefix stands for one.  A JSON config file can seed any flag; explicit
-flags win.  LATTICE_DIRAC_THREADS caps the across-h parallelism of the
-sweeps, the row-block workers of the cell quadrature and the workers of
-every FFT; ``--threads`` overrides it for one run.
+flags win.  A sweep runs its levels one after another;
+LATTICE_DIRAC_THREADS caps the row-block workers of the cell quadrature and
+the workers of every FFT, and ``--threads`` overrides it for one run.
 """
 
 from __future__ import annotations

@@ -74,8 +74,8 @@ def thread_cap(n_tasks: int) -> int:
 
     Unset or empty means the CPU count; any value that is not a positive
     integer raises `ConfigError`.  The cap bounds the threads of `_thread_map`
-    (the across-h levels of the sweeps and the quadrature row blocks) and the
-    workers of `fourier._fftn` (every transform).
+    (the quadrature row blocks) and the workers of `fourier._fftn` (every
+    transform); the levels of a sweep run one after another.
     """
     cap = os.environ.get("LATTICE_DIRAC_THREADS")
     if cap and not (cap.strip().isdecimal() and int(cap) > 0):
@@ -209,13 +209,21 @@ class ContinuumFunction:
 def sample(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     """Pointwise samples ``phi(h*n)`` interpreted as the step function ``phi_h``."""
     _require_dimension(phi, mesh)
-    return LatticeField(mesh, phi(mesh.site_coords()))
+    return LatticeField(mesh, _require_channels(phi, phi(mesh.site_coords())))
 
 
 def _require_dimension(phi: ContinuumFunction, mesh: Mesh):
     """Raise `MeshMismatch` unless ``phi`` has the dimension of ``mesh``."""
     if phi.d != mesh.d:
         raise MeshMismatch(f"function is {phi.d}-dimensional, mesh is {mesh.d}-dimensional")
+
+
+def _require_channels(phi: ContinuumFunction, values: np.ndarray) -> np.ndarray:
+    """``values`` computed from ``phi``; `ValueError` unless their last axis is ``phi.channels`` long."""
+    got = values.shape[-1]
+    if got != phi.channels:  # one channel would broadcast into two
+        raise ValueError(f"{phi.name} declares {phi.channels} channels, evaluates to {got}")
+    return values
 
 
 def _thread_map(fn, tasks: Sequence) -> list:
@@ -296,11 +304,8 @@ def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = 
     gap_means = [[np.empty(mesh.shape + (1,)) for _ in _RULES] for _ in gaps]
 
     def block(rows):
-        vals = [phi(_cell_points(axes, rows)) for axes in rules]
+        vals = [_require_channels(phi, phi(_cell_points(axes, rows))) for axes in rules]
         if need_own:
-            got = vals[0].shape[-1]
-            if got != phi.channels:  # one channel would broadcast into the per-cell arrays
-                raise ValueError(f"{phi.name} declares {phi.channels} channels, evaluates to {got}")
             for out, v, axes in zip(own, vals, rules):
                 out[rows] = _block_means(v, axes, rows)
         for outs, values in zip(gap_means, gaps):
@@ -395,6 +400,8 @@ def l2_error_vs_continuum(f: LatticeField, phi: ContinuumFunction) -> float:
     integral, the one of the projection and `project` itself.
     """
     _require_dimension(phi, f.mesh)
+    if f.channels != phi.channels:
+        raise MeshMismatch(f"field has {f.channels} channels, {phi.name} declares {phi.channels}")
     (pair,) = _cell_quadrature(phi, f.mesh, [f.values])
     return _error_norm(pair, f.values, phi, f.mesh)
 
@@ -454,12 +461,6 @@ def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
 # test-function catalog
 
 
-def _as_channels(arr: np.ndarray, channels: int) -> np.ndarray:
-    if channels == 1:
-        return arr[..., None]
-    return arr
-
-
 def gaussian(d: int, a: float = 1.0, amplitude: complex = 1.0, center=None) -> ContinuumFunction:
     """Isotropic Gaussian ``A * exp(-a*|x - x0|**2)`` with closed-form transform."""
     if a <= 0:
@@ -468,12 +469,12 @@ def gaussian(d: int, a: float = 1.0, amplitude: complex = 1.0, center=None) -> C
 
     def evaluate(points):
         r2 = np.sum((points - x0) ** 2, axis=-1)
-        return _as_channels(amplitude * np.exp(-a * r2), 1)
+        return (amplitude * np.exp(-a * r2))[..., None]
 
     def fourier(xi):
         q2 = np.sum(xi**2, axis=-1)
         phase = np.exp(-1j * (xi @ x0))
-        return _as_channels(amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)) * phase, 1)
+        return (amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)) * phase)[..., None]
 
     return ContinuumFunction(
         name=f"gaussian{d}d", d=d, channels=1, evaluate=evaluate, fourier=fourier,
@@ -488,11 +489,11 @@ def modulated_gaussian(d: int, a: float = 1.0, k0=None, amplitude: complex = 1.0
     def evaluate(points):
         r2 = np.sum(points**2, axis=-1)
         phase = np.exp(1j * (points @ k0))
-        return _as_channels(amplitude * phase * np.exp(-a * r2), 1)
+        return (amplitude * phase * np.exp(-a * r2))[..., None]
 
     def fourier(xi):
         q2 = np.sum((xi - k0) ** 2, axis=-1)
-        return _as_channels(amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)), 1)
+        return (amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)))[..., None]
 
     return ContinuumFunction(
         name=f"modwave{d}d", d=d, channels=1, evaluate=evaluate, fourier=fourier,
@@ -542,13 +543,13 @@ def hat(width: float = 0.5) -> ContinuumFunction:
     def evaluate(points):
         x = points[..., 0]
         out = np.where(np.abs(x) <= w, w, np.maximum(0.0, 2 * w - np.abs(x)))
-        return _as_channels(out.astype(complex), 1)
+        return out.astype(complex)[..., None]
 
     def fourier(xi):
         q = xi[..., 0]
         val = (2 * np.pi) ** -0.5 * 4 * (1.5 * w) * (0.5 * w) \
             * np.sinc(1.5 * w * q / np.pi) * np.sinc(0.5 * w * q / np.pi)
-        return _as_channels(val.astype(complex), 1)
+        return val.astype(complex)[..., None]
 
     return ContinuumFunction(
         name="hat", d=1, channels=1, evaluate=evaluate, fourier=fourier,
@@ -596,13 +597,13 @@ def bandlimited(d: int, R: float, p: int = 8, k0=None, amplitude: complex = 1.0)
         for j in range(d):
             prof = prof * transform(points[..., j])
         phase = np.exp(1j * (points @ k0))
-        return _as_channels(amplitude * phase * prof, 1)
+        return (amplitude * phase * prof)[..., None]
 
     def fourier(xi):
         prof = np.ones(xi.shape[:-1])
         for j in range(d):
             prof = prof * window(xi[..., j] - k0[j])
-        return _as_channels(amplitude * prof.astype(complex), 1)
+        return (amplitude * prof.astype(complex))[..., None]
 
     sup = abs(amplitude) * float(transform(np.zeros(1))[0]) ** d
     return ContinuumFunction(
@@ -624,13 +625,13 @@ def freq_window(d: int, R: float, p: int = 8) -> ContinuumFunction:
         prof = np.ones(xi.shape[:-1])
         for j in range(d):
             prof = prof * window(xi[..., j])
-        return _as_channels(prof.astype(complex), 1)
+        return prof.astype(complex)[..., None]
 
     def inverse_fourier(points):
         prof = np.ones(points.shape[:-1])
         for j in range(d):
             prof = prof * transform(points[..., j])
-        return _as_channels(prof.astype(complex), 1)
+        return prof.astype(complex)[..., None]
 
     return ContinuumFunction(
         name=f"freqbump{d}d", d=d, channels=1, evaluate=evaluate,

@@ -10,8 +10,11 @@ extra halving of the finest mesh to flag a reached error floor.  The
 resolvent sweeps build one refined reference on the finest level they run,
 the floor-guard level included, and block-average it to every level.
 
-Experiments run their levels in parallel through `grid._thread_map`; each
-per-h run is deterministic, so reports are bit-for-bit reproducible.
+Experiments run their levels one after another on the calling thread, so
+each level's wall time is its own cost and a sweep's peak memory is that of
+its largest level.  Inside a level the cell quadrature's row blocks and the
+FFTs take the workers that ``LATTICE_DIRAC_THREADS`` caps; each per-h run is
+deterministic, so reports are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .grid import (
     project,
     sample,
     _projection_errors,
-    _thread_map,
 )
 from .operators import (
     PotentialSpec,
@@ -223,14 +225,16 @@ def _make_series(name: str, hs: Sequence[float], errors: Sequence[float]) -> Ser
 
 
 def _run_levels(hs, worker):
-    """``worker(h)`` for each level through `_thread_map`, in order, with wall times in ms."""
+    """``worker(h)`` for each level in order on the calling thread, with wall times in ms.
 
-    def timed(h):
+    No level runs beside another, so no thread pool opens inside another.
+    """
+    results, timings = [], []
+    for h in hs:
         start = time.perf_counter()
-        return worker(h), (time.perf_counter() - start) * 1e3
-
-    runs = _thread_map(timed, hs)
-    return [r for r, _ in runs], [t for _, t in runs]
+        results.append(worker(h))
+        timings.append((time.perf_counter() - start) * 1e3)
+    return results, timings
 
 
 def _assemble(

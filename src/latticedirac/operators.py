@@ -44,7 +44,7 @@ from .errors import (
     TooLarge,
 )
 from .fourier import FrequencyGrid, SpectralField, _fftn, _step_factor, dft, idft
-from .grid import ContinuumFunction, LatticeField, Mesh, _require_dimension, norm_l2, sample
+from .grid import ContinuumFunction, LatticeField, Mesh, _require_channels, _require_dimension, norm_l2, sample
 from .symbols import DiracParams, _require_complex_shift, _require_mass, opnorm_2x2, zeta_discrete
 
 __all__ = [
@@ -105,15 +105,12 @@ def split_hermitian(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (M + Mh) / 2.0, (M - Mh) / 2.0j
 
 
-def _envelope_potential(name: str, matrix: np.ndarray, rate: float | None) -> PotentialSpec:
-    """Potential ``env(x) * M`` with a Gaussian (or constant) envelope."""
+def _envelope_potential(name: str, matrix: np.ndarray, rate: float) -> PotentialSpec:
+    """Potential ``exp(-rate*|x|**2) * M``; rate 0 gives the constant ``M`` exactly."""
     matrix = np.asarray(matrix, dtype=complex)
 
     def matrix_fn(points):
-        if rate is None:
-            env = np.ones(points.shape[:-1])
-        else:
-            env = np.exp(-rate * np.sum(points**2, axis=-1))
+        env = np.exp(-rate * np.sum(points**2, axis=-1))
         return env[..., None, None] * matrix
 
     herm, skew = split_hermitian(matrix)
@@ -127,9 +124,9 @@ def _envelope_potential(name: str, matrix: np.ndarray, rate: float | None) -> Po
 
 # the closed catalog of potentials addressable by id (used by the CLI)
 _POTENTIALS = {
-    "zero": lambda: _envelope_potential("zero", np.zeros((2, 2)), None),
-    "const-hermitian": lambda: _envelope_potential("const-hermitian", np.array([[0.5, 0.2], [0.2, -0.3]]), None),
-    "const-shift": lambda: _envelope_potential("const-shift", 2.5 * np.eye(2), None),
+    "zero": lambda: _envelope_potential("zero", np.zeros((2, 2)), 0.0),
+    "const-hermitian": lambda: _envelope_potential("const-hermitian", np.array([[0.5, 0.2], [0.2, -0.3]]), 0.0),
+    "const-shift": lambda: _envelope_potential("const-shift", 2.5 * np.eye(2), 0.0),
     "hermitian-gaussian": lambda: _envelope_potential(
         "hermitian-gaussian", np.array([[1.0, 0.4 - 0.3j], [0.4 + 0.3j, -0.5]]), 1.0
     ),
@@ -404,12 +401,8 @@ def block_average(f: LatticeField, coarse: Mesh) -> LatticeField:
     r = fine.N // coarse.N
     if abs(fine.h * r - coarse.h) > 1e-12 * coarse.h:
         raise MeshMismatch("meshes cover different boxes")
-    vals = f.values
-    if fine.d == 1:
-        vals = vals.reshape(coarse.N, r, -1).mean(axis=1)
-    else:
-        vals = vals.reshape(coarse.N, r, coarse.N, r, -1).mean(axis=(1, 3))
-    return LatticeField(coarse, vals)
+    vals = f.values.reshape((coarse.N, r) * fine.d + (-1,))
+    return LatticeField(coarse, vals.mean(axis=tuple(range(1, 2 * fine.d, 2))))
 
 
 def resolvent_continuum(
@@ -440,7 +433,7 @@ def resolvent_continuum(
     grid = FrequencyGrid(ref)
     coords = grid.coords()
     if phi.fourier is not None:
-        spec = phi.fourier(coords)
+        spec = _require_channels(phi, phi.fourier(coords))
     else:
         spec = dft(sample(phi, ref)).values
     out = _resolvent_multiplier(_zeta(coords, None), m, z)(_channel_first(spec))

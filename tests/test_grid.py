@@ -290,6 +290,26 @@ def test_project_rejects_a_wrong_channel_count():
         project(liar, Mesh(2, 0.5, 8))
 
 
+def test_sample_rejects_a_wrong_channel_count():
+    liar = ContinuumFunction("liar", 2, 2, constant_function(2).evaluate)
+    with pytest.raises(ValueError, match="^liar declares 2 channels, evaluates to 1$"):
+        sample(liar, Mesh(2, 0.5, 8))
+
+
+def test_l2_error_rejects_a_function_with_a_wrong_channel_count():
+    # one evaluated channel would broadcast against the field's two in the squared gap
+    liar = ContinuumFunction("liar", 2, 2, constant_function(2).evaluate)
+    two = LatticeField(Mesh(2, 0.5, 8), np.ones((8, 8, 2)))
+    with pytest.raises(ValueError, match="^liar declares 2 channels, evaluates to 1$"):
+        l2_error_vs_continuum(two, liar)
+
+
+def test_l2_error_rejects_a_field_with_another_channel_count():
+    spinor = sample(grid.gaussian_spinor(), Mesh(2, 0.4, 24))
+    with pytest.raises(MeshMismatch, match="^field has 2 channels, gaussian2d declares 1$"):
+        l2_error_vs_continuum(spinor, gaussian(2))
+
+
 def test_projection_idempotent_on_step_functions(rng):
     # cell averages of an embedded step function recover the field exactly
     mesh = Mesh(2, 0.5, 8)

@@ -1,6 +1,8 @@
 """Tests for the convergence laboratory: sweeps, rate fits, and reports."""
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from latticedirac import (
     project,
 )
 from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion, RealShift
-from latticedirac.grid import bandlimited_spinor
+from latticedirac.grid import bandlimited_spinor, gaussian
 from latticedirac.lab import _assemble, weighted_operator_gap_probe
 
 
@@ -243,6 +245,42 @@ def test_floor_guard_level_runs_with_the_other_levels(monkeypatch):
     sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function="gaussian1d", check_floor=True)
     exp_projection(sweep)
     assert seen == [sweep.levels]
+
+
+def test_sweep_levels_never_run_side_by_side(monkeypatch):
+    # one layer of parallelism: only the row blocks and the FFTs inside a level take workers
+    from latticedirac import lab
+
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "2")
+    lock, in_flight, seen = threading.Lock(), [0], []
+    errors = lab._projection_errors
+
+    def counted(phi, mesh):
+        with lock:
+            in_flight[0] += 1
+            seen.append(in_flight[0])
+        try:
+            time.sleep(0.02)
+            return errors(phi, mesh)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(lab, "_projection_errors", counted)
+    exp_projection(Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function="gaussian1d"))
+    assert seen == [1, 1, 1]
+
+
+@pytest.mark.parametrize("experiment, extra", [
+    (exp_resolvent_free, {}),
+    (exp_resolvent_potential, {"z": 3j, "potential": "nonhermitian-gaussian"}),
+])
+def test_resolvent_sweeps_reject_a_function_that_evaluates_too_few_channels(experiment, extra):
+    g = gaussian(2)
+    liar = ContinuumFunction("liar", 2, 2, g.evaluate, fourier=g.fourier)
+    sweep = Sweep(hs=(0.4, 0.2), box=9.6, function=liar, refine=2, **extra)
+    with pytest.raises(ValueError, match="^liar declares 2 channels, evaluates to 1$"):
+        experiment(sweep)
 
 
 @pytest.mark.parametrize("experiment, extra, message", [

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latticedirac import (
+    ContinuumFunction,
     DiracParams,
     FrequencyGrid,
     LatticeField,
@@ -260,6 +261,14 @@ def test_continuum_resolvent_stable_under_refinement_doubling():
 def test_continuum_resolvent_rejects_bad_refine(refine):
     with pytest.raises(ValueError, match="refine"):
         resolvent_continuum(gaussian_spinor(), 2j, 1.0, Mesh(2, 0.4, 24), refine=refine)
+
+
+@pytest.mark.parametrize("closed_form", [True, False])
+def test_continuum_resolvent_rejects_a_wrong_channel_count(closed_form):
+    g = gaussian(2)
+    liar = ContinuumFunction("liar", 2, 2, g.evaluate, fourier=g.fourier if closed_form else None)
+    with pytest.raises(ValueError, match="^liar declares 2 channels, evaluates to 1$"):
+        resolvent_continuum(liar, 2j, 1.0, Mesh(2, 0.4, 24), refine=2)
 
 
 def test_continuum_resolvent_stationary_mode_limit():
