@@ -319,7 +319,7 @@ def _omega_scan(config: RunConfig):
         for i in range(n)
         for j in range(n)
     ]
-    cps = critical_points()  # raises if any gradient check fails
+    cps = critical_points()  # LatticeDiracError (exit 1) if a gradient or Hessian check fails
     for cp in cps:
         rows.append({"kind": cp.kind, "xi1": cp.location[0], "xi2": cp.location[1], "omega": cp.value})
     bounds_ok = bool(

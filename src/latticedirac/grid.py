@@ -16,6 +16,14 @@ Grid transfers:
 * ``project``  -- orthogonal projection onto step functions, realized as
   per-cell averages computed with fixed-order Gauss-Legendre quadrature.
 
+Both take the values of a function on a tensor grid of per-axis
+coordinates (the cell corners, or the Gauss nodes of every cell) from one
+helper, `_grid_values`.  A separable function, one that declares per-axis
+``factors``, is evaluated per axis on ``O(N q)`` coordinates and its grid
+values are the outer product of those; any other function is evaluated on
+the stacked points.  Both give the same element-wise arithmetic, and the
+outer products feed the same 8-vs-7-point Gauss checks.
+
 Cell quadrature cuts each cell at the declared kinks strictly inside it,
 through the weights of `_axis_rules`, so every cell takes one vectorized path.  It
 walks the mesh in blocks of whole cell rows (about `_BLOCK_CELLS` cells
@@ -164,6 +172,14 @@ class ContinuumFunction:
     ----------
     evaluate : callable
         Maps points of shape ``(..., d)`` to values of shape ``(..., channels)``.
+    factors : tuple of callables, optional
+        Declared for a separable function: one callable per axis, mapping a
+        coordinate array of any shape to values of shape ``(..., channels)``,
+        whose channel-wise product is the function (``evaluate`` must agree).
+        `sample` and the cell quadrature then evaluate each factor on its
+        axis's ``O(N q)`` coordinates and form outer products, which feed the
+        same 8-vs-7-point Gauss checks (`_grid_values`).  Anything but ``d``
+        callables raises `ValueError`.
     fourier : callable, optional
         Closed-form forward Fourier transform with the unitary
         ``(2*pi)**(-d/2)`` convention, same calling shape.
@@ -190,8 +206,14 @@ class ContinuumFunction:
     breakpoints: Optional[tuple[np.ndarray, ...]] = None
     sup_norm: float = 1.0
     support_inf: Optional[float] = None
+    factors: Optional[tuple[Callable[[np.ndarray], np.ndarray], ...]] = None
 
     def __post_init__(self):
+        if self.factors is not None:
+            if not isinstance(self.factors, (tuple, list)) or len(self.factors) != self.d \
+                    or not all(callable(f) for f in self.factors):
+                raise ValueError(f"factors must be {self.d} callables, one per axis")
+            object.__setattr__(self, "factors", tuple(self.factors))
         if self.breakpoints is not None:
             kinks = tuple(np.asarray(b, dtype=float) for b in self.breakpoints)
             if len(kinks) != self.d or any(b.ndim != 1 or not np.isfinite(b).all() for b in kinks):
@@ -209,7 +231,7 @@ class ContinuumFunction:
 def sample(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     """Pointwise samples ``phi(h*n)`` interpreted as the step function ``phi_h``."""
     _require_dimension(phi, mesh)
-    return LatticeField(mesh, _require_channels(phi, phi(mesh.site_coords())))
+    return LatticeField(mesh, _grid_values(phi, [mesh.h * mesh.indices] * mesh.d)())
 
 
 def _require_dimension(phi: ContinuumFunction, mesh: Mesh):
@@ -270,16 +292,54 @@ def _axis_rules(phi: ContinuumFunction, mesh: Mesh, rule) -> list[tuple[np.ndarr
     return out
 
 
-def _cell_points(axes, rows: slice) -> np.ndarray:
-    """Nodes of the per-axis rules ``axes`` (see `_axis_rules`) in the cells of row block ``rows``.
+def _multiply(arrays) -> np.ndarray:
+    """``arrays[0] * arrays[1] * ...``, left to right: the one product of per-axis values."""
+    out = arrays[0]
+    for a in arrays[1:]:
+        out = out * a
+    return out
 
-    Shape ``(n, q, 1)`` in 1D and ``(n, q, N, q, 2)`` in 2D for ``n`` rows; the
-    leading axis of each ``(cells, q)`` pair indexes the cell, the other the node.
+
+def _tensor_axes(arrays, shared: int = 0) -> list[np.ndarray]:
+    """``arrays`` reshaped to broadcast over the tensor grid of their own axes.
+
+    Array ``j`` keeps its own axes (all but its last ``shared``) in the place
+    of axis ``j`` of the grid, with size 1 along the other arrays' own axes;
+    the last ``shared`` axes (a channel axis) stay last and common.
     """
-    x = axes[0][0][rows]
-    if len(axes) == 1:
-        return x[:, :, None]
-    return np.stack(np.broadcast_arrays(x[:, :, None, None], axes[1][0][None, None]), axis=-1)
+    own = [np.ndim(a) - shared for a in arrays]
+    return [np.reshape(a, (1,) * sum(own[:j]) + np.shape(a)[: own[j]] + (1,) * sum(own[j + 1:])
+                       + np.shape(a)[own[j]:]) for j, a in enumerate(arrays)]
+
+
+def _cell_points(coords) -> np.ndarray:
+    """Points of the tensor grid of the per-axis coordinate arrays ``coords``, stacked on a last axis.
+
+    For the per-cell nodes of `_axis_rules` in ``n`` rows the shape is ``(n, q, 1)``
+    in 1D and ``(n, q, N, q, 2)`` in 2D; the leading axis of each ``(cells, q)``
+    pair indexes the cell, the other the node.
+    """
+    return np.stack(np.broadcast_arrays(*_tensor_axes(coords)), axis=-1)
+
+
+def _grid_values(phi: ContinuumFunction, coords):
+    """``values(rows)``: ``phi`` on the tensor grid of ``coords[0][rows]``, ``coords[1]``, ...
+
+    The shape is that of `_cell_points` with ``channels`` for its last axis.
+    A function with ``factors`` has each factor evaluated here, once, on its
+    axis's coordinates, and every call forms the outer product: the same
+    element-wise products as its ``evaluate`` on the stacked points, which any
+    other function is given on every call.
+    """
+    if phi.factors is None:
+        def values(rows=slice(None)):
+            return _require_channels(phi, phi(_cell_points([coords[0][rows], *coords[1:]])))
+    else:
+        axes = [_require_channels(phi, f(c)) for f, c in zip(phi.factors, coords)]
+
+        def values(rows=slice(None)):
+            return _multiply(_tensor_axes([axes[0][rows], *axes[1:]], shared=1))
+    return values
 
 
 def _block_means(vals: np.ndarray, axes, rows: slice) -> np.ndarray:
@@ -290,7 +350,7 @@ def _block_means(vals: np.ndarray, axes, rows: slice) -> np.ndarray:
 
 
 def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = False) -> list:
-    """8- and 7-point Gauss cell averages from one evaluation of ``phi`` per rule.
+    """8- and 7-point Gauss cell averages from one evaluation of ``phi`` per rule (`_grid_values`).
 
     Returns ``(G8, G7)`` pairs of full per-cell arrays: first the averages of
     ``phi`` itself when ``means`` is set, then, for each entry ``v`` of ``gaps``,
@@ -299,12 +359,13 @@ def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = 
     Cells are cut at declared kinks through the weights of `_axis_rules`.
     """
     rules = [_axis_rules(phi, mesh, rule) for rule in _RULES]
+    grid_values = [_grid_values(phi, [x for x, _ in axes]) for axes in rules]
     need_own = means or any(v is None for v in gaps)
     own = [np.empty(mesh.shape + (phi.channels,), complex) for _ in _RULES if need_own]
     gap_means = [[np.empty(mesh.shape + (1,)) for _ in _RULES] for _ in gaps]
 
     def block(rows):
-        vals = [_require_channels(phi, phi(_cell_points(axes, rows))) for axes in rules]
+        vals = [values(rows) for values in grid_values]
         if need_own:
             for out, v, axes in zip(own, vals, rules):
                 out[rows] = _block_means(v, axes, rows)
@@ -446,12 +507,13 @@ def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
     every cell (see `_axis_rules`), walked in row blocks.
     """
     f = sample(phi, mesh)
-    axes = _axis_rules(phi, mesh, _GAUSS_HI)
+    nodes = [x for x, _ in _axis_rules(phi, mesh, _GAUSS_HI)]
+    values = _grid_values(phi, nodes)
 
     def block(rows):
-        pts = _cell_points(axes, rows)
-        gap = _gap_sq(phi(pts), _broadcast_cell_values(f.values[rows], mesh.d))[..., 0] ** 0.5
-        weight = (1.0 + np.sum(pts**2, axis=-1)) ** (k / 2.0)
+        gap = _gap_sq(values(rows), _broadcast_cell_values(f.values[rows], mesh.d))[..., 0] ** 0.5
+        r2 = sum(_tensor_axes([x**2 for x in (nodes[0][rows], *nodes[1:])]))
+        weight = (1.0 + r2) ** (k / 2.0)
         return np.max(weight * gap)
 
     return float(max(_for_row_blocks(mesh, block)))
@@ -461,63 +523,78 @@ def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
 # test-function catalog
 
 
+def _product(factors) -> Callable[[np.ndarray], np.ndarray]:
+    """Points ``(..., d)`` to the channel-wise product ``f_0(x_0) * ... * f_{d-1}(x_{d-1})``."""
+    return lambda points: _multiply([f(points[..., j]) for j, f in enumerate(factors)])
+
+
+def _tensor(name: str, channels: int, factors, **declared) -> ContinuumFunction:
+    """The separable function with per-axis ``factors``; ``evaluate`` is their product.
+
+    ``declared`` passes on the closed-form transforms and the metadata of
+    `ContinuumFunction`.
+    """
+    return ContinuumFunction(name=name, d=len(factors), channels=channels, evaluate=_product(factors),
+                             factors=tuple(factors), **declared)
+
+
+def _first_axis(amplitude: complex, d: int) -> tuple:
+    """Per-axis scales of a product whose amplitude is carried by the first axis."""
+    return (amplitude,) + (1.0,) * (d - 1)
+
+
 def gaussian(d: int, a: float = 1.0, amplitude: complex = 1.0, center=None) -> ContinuumFunction:
     """Isotropic Gaussian ``A * exp(-a*|x - x0|**2)`` with closed-form transform."""
     if a <= 0:
         raise ValueError("gaussian decay rate must be positive")
     x0 = np.zeros(d) if center is None else np.asarray(center, dtype=float)
 
-    def evaluate(points):
-        r2 = np.sum((points - x0) ** 2, axis=-1)
-        return (amplitude * np.exp(-a * r2))[..., None]
+    def axis(c, amp):
+        return lambda x: (amp * np.exp(-a * (x - c) ** 2))[..., None]
 
     def fourier(xi):
         q2 = np.sum(xi**2, axis=-1)
         phase = np.exp(-1j * (xi @ x0))
         return (amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)) * phase)[..., None]
 
-    return ContinuumFunction(
-        name=f"gaussian{d}d", d=d, channels=1, evaluate=evaluate, fourier=fourier,
-        sup_norm=abs(amplitude),
-    )
+    return _tensor(f"gaussian{d}d", 1, list(map(axis, x0, _first_axis(amplitude, d))), fourier=fourier,
+                   sup_norm=abs(amplitude))
 
 
 def modulated_gaussian(d: int, a: float = 1.0, k0=None, amplitude: complex = 1.0) -> ContinuumFunction:
     """Gaussian-modulated plane wave ``A * exp(i*k0.x) * exp(-a*|x|**2)``."""
     k0 = np.zeros(d) if k0 is None else np.asarray(k0, dtype=float)
 
-    def evaluate(points):
-        r2 = np.sum(points**2, axis=-1)
-        phase = np.exp(1j * (points @ k0))
-        return (amplitude * phase * np.exp(-a * r2))[..., None]
+    def axis(k, amp):
+        return lambda x: (amp * np.exp(1j * k * x) * np.exp(-a * x**2))[..., None]
 
     def fourier(xi):
         q2 = np.sum((xi - k0) ** 2, axis=-1)
         return (amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)))[..., None]
 
-    return ContinuumFunction(
-        name=f"modwave{d}d", d=d, channels=1, evaluate=evaluate, fourier=fourier,
-        sup_norm=abs(amplitude),
-    )
+    return _tensor(f"modwave{d}d", 1, list(map(axis, k0, _first_axis(amplitude, d))), fourier=fourier,
+                   sup_norm=abs(amplitude))
 
 
 def _stack_channels(entries: Sequence[ContinuumFunction], name: str) -> ContinuumFunction:
+    """The separable scalar ``entries`` as the channels of one separable function.
+
+    Each factor stacks the entries' factors of its axis, and each axis
+    carries every entry's kinks.
+    """
     d = entries[0].d
 
-    def evaluate(points):
-        return np.concatenate([e.evaluate(points) for e in entries], axis=-1)
+    def stack(parts):
+        return lambda x: np.concatenate([f(x) for f in parts], axis=-1)
 
-    have_ft = all(e.fourier is not None for e in entries)
-
-    def fourier(xi):
-        return np.concatenate([e.fourier(xi) for e in entries], axis=-1)
-
+    kinked = [e.breakpoints for e in entries if e.breakpoints is not None]
     support = None
     if all(e.support_inf is not None for e in entries):
         support = max(e.support_inf for e in entries)
-    return ContinuumFunction(
-        name=name, d=d, channels=len(entries), evaluate=evaluate,
-        fourier=fourier if have_ft else None,
+    return _tensor(
+        name, len(entries), [stack([e.factors[j] for e in entries]) for j in range(d)],
+        fourier=stack([e.fourier for e in entries]) if all(e.fourier for e in entries) else None,
+        breakpoints=tuple(np.unique(np.hstack([b[j] for b in kinked])) for j in range(d)) if kinked else None,
         sup_norm=float(np.hypot(*[e.sup_norm for e in entries])),
         support_inf=support,
     )
@@ -540,10 +617,8 @@ def hat(width: float = 0.5) -> ContinuumFunction:
     if w <= 0:
         raise ValueError("hat width must be positive")
 
-    def evaluate(points):
-        x = points[..., 0]
-        out = np.where(np.abs(x) <= w, w, np.maximum(0.0, 2 * w - np.abs(x)))
-        return out.astype(complex)[..., None]
+    def space(x):
+        return np.where(np.abs(x) <= w, w, np.maximum(0.0, 2 * w - np.abs(x)))[..., None]
 
     def fourier(xi):
         q = xi[..., 0]
@@ -551,10 +626,8 @@ def hat(width: float = 0.5) -> ContinuumFunction:
             * np.sinc(1.5 * w * q / np.pi) * np.sinc(0.5 * w * q / np.pi)
         return val.astype(complex)[..., None]
 
-    return ContinuumFunction(
-        name="hat", d=1, channels=1, evaluate=evaluate, fourier=fourier,
-        breakpoints=(np.array([-2 * w, -w, w, 2 * w]),), sup_norm=w, support_inf=2 * w,
-    )
+    return _tensor("hat", 1, [space], fourier=fourier,
+                   breakpoints=(np.array([-2 * w, -w, w, 2 * w]),), sup_norm=w, support_inf=2 * w)
 
 
 def _cos_power_window(R: float, p: int):
@@ -592,24 +665,19 @@ def bandlimited(d: int, R: float, p: int = 8, k0=None, amplitude: complex = 1.0)
     window, transform = _cos_power_window(R, p)
     k0 = np.zeros(d) if k0 is None else np.asarray(k0, dtype=float)
 
-    def evaluate(points):
-        prof = np.ones(points.shape[:-1])
-        for j in range(d):
-            prof = prof * transform(points[..., j])
-        phase = np.exp(1j * (points @ k0))
-        return (amplitude * phase * prof)[..., None]
+    def axis(k, amp):
+        def space(x):
+            return (amp * np.exp(1j * k * x) * transform(x))[..., None]
 
-    def fourier(xi):
-        prof = np.ones(xi.shape[:-1])
-        for j in range(d):
-            prof = prof * window(xi[..., j] - k0[j])
-        return (amplitude * prof.astype(complex))[..., None]
+        def freq(q):
+            return (amp * window(q - k))[..., None]
 
-    sup = abs(amplitude) * float(transform(np.zeros(1))[0]) ** d
-    return ContinuumFunction(
-        name=f"bandlimited{d}d", d=d, channels=1, evaluate=evaluate, fourier=fourier,
-        sup_norm=sup, support_inf=float(np.max(np.abs(k0)) + R),
-    )
+        return space, freq
+
+    space, freq = zip(*map(axis, k0, _first_axis(amplitude, d)))
+    return _tensor(f"bandlimited{d}d", 1, space, fourier=_product(freq),
+                   sup_norm=abs(amplitude) * float(transform(np.zeros(1))[0]) ** d,
+                   support_inf=float(np.max(np.abs(k0)) + R))
 
 
 def bandlimited_spinor(d: int = 2, R: float = np.pi / 0.8, p: int = 8) -> ContinuumFunction:
@@ -620,23 +688,9 @@ def bandlimited_spinor(d: int = 2, R: float = np.pi / 0.8, p: int = 8) -> Contin
 def freq_window(d: int, R: float, p: int = 8) -> ContinuumFunction:
     """Frequency-side tensor cosine-power window with closed-form inverse transform."""
     window, transform = _cos_power_window(R, p)
-
-    def evaluate(xi):
-        prof = np.ones(xi.shape[:-1])
-        for j in range(d):
-            prof = prof * window(xi[..., j])
-        return prof.astype(complex)[..., None]
-
-    def inverse_fourier(points):
-        prof = np.ones(points.shape[:-1])
-        for j in range(d):
-            prof = prof * transform(points[..., j])
-        return prof.astype(complex)[..., None]
-
-    return ContinuumFunction(
-        name=f"freqbump{d}d", d=d, channels=1, evaluate=evaluate,
-        inverse_fourier=inverse_fourier, sup_norm=1.0, support_inf=R,
-    )
+    return _tensor(f"freqbump{d}d", 1, [lambda q: window(q)[..., None]] * d,
+                   inverse_fourier=_product([lambda x: transform(x)[..., None]] * d),
+                   sup_norm=1.0, support_inf=R)
 
 
 _DEFAULT_BUMP_R = np.pi / 0.8  # fits inside the frequency box of the coarsest default mesh

@@ -16,11 +16,10 @@ production path).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateInput, RealShift
+from .errors import DegenerateInput, LatticeDiracError, RealShift
 
 __all__ = [
     "SIGMA1",
@@ -125,33 +124,33 @@ _CRITICAL_LOCATIONS = (
 )
 
 
-def _central_gradient(point: Sequence[float], step: float = 1e-6) -> np.ndarray:
-    point = np.asarray(point, dtype=float)
-    grad = np.zeros(2)
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = step
-        grad[j] = (omega(point + e) - omega(point - e)) / (2 * step)
-    return grad
+def _omega_gradient(xi) -> np.ndarray:
+    """Closed-form gradient of `omega_additive`, shape ``(..., 2)``."""
+    xi = np.asarray(xi, dtype=float)
+    t1, t2 = xi[..., 0], xi[..., 1]
+    g1 = 2 * np.cos(t1 - t2) - 2 * (np.cos(t1) - np.sin(t1))
+    g2 = -2 * np.cos(t1 - t2) + 2 * (np.cos(t2) + np.sin(t2))
+    return np.stack([g1, g2], axis=-1)
 
 
 def critical_points() -> list[CriticalPoint]:
     """The six critical points of the dispersion on the unit torus.
 
     Locations are hard-coded closed forms; each is verified at call time by
-    a central-difference gradient check and a Hessian signature check.
+    the closed-form gradient (norm below 1e-12) and the Hessian signature,
+    and a failed check raises `LatticeDiracError`.
     """
     out = []
     for loc, kind in _CRITICAL_LOCATIONS:
-        grad = np.linalg.norm(_central_gradient(loc))
-        if grad >= 1e-8:
-            raise AssertionError(f"gradient {grad:.3e} at declared critical point {loc}")
+        grad = np.linalg.norm(_omega_gradient(loc))
+        if grad >= 1e-12:
+            raise LatticeDiracError(f"gradient {grad:.3e} at declared critical point {loc}")
         H = omega_hessian(np.asarray(loc))
         det = H[0, 0] * H[1, 1] - H[0, 1] ** 2
         trace = H[0, 0] + H[1, 1]
         signature = "saddle" if det < 0 else ("min" if trace > 0 else "max")
         if signature != kind:
-            raise AssertionError(f"Hessian signature at {loc} is {signature}, expected {kind}")
+            raise LatticeDiracError(f"Hessian signature at {loc} is {signature}, expected {kind}")
         out.append(CriticalPoint(location=loc, kind=kind, value=float(omega(np.asarray(loc)))))
     return out
 

@@ -92,7 +92,7 @@ def test_criterion_02_spectrum_endpoint_exact_on_aligned_grid():
 
 def test_criterion_03_dispersion_certificate():
     with Budget(3, 1.0, "critical points verified; two-sided dispersion bounds hold"):
-        cps = critical_points()  # raises if any gradient exceeds 1e-8
+        cps = critical_points()  # raises LatticeDiracError if any closed-form gradient reaches 1e-12
         assert len(cps) == 6
         values = sorted(cp.value for cp in cps)
         expected = sorted([0.0, 0.0, 6 + 4 * SQRT2, 6 - 4 * SQRT2, 2.0, 2.0])

@@ -168,6 +168,15 @@ def test_omega_scan_emits_critical_points(tmp_path, capsys):
     assert abs(float(rows[-4]["omega"]) - (6 + 4 * np.sqrt(2))) < 1e-12
 
 
+def test_omega_scan_exits_1_when_a_declared_point_is_not_critical(monkeypatch, capsys):
+    from latticedirac import symbols
+
+    monkeypatch.setattr(symbols, "_CRITICAL_LOCATIONS",
+                        symbols._CRITICAL_LOCATIONS + (((0.3, 0.1), "min"),))
+    assert main(["omega-scan", "--grid", "8"]) == 1
+    assert "at declared critical point (0.3, 0.1)" in capsys.readouterr().err
+
+
 def test_oracle_eigs_passes(tmp_path):
     out = tmp_path / "eigs.csv"
     assert main(["oracle-eigs", "--N", "8", "--h", "0.5", "--m", "1", "--out", str(out)]) == 0

@@ -1,5 +1,6 @@
 """Tests for lattice geometry, grid transfers, and step-function norms."""
 
+import dataclasses
 import threading
 import tracemalloc
 
@@ -22,6 +23,7 @@ from latticedirac import (
 from latticedirac.errors import MeshMismatch, OutOfDomain, QuadratureFailure
 from latticedirac import grid
 from latticedirac.grid import (
+    FUNCTION_IDS,
     bandlimited,
     function_catalog,
     gaussian,
@@ -29,6 +31,7 @@ from latticedirac.grid import (
     modulated_gaussian,
     weighted_sampling_gap,
     _projection_errors,
+    _stack_channels,
     _thread_map,
 )
 
@@ -130,23 +133,29 @@ def test_weighted_pointwise_gap_uniform_in_h():
     assert max(ratios) / min(ratios) < 2.0
 
 
-# weighted_sampling_gap(phi, Mesh(2, 9.6 / N, N), k=2), recorded when the probe
-# points were still evaluated as one (N, 8, N, 8, 2) array
+# weighted_sampling_gap(phi, Mesh(2, 9.6 / N, N), k=2), recorded when the catalog entries
+# were first evaluated through their per-axis factors
 WEIGHTED_GAP_PINS = {
     ("gaussian2d", 24): 0.9943075003454215,
-    ("gaussian2d", 48): 0.465182854164096,
+    ("gaussian2d", 48): 0.4651828541640959,
     ("modwave2d", 24): 1.0143813274830593,
-    ("modwave2d", 48): 0.4723967198843121,
-    ("gaussian-spinor", 24): 1.175848717292078,
-    ("gaussian-spinor", 48): 0.5386796049376851,
+    ("modwave2d", 48): 0.472396719884312,
+    ("gaussian-spinor", 24): 1.1758487172920782,
+    ("gaussian-spinor", 48): 0.538679604937685,
 }
 
 
 @pytest.mark.parametrize("name,N", sorted(WEIGHTED_GAP_PINS))
-def test_weighted_sampling_gap_is_unchanged_by_row_blocks(name, N):
-    # a max does not depend on the order of its terms, so the row blocks reproduce it exactly
+def test_weighted_sampling_gap_is_unchanged_by_row_blocks(name, N, monkeypatch):
+    # a max does not depend on the order of its terms, so any row blocks on any
+    # number of threads reproduce it exactly: one row per block, five, or the default
     phi = function_catalog(name)
-    assert weighted_sampling_gap(phi, Mesh(2, 9.6 / N, N), k=2) == WEIGHTED_GAP_PINS[name, N]
+    mesh = Mesh(2, 9.6 / N, N)
+    for block_cells in (grid._BLOCK_CELLS, N, 5 * N):
+        for threads in ("1", "2"):
+            monkeypatch.setattr(grid, "_BLOCK_CELLS", block_cells)
+            monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+            assert weighted_sampling_gap(phi, mesh, k=2) == WEIGHTED_GAP_PINS[name, N]
 
 
 # ---------------------------------------------------------------------------
@@ -522,3 +531,64 @@ def test_2d_tent_cuts_only_the_cells_its_kinks_fall_in():
     project(_counting(gaussian(2), kinkless), mesh)
     assert sum(kinkless) == mesh.N**2 * (8**2 + 7**2)
     assert sum(kinked) <= 4 * sum(kinkless)
+
+
+# ---------------------------------------------------------------------------
+# separable functions: per-axis factors and their outer products
+
+# a mesh per dimension on which every catalog entry passes its quadrature checks
+_TENSOR_MESHES = {1: Mesh(1, 0.3, 32), 2: Mesh(2, 0.4, 24)}
+
+
+def _evaluate_only(phi):
+    """``phi`` without its factors, so every grid transfer evaluates it on stacked points."""
+    return dataclasses.replace(phi, factors=None)
+
+
+@pytest.mark.parametrize("name", FUNCTION_IDS)
+def test_factors_give_the_values_of_the_stacked_points(name):
+    phi = function_catalog(name)
+    assert phi.factors is not None
+    mesh, plain = _TENSOR_MESHES[phi.d], _evaluate_only(phi)
+    np.testing.assert_array_equal(sample(phi, mesh).values, sample(plain, mesh).values)
+    np.testing.assert_array_equal(project(phi, mesh).values, project(plain, mesh).values)
+    assert _projection_errors(phi, mesh) == _projection_errors(plain, mesh)
+    assert weighted_sampling_gap(phi, mesh, k=2) == weighted_sampling_gap(plain, mesh, k=2)
+
+
+def test_separable_project_evaluates_each_factor_once_per_rule():
+    # the cost guard of the outer products: O(N q) points per axis and rule, never N**2 q**2
+    mesh = Mesh(2, 0.15, 32)
+    phi, seen = gaussian(2), []
+
+    def counting(factor):
+        def counted(x):
+            seen.append(x.size)
+            return factor(x)
+        return counted
+
+    def never(points):
+        raise AssertionError("evaluate called on stacked points")
+
+    counted = dataclasses.replace(phi, evaluate=never, factors=tuple(map(counting, phi.factors)))
+    np.testing.assert_array_equal(project(counted, mesh).values, project(phi, mesh).values)
+    assert seen == [mesh.N * 8] * mesh.d + [mesh.N * 7] * mesh.d
+
+
+@pytest.mark.parametrize("factors", [
+    (np.exp,),  # one factor for a 2D function
+    (np.exp, 2.0),  # not callable
+    np.exp,  # not a sequence
+])
+def test_factors_need_one_callable_per_axis(factors):
+    with pytest.raises(ValueError, match="^factors must be 2 callables, one per axis$"):
+        ContinuumFunction("bad", 2, 1, gaussian(2).evaluate, factors=factors)
+
+
+def test_stacked_channels_keep_the_kinks_of_their_entries():
+    # hat(0.5) kinks at +-0.5, +-1 and hat(0.3) at +-0.3, +-0.6 all fall inside cells of 0.35
+    mesh = Mesh(1, 0.35, 16)
+    parts = [hat(0.5), hat(0.3)]
+    values = project(_stack_channels(parts, "hats"), mesh).values
+    for channel, part in enumerate(parts):
+        np.testing.assert_allclose(values[:, channel], project(part, mesh).values[:, 0], rtol=0, atol=1e-15)

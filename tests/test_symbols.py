@@ -16,7 +16,8 @@ from latticedirac import (
     symbol_continuum,
     symbol_discrete,
 )
-from latticedirac.errors import DegenerateInput, RealShift
+from latticedirac import symbols
+from latticedirac.errors import DegenerateInput, LatticeDiracError, RealShift
 from latticedirac.symbols import (
     omega_additive,
     opnorm_2x2,
@@ -100,6 +101,13 @@ def test_critical_points_have_vanishing_gradient():
             (omega(loc + [0, step]) - omega(loc - [0, step])) / (2 * step),
         ])
         assert np.linalg.norm(grad) < 1e-8
+
+
+def test_a_declared_point_that_is_not_critical_raises_the_package_error(monkeypatch):
+    monkeypatch.setattr(symbols, "_CRITICAL_LOCATIONS",
+                        symbols._CRITICAL_LOCATIONS + (((0.3, 0.1), "min"),))
+    with pytest.raises(LatticeDiracError, match=r"^gradient .* at declared critical point \(0\.3, 0\.1\)$"):
+        critical_points()
 
 
 # ---------------------------------------------------------------------------
