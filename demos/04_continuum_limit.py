@@ -42,12 +42,14 @@ def main():
     )
     show(rep)
 
-    print("\n== weighted-space operator-gap probe (diagnostic only) ==")
-    for h in (0.4, 0.2, 0.1):
-        val = weighted_operator_gap_probe(1.0, 2j, 1.0, h, 9.6)
-        print(f"   h={h:4.2f}: max probe ratio {val:.6f}")
-    print("  a 16-member probe surrogate for the weighted operator-norm gap;")
-    print("  reported, not gated.")
+    print("\n== weighted-space operator-norm gap (diagnostic only) ==")
+    for s in (0.0, 1.0):
+        for h in (0.4, 0.2, 0.1):
+            val = weighted_operator_gap_probe(1.0, 2j, s, h, 9.6)
+            print(f"   s={s:.0f}, h={h:4.2f}: max over the dual grid {val:.6f}")
+    print("  exact sup of ||R_disc(xi) - R_cont(xi)|| <xi>^-s; at s=0 it stays near the")
+    print("  doubler value |m+z|/|m^2-z^2| = 0.447 at every h (fermion doubling), so the")
+    print("  convergence is strong, not in norm.  Reported, not gated.")
 
 
 if __name__ == "__main__":

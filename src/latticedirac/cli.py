@@ -119,8 +119,10 @@ class RunConfig:
             raise ConfigError("mesh size and box must be positive")
         if any(hv <= 0 for hv in self.hs):
             raise ConfigError("sweep mesh sizes must be positive")
-        if self.refine < 1 or self.grid < 2:
-            raise ConfigError("refine and grid must be positive")
+        if self.refine < 1:
+            raise ConfigError(f"refine must be at least 1, got {self.refine}")
+        if self.grid < 2:
+            raise ConfigError(f"grid must be at least 2, got {self.grid}")
         if self.N < 4 or self.N % 2 or self.N > 32:
             raise ConfigError("oracle lattice size must be even, 4..32")
         if self.s < 0:

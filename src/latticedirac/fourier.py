@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolation, UnknownClosedForm
-from .grid import ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap
+from .grid import ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap, _cell_points
 
 __all__ = [
     "FrequencyGrid",
@@ -59,9 +59,7 @@ class FrequencyGrid:
 
     def coords(self) -> np.ndarray:
         """Frequency coordinates, shape ``(*mesh.shape, d)``."""
-        axes = [self.frequencies for _ in range(self.mesh.d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        return _cell_points([self.frequencies] * self.mesh.d)
 
 
 @dataclass(frozen=True)

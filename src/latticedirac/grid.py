@@ -129,9 +129,7 @@ class Mesh:
 
     def site_coords(self) -> np.ndarray:
         """Coordinates of the cell corners ``h*n``, shape ``(*shape, d)``."""
-        axes = [self.h * self.indices for _ in range(self.d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack(grids, axis=-1)
+        return _cell_points([self.h * self.indices] * self.d)
 
     def compatible(self, other: "Mesh") -> bool:
         return self.d == other.d and self.N == other.N and abs(self.h - other.h) <= 1e-14 * self.h
@@ -439,6 +437,8 @@ def evaluate_step(f: LatticeField, x) -> np.ndarray:
     mesh = f.mesh
     if x.shape != (mesh.d,):
         raise ValueError(f"point must have shape ({mesh.d},)")
+    if not np.all(np.isfinite(x)):
+        raise OutOfDomain(f"point {x} is not finite")
     n = np.floor(x / mesh.h).astype(int)
     if np.any(n < -mesh.N // 2) or np.any(n > mesh.N // 2 - 1):
         raise OutOfDomain(f"point {x} outside the box [-L/2, L/2)^d")

@@ -140,6 +140,17 @@ def test_non_finite_numbers_are_config_errors(argv, content, tmp_path, capsys):
     assert "must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["omega-scan", "--grid", "1"], "grid must be at least 2, got 1"),
+    (["resolve-free", "--refine", "0"], "refine must be at least 1, got 0"),
+])
+def test_each_count_flag_states_its_own_rule(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert ("refine" in err) != ("grid" in err)  # names only the flag at fault
+
+
 # ---------------------------------------------------------------------------
 # experiment runs
 

@@ -412,6 +412,13 @@ def test_evaluate_step_cell_lookup():
         evaluate_step(f, (0.0, -2.5))
 
 
+@pytest.mark.parametrize("x", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0)])
+def test_evaluate_step_rejects_a_non_finite_point(x):
+    f = LatticeField(Mesh(2, 0.5, 8), np.zeros((8, 8, 1), dtype=complex))
+    with pytest.raises(OutOfDomain, match="not finite"):
+        evaluate_step(f, x)  # before any cast of floor(x / h) to int, which would warn
+
+
 # ---------------------------------------------------------------------------
 # catalog closed forms
 

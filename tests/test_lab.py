@@ -6,9 +6,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticedirac import (
     ContinuumFunction,
+    DiracParams,
+    FrequencyGrid,
     Mesh,
     Sweep,
     exp_ft,
@@ -22,7 +26,8 @@ from latticedirac import (
 )
 from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion, RealShift
 from latticedirac.grid import bandlimited_spinor, gaussian
-from latticedirac.lab import _assemble, weighted_operator_gap_probe
+from latticedirac.lab import DYADIC_HS, _assemble, weighted_operator_gap_probe
+from latticedirac.operators import _resolvent_multiplier, _zeta
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +330,45 @@ def test_weighted_operator_gap_probe_is_finite_and_small():
     assert all(np.isfinite(v) and 0 < v < 1 for v in vals)
 
 
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_unweighted_operator_gap_stays_at_the_doubler_value(h):
+    # the discrete zeta vanishes at h*xi = (pi/2, -pi/2), where the gap is
+    # max(|m + z|, |m - z|) / |m**2 - z**2| = sqrt(5)/5 at m = 1, z = 2i, whatever h is
+    assert abs(weighted_operator_gap_probe(1.0, 2j, 0.0, h, 9.6) - np.sqrt(5) / 5) < 5e-3
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_weighted_operator_gap_decays_at_rate_min_s_1(s):
+    gaps = [weighted_operator_gap_probe(1.0, 2j, s, h, 9.6) for h in DYADIC_HS]
+    slope, _ = fit_rate(DYADIC_HS, gaps)
+    assert abs(slope - min(s, 1.0)) < 0.1
+
+
+def _bump_ratio(m, z, s, h, box, center, width, spinor):
+    """``||(R_disc - R_cont) u|| / ||<xi>**s u||`` for a Gaussian frequency bump ``u``, by multiplier applies."""
+    coords = FrequencyGrid(Mesh(2, h, round(box / h))).coords()
+    discrete = _resolvent_multiplier(_zeta(coords, DiracParams(m, h)), m, z)
+    continuum = _resolvent_multiplier(_zeta(coords, None), m, z)
+    bump = np.exp(-np.sum((coords - center) ** 2, axis=-1) / (2 * width**2))
+    u = spinor[:, None, None] * bump  # channel-first, as the multipliers take it
+    gap = discrete(u.copy()) - continuum(u.copy())
+    weight_sq = (1.0 + np.sum(coords**2, axis=-1)) ** s
+    return np.sqrt(np.sum(np.abs(gap) ** 2) / np.sum(weight_sq * np.abs(u) ** 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=st.sampled_from([0.4, 0.2]), m=st.floats(0.0, 2.0), s=st.floats(0.0, 2.0),
+       re=st.floats(-2.0, 2.0), im=st.floats(0.5, 3.0), sign=st.sampled_from([1.0, -1.0]),
+       center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), width=st.floats(0.1, 2.0),
+       angles=st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi)))
+def test_weighted_operator_gap_bounds_every_bump_ratio_property(h, m, s, re, im, sign, center,
+                                                                width, angles):
+    z = complex(re, sign * im)
+    spinor = np.array([np.cos(angles[0]), np.sin(angles[0]) * np.exp(1j * angles[1])])
+    ratio = _bump_ratio(m, z, s, h, 9.6, np.asarray(center) * np.pi / h, width, spinor)
+    assert ratio <= weighted_operator_gap_probe(m, z, s, h, 9.6) * (1 + 1e-12)
+
+
 def test_thread_cap_does_not_change_results(monkeypatch):
     sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function="gaussian1d")
     monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
@@ -337,8 +381,8 @@ def test_thread_cap_does_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("function", ["gaussian2d", "gaussian-spinor"])
 def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch):
-    # the cap sets the row-block workers of the cell quadrature as well as the across-h
-    # pool; 8 workers and a short switch interval stress the shared per-cell arrays
+    # the cap sets the row-block workers of the cell quadrature; 8 workers and a
+    # short switch interval stress the shared per-cell arrays
     sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=function)
     errors = []
     interval = sys.getswitchinterval()
@@ -354,7 +398,7 @@ def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch)
 
 @pytest.mark.parametrize("z", [3j, 1.2j])  # Neumann, then Krylov
 def test_fft_workers_do_not_change_resolvent_results(z, monkeypatch):
-    # the cap sets the FFT workers of every solve as well as the across-h pool
+    # the cap sets the FFT workers of every solve
     sweep = Sweep(hs=(0.8, 0.4, 0.2), box=9.6, function="gaussian-spinor", z=z,
                   potential="nonhermitian-gaussian", refine=2)
     errors = []
