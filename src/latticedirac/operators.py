@@ -26,13 +26,15 @@ only) serves as the cross-validation oracle.
 Fourier multipliers work channel-first: the two spinor channels are held as
 one contiguous ``(2, *sites)`` array, transformed over the site axes by
 `fourier._fftn` (the library's one FFT entry point) and multiplied in place
-one block of rows at a time.
+one block of rows at a time.  The coefficients of a block are formed from
+per-axis terms of ``zeta`` when the block is multiplied, on every apply, so
+no grid-sized symbol or coefficient array is ever stored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -45,7 +47,7 @@ from .errors import (
 )
 from .fourier import FrequencyGrid, SpectralField, _fftn, _step_factor, dft, idft
 from .grid import ContinuumFunction, LatticeField, Mesh, _require_channels, _require_dimension, norm_l2, sample
-from .symbols import DiracParams, _require_complex_shift, _require_mass, opnorm_2x2, zeta_discrete
+from .symbols import DiracParams, _require_complex_shift, _require_mass, _zeta_terms, opnorm_2x2, zeta_discrete
 
 __all__ = [
     "PotentialSpec",
@@ -93,10 +95,18 @@ class PotentialSpec:
 
 
 def sample_potential(V: PotentialSpec, mesh: Mesh) -> np.ndarray:
-    """Sitewise samples ``V(h*n)``, the step-function potential on the mesh."""
+    """Sitewise samples ``V(h*n)``, the step-function potential on the mesh.
+
+    Raises `ValueError` unless the samples have the shape ``(*mesh.shape, 2, 2)``.
+    """
     if mesh.d != 2:
         raise MeshMismatch("matrix potentials are defined on 2D meshes")
-    return V(mesh.site_coords())
+    Vh = V(mesh.site_coords())
+    if np.shape(Vh) != mesh.shape + (2, 2):
+        raise ValueError(
+            f"potential {V.name!r} gave samples of shape {np.shape(Vh)}, expected {mesh.shape + (2, 2)}"
+        )
+    return Vh
 
 
 def split_hermitian(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +120,7 @@ def _envelope_potential(name: str, matrix: np.ndarray, rate: float) -> Potential
     matrix = np.asarray(matrix, dtype=complex)
 
     def matrix_fn(points):
-        env = np.exp(-rate * np.sum(points**2, axis=-1))
+        env = np.exp(-rate * (points[..., 0] ** 2 + points[..., 1] ** 2))
         return env[..., None, None] * matrix
 
     herm, skew = split_hermitian(matrix)
@@ -200,56 +210,6 @@ def _channel_last(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(x, 0, -1)
 
 
-@dataclass(frozen=True)
-class _Multiplier:
-    """Pointwise 2x2 symbol ``[[c0 * s, conj_s], [zeta_s, c1 * s]]``.
-
-    ``s``, ``zeta_s`` and ``conj_s`` are arrays over the sites' frequencies
-    (``s`` may be a broadcast constant); ``c0`` and ``c1`` are scalars.
-    """
-
-    s: np.ndarray
-    zeta_s: np.ndarray
-    conj_s: np.ndarray
-    c0: complex
-    c1: complex
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Multiply channel-first ``x`` in place, one block of rows at a time, and return it."""
-        blocks = _row_blocks(x)
-        t0 = np.empty_like(x[0, blocks[0]])
-        t1 = np.empty_like(t0)
-        for rows in blocks:
-            a, b, s = x[0, rows], x[1, rows], self.s[rows]
-            out0, out1 = t0[: a.shape[0]], t1[: a.shape[0]]
-            np.multiply(s, a, out=out0)
-            out0 *= self.c0
-            np.multiply(self.conj_s[rows], b, out=out1)
-            out0 += out1
-            np.multiply(self.zeta_s[rows], a, out=out1)
-            np.multiply(s, b, out=a)
-            a *= self.c1
-            out1 += a
-            a[...] = out0
-            b[...] = out1
-        return x
-
-
-def _dirac_multiplier(zeta: np.ndarray, m: float) -> _Multiplier:
-    """The symbol ``M = [[m, conj(zeta)], [zeta, -m]]``."""
-    return _Multiplier(np.broadcast_to(1.0, zeta.shape), zeta, np.conj(zeta), m, -m)
-
-
-def _resolvent_multiplier(zeta: np.ndarray, m: float, z: complex) -> _Multiplier:
-    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
-
-    ``1/den``, ``zeta/den`` and ``conj(zeta)/den`` are computed here once, not on every apply.
-    """
-    m, z = float(m), complex(z)  # Python scalars, so a float32 mass cannot narrow ``m + z``
-    s = 1.0 / (np.abs(zeta) ** 2 + m * m - z * z)
-    return _Multiplier(s, zeta * s, np.conj(zeta) * s, m + z, z - m)
-
-
 def _zeta(coords: np.ndarray, p: Optional[DiracParams]) -> np.ndarray:
     """Lower-left symbol entry at ``coords``: discrete for ``p``, continuum ``xi1 + i*xi2`` if None."""
     if p is None:
@@ -257,9 +217,118 @@ def _zeta(coords: np.ndarray, p: Optional[DiracParams]) -> np.ndarray:
     return zeta_discrete(coords, p)
 
 
-def _zeta_natural(mesh: Mesh, p: Optional[DiracParams]) -> np.ndarray:
-    """`_zeta` on the dual grid of ``mesh`` in natural FFT order."""
-    return _zeta(np.roll(FrequencyGrid(mesh).coords(), mesh.N // 2, axis=(0, 1)), p)
+class _AxisZeta:
+    """`_zeta` on the tensor grid of the per-axis frequencies ``f``, formed one block of rows at a time.
+
+    ``zeta = rows_term[i] + cols_term[j]``, divided by ``h`` for the discrete symbol:
+    ``f`` and ``1j*f`` for the continuum, the `symbols._zeta_terms` of ``f`` for ``p``.
+    These are the element-wise operations of `_zeta` on the stacked grid, so each
+    block is bit-identical to those rows of it.  Only the per-axis terms are stored.
+    """
+
+    def __init__(self, f: np.ndarray, p: Optional[DiracParams]):
+        if p is None:
+            self.h, self.rows_term, self.cols_term = None, f.astype(complex), 1j * f
+        else:
+            self.h = p.h
+            self.rows_term, self.cols_term = _zeta_terms(f, p.h)
+
+    def block(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """``zeta`` on ``rows``, written into ``out`` of shape ``(rows, N)`` and returned."""
+        out[...] = self.cols_term
+        out += self.rows_term[rows, None]
+        if self.h is not None:
+            out /= self.h
+        return out
+
+
+def _natural_zeta(mesh: Mesh, p: Optional[DiracParams]) -> _AxisZeta:
+    """`_AxisZeta` on the dual grid of ``mesh`` in natural FFT order."""
+    return _AxisZeta(np.roll(FrequencyGrid(mesh).frequencies, mesh.N // 2), p)
+
+
+@dataclass(frozen=True)
+class _Multiplier:
+    """Pointwise 2x2 symbol ``M = [[m, conj(zeta)], [zeta, -m]]``, or ``(M - z)**-1`` given ``z``.
+
+    ``zeta`` is an `_AxisZeta`, or a full array over the frequencies of the sites.
+    The coefficients of each block of rows are formed when it is multiplied, on
+    every apply, in buffers of one block, so no grid-sized one is stored.
+    """
+
+    zeta: Union[_AxisZeta, np.ndarray]
+    m: float
+    z: Optional[complex] = None
+
+    def _coefficients(self, blocks: list[slice], shape: tuple[int, int]):
+        """Yield ``(s, zeta_s, conj_s)`` on each of ``blocks``: ``1``, ``zeta``, ``conj(zeta)`` for
+        ``M``, `_resolvent_coefficients` for ``(M - z)**-1``, in buffers of ``shape`` that are reused."""
+        zeta_buf, conj_s, s, zeta_s = (np.empty(shape, complex) for _ in range(4))
+        den = np.empty(shape)
+        for rows in blocks:
+            k = rows.stop - rows.start
+            if isinstance(self.zeta, np.ndarray):
+                zeta = self.zeta[rows]
+            else:
+                zeta = self.zeta.block(rows, zeta_buf[:k])
+            if self.z is None:
+                yield np.broadcast_to(1.0, zeta.shape), zeta, np.conjugate(zeta, out=conj_s[:k])
+            else:
+                yield _resolvent_coefficients(zeta, self.m, self.z, s[:k], zeta_s[:k], conj_s[:k], den[:k])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Multiply channel-first ``x`` in place, one block of rows at a time, and return it.
+
+        A block is multiplied by ``[[c0 * s, conj_s], [zeta_s, c1 * s]]``, with
+        ``c0, c1 = m, -m`` for ``M`` and ``m + z, z - m`` for ``(M - z)**-1``.
+        """
+        m = float(self.m)  # Python scalars, so a float32 mass cannot narrow ``m + z``
+        c0, c1 = (m, -m) if self.z is None else (m + complex(self.z), complex(self.z) - m)
+        blocks = _row_blocks(x)
+        t0 = np.empty_like(x[0, blocks[0]])
+        t1 = np.empty_like(t0)
+        for rows, (s, zeta_s, conj_s) in zip(blocks, self._coefficients(blocks, t0.shape)):
+            a, b = x[0, rows], x[1, rows]
+            out0, out1 = t0[: a.shape[0]], t1[: a.shape[0]]
+            np.multiply(s, a, out=out0)
+            out0 *= c0
+            np.multiply(conj_s, b, out=out1)
+            out0 += out1
+            np.multiply(zeta_s, a, out=out1)
+            np.multiply(s, b, out=a)
+            a *= c1
+            out1 += a
+            a[...] = out0
+            b[...] = out1
+        return x
+
+
+def _resolvent_coefficients(zeta, m, z, s, zeta_s, conj_s, den):
+    """``s = 1/(|zeta|**2 + m**2 - z**2)``, ``zeta*s`` and ``conj(zeta)*s``, written into the last four.
+
+    ``(M - z)**-1 = (M + z) * s``.  These are the element-wise operations of
+    ``1.0 / (np.abs(zeta) ** 2 + m * m - z * z)`` and the two products, done in
+    place, so the results are bit-identical to them.
+    """
+    m, z = float(m), complex(z)
+    np.abs(zeta, out=den)
+    np.square(den, out=den)
+    den += m * m
+    np.subtract(den, z * z, out=s)
+    np.divide(1.0, s, out=s)
+    np.multiply(zeta, s, out=zeta_s)
+    np.conjugate(zeta, out=conj_s)
+    conj_s *= s
+    return s, zeta_s, conj_s
+
+
+def _resolvent_multiplier(zeta, m: float, z: complex) -> _Multiplier:
+    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
+
+    ``zeta`` is an `_AxisZeta` or a full array.  ``1/den``, ``zeta/den`` and
+    ``conj(zeta)/den`` are formed per row block on every apply, not stored.
+    """
+    return _Multiplier(zeta, m, z)
 
 
 def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
@@ -318,7 +387,7 @@ def apply_dirac(
             [p.m * psi.values[..., :1] + upper, lower - p.m * psi.values[..., 1:]], axis=-1
         )
     elif path == "symbol":
-        symbol = _dirac_multiplier(_zeta_natural(psi.mesh, p), p.m)
+        symbol = _Multiplier(_natural_zeta(psi.mesh, p), p.m)
         out = _channel_last(_multiplier_apply(_channel_first(psi.values), symbol))
     else:
         raise ValueError(f"unknown path {path!r}")
@@ -389,7 +458,7 @@ def _require_resolvent_region(z: complex, V: PotentialSpec):
 def resolvent_free(psi: LatticeField, q: ResolventQuery) -> LatticeField:
     """Free resolvent ``(D - z)**-1 psi`` by closed-form symbol inversion."""
     _check_spinor(psi, q.p)
-    symbol = _resolvent_multiplier(_zeta_natural(psi.mesh, q.p), q.p.m, q.z)
+    symbol = _resolvent_multiplier(_natural_zeta(psi.mesh, q.p), q.p.m, q.z)
     return LatticeField(psi.mesh, _channel_last(_multiplier_apply(_channel_first(psi.values), symbol)))
 
 
@@ -436,7 +505,7 @@ def resolvent_continuum(
         spec = _require_channels(phi, phi.fourier(coords))
     else:
         spec = dft(sample(phi, ref)).values
-    out = _resolvent_multiplier(_zeta(coords, None), m, z)(_channel_first(spec))
+    out = _resolvent_multiplier(_AxisZeta(grid.frequencies, None), m, z)(_channel_first(spec))
     out *= np.conj(_step_factor(coords, mesh.h))
     fine = idft(SpectralField(grid, _channel_last(out)))
     coarse_vals = fine.values[::refine, ::refine, :]
@@ -458,10 +527,11 @@ def _neumann_steps(w, values, symbol, Vh, steps, relative, goal):
     is held for this call only.  Stops once the relative step norm
     ``||w_old - w_new|| / ||psi||``, which is the residual of ``w_old``, is at
     most ``goal``.  Returns the last step norm and the last ``u``, ``R_z w_old``.
+    A step norm that is not finite raises `NoConvergence` for that step at once.
     """
     rhs = np.moveaxis(values, -1, 0)
     u = np.empty_like(w)
-    for _ in range(steps):
+    for n in range(1, steps + 1):
         np.copyto(u, w)
         u = _multiplier_apply(u, symbol)
         sum_sq = 0.0
@@ -472,6 +542,8 @@ def _neumann_steps(w, values, symbol, Vh, steps, relative, goal):
             sum_sq += _sum_sq(step)
             step[...] = w_next
         res = relative(sum_sq)
+        if not np.isfinite(res):
+            raise NoConvergence(n, res, f"residual {res} is not finite at step {n}")
         if res <= goal:
             break
     return res, u
@@ -515,7 +587,8 @@ def _solve_with_potential(
     Everything runs in complex128.  Neumann takes at most ``max_iter`` `_neumann_steps`
     steps; Krylov runs GMRES and hands its ``w`` to one such step, which forms ``u``
     and the residual.  Either way ``u`` comes from a step whose residual was measured,
-    and a relative residual above ``tol`` raises `NoConvergence`.
+    and a relative residual above ``tol`` raises `NoConvergence`, as does one that is
+    not finite, at the step that measured it.
 
     The continuum symbol is the same on every mesh of the box, so for ``p`` None and
     ``N % 4 == 0`` (``N >= 8``) the problem restricted to the even sites, which are
@@ -546,7 +619,7 @@ def _solve_with_potential(
         for rows, vu in _vmul_blocks(Vh, w):  # w <- psi - V w, one row block at a time
             np.subtract(rhs[:, rows], vu, out=w[:, rows])
 
-    symbol = _resolvent_multiplier(_zeta_natural(mesh, p), m, z)
+    symbol = _resolvent_multiplier(_natural_zeta(mesh, p), m, z)
     steps, info = max_iter, 0
     if policy == "krylov":
         shape = (psi.channels,) + mesh.shape

@@ -162,11 +162,17 @@ def lambda_mh(xi, p: DiracParams) -> np.ndarray:
 
 
 def zeta_discrete(xi, p: DiracParams) -> np.ndarray:
-    """Lower-left entry of the discrete symbol."""
+    """Lower-left entry of the discrete symbol, ``(u(xi1) + v(xi2)) / h`` with the terms of `_zeta_terms`."""
     xi = np.asarray(xi, dtype=float)
-    e1 = np.exp(1j * p.h * xi[..., 0]) - 1.0
-    e2 = np.exp(1j * p.h * xi[..., 1]) - 1.0
-    return (-1j * e1 + e2) / p.h
+    u, _ = _zeta_terms(xi[..., 0], p.h)
+    _, v = _zeta_terms(xi[..., 1], p.h)
+    return (u + v) / p.h
+
+
+def _zeta_terms(t, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis terms ``(u, v) = (-1j*e, e)``, ``e = exp(1j*h*t) - 1``, of the discrete ``zeta``."""
+    e = np.exp(1j * h * t) - 1.0
+    return -1j * e, e
 
 
 def _herm_symbol(zeta: np.ndarray, m: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for difference stencils, the Dirac operator, resolvents, and the dense oracle."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,9 +50,11 @@ from latticedirac.errors import (
     RealShift,
     TooLarge,
 )
+from latticedirac import operators
 from latticedirac.grid import gaussian, gaussian_spinor, modulated_gaussian, _stack_channels
 from latticedirac.operators import (
     POTENTIAL_IDS,
+    PotentialSpec,
     _solve_with_potential,
     field_to_vec,
     potential_catalog,
@@ -693,6 +696,99 @@ def test_krylov_reports_no_convergence(rng):
         resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
     assert q.tol < info.value.residual < 1.0
     assert info.value.iterations >= 1
+
+
+def _constant_potential(value: float) -> PotentialSpec:
+    """``value * I`` that declares ``sup_norm`` 1, whatever ``value`` is."""
+    return PotentialSpec("undeclared", lambda x: np.broadcast_to(value * np.eye(2), x.shape[:-1] + (2, 2)), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [5.0, float("nan")])
+def test_non_finite_residual_stops_the_neumann_steps_at_once(value):
+    # the declared sup_norm certifies Neumann at z = 3i; 5*I makes the steps grow until the
+    # residual overflows (at step 775 of 2000), NaN samples give a NaN residual at step 1.
+    # Under the suite's warnings-as-errors, a step on overflowed data would raise instead.
+    mesh = Mesh(2, 0.4, 24)
+    q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.4))
+    with pytest.raises(NoConvergence, match="not finite") as info:
+        resolvent_with_potential(sample(gaussian_spinor(), mesh), q, _constant_potential(value))
+    assert not np.isfinite(info.value.residual)
+    steps = info.value.iterations
+    assert steps == 1 if np.isnan(value) else 1 < steps < q.max_iter
+
+
+@pytest.mark.parametrize("matrix_fn", [
+    lambda x: np.ones(x.shape, dtype=complex),  # (..., 2): broadcasts along the wrong axis
+    lambda x: np.eye(2, dtype=complex),  # one matrix for every site
+])
+def test_potential_samples_of_the_wrong_shape_are_rejected(matrix_fn):
+    mesh, p = Mesh(2, 0.4, 24), DiracParams(1.0, 0.4)
+    psi = sample(gaussian_spinor(), mesh)
+    V = PotentialSpec("misshapen", matrix_fn, 1.0, 0.0)
+    for call in (
+        lambda: resolvent_with_potential(psi, ResolventQuery(z=3j, p=p), V),
+        lambda: apply_dirac(psi, p, V),
+        lambda: dense_matrix(p, mesh, V),
+    ):
+        with pytest.raises(ValueError, match=r"potential 'misshapen' gave samples of shape .*expected \(24, 24, 2, 2\)"):
+            call()
+
+
+def _multiplier_results(mesh: Mesh) -> dict:
+    """Every caller of the Fourier multipliers, on ``mesh`` (``N % 4 == 0``)."""
+    p = DiracParams(1.0, mesh.h)
+    psi = sample(gaussian_spinor(), mesh)
+    V = potential_catalog("nonhermitian-gaussian")
+    Vh = sample_potential(V, mesh)
+    half = Mesh(2, 2 * mesh.h, mesh.N // 2)
+    return {
+        "resolvent_free": resolvent_free(psi, ResolventQuery(z=0.5 + 2j, p=p)),
+        "apply_dirac": apply_dirac(psi, p, path="symbol"),
+        "resolvent_continuum": resolvent_continuum(gaussian_spinor(), 0.5 + 2j, 1.0, half, refine=2),
+        "continuum solve": _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50),
+        "discrete solve": _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50, p=p),
+    }
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_multipliers_do_not_depend_on_the_row_blocks(threads, monkeypatch):
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+    mesh = Mesh(2, 9.6 / 192, 192)
+    assert len(operators._row_blocks(np.empty((2,) + mesh.shape))) > 1  # the default splits the grid
+    default = _multiplier_results(mesh)
+    for sites in (1, mesh.N**2):  # one row per block, the whole grid in one
+        monkeypatch.setattr(operators, "_BLOCK_SITES", sites)
+        for name, field in _multiplier_results(mesh).items():
+            assert np.array_equal(field.values, default[name].values), (name, sites)
+
+
+def _peak_bytes(call) -> int:
+    """The `tracemalloc` peak of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("solve,bound", [("resolvent_free", 1.5), ("continuum solve", 2.75)])
+def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound, monkeypatch):
+    # in field bytes: the free resolvent holds its channel-first copy and block buffers,
+    # the continuum solve its iterate, u and the interpolated start; a stored symbol
+    # (1/den, zeta/den, conj(zeta)/den) would add 1.5, its stacked frequency grid 0.5 more
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
+    mesh = Mesh(2, 9.6 / 512, 512)
+    psi = sample(gaussian_spinor(), mesh)
+    V = potential_catalog("hermitian-gaussian")
+    Vh = sample_potential(V, mesh)
+    q = ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h))
+    calls = {
+        "resolvent_free": lambda: resolvent_free(psi, q),
+        "continuum solve": lambda: _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50),
+    }
+    resolvent_free(psi, q)  # imports scipy.fft, outside the traced call
+    assert _peak_bytes(calls[solve]) <= bound * psi.values.nbytes
 
 
 # ---------------------------------------------------------------------------
