@@ -26,7 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolation, UnknownClosedForm
-from .grid import ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap, _cell_points
+from .grid import (
+    ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap, _cell_points, _tensor_axes,
+)
 
 __all__ = [
     "FrequencyGrid",
@@ -154,6 +156,28 @@ def _step_factor(xi: np.ndarray, h: float) -> np.ndarray:
     return factor
 
 
+def _grid_step_factor(grid: FrequencyGrid, h: float) -> np.ndarray:
+    """`_step_factor` on the dual ``grid``, from the per-axis values ``a(h*f)``.
+
+    No stacked grid is built and ``a`` runs on ``N`` points per axis, not ``N**d``.
+    The products are those of `_step_factor`, in its form: the factor so far times
+    a new full array.  numpy may run such a product in place in the new array, which
+    swaps the operands, and a complex product rounds by its operand order, so the
+    same form gives the same bits.
+    """
+    shape = grid.mesh.shape
+    first, *rest = _tensor_axes([a_factor(h * grid.frequencies)] * grid.mesh.d)
+    factor = np.broadcast_to(first, shape) if rest else first
+    for a in rest:
+        factor = factor * np.array(np.broadcast_to(a, shape))
+    return factor
+
+
+def _grid_weight(grid: FrequencyGrid, s: float) -> np.ndarray:
+    """``(1 + |xi|**2)**(-s/2)`` on the dual ``grid``, from the broadcast sum of per-axis squares."""
+    return (1.0 + sum(_tensor_axes([grid.frequencies**2] * grid.mesh.d))) ** (-s / 2.0)
+
+
 def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
     """Samples of a frequency-side function on the dual grid."""
     if u.d != grid.mesh.d:
@@ -219,9 +243,8 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
         raise UnknownClosedForm(f"{phi.name} declares no closed-form transform")
     pad = [(3 * mesh.N // 2,) * 2] * mesh.d + [(0, 0)]  # centred in 4*N sites per axis
     u = dft(LatticeField(Mesh(mesh.d, mesh.h, 4 * mesh.N), np.pad(sample(phi, mesh).values, pad)))
-    coords = u.grid.coords()
-    weight = (1.0 + np.sum(coords**2, axis=-1)) ** (-s / 2.0)
-    diff = ((1.0 - _step_factor(coords, mesh.h)) * weight)[..., None] * u.values
+    weight = _grid_weight(u.grid, s)
+    diff = ((1.0 - _grid_step_factor(u.grid, mesh.h)) * weight)[..., None] * u.values
     box_sq = u.grid.cell_volume * np.sum(np.abs(diff) ** 2)
     tail_sq = _tail_integral(phi, np.pi / mesh.h, s)
     return float(np.sqrt(box_sq + tail_sq))

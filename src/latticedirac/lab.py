@@ -46,7 +46,7 @@ from .operators import (
     resolvent_continuum,
     resolvent_free,
     resolvent_with_potential,
-    sample_potential,
+    sample_potential,  # unused here; perfbench/spans.py times calls through this name
     _require_refine,
     _require_resolvent_region,
     _require_spinor_function,
@@ -343,13 +343,14 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
 
     The reference runs the same Neumann/Krylov factorization on the
     ``refine``-fold refinement of the finest level (the floor-guard level when
-    set), with the continuum symbol and the potential sampled at the fine
-    sites, and the solver limits of a default `ResolventQuery`, in complex128
-    throughout.  The continuum symbol does not change with the mesh size, so
-    the reference is first solved on the even sites (recursively, while the
-    site count stays a multiple of 4) and iterated on each finer mesh from the
-    interpolated coarser solution; the fine mesh's own residual test certifies
-    it at ``sweep.tol``.  The levels compare against block averages of its point
+    set), with the continuum symbol, the potential evaluated at the fine sites
+    of each row block as the solve multiplies it (no grid-sized potential array
+    is held), and the solver limits of a default `ResolventQuery`, in
+    complex128 throughout.  The continuum symbol does not change with the mesh
+    size, so the reference is first solved on the even sites (recursively,
+    while the site count stays a multiple of 4) and iterated on each finer mesh
+    from the interpolated coarser solution; the fine mesh's own residual test
+    certifies it at ``sweep.tol``.  The levels compare against block averages of its point
     values: a left-endpoint rule on each coarse cell, biased at first order in
     ``h / refine``, where the free sweep's reference holds exact cell averages.
     """
@@ -362,8 +363,7 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
     _require_spinor_function(phi, fine)
     u_fine = _solve_with_potential(
-        sample(phi, fine), complex(sweep.z), sweep.m,
-        sample_potential(V, fine), V.sup_norm,
+        sample(phi, fine), complex(sweep.z), sweep.m, V,
         policy=None, tol=sweep.tol, max_iter=ResolventQuery.max_iter, restart=ResolventQuery.restart,
     )
     reference = block_average(u_fine, finest)

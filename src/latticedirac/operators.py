@@ -28,7 +28,11 @@ one contiguous ``(2, *sites)`` array, transformed over the site axes by
 `fourier._fftn` (the library's one FFT entry point) and multiplied in place
 one block of rows at a time.  The coefficients of a block are formed from
 per-axis terms of ``zeta`` when the block is multiplied, on every apply, so
-no grid-sized symbol or coefficient array is ever stored.
+no grid-sized symbol or coefficient array is ever stored.  The perturbed
+solves treat the potential the same way: ``V`` is evaluated at the sites of
+each block of rows just before it multiplies that block, so they hold no
+grid-sized potential array either; `sample_potential` samples the whole mesh
+for `apply_dirac` and `dense_matrix`.
 """
 
 from __future__ import annotations
@@ -45,8 +49,10 @@ from .errors import (
     NotInResolventRegion,
     TooLarge,
 )
-from .fourier import FrequencyGrid, SpectralField, _fftn, _step_factor, dft, idft
-from .grid import ContinuumFunction, LatticeField, Mesh, _require_channels, _require_dimension, norm_l2, sample
+from .fourier import FrequencyGrid, SpectralField, _fftn, _grid_step_factor, dft, idft
+from .grid import (
+    ContinuumFunction, LatticeField, Mesh, _cell_points, _require_channels, _require_dimension, norm_l2, sample,
+)
 from .symbols import DiracParams, _require_complex_shift, _require_mass, _zeta_terms, opnorm_2x2, zeta_discrete
 
 __all__ = [
@@ -94,6 +100,19 @@ class PotentialSpec:
         return self.matrix_fn(points)
 
 
+def _potential_values(V: PotentialSpec, points: np.ndarray) -> np.ndarray:
+    """``V`` at ``points`` of shape ``(..., 2)``.
+
+    Raises `ValueError`, naming the potential, unless the values have the shape
+    ``points.shape[:-1] + (2, 2)``.
+    """
+    values = V(points)
+    expected = points.shape[:-1] + (2, 2)
+    if np.shape(values) != expected:
+        raise ValueError(f"potential {V.name!r} gave samples of shape {np.shape(values)}, expected {expected}")
+    return values
+
+
 def sample_potential(V: PotentialSpec, mesh: Mesh) -> np.ndarray:
     """Sitewise samples ``V(h*n)``, the step-function potential on the mesh.
 
@@ -101,12 +120,7 @@ def sample_potential(V: PotentialSpec, mesh: Mesh) -> np.ndarray:
     """
     if mesh.d != 2:
         raise MeshMismatch("matrix potentials are defined on 2D meshes")
-    Vh = V(mesh.site_coords())
-    if np.shape(Vh) != mesh.shape + (2, 2):
-        raise ValueError(
-            f"potential {V.name!r} gave samples of shape {np.shape(Vh)}, expected {mesh.shape + (2, 2)}"
-        )
-    return Vh
+    return _potential_values(V, mesh.site_coords())
 
 
 def split_hermitian(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,8 +134,15 @@ def _envelope_potential(name: str, matrix: np.ndarray, rate: float) -> Potential
     matrix = np.asarray(matrix, dtype=complex)
 
     def matrix_fn(points):
-        env = np.exp(-rate * (points[..., 0] ** 2 + points[..., 1] ** 2))
-        return env[..., None, None] * matrix
+        # the complex products of ``env[..., None, None] * matrix``, one entry at a time into
+        # contiguous memory (the broadcast's inner loop runs over two entries), returned as
+        # the ``(..., 2, 2)`` view of a ``(2, 2, ...)`` array
+        env = np.exp(-rate * (points[..., 0] ** 2 + points[..., 1] ** 2)).astype(complex)
+        out = np.empty((2, 2) + env.shape, dtype=complex)
+        for a in range(2):
+            for b in range(2):
+                np.multiply(env, matrix[a, b], out=out[a, b])
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     herm, skew = split_hermitian(matrix)
     return PotentialSpec(
@@ -342,20 +363,24 @@ def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
     return _fftn(multiplier(_fftn(x, axes)), axes, inverse=True)
 
 
-def _vmul_blocks(Vh: np.ndarray, u: np.ndarray):
-    """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u``.
+def _vmul_blocks(V: PotentialSpec, mesh: Mesh, u: np.ndarray):
+    """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u`` on the 2D ``mesh``.
 
-    ``Vh`` is read through views, never copied whole.  The yielded block buffer is reused.
+    ``V`` is evaluated at the sites ``h*n`` of each block just before it multiplies
+    that block, so no grid-sized potential array is held.  The yielded block buffer
+    is reused.
     """
     blocks = _row_blocks(u)
+    coords = mesh.h * mesh.indices
     buf = np.empty_like(u[:, blocks[0]])
     tmp = np.empty_like(buf[0])
     for rows in blocks:
         k = rows.stop - rows.start
-        vu, t, V = buf[:, :k], tmp[:k], Vh[rows]
+        vu, t = buf[:, :k], tmp[:k]
+        Vb = _potential_values(V, _cell_points([coords[rows], coords]))
         for a in range(2):
-            np.multiply(V[..., a, 0], u[0, rows], out=vu[a])
-            np.multiply(V[..., a, 1], u[1, rows], out=t)
+            np.multiply(Vb[..., a, 0], u[0, rows], out=vu[a])
+            np.multiply(Vb[..., a, 1], u[1, rows], out=t)
             vu[a] += t
         yield rows, vu
 
@@ -500,13 +525,12 @@ def resolvent_continuum(
     _require_refine(refine)
     ref = Mesh(mesh.d, mesh.h / refine, mesh.N * refine)
     grid = FrequencyGrid(ref)
-    coords = grid.coords()
     if phi.fourier is not None:
-        spec = _require_channels(phi, phi.fourier(coords))
+        spec = _require_channels(phi, phi.fourier(grid.coords()))
     else:
         spec = dft(sample(phi, ref)).values
     out = _resolvent_multiplier(_AxisZeta(grid.frequencies, None), m, z)(_channel_first(spec))
-    out *= np.conj(_step_factor(coords, mesh.h))
+    out *= np.conj(_grid_step_factor(grid, mesh.h))
     fine = idft(SpectralField(grid, _channel_last(out)))
     coarse_vals = fine.values[::refine, ::refine, :]
     return LatticeField(mesh, coarse_vals)
@@ -520,22 +544,23 @@ def _gmres(matvec, b_vec, tol, restart, max_iter, x0=None):
     return spla.gmres(op, b_vec, x0, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
 
 
-def _neumann_steps(w, values, symbol, Vh, steps, relative, goal):
+def _neumann_steps(w, psi, symbol, V, steps, relative, goal):
     """Up to ``steps`` Neumann steps ``w <- psi - V R_z w`` in place.
 
-    ``psi`` is read through a channel-first view of ``values``, and ``u = R_z w``
-    is held for this call only.  Stops once the relative step norm
-    ``||w_old - w_new|| / ||psi||``, which is the residual of ``w_old``, is at
-    most ``goal``.  Returns the last step norm and the last ``u``, ``R_z w_old``.
-    A step norm that is not finite raises `NoConvergence` for that step at once.
+    ``psi`` is read through a channel-first view of its values, ``V`` is evaluated
+    on each row block by `_vmul_blocks`, and ``u = R_z w`` is held for this call
+    only.  Stops once the relative step norm ``||w_old - w_new|| / ||psi||``, which
+    is the residual of ``w_old``, is at most ``goal``.  Returns the last step norm
+    and the last ``u``, ``R_z w_old``.  A step norm that is not finite raises
+    `NoConvergence` for that step at once.
     """
-    rhs = np.moveaxis(values, -1, 0)
+    rhs = np.moveaxis(psi.values, -1, 0)
     u = np.empty_like(w)
     for n in range(1, steps + 1):
         np.copyto(u, w)
         u = _multiplier_apply(u, symbol)
         sum_sq = 0.0
-        for rows, vu in _vmul_blocks(Vh, u):
+        for rows, vu in _vmul_blocks(V, psi.mesh, u):
             w_next = np.subtract(rhs[:, rows], vu, out=vu)
             step = w[:, rows]
             step -= w_next
@@ -572,8 +597,7 @@ def _solve_with_potential(
     psi: LatticeField,
     z: complex,
     m: float,
-    Vh: np.ndarray,
-    sup_norm: float,
+    V: PotentialSpec,
     policy: Optional[str],
     tol: float,
     max_iter: int,
@@ -584,17 +608,21 @@ def _solve_with_potential(
 
     ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
     ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
-    Everything runs in complex128.  Neumann takes at most ``max_iter`` `_neumann_steps`
-    steps; Krylov runs GMRES and hands its ``w`` to one such step, which forms ``u``
-    and the residual.  Either way ``u`` comes from a step whose residual was measured,
-    and a relative residual above ``tol`` raises `NoConvergence`, as does one that is
-    not finite, at the step that measured it.
+    ``V`` is evaluated at the sites of each row block whenever it multiplies that block,
+    so no grid-sized potential array is held.  Everything runs in complex128.  Neumann
+    takes at most ``max_iter`` `_neumann_steps` steps; Krylov runs GMRES and hands its
+    ``w`` to one such step, which forms ``u`` and the residual.  Either way ``u`` comes
+    from a step whose residual was measured, and a relative residual above ``tol``
+    raises `NoConvergence`, as does one that is not finite, at the step that measured
+    it.  A GMRES product that is not finite raises `NoConvergence` at once, with the
+    number of products made.
 
     The continuum symbol is the same on every mesh of the box, so for ``p`` None and
     ``N % 4 == 0`` (``N >= 8``) the problem restricted to the even sites, which are
     the sites of the half mesh, is solved first by this function, with the policy
-    chosen here.  Its solution, interpolated by `_prolong`, gives the start
-    ``w = psi - V u`` of Neumann steps or of GMRES, each with its own
+    chosen here.  The half mesh's sites ``(2h)*k`` are the even sites ``h*(2k)`` bit
+    for bit, since doubling is exact.  Its solution, interpolated by `_prolong`, gives
+    the start ``w = psi - V u`` of Neumann steps or of GMRES, each with its own
     ``max_iter``.  For smooth data the first step already passes the test.  A level
     that does not converge raises `NoConvergence` for its own residual.
     """
@@ -607,29 +635,33 @@ def _solve_with_potential(
         return float(np.sqrt(mesh.h**mesh.d * sum_sq)) / psi_norm
 
     if policy is None:
-        policy = "neumann" if sup_norm / abs(complex(z).imag) <= 0.9 else "krylov"
+        policy = "neumann" if V.sup_norm / abs(complex(z).imag) <= 0.9 else "krylov"
 
     w = None  # the cold start: psi for Neumann, zero for GMRES
     if p is None and mesh.N % 4 == 0 and mesh.N >= 8:
         half = LatticeField(Mesh(mesh.d, 2 * mesh.h, mesh.N // 2), psi.values[::2, ::2])
-        u = _solve_with_potential(half, z, m, Vh[::2, ::2], sup_norm, policy, tol, max_iter, restart)
+        u = _solve_with_potential(half, z, m, V, policy, tol, max_iter, restart)
         w = _prolong(u.values, mesh)
         del u
         rhs = np.moveaxis(psi.values, -1, 0)
-        for rows, vu in _vmul_blocks(Vh, w):  # w <- psi - V w, one row block at a time
+        for rows, vu in _vmul_blocks(V, mesh, w):  # w <- psi - V w, one row block at a time
             np.subtract(rhs[:, rows], vu, out=w[:, rows])
 
     symbol = _resolvent_multiplier(_natural_zeta(mesh, p), m, z)
     steps, info = max_iter, 0
     if policy == "krylov":
         shape = (psi.channels,) + mesh.shape
+        products = 0
 
         # residual-minimizing iteration on w + V R_z w = psi, in channel-first vector order
         def matvec(w_vec):
+            nonlocal products
+            products += 1
             w = w_vec.reshape(shape)
             out = _multiplier_apply(w.copy(), symbol)
-            for rows, vu in _vmul_blocks(Vh, out):
-                np.add(w[:, rows], vu, out=out[:, rows])
+            for rows, vu in _vmul_blocks(V, mesh, out):
+                if not np.isfinite(np.add(w[:, rows], vu, out=out[:, rows])).all():
+                    raise NoConvergence(products, float("nan"), f"GMRES product {products} is not finite")
             return out.ravel()
 
         x0 = None if w is None else w.ravel()
@@ -637,7 +669,7 @@ def _solve_with_potential(
         w, steps = w_vec.reshape(shape), 1  # the one step forms u = R_z w and the residual of w
     elif w is None:
         w = _channel_first(psi.values)
-    res, u = _neumann_steps(w, psi.values, symbol, Vh, steps, relative, tol)
+    res, u = _neumann_steps(w, psi, symbol, V, steps, relative, tol)
     if res > tol:
         raise NoConvergence(info if info > 0 else max_iter, res)
     return LatticeField(mesh, _channel_last(u))
@@ -650,6 +682,8 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
     equality is outside the guaranteed region.  Policy ``None`` selects
     Neumann iteration when the contraction is certified and the Krylov
     fallback otherwise; ``"dense-oracle"`` solves with `dense_matrix`.
+    The iterative policies evaluate ``V`` on one block of sites at a time,
+    raising `ValueError` at the first block of the wrong shape.
     """
     _check_spinor(psi, q.p)
     _require_resolvent_region(q.z, V)
@@ -657,10 +691,7 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
         A = dense_matrix(q.p, psi.mesh, V)
         u_vec = np.linalg.solve(A - complex(q.z) * np.eye(A.shape[0]), field_to_vec(psi))
         return vec_to_field(u_vec, psi.mesh)
-    Vh = sample_potential(V, psi.mesh)
-    return _solve_with_potential(
-        psi, complex(q.z), q.p.m, Vh, V.sup_norm, q.policy, q.tol, q.max_iter, q.restart, p=q.p
-    )
+    return _solve_with_potential(psi, complex(q.z), q.p.m, V, q.policy, q.tol, q.max_iter, q.restart, p=q.p)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from latticedirac import (
     weighted_ft_error,
 )
 from latticedirac.errors import SupportViolation, UnknownClosedForm
-from latticedirac.fourier import _tail_integral
+from latticedirac.fourier import _grid_step_factor, _grid_weight, _step_factor, _tail_integral
 from latticedirac.grid import freq_window, function_catalog, gaussian
 from latticedirac.operators import diff_backward, diff_forward
 
@@ -190,6 +190,18 @@ def test_step_transform_product_identity_on_grid(rng):
     exact = continuum_ft_of_step(f, coords)
     factor = a_factor(mesh.h * coords[..., 0]) * a_factor(mesh.h * coords[..., 1])
     np.testing.assert_allclose(exact, dft(f).values * factor[..., None], atol=1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(1, 96), (2, 24), (2, 96), (2, 384)])
+def test_dual_grid_step_factor_and_weight_are_the_stacked_formulas_bit_for_bit(d, N):
+    # per-axis values and their outer product against the formulas on the stacked dual grid,
+    # below and above the size at which numpy runs a product in place in its new operand
+    grid = FrequencyGrid(Mesh(d, 9.6 / N, N))
+    xi = grid.coords()
+    for h in (grid.mesh.h, 0.4):
+        assert _grid_step_factor(grid, h).tobytes() == _step_factor(xi, h).tobytes()
+    for s in (0.0, 1.0, 2.5):
+        assert _grid_weight(grid, s).tobytes() == ((1.0 + np.sum(xi**2, axis=-1)) ** (-s / 2.0)).tobytes()
 
 
 def test_step_transform_matches_adaptive_quadrature(rng):

@@ -307,6 +307,17 @@ def test_potential_catalog_declared_bounds_hold_on_sweep(rng):
         assert np.max(opnorm_2x2(skew)) <= V.skew_bound + 1e-10
 
 
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+def test_envelope_potential_is_the_broadcast_product_bit_for_bit(rate, rng):
+    # the catalog's potentials write env * M one entry at a time, with the same complex products
+    matrix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    points = Mesh(2, 0.1, 48).site_coords()
+    env = np.exp(-rate * (points[..., 0] ** 2 + points[..., 1] ** 2))
+    values = operators._envelope_potential("random", matrix, rate)(points)
+    assert values.shape == (48, 48, 2, 2)
+    assert np.ascontiguousarray(values).tobytes() == (env[..., None, None] * matrix).tobytes()
+
+
 def test_split_hermitian_reconstructs(rng):
     M = rng.normal(size=(10, 2, 2)) + 1j * rng.normal(size=(10, 2, 2))
     herm, skew = split_hermitian(M)
@@ -395,7 +406,7 @@ def test_continuum_symbol_solve_bounds_the_true_residual(policy, rng):
     psi = random_field(mesh, 2, rng)
     V = potential_catalog("nonhermitian-gaussian")
     Vh = sample_potential(V, mesh)
-    u = _solve_with_potential(psi, z, m, Vh, V.sup_norm, policy, tol, 2000, 50)
+    u = _solve_with_potential(psi, z, m, V, policy, tol, 2000, 50)
     u_hat = dft(u)
     xi = u_hat.grid.coords()
     zeta = xi[..., 0] + 1j * xi[..., 1]
@@ -507,12 +518,11 @@ def test_solves_run_in_complex128(monkeypatch, rng):
     mesh = Mesh(2, 0.15, 64)
     psi = random_field(mesh, 2, rng)
     V = potential_catalog("nonhermitian-gaussian")
-    Vh = sample_potential(V, mesh)
     dtypes = _spy_fftn(monkeypatch)
     for policy in ("neumann", "krylov"):
         q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.15), policy=policy)
         discrete = resolvent_with_potential(psi, q, V)
-        continuum = _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, policy, 1e-10, 2000, 50)
+        continuum = _solve_with_potential(psi, 3j, 1.0, V, policy, 1e-10, 2000, 50)
         assert discrete.values.dtype == continuum.values.dtype == np.complex128
     assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
 
@@ -581,7 +591,7 @@ def test_nested_continuum_solve_matches_a_double_loop_property(N, h, m, name, ga
     psi = random_field(mesh, 2, np.random.default_rng(seed))
     Vh = sample_potential(V, mesh)
     u = _continuum_neumann_loop(psi, z, m, Vh, 1e-10)
-    solved = _solve_with_potential(psi, z, m, Vh, V.sup_norm, None, 1e-10, 2000, 50)
+    solved = _solve_with_potential(psi, z, m, V, None, 1e-10, 2000, 50)
     assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
 
 
@@ -591,7 +601,7 @@ def test_nested_continuum_solve_takes_at_most_two_full_size_steps(monkeypatch):
     V = potential_catalog("nonhermitian-gaussian")
     psi = sample(gaussian_spinor(), mesh)
     shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
-    _solve_with_potential(psi, 3j, 1.0, sample_potential(V, mesh), V.sup_norm, None, 1e-10, 2000, 50)
+    _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50)
     assert 1 <= shapes.count((2, 256, 256)) <= 2
     assert (2, 128, 128) in shapes
 
@@ -613,7 +623,7 @@ def test_continuum_solve_with_odd_half_does_not_coarsen(monkeypatch, rng):
     Vh = sample_potential(V, mesh)
     u = _continuum_neumann_loop(psi, 3j, 1.0, Vh, 1e-10)
     shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
-    solved = _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50)
+    solved = _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50)
     assert shapes and set(shapes) == {(2, 18, 18)}
     assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
 
@@ -624,7 +634,7 @@ def test_continuum_solve_step_cap_reports_no_convergence(rng):
     V = potential_catalog("nonhermitian-gaussian")
     tol = 1e-10
     with pytest.raises(NoConvergence) as info:
-        _solve_with_potential(psi, 3j, 1.0, sample_potential(V, mesh), V.sup_norm, None, tol, 3, 50)
+        _solve_with_potential(psi, 3j, 1.0, V, None, tol, 3, 50)
     assert info.value.residual > tol
 
 
@@ -717,10 +727,24 @@ def test_non_finite_residual_stops_the_neumann_steps_at_once(value):
     assert steps == 1 if np.isnan(value) else 1 < steps < q.max_iter
 
 
-@pytest.mark.parametrize("matrix_fn", [
+def test_non_finite_krylov_products_stop_gmres_at_once():
+    # NaN samples make the first GMRES product NaN; without the stop GMRES ran all of max_iter
+    # on them and warned at every step, which the suite's warnings-as-errors makes a failure
+    mesh = Mesh(2, 0.4, 24)
+    q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.4), policy="krylov")
+    with pytest.raises(NoConvergence, match="not finite") as info:
+        resolvent_with_potential(sample(gaussian_spinor(), mesh), q, _constant_potential(float("nan")))
+    assert not np.isfinite(info.value.residual)
+    assert info.value.iterations == 1
+
+
+_MISSHAPEN = [
     lambda x: np.ones(x.shape, dtype=complex),  # (..., 2): broadcasts along the wrong axis
     lambda x: np.eye(2, dtype=complex),  # one matrix for every site
-])
+]
+
+
+@pytest.mark.parametrize("matrix_fn", _MISSHAPEN)
 def test_potential_samples_of_the_wrong_shape_are_rejected(matrix_fn):
     mesh, p = Mesh(2, 0.4, 24), DiracParams(1.0, 0.4)
     psi = sample(gaussian_spinor(), mesh)
@@ -734,19 +758,45 @@ def test_potential_samples_of_the_wrong_shape_are_rejected(matrix_fn):
             call()
 
 
+@pytest.mark.parametrize("policy", ["neumann", "krylov"])
+@pytest.mark.parametrize("matrix_fn", _MISSHAPEN, ids=["channel-axis", "one-matrix"])
+def test_potential_values_of_the_wrong_shape_are_rejected_per_row_block(matrix_fn, policy):
+    # N = 192 is several row blocks: the solve evaluates V on one block of rows at a time
+    mesh, p = Mesh(2, 0.05, 192), DiracParams(1.0, 0.05)
+    rows = operators._BLOCK_SITES // mesh.N
+    assert rows < mesh.N
+    V = PotentialSpec("misshapen", matrix_fn, 1.0, 0.0)
+    q = ResolventQuery(z=3j, p=p, policy=policy)
+    expected = rf"potential 'misshapen' gave samples of shape .*expected \({rows}, 192, 2, 2\)"
+    with pytest.raises(ValueError, match=expected):
+        resolvent_with_potential(sample(gaussian_spinor(), mesh), q, V)
+
+
+def test_half_mesh_sites_are_the_even_fine_sites_bit_for_bit():
+    # the coarse-to-fine reference evaluates V at each half mesh's sites (2h)*k; they must be
+    # the even sites h*(2k) of the mesh above, so every level solves the restricted problem
+    for sweep in (Sweep(), Sweep(check_floor=True), Sweep(hs=(0.4, 0.2), refine=2)):
+        finest = sweep.mesh_for(sweep.levels[-1])
+        mesh = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
+        while mesh.N % 4 == 0 and mesh.N >= 8:
+            half = Mesh(2, 2 * mesh.h, mesh.N // 2)
+            assert (half.h * half.indices).tobytes() == (mesh.h * mesh.indices)[::2].tobytes()
+            assert half.site_coords().tobytes() == mesh.site_coords()[::2, ::2].tobytes()
+            mesh = half
+
+
 def _multiplier_results(mesh: Mesh) -> dict:
     """Every caller of the Fourier multipliers, on ``mesh`` (``N % 4 == 0``)."""
     p = DiracParams(1.0, mesh.h)
     psi = sample(gaussian_spinor(), mesh)
     V = potential_catalog("nonhermitian-gaussian")
-    Vh = sample_potential(V, mesh)
     half = Mesh(2, 2 * mesh.h, mesh.N // 2)
     return {
         "resolvent_free": resolvent_free(psi, ResolventQuery(z=0.5 + 2j, p=p)),
         "apply_dirac": apply_dirac(psi, p, path="symbol"),
         "resolvent_continuum": resolvent_continuum(gaussian_spinor(), 0.5 + 2j, 1.0, half, refine=2),
-        "continuum solve": _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50),
-        "discrete solve": _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50, p=p),
+        "continuum solve": _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50),
+        "discrete solve": _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50, p=p),
     }
 
 
@@ -775,20 +825,32 @@ def _peak_bytes(call) -> int:
 @pytest.mark.parametrize("solve,bound", [("resolvent_free", 1.5), ("continuum solve", 2.75)])
 def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound, monkeypatch):
     # in field bytes: the free resolvent holds its channel-first copy and block buffers,
-    # the continuum solve its iterate, u and the interpolated start; a stored symbol
-    # (1/den, zeta/den, conj(zeta)/den) would add 1.5, its stacked frequency grid 0.5 more
+    # the continuum solve its iterate, u and the interpolated start, and evaluates the
+    # potential inside the traced call; a stored symbol (1/den, zeta/den, conj(zeta)/den)
+    # would add 1.5, its stacked frequency grid 0.5 more
     monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
     mesh = Mesh(2, 9.6 / 512, 512)
     psi = sample(gaussian_spinor(), mesh)
     V = potential_catalog("hermitian-gaussian")
-    Vh = sample_potential(V, mesh)
     q = ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h))
     calls = {
         "resolvent_free": lambda: resolvent_free(psi, q),
-        "continuum solve": lambda: _solve_with_potential(psi, 3j, 1.0, Vh, V.sup_norm, None, 1e-10, 2000, 50),
+        "continuum solve": lambda: _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50),
     }
     resolvent_free(psi, q)  # imports scipy.fft, outside the traced call
     assert _peak_bytes(calls[solve]) <= bound * psi.values.nbytes
+
+
+def test_potential_solve_memory_peak_holds_no_grid_sized_potential(monkeypatch):
+    # in field bytes, the potential's evaluation included: the Neumann solve holds its iterate
+    # and u, plus transform and block buffers; sampled values (2 x 2 complex per site) would add 2
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
+    mesh = Mesh(2, 9.6 / 512, 512)
+    psi = sample(gaussian_spinor(), mesh)
+    q = ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h), policy="neumann")
+    V = potential_catalog("hermitian-gaussian")
+    resolvent_free(psi, q)  # imports scipy.fft, outside the traced call
+    assert _peak_bytes(lambda: resolvent_with_potential(psi, q, V)) <= 3 * psi.values.nbytes
 
 
 # ---------------------------------------------------------------------------
