@@ -359,7 +359,8 @@ _EXPERIMENTS = {
     "project": (_SWEEP_FLAGS, {"function": "gaussian2d"}, _sweep(exp_projection, _primary_slope_near_one)),
     "ft": (_SWEEP_FLAGS + ("s",), {"function": "gaussian1d", "box": 25.6}, _sweep(exp_ft)),
     "ift": (_SWEEP_FLAGS, {"function": "freqbump1d"}, _sweep(exp_ift, _primary_slope_near_one)),
-    "resolve-free": (_RESOLVENT_FLAGS, {"function": "gaussian-spinor"},
+    # the free reference holds exact cell averages at any refine; refine 1 is the cheapest
+    "resolve-free": (_RESOLVENT_FLAGS, {"function": "gaussian-spinor", "refine": 1},
                      _sweep(exp_resolvent_free, lambda r: r.primary.errors[-1] < r.primary.errors[0] / 4)),
     "resolve-potential": (_RESOLVENT_FLAGS + ("potential",),
                           {"function": "gaussian-spinor", "potential": "hermitian-gaussian"},

@@ -31,6 +31,12 @@ each), so node arrays never span the whole mesh, and runs the blocks
 through `_thread_map`, the one thread pool of the library.
 Per-cell results land in full arrays that are reduced once at the end, so
 every result is the same at any block size and thread count.
+
+A 2D function with ``factors`` skips that walk in `project` and the
+projection errors: each cell is a product of two intervals, so its averages
+split into 1D averages per axis (`_separable_quadrature`), and no node
+array of the cells is formed.  These agree with the walk to rounding, not
+bit for bit, and give the same 8-vs-7-point pairs per cell to the checks.
 """
 
 from __future__ import annotations
@@ -176,8 +182,10 @@ class ContinuumFunction:
         whose channel-wise product is the function (``evaluate`` must agree).
         `sample` and the cell quadrature then evaluate each factor on its
         axis's ``O(N q)`` coordinates and form outer products, which feed the
-        same 8-vs-7-point Gauss checks (`_grid_values`).  Anything but ``d``
-        callables raises `ValueError`.
+        same 8-vs-7-point Gauss checks (`_grid_values`); in 2D, `project` and
+        the projection errors take outer products of 1D cell averages
+        instead (`_separable_quadrature`).  Anything but ``d`` callables
+        raises `ValueError`.
     fourier : callable, optional
         Closed-form forward Fourier transform with the unitary
         ``(2*pi)**(-d/2)`` convention, same calling shape.
@@ -333,11 +341,21 @@ def _grid_values(phi: ContinuumFunction, coords):
         def values(rows=slice(None)):
             return _require_channels(phi, phi(_cell_points([coords[0][rows], *coords[1:]])))
     else:
-        axes = [_require_channels(phi, f(c)) for f, c in zip(phi.factors, coords)]
+        axes = _axis_values(phi, coords)
 
         def values(rows=slice(None)):
-            return _multiply(_tensor_axes([axes[0][rows], *axes[1:]], shared=1))
+            return _outer([axes[0][rows], *axes[1:]])
     return values
+
+
+def _axis_values(phi: ContinuumFunction, coords) -> list[np.ndarray]:
+    """Each factor of ``phi`` on its axis's coordinates ``coords[j]``, with a last channel axis."""
+    return [_require_channels(phi, f(c)) for f, c in zip(phi.factors, coords)]
+
+
+def _outer(axes) -> np.ndarray:
+    """Channel-wise outer product of per-axis values: a separable function on their tensor grid."""
+    return _multiply(_tensor_axes(axes, shared=1))
 
 
 def _block_means(vals: np.ndarray, axes, rows: slice) -> np.ndarray:
@@ -377,6 +395,39 @@ def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = 
     return ([tuple(own)] if means else []) + [tuple(outs) for outs in gap_means]
 
 
+def _separable_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=()) -> list:
+    """`_cell_quadrature` with ``means`` set, for a 2D ``phi`` with ``factors``, from 1D averages.
+
+    Each factor is evaluated once per rule on its axis's nodes of `_axis_rules`, and
+    the cell means are outer products of the 1D means.  A ``gaps`` entry is a pair
+    ``(p, q)`` of per-axis values, each ``(N, channels)``, whose channel-wise outer
+    product is the cell value, or None for the 8-point 1D means.  For a channel
+    ``f(x) g(y)`` the cell average of ``|f g - p q|**2`` is
+    ``avg|f - p|**2 avg|g|**2 + |p|**2 avg|g - q|**2 + 2 Re[avg((f - p) conj(p)) avg(g conj(g - q))]``,
+    and channels add.  Every pair holds full per-cell arrays, as from `_cell_quadrature`.
+    """
+    def avg(v, w):
+        return np.einsum("nqc,nq->nc", v, w)
+
+    def abs2(v):
+        return v.real**2 + v.imag**2
+
+    own, pairs = None, []
+    for rule in _RULES:
+        (x, wx), (y, wy) = _axis_rules(phi, mesh, rule)
+        f, g = _axis_values(phi, [x, y])
+        means = [avg(f, wx), avg(g, wy)]
+        own = means if own is None else own
+        out, g2 = [_outer(means)], avg(abs2(g), wy)
+        for p, q in (own if cell is None else cell for cell in gaps):
+            fp, gq = f - p[:, None], g - q[:, None]
+            gap = (_outer([avg(abs2(fp), wx), g2]) + _outer([abs2(p), avg(abs2(gq), wy)])
+                   + 2 * _outer([avg(fp, wx) * np.conj(p), avg(g * np.conj(gq), wy)]).real)
+            out.append(np.sum(gap, axis=-1))
+        pairs.append(out)
+    return list(zip(*pairs))
+
+
 def _checked(pair, bound: float, what: str) -> np.ndarray:
     """The G8 half of ``pair``; `QuadratureFailure` when ``max |G8 - G7|`` exceeds ``bound``."""
     hi, lo = pair
@@ -397,13 +448,23 @@ def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     Uses fixed 8-point tensor Gauss-Legendre per cell, with cells cut at
     declared kinks so piecewise-smooth catalog entries integrate exactly.
     Raises `QuadratureFailure` when the 7-vs-8-point Gauss-Legendre
-    estimate exceeds ``1e-10 * max(1, sup_norm)``.  The cells are integrated
-    in row blocks (see the module docstring); `exp_projection` gets these
-    averages from the same node values as its error integrals.
+    estimate exceeds ``1e-10 * max(1, sup_norm)``.  A 2D function with
+    ``factors`` gets outer products of 1D averages (`_separable_quadrature`);
+    any other is integrated in row blocks (see the module docstring).
+    `exp_projection` gets these averages from the same node values as its
+    error integrals.
     """
     _require_dimension(phi, mesh)
-    (pair,) = _cell_quadrature(phi, mesh, means=True)
+    if _separable(phi):
+        (pair,) = _separable_quadrature(phi, mesh)
+    else:
+        (pair,) = _cell_quadrature(phi, mesh, means=True)
     return _cell_averages(phi, mesh, pair)
+
+
+def _separable(phi: ContinuumFunction) -> bool:
+    """Whether `project` and `_projection_errors` take the per-axis path for ``phi``."""
+    return phi.factors is not None and phi.d == 2
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +532,19 @@ def _projection_errors(phi: ContinuumFunction, mesh: Mesh) -> tuple[float, float
     """``l2_error_vs_continuum`` of ``sample(phi, mesh)`` and of ``project(phi, mesh)``.
 
     Both errors and the projection come from one evaluation of ``phi`` per
-    Gauss rule; the results are bit-identical to the separate calls, and
-    so is the first failure raised: the sampling error-norm check, then the
-    cell-average check, then the projection error-norm check.
+    Gauss rule, on the path `project` takes.  Where that is the row-block walk,
+    the results are bit-identical to the separate calls; on the per-axis path
+    they agree to rounding.  Either way the first failure raised is that of the
+    separate calls: the sampling error-norm check, then the cell-average check,
+    then the projection error-norm check.
     """
-    f = sample(phi, mesh)
-    means, sampling, projection = _cell_quadrature(phi, mesh, [f.values, None], means=True)
+    if _separable(phi):
+        corners = _axis_values(phi, [mesh.h * mesh.indices] * 2)
+        f = LatticeField(mesh, _outer(corners))  # sample(phi, mesh), from the same corner values
+        means, sampling, projection = _separable_quadrature(phi, mesh, [corners, None])
+    else:
+        f = sample(phi, mesh)
+        means, sampling, projection = _cell_quadrature(phi, mesh, [f.values, None], means=True)
     samp = _error_norm(sampling, f.values, phi, mesh)
     p = _cell_averages(phi, mesh, means)
     return samp, _error_norm(projection, p.values, phi, mesh)

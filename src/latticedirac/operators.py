@@ -609,7 +609,9 @@ def _solve_with_potential(
     ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
     ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
     ``V`` is evaluated at the sites of each row block whenever it multiplies that block,
-    so no grid-sized potential array is held.  Everything runs in complex128.  Neumann
+    so no grid-sized potential array is held; it is evaluated on the first row block
+    before anything else, so that samples of the wrong shape raise `ValueError` before
+    any transform, on this mesh or a coarser one.  Everything runs in complex128.  Neumann
     takes at most ``max_iter`` `_neumann_steps` steps; Krylov runs GMRES and hands its
     ``w`` to one such step, which forms ``u`` and the residual.  Either way ``u`` comes
     from a step whose residual was measured, and a relative residual above ``tol``
@@ -627,6 +629,7 @@ def _solve_with_potential(
     that does not converge raises `NoConvergence` for its own residual.
     """
     mesh = psi.mesh
+    next(_vmul_blocks(V, mesh, np.moveaxis(psi.values, -1, 0)))  # a misshapen V fails before any transform
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
         return LatticeField(mesh, np.zeros_like(psi.values))
@@ -682,8 +685,9 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
     equality is outside the guaranteed region.  Policy ``None`` selects
     Neumann iteration when the contraction is certified and the Krylov
     fallback otherwise; ``"dense-oracle"`` solves with `dense_matrix`.
-    The iterative policies evaluate ``V`` on one block of sites at a time,
-    raising `ValueError` at the first block of the wrong shape.
+    The iterative policies evaluate ``V`` on one block of sites at a time;
+    samples of the wrong shape raise `ValueError` on the first block, before
+    any transform.
     """
     _check_spinor(psi, q.p)
     _require_resolvent_region(q.z, V)

@@ -1,4 +1,7 @@
-"""The benchmark's commands must parse, and its seed-0 smoke sweeps must match their references.
+"""The benchmark's commands must parse, and its seed-0 sweeps must match their references.
+
+Every seed-0 smoke sweep is checked, and so are the full-size ``project``
+commands of the ``quadrature`` workload, which take a fraction of a second.
 
 ``perfbench/workloads.py`` lists the CLI argv lists a benchmark sweep runs and
 ``perfbench/refs.json`` the error columns each must reproduce, within the
@@ -40,6 +43,7 @@ def _check_constant(name):
 
 WORKLOADS = _workloads()
 SMOKE_SEED0 = [argv for name in WORKLOADS["NAMES"] for argv in WORKLOADS["commands"](name, 0, smoke=True)]
+FULL_PROJECT_SEED0 = [argv for argv in WORKLOADS["commands"]("quadrature", 0) if argv[0] == "project"]
 
 
 @pytest.mark.parametrize("smoke", [False, True])
@@ -52,6 +56,15 @@ def test_every_benchmark_configuration_parses(smoke):
 
 @pytest.mark.parametrize("argv", SMOKE_SEED0, ids=WORKLOADS["key"])
 def test_seed0_smoke_sweep_reproduces_its_references(argv, tmp_path):
+    _assert_reproduces_its_references(argv, tmp_path)
+
+
+@pytest.mark.parametrize("argv", FULL_PROJECT_SEED0, ids=WORKLOADS["key"])
+def test_seed0_full_size_project_sweep_reproduces_its_references(argv, tmp_path):
+    _assert_reproduces_its_references(argv, tmp_path)
+
+
+def _assert_reproduces_its_references(argv, tmp_path):
     want = json.loads(_read("refs.json"))["references"][WORKLOADS["key"](argv)]
     out = tmp_path / "out.csv"
     assert cli.main(argv + ["--out", str(out)]) == 0

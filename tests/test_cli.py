@@ -295,6 +295,19 @@ def test_resolvent_gate_failure_exits_two(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_resolve_free_defaults_to_refine_1_and_matches_refine_8(tmp_path):
+    assert config_from_argv(["resolve-free"]).refine == 1
+    assert config_from_argv(["resolve-potential"]).refine == 8
+    codes, columns = [], []
+    for extra in ([], ["--refine", "8"]):
+        out = tmp_path / "free.csv"
+        codes.append(main(["resolve-free", "--sweep", "0.4,0.2,0.1", "--out", str(out)] + extra))
+        with open(out, newline="", encoding="utf-8") as fh:
+            columns.append([float(row["error"]) for row in csv.DictReader(fh)])
+    assert codes[0] == codes[1]  # three levels fall by just under 4x, so both fail the gate alike
+    np.testing.assert_allclose(columns[0], columns[1], rtol=1e-14, atol=0)
+
+
 def test_resolve_free_dyadic_passes(tmp_path, capsys):
     out = tmp_path / "free.csv"
     code = main(["resolve-free", "--sweep", "dyadic", "--z", "2i", "--m", "1",

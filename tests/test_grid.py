@@ -238,10 +238,15 @@ def test_undeclared_kink_on_a_row_block_edge_fails_quadrature(edge):
     ("hat", Mesh(1, 0.3, 32)),  # cells split at the kinks 0.5 and 1.0
 ])
 def test_projection_errors_match_the_separate_calls(name, mesh):
+    # in 2D the per-axis path gives both errors, and l2_error_vs_continuum walks row blocks:
+    # they agree to rounding there, and bit for bit where both walk row blocks
     phi = function_catalog(name)
-    samp, proj = _projection_errors(phi, mesh)
-    assert samp == l2_error_vs_continuum(sample(phi, mesh), phi)
-    assert proj == l2_error_vs_continuum(project(phi, mesh), phi)
+    got = _projection_errors(phi, mesh)
+    want = (l2_error_vs_continuum(sample(phi, mesh), phi), l2_error_vs_continuum(project(phi, mesh), phi))
+    if mesh.d == 2:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    else:
+        assert got == want
 
 
 @pytest.mark.parametrize("sup_norm,first", [
@@ -552,19 +557,30 @@ def _evaluate_only(phi):
     return dataclasses.replace(phi, factors=None)
 
 
+def _assert_per_axis_matches_row_blocks(phi, mesh):
+    """2D ``phi`` with factors: the per-axis path agrees with the row-block walk to rounding."""
+    plain = _evaluate_only(phi)
+    np.testing.assert_allclose(project(phi, mesh).values, project(plain, mesh).values, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(_projection_errors(phi, mesh), _projection_errors(plain, mesh), rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("name", FUNCTION_IDS)
 def test_factors_give_the_values_of_the_stacked_points(name):
     phi = function_catalog(name)
     assert phi.factors is not None
     mesh, plain = _TENSOR_MESHES[phi.d], _evaluate_only(phi)
     np.testing.assert_array_equal(sample(phi, mesh).values, sample(plain, mesh).values)
-    np.testing.assert_array_equal(project(phi, mesh).values, project(plain, mesh).values)
-    assert _projection_errors(phi, mesh) == _projection_errors(plain, mesh)
     assert weighted_sampling_gap(phi, mesh, k=2) == weighted_sampling_gap(plain, mesh, k=2)
+    if phi.d == 1:  # both walk row blocks
+        np.testing.assert_array_equal(project(phi, mesh).values, project(plain, mesh).values)
+        assert _projection_errors(phi, mesh) == _projection_errors(plain, mesh)
+    else:
+        _assert_per_axis_matches_row_blocks(phi, mesh)
 
 
 def test_separable_project_evaluates_each_factor_once_per_rule():
-    # the cost guard of the outer products: O(N q) points per axis and rule, never N**2 q**2
+    # the cost guard of the per-axis path: O(N q) points per axis and rule, never N**2 q**2;
+    # the projection errors add each axis's cell corners, once
     mesh = Mesh(2, 0.15, 32)
     phi, seen = gaussian(2), []
 
@@ -580,6 +596,49 @@ def test_separable_project_evaluates_each_factor_once_per_rule():
     counted = dataclasses.replace(phi, evaluate=never, factors=tuple(map(counting, phi.factors)))
     np.testing.assert_array_equal(project(counted, mesh).values, project(phi, mesh).values)
     assert seen == [mesh.N * 8] * mesh.d + [mesh.N * 7] * mesh.d
+    seen.clear()
+    assert _projection_errors(counted, mesh) == _projection_errors(phi, mesh)
+    assert seen == [mesh.N] * mesh.d + [mesh.N * 8] * mesh.d + [mesh.N * 7] * mesh.d
+
+
+def _separable_tent2d(width=0.5):
+    """`_tent2d` with its per-axis factors declared: kinks on both axes, per-axis path."""
+    return dataclasses.replace(_tent2d(width), factors=hat(width).factors * 2)
+
+
+@pytest.mark.parametrize("mesh", [Mesh(2, 0.3, 32), Mesh(2, 0.15, 64)])
+@pytest.mark.parametrize("name", [name for name in FUNCTION_IDS if function_catalog(name).d == 2])
+def test_per_axis_quadrature_matches_the_row_block_walk(name, mesh):
+    _assert_per_axis_matches_row_blocks(function_catalog(name), mesh)
+
+
+@pytest.mark.parametrize("mesh", [
+    Mesh(2, 0.3, 32),  # one kink per axis inside some cells
+    Mesh(2, 1.2, 8),  # the cells [0, 1.2) and [-1.2, 0) each hold two kinks per axis
+])
+def test_per_axis_quadrature_of_a_kinked_product_matches_the_row_block_walk(mesh):
+    _assert_per_axis_matches_row_blocks(_separable_tent2d(), mesh)
+
+
+def test_separable_function_with_an_undeclared_kink_fails_like_its_factorless_copy():
+    # a tent factor with kinks at +-1, inside cells of 0.4, that the function does not declare
+    def tent(x):
+        return np.maximum(0.0, 1.0 - np.abs(x))[..., None].astype(complex)
+
+    def gauss(x):
+        return np.exp(-x**2)[..., None].astype(complex)
+
+    phi = ContinuumFunction("kinked", 2, 1, lambda pts: tent(pts[..., 0]) * gauss(pts[..., 1]),
+                            factors=(tent, gauss))
+    mesh = Mesh(2, 0.4, 24)
+    for call, first in ((project, "cell-average"), (_projection_errors, "error-norm")):
+        messages = []
+        for f in (phi, _evaluate_only(phi)):
+            with pytest.raises(QuadratureFailure) as info:
+                call(f, mesh)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"{first} self-estimate")
 
 
 @pytest.mark.parametrize("factors", [

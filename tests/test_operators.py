@@ -760,16 +760,23 @@ def test_potential_samples_of_the_wrong_shape_are_rejected(matrix_fn):
 
 @pytest.mark.parametrize("policy", ["neumann", "krylov"])
 @pytest.mark.parametrize("matrix_fn", _MISSHAPEN, ids=["channel-axis", "one-matrix"])
-def test_potential_values_of_the_wrong_shape_are_rejected_per_row_block(matrix_fn, policy):
-    # N = 192 is several row blocks: the solve evaluates V on one block of rows at a time
+def test_potential_values_of_the_wrong_shape_are_rejected_per_row_block(matrix_fn, policy, monkeypatch):
+    # N = 192 is several row blocks: the solve evaluates V on one block of rows at a time,
+    # the first one before any transform, in a level solve and in the coarse-to-fine reference
     mesh, p = Mesh(2, 0.05, 192), DiracParams(1.0, 0.05)
     rows = operators._BLOCK_SITES // mesh.N
     assert rows < mesh.N
     V = PotentialSpec("misshapen", matrix_fn, 1.0, 0.0)
-    q = ResolventQuery(z=3j, p=p, policy=policy)
+    psi = sample(gaussian_spinor(), mesh)
+    transforms = _spy_fftn(monkeypatch, names=("fftn", "ifftn"))
     expected = rf"potential 'misshapen' gave samples of shape .*expected \({rows}, 192, 2, 2\)"
-    with pytest.raises(ValueError, match=expected):
-        resolvent_with_potential(sample(gaussian_spinor(), mesh), q, V)
+    for solve in (
+        lambda: resolvent_with_potential(psi, ResolventQuery(z=3j, p=p, policy=policy), V),
+        lambda: _solve_with_potential(psi, 3j, 1.0, V, policy, 1e-10, 2000, 50),
+    ):
+        with pytest.raises(ValueError, match=expected):
+            solve()
+    assert transforms == []
 
 
 def test_half_mesh_sites_are_the_even_fine_sites_bit_for_bit():
