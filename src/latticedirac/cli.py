@@ -361,7 +361,7 @@ _EXPERIMENTS = {
     "ift": (_SWEEP_FLAGS, {"function": "freqbump1d"}, _sweep(exp_ift, _primary_slope_near_one)),
     # the free reference holds exact cell averages at any refine; refine 1 is the cheapest
     "resolve-free": (_RESOLVENT_FLAGS, {"function": "gaussian-spinor", "refine": 1},
-                     _sweep(exp_resolvent_free, lambda r: r.primary.errors[-1] < r.primary.errors[0] / 4)),
+                     _sweep(exp_resolvent_free, _primary_slope_near_one)),
     "resolve-potential": (_RESOLVENT_FLAGS + ("potential",),
                           {"function": "gaussian-spinor", "potential": "hermitian-gaussian"},
                           _sweep(exp_resolvent_potential)),

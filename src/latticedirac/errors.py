@@ -10,7 +10,7 @@ class MeshMismatch(LatticeDiracError):
 
 
 class QuadratureFailure(LatticeDiracError):
-    """Per-cell quadrature self-estimate exceeded the accuracy budget."""
+    """A quadrature self-estimate (per cell, or of the transform tail) exceeded its accuracy budget."""
 
 
 class OutOfDomain(LatticeDiracError):

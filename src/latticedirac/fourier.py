@@ -17,6 +17,12 @@ on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``;
 `_fftn` is the one FFT entry point, for `dft`/`idft` (`_centred_fftn`: on a
 copy rolled into natural FFT order) and the multipliers of `operators`.  It
 runs `scipy.fft` on up to `thread_cap` workers, the same at any worker count.
+
+The part of `weighted_ft_error` outside the frequency box is a fixed tensor
+Gauss-Legendre rule (`_tail_integral` on the axes of `_tail_axes`) that calls
+the closed-form transform on arrays of nodes, checked against a separate
+7-point rule as the cell quadrature of `grid` is; no adaptive quadrature and
+no `scipy.integrate` is involved.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ import numpy as np
 
 from .errors import SupportViolation, UnknownClosedForm
 from .grid import (
-    ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap, _cell_points, _tensor_axes,
+    ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap, _RULES, _cell_points,
+    _checked, _tensor_axes,
 )
 
 __all__ = [
@@ -42,6 +49,14 @@ __all__ = [
     "sample_spectrum",
     "spectral_norm",
 ]
+
+# Layout of the tail rule of `_tail_integral`, per axis; see `_tail_axes`.
+_TAIL_FIRST = 1.0 / 32  # first panel width from b on a semi-infinite axis
+_TAIL_CAP = 4.0  # widest panel before the mapped rest of a semi-infinite axis
+_TAIL_REACH = {1: 400.0, 2: 12.0}  # d -> length of the panels from b, before the mapped rest
+_TAIL_MAPPED = (0.0, 0.25, 0.5, 0.75, 1.0)  # edges of the panels in u of [E, inf) under q = E/u
+_TAIL_CORE = (0.5,) * 4 + (1.0,) * 6  # panel widths of [0, b] from 0 out to 8, before doubling ones
+_TAIL_TOL = 1e-10  # bound on |G8 - G7| of the tail
 
 
 @dataclass(frozen=True)
@@ -185,38 +200,74 @@ def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
     return SpectralField(grid, u(grid.coords()))
 
 
+def _edges(widths, length: float) -> np.ndarray:
+    """Edges from 0 by consecutive ``widths``, up to the first at or past ``length``."""
+    edges = np.concatenate([[0.0], np.cumsum(widths)])
+    return edges[: np.searchsorted(edges, length) + 1]
+
+
+def _panel_rule(edges, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss ``rule`` on every panel between consecutive ``edges``."""
+    x, w = rule
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (edges[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def _tail_axes(d: int, b: float) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per rule of `_RULES`, nodes and weights on ``xi_1 > b``, and in 2D on the whole ``xi_2`` line.
+
+    From ``b`` the panel widths double from `_TAIL_FIRST` up to `_TAIL_CAP`
+    and stay there until an edge ``E`` lies `_TAIL_REACH` or more past ``b``;
+    ``[E, inf)`` is mapped by ``q = E/u`` onto the `_TAIL_MAPPED` panels in
+    ``u``.  The ``xi_2`` line takes these nodes on both sides of ``[-b, b]``,
+    which has the `_TAIL_CORE` panels on each side of 0 and doubling widths beyond.
+    """
+    reach = _TAIL_REACH[d]
+    doubling = _TAIL_FIRST * 2.0 ** np.arange(np.log2(_TAIL_CAP / _TAIL_FIRST))
+    edges = b + _edges(np.append(doubling, np.full(int(reach / _TAIL_CAP) + 1, _TAIL_CAP)), reach)
+    middle = np.minimum(_edges(np.append(_TAIL_CORE, 2.0 ** np.arange(1, np.log2(b) + 2)), b), b)
+    axes = []
+    for rule in _RULES:
+        q, w = _panel_rule(edges, rule)
+        u, wu = _panel_rule(_TAIL_MAPPED, rule)
+        semi = np.concatenate([q, edges[-1] / u]), np.concatenate([w, wu * edges[-1] / u**2])
+        axes.append([semi])
+        if d == 2:
+            mq, mw = _panel_rule(middle, rule)
+            # ROADMAP item 2: the middle block counts twice, so the region takes |xi_1| > b, |xi_2| <= b
+            # a second time instead of the strips |xi_1| <= b, |xi_2| > b.  The recorded error columns
+            # of perfbench/refs.json hold this region until they are re-recorded.
+            axes[-1].append((np.concatenate([-semi[0][::-1], -mq[::-1], mq, semi[0]]),
+                             np.concatenate([semi[1][::-1], 2.0 * mw[::-1], 2.0 * mw, semi[1]])))
+    return axes
+
+
 def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
-    """``int_{|xi|_inf > b} <xi>**(-2s) |Fphi|**2`` from the closed form, per channel summed."""
-    from scipy import integrate  # not at module level: importing scipy costs start-up time
+    """``int <xi>**(-2s) |Fphi|**2`` outside ``[-b, b]**d`` from the closed form, per channel summed.
 
-    if phi.d == 1:
-
-        def integrand(q):
-            xi = np.array([[q]])
-            val = np.sum(np.abs(phi.fourier(xi)) ** 2)
-            return (1.0 + q * q) ** (-s) * val
-
-        right, _ = integrate.quad(integrand, b, np.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
-        left, _ = integrate.quad(integrand, -np.inf, -b, epsabs=1e-10, epsrel=1e-10, limit=200)
-        return right + left
-
-    def integrand(q2, q1):
-        xi = np.array([[q1, q2]])
-        val = np.sum(np.abs(phi.fourier(xi)) ** 2)
-        return (1.0 + q1 * q1 + q2 * q2) ** (-s) * val
-
-    opts = dict(epsabs=1e-10, epsrel=1e-10)
-    total = 0.0
-    # vertical strips |xi_1| > b, full xi_2 range
-    for lo, hi in ((b, np.inf), (-np.inf, -b)):
-        val, _ = integrate.dblquad(integrand, lo, hi, -np.inf, np.inf, **opts)
-        total += val
-    # meant as the horizontal strips |xi_1| <= b, |xi_2| > b, but the swapped arguments integrate
-    # |xi_1| > b, |xi_2| <= b again: exact only for spectra symmetric under xi_1 <-> xi_2
-    for lo, hi in ((b, np.inf), (-np.inf, -b)):
-        val, _ = integrate.dblquad(lambda q1, q2: integrand(q2, q1), -b, b, lo, hi, **opts)
-        total += val
-    return total
+    A fixed composite Gauss-Legendre rule on the tensor grid of `_tail_axes`,
+    one batched call of ``phi.fourier`` per side ``+-xi_1 > b`` and per rule.
+    It returns the 8-point sum and raises `QuadratureFailure` when the
+    separate 7-point sum differs by more than `_TAIL_TOL`.  A spectrum
+    declared to vanish outside the box (``support_inf <= b``) gives 0 at once.
+    In 2D the region is ``|xi_1| > b`` plus ``|xi_1| > b, |xi_2| <= b`` once
+    more (ROADMAP item 2), not the whole outside of the box.
+    """
+    if phi.support_inf is not None and phi.support_inf <= b:
+        return 0.0
+    sums = []
+    for axes in _tail_axes(phi.d, b):
+        nodes, weights = zip(*axes)
+        weight = (1.0 + sum(_tensor_axes([x**2 for x in nodes]))) ** (-s)  # the same on both sides
+        total = 0.0
+        for side in (nodes[0], -nodes[0]):
+            vals = np.sum(np.abs(phi.fourier(_cell_points([side, *nodes[1:]]))) ** 2, axis=-1) * weight
+            for w in weights[::-1]:
+                vals = vals @ w  # contracts the last axis
+            total += vals
+        sums.append(total)
+    return float(_checked(sums, _TAIL_TOL, f"{phi.name} tail integral"))
 
 
 def _require_weight_exponent(s: float):
@@ -235,8 +286,13 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
     denser grid that resolves it: the sites zero-padded to ``4*N`` per axis
     give the same finite sum at ``2*pi*k/(4*L)``, still in ``[-pi/h, pi/h)``.
     Outside the box the step-function transform is within aliasing error of
-    the declared closed form, which is integrated adaptively.  Returns the
-    root of the summed squares.  ``s = 0`` is allowed as an unweighted diagnostic.
+    the declared closed form, whose weighted square `_tail_integral` integrates
+    with a fixed composite Gauss-Legendre rule: panels graded from the box edge
+    ``b = pi/h``, a map ``q = E/u`` of each axis's far end, one batched call of
+    the closed form per side and rule, and `QuadratureFailure` when the 8- and
+    7-point sums differ by more than 1e-10.  In 2D that region is ``|xi_1| > b``
+    plus ``|xi_1| > b, |xi_2| <= b`` a second time (ROADMAP item 2).  Returns
+    the root of the summed squares.  ``s = 0`` is allowed as an unweighted diagnostic.
     """
     _require_weight_exponent(s)
     if phi.fourier is None:

@@ -200,7 +200,11 @@ class ContinuumFunction:
         Declared sup of the pointwise 2-norm; quadrature tolerances are
         relative to ``max(1, sup_norm)``.
     support_inf : float, optional
-        Half-width of the sup-norm support when compactly supported.
+        Half-width in the sup norm of the frequency-side support, when that
+        is compact: of ``fourier`` for a function on space, of the function
+        itself for one on frequencies.  `fourier._tail_integral` takes a
+        spectrum declared inside ``[-b, b]**d`` as zero outside it, and
+        `inverse_ft_error` requires it inside the frequency box.
     """
 
     name: str
@@ -429,10 +433,10 @@ def _separable_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=()) -> list:
 
 
 def _checked(pair, bound: float, what: str) -> np.ndarray:
-    """The G8 half of ``pair``; `QuadratureFailure` when ``max |G8 - G7|`` exceeds ``bound``."""
+    """The G8 half of ``pair``; `QuadratureFailure` when ``max |G8 - G7|`` exceeds ``bound`` or is not finite."""
     hi, lo = pair
     est = np.max(np.abs(hi - lo))
-    if est > bound:
+    if not est <= bound:
         raise QuadratureFailure(f"{what} self-estimate {est:.3e} above tolerance")
     return hi
 
@@ -695,7 +699,7 @@ def hat(width: float = 0.5) -> ContinuumFunction:
         return val.astype(complex)[..., None]
 
     return _tensor("hat", 1, [space], fourier=fourier,
-                   breakpoints=(np.array([-2 * w, -w, w, 2 * w]),), sup_norm=w, support_inf=2 * w)
+                   breakpoints=(np.array([-2 * w, -w, w, 2 * w]),), sup_norm=w)
 
 
 def _cos_power_window(R: float, p: int):

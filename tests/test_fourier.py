@@ -1,11 +1,15 @@
 """Tests for the discrete transform pair, the a-factor, and the FT error measures."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from latticedirac import cli, lab
 from latticedirac import (
     ContinuumFunction,
     FrequencyGrid,
@@ -24,9 +28,9 @@ from latticedirac import (
     spectral_norm,
     weighted_ft_error,
 )
-from latticedirac.errors import SupportViolation, UnknownClosedForm
+from latticedirac.errors import QuadratureFailure, SupportViolation, UnknownClosedForm
 from latticedirac.fourier import _grid_step_factor, _grid_weight, _step_factor, _tail_integral
-from latticedirac.grid import freq_window, function_catalog, gaussian
+from latticedirac.grid import freq_window, function_catalog, gaussian, hat, modulated_gaussian
 from latticedirac.operators import diff_backward, diff_forward
 
 from conftest import dft_direct, idft_direct, random_field
@@ -284,6 +288,101 @@ def test_2d_tail_integral_matches_a_tensor_rule(name):
     b = np.pi / 0.8
     want = _tensor_tail(phi, b, 1.0)
     assert abs(_tail_integral(phi, b, 1.0) - want) <= 1e-9 * want
+
+
+def _modwave_tail_at_s0(a, k0, b):
+    """The region of `_tail_integral` for ``modulated_gaussian(2, a, k0)`` at ``s = 0``, from ``erfc``.
+
+    ``|F|**2 = (2a)**-2 * exp(-|xi - k0|**2 / (2a))`` is a product over the axes,
+    and the region is ``|xi_1| > b`` times the line plus ``|xi_1| > b`` times
+    ``|xi_2| <= b`` (ROADMAP item 2), so the integral is a product of 1D ones.
+    """
+    line = math.sqrt(2 * math.pi * a)
+
+    def outside(k):
+        return line / 2 * (math.erfc((b - k) / math.sqrt(2 * a)) + math.erfc((b + k) / math.sqrt(2 * a)))
+
+    return (2 * a) ** -2 * outside(k0[0]) * (2 * line - outside(k0[1]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(0.5, 2.0), k1=st.floats(-2.0, 2.0), k2=st.floats(-2.0, 2.0), h=st.sampled_from([0.8, 0.4]))
+def test_2d_tail_integral_matches_products_of_erfc(a, k1, k2, h):
+    b = np.pi / h
+    want = _modwave_tail_at_s0(a, (k1, k2), b)
+    assert abs(_tail_integral(modulated_gaussian(2, a, (k1, k2)), b, 0.0) - want) <= 1e-10 * want
+
+
+def _fine_tail_1d(phi, b, s, width=0.25, reach=4000.0):
+    """``int_{|q| > b} <q>**(-2s) |Fphi|**2`` by 8-point Gauss on uniform panels of ``width`` out to ``b + reach``.
+
+    The panels resolve the ``sinc**2`` oscillations of ``hat``; at ``s = 1`` the
+    part past ``b + reach`` is below 1e-18.
+    """
+    x, w = np.polynomial.legendre.leggauss(8)
+    lo = b + np.arange(0.0, reach, width)
+    q = (lo[:, None] + 0.5 * width * (x + 1.0)).ravel()
+    weights = np.tile(0.5 * width * w, lo.size)
+    return sum(weights @ (np.abs(phi.fourier(side[:, None])[:, 0]) ** 2 * (1.0 + side**2) ** -s) for side in (q, -q))
+
+
+@pytest.mark.parametrize("h", [0.8, 0.4, 0.2, 0.1, 0.05])
+def test_1d_tail_integral_of_hat_matches_a_fine_composite_rule(h):
+    # adaptive quad at epsabs 1e-10 misses these by up to 9.2e-11, 1 % of the tail at h = 0.1
+    phi, b = hat(0.5), np.pi / h
+    assert abs(_tail_integral(phi, b, 1.0) - _fine_tail_1d(phi, b, 1.0)) <= 1e-12
+
+
+def _cauchy(d):
+    """A Gaussian on space that declares the spectrum ``prod_j (1 + xi_j**2)**(-1/2)``."""
+    return ContinuumFunction(
+        "cauchy", d, 1, gaussian(d).evaluate,
+        fourier=lambda xi: np.prod((1.0 + xi**2) ** -0.5, axis=-1).astype(complex)[..., None],
+    )
+
+
+@pytest.mark.parametrize("h", [0.8, 0.4, 0.05])
+def test_tail_integral_of_an_algebraic_spectrum_matches_arctan(h):
+    # |F|**2 = prod_j 1 / (1 + xi_j**2) at s = 0 puts 1 % to 80 % of the xi_1 integral past
+    # the panels, on the map q = E/u; every 1D and line integral is an arctan value
+    b = np.pi / h
+    outside, inside = 2 * math.atan(1 / b), 2 * math.atan(b)
+    assert abs(_tail_integral(_cauchy(1), b, 0.0) - outside) <= 1e-10 * outside
+    want = outside * (np.pi + inside)  # |xi_1| > b times the line, and again times |xi_2| <= b (ROADMAP item 2)
+    assert abs(_tail_integral(_cauchy(2), b, 0.0) - want) <= 1e-10 * want
+
+
+def _slow_spectrum(p):
+    """A Gaussian on space that declares the spectrum ``(1 + |xi|**2)**(-p/2)``, which decays like ``|xi|**-p``."""
+    return ContinuumFunction(
+        "slow", 2, 1, gaussian(2).evaluate,
+        fourier=lambda xi: ((1.0 + np.sum(xi**2, axis=-1)) ** (-p / 2)).astype(complex)[..., None],
+    )
+
+
+def test_tail_integral_raises_on_a_spectrum_it_cannot_resolve(monkeypatch, capsys):
+    with pytest.raises(QuadratureFailure, match="slow tail integral self-estimate"):
+        _tail_integral(_slow_spectrum(1.2), np.pi / 0.8, 0.0)
+    monkeypatch.setattr(lab, "function_catalog", lambda name: _slow_spectrum(1.2))
+    assert cli.main(["ft", "--function", "gaussian2d", "--sweep", "0.8,0.4,0.2"]) == 1
+    assert capsys.readouterr().err.startswith("error: QuadratureFailure: slow tail integral")
+
+
+def test_tail_integral_raises_on_a_spectrum_that_is_not_finite():
+    nan = ContinuumFunction("nan", 1, 1, gaussian(1).evaluate,
+                            fourier=lambda xi: np.full(xi.shape[:-1] + (1,), complex(np.nan)))
+    with pytest.raises(QuadratureFailure):
+        _tail_integral(nan, np.pi / 0.8, 1.0)
+
+
+def test_tail_integral_of_a_spectrum_inside_the_box_evaluates_nothing():
+    def fourier(xi):
+        raise AssertionError("spectrum evaluated")
+
+    phi = dataclasses.replace(function_catalog("bandlimited-spinor"), fourier=fourier)
+    assert _tail_integral(phi, phi.support_inf, 1.0) == 0.0
+    with pytest.raises(AssertionError, match="spectrum evaluated"):
+        _tail_integral(phi, 0.99 * phi.support_inf, 1.0)
 
 
 def test_weighted_ft_error_decreases_and_dominates():
