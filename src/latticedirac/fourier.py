@@ -34,7 +34,7 @@ import numpy as np
 from .errors import SupportViolation, UnknownClosedForm
 from .grid import (
     ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap, _RULES, _cell_points,
-    _checked, _tensor_axes,
+    _checked, _multiply, _tensor_axes,
 )
 
 __all__ = [
@@ -150,12 +150,13 @@ def continuum_ft_of_step(f: LatticeField, xi) -> np.ndarray:
 
     Direct summation; serves as the oracle relating the continuum transform
     to the discrete one.  ``xi`` may be any array of shape ``(..., d)`` and
-    is not restricted to the frequency box.
+    is not restricted to the frequency box; other shapes, and points that
+    are not finite, raise `ValueError` before the sum.
     """
     mesh = f.mesh
     xi = np.asarray(xi, dtype=float)
-    if xi.shape[-1] != mesh.d:
-        raise ValueError(f"frequency points must have last axis {mesh.d}")
+    if xi.ndim == 0 or xi.shape[-1] != mesh.d or not np.isfinite(xi).all():
+        raise ValueError(f"frequency points must be finite, with last axis {mesh.d}; got shape {xi.shape}")
     sites = mesh.site_coords().reshape(-1, mesh.d)
     vals = f.values.reshape(-1, f.channels)
     phase = np.exp(-1j * (xi @ sites.T))  # (..., nsites)
@@ -164,28 +165,16 @@ def continuum_ft_of_step(f: LatticeField, xi) -> np.ndarray:
 
 
 def _step_factor(xi: np.ndarray, h: float) -> np.ndarray:
-    """``prod_j a(h*xi_j)`` over the last axis of ``xi``."""
-    factor = np.ones(xi.shape[:-1], dtype=complex)
-    for j in range(xi.shape[-1]):
-        factor = factor * a_factor(h * xi[..., j])
-    return factor
+    """``prod_j a(h*xi_j)`` over the last axis of ``xi``, the product of the per-axis values."""
+    return np.asarray(_multiply([a_factor(h * xi[..., j]) for j in range(xi.shape[-1])]))
 
 
 def _grid_step_factor(grid: FrequencyGrid, h: float) -> np.ndarray:
-    """`_step_factor` on the dual ``grid``, from the per-axis values ``a(h*f)``.
+    """`_step_factor` on the dual ``grid``, the outer product of the per-axis values ``a(h*f)``.
 
     No stacked grid is built and ``a`` runs on ``N`` points per axis, not ``N**d``.
-    The products are those of `_step_factor`, in its form: the factor so far times
-    a new full array.  numpy may run such a product in place in the new array, which
-    swaps the operands, and a complex product rounds by its operand order, so the
-    same form gives the same bits.
     """
-    shape = grid.mesh.shape
-    first, *rest = _tensor_axes([a_factor(h * grid.frequencies)] * grid.mesh.d)
-    factor = np.broadcast_to(first, shape) if rest else first
-    for a in rest:
-        factor = factor * np.array(np.broadcast_to(a, shape))
-    return factor
+    return _multiply(_tensor_axes([a_factor(h * grid.frequencies)] * grid.mesh.d))
 
 
 def _grid_weight(grid: FrequencyGrid, s: float) -> np.ndarray:
@@ -252,7 +241,10 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     separate 7-point sum differs by more than `_TAIL_TOL`.  A spectrum
     declared to vanish outside the box (``support_inf <= b``) gives 0 at once.
     In 2D the region is ``|xi_1| > b`` plus ``|xi_1| > b, |xi_2| <= b`` once
-    more (ROADMAP item 2), not the whole outside of the box.
+    more (ROADMAP item 2), not the whole outside of the box.  A 2D ``<xi>**(-s) |Fphi|``
+    decaying like ``|xi|**-2`` or slower (at ``s = 0``, the spectrum) fails that check in
+    the corner ``|xi_1|, |xi_2| > E``, mapped by ``q = E/u`` on both axes; `exp_ft` sweeps
+    need ``s > 0`` and the catalog's 2D spectra are Gaussian or band-limited, so none does.
     """
     if phi.support_inf is not None and phi.support_inf <= b:
         return 0.0
@@ -292,7 +284,10 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
     the closed form per side and rule, and `QuadratureFailure` when the 8- and
     7-point sums differ by more than 1e-10.  In 2D that region is ``|xi_1| > b``
     plus ``|xi_1| > b, |xi_2| <= b`` a second time (ROADMAP item 2).  Returns
-    the root of the summed squares.  ``s = 0`` is allowed as an unweighted diagnostic.
+    the root of the summed squares.  ``s = 0`` is allowed as an unweighted diagnostic;
+    there a 2D spectrum that decays like ``|xi|**-2`` or slower raises
+    `QuadratureFailure` from the mapped corner of the tail rule (`exp_ft` sweeps
+    need ``s > 0``, so no catalog sweep meets it).
     """
     _require_weight_exponent(s)
     if phi.fourier is None:

@@ -626,8 +626,10 @@ def gaussian(d: int, a: float = 1.0, amplitude: complex = 1.0, center=None) -> C
 
     def fourier(xi):
         q2 = np.sum(xi**2, axis=-1)
-        phase = np.exp(-1j * (xi @ x0))
-        return (amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)) * phase)[..., None]
+        vals = amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a))
+        if center is not None:
+            vals = vals * np.exp(-1j * (xi @ x0))
+        return vals.astype(complex, copy=False)[..., None]
 
     return _tensor(f"gaussian{d}d", 1, list(map(axis, x0, _first_axis(amplitude, d))), fourier=fourier,
                    sup_norm=abs(amplitude))

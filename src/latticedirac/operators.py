@@ -26,8 +26,9 @@ only) serves as the cross-validation oracle.
 Fourier multipliers work channel-first: the two spinor channels are held as
 one contiguous ``(2, *sites)`` array, transformed over the site axes by
 `fourier._fftn` (the library's one FFT entry point) and multiplied in place
-one block of rows at a time.  The coefficients of a block are formed from
-per-axis terms of ``zeta`` when the block is multiplied, on every apply, so
+one block of rows at a time.  Every multiplier holds only the per-axis terms
+of ``zeta`` on the dual grid (`_Multiplier`); ``zeta`` and the coefficients of
+a block are formed from them when the block is multiplied, on every apply, so
 no grid-sized symbol or coefficient array is ever stored.  The perturbed
 solves treat the potential the same way: ``V`` is evaluated at the sites of
 each block of rows just before it multiplies that block, so they hold no
@@ -38,7 +39,7 @@ for `apply_dirac` and `dense_matrix`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from .fourier import FrequencyGrid, SpectralField, _fftn, _grid_step_factor, dft
 from .grid import (
     ContinuumFunction, LatticeField, Mesh, _cell_points, _require_channels, _require_dimension, norm_l2, sample,
 )
+# zeta_discrete is unused here; perfbench/spans.py times calls through this name
 from .symbols import DiracParams, _require_complex_shift, _require_mass, _zeta_terms, opnorm_2x2, zeta_discrete
 
 __all__ = [
@@ -231,55 +233,28 @@ def _channel_last(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(x, 0, -1)
 
 
-def _zeta(coords: np.ndarray, p: Optional[DiracParams]) -> np.ndarray:
-    """Lower-left symbol entry at ``coords``: discrete for ``p``, continuum ``xi1 + i*xi2`` if None."""
-    if p is None:
-        return coords[..., 0] + 1j * coords[..., 1]
-    return zeta_discrete(coords, p)
+def _natural_frequencies(mesh: Mesh) -> np.ndarray:
+    """Per-axis frequencies of the dual grid of ``mesh`` in natural FFT order."""
+    return np.roll(FrequencyGrid(mesh).frequencies, mesh.N // 2)
 
 
-class _AxisZeta:
-    """`_zeta` on the tensor grid of the per-axis frequencies ``f``, formed one block of rows at a time.
-
-    ``zeta = rows_term[i] + cols_term[j]``, divided by ``h`` for the discrete symbol:
-    ``f`` and ``1j*f`` for the continuum, the `symbols._zeta_terms` of ``f`` for ``p``.
-    These are the element-wise operations of `_zeta` on the stacked grid, so each
-    block is bit-identical to those rows of it.  Only the per-axis terms are stored.
-    """
-
-    def __init__(self, f: np.ndarray, p: Optional[DiracParams]):
-        if p is None:
-            self.h, self.rows_term, self.cols_term = None, f.astype(complex), 1j * f
-        else:
-            self.h = p.h
-            self.rows_term, self.cols_term = _zeta_terms(f, p.h)
-
-    def block(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """``zeta`` on ``rows``, written into ``out`` of shape ``(rows, N)`` and returned."""
-        out[...] = self.cols_term
-        out += self.rows_term[rows, None]
-        if self.h is not None:
-            out /= self.h
-        return out
-
-
-def _natural_zeta(mesh: Mesh, p: Optional[DiracParams]) -> _AxisZeta:
-    """`_AxisZeta` on the dual grid of ``mesh`` in natural FFT order."""
-    return _AxisZeta(np.roll(FrequencyGrid(mesh).frequencies, mesh.N // 2), p)
-
-
-@dataclass(frozen=True)
 class _Multiplier:
     """Pointwise 2x2 symbol ``M = [[m, conj(zeta)], [zeta, -m]]``, or ``(M - z)**-1`` given ``z``.
 
-    ``zeta`` is an `_AxisZeta`, or a full array over the frequencies of the sites.
-    The coefficients of each block of rows are formed when it is multiplied, on
-    every apply, in buffers of one block, so no grid-sized one is stored.
+    On the tensor grid of the per-axis frequencies ``f``, ``zeta = rows[i] + cols[j]``
+    from the per-axis terms ``f`` and ``1j*f`` (continuum, ``p`` None) or the
+    `symbols._zeta_terms` of ``f``, then divided by ``h`` (discrete).  Only these terms
+    are stored; ``zeta`` and the coefficients of each block of rows are formed when it
+    is multiplied, on every apply, in buffers of one block.
     """
 
-    zeta: Union[_AxisZeta, np.ndarray]
-    m: float
-    z: Optional[complex] = None
+    def __init__(self, f: np.ndarray, p: Optional[DiracParams], m: float, z: Optional[complex] = None):
+        if p is None:
+            self.h, self.rows, self.cols = None, f.astype(complex), 1j * f
+        else:
+            self.h = p.h
+            self.rows, self.cols = _zeta_terms(f, p.h)
+        self.m, self.z = m, z
 
     def _coefficients(self, blocks: list[slice], shape: tuple[int, int]):
         """Yield ``(s, zeta_s, conj_s)`` on each of ``blocks``: ``1``, ``zeta``, ``conj(zeta)`` for
@@ -288,10 +263,11 @@ class _Multiplier:
         den = np.empty(shape)
         for rows in blocks:
             k = rows.stop - rows.start
-            if isinstance(self.zeta, np.ndarray):
-                zeta = self.zeta[rows]
-            else:
-                zeta = self.zeta.block(rows, zeta_buf[:k])
+            zeta = zeta_buf[:k]
+            zeta[...] = self.cols
+            zeta += self.rows[rows, None]
+            if self.h is not None:
+                zeta /= self.h
             if self.z is None:
                 yield np.broadcast_to(1.0, zeta.shape), zeta, np.conjugate(zeta, out=conj_s[:k])
             else:
@@ -341,15 +317,6 @@ def _resolvent_coefficients(zeta, m, z, s, zeta_s, conj_s, den):
     np.conjugate(zeta, out=conj_s)
     conj_s *= s
     return s, zeta_s, conj_s
-
-
-def _resolvent_multiplier(zeta, m: float, z: complex) -> _Multiplier:
-    """``(M - z)**-1 = (M + z) / (mu**2 - z**2)`` for the symbol of ``zeta``.
-
-    ``zeta`` is an `_AxisZeta` or a full array.  ``1/den``, ``zeta/den`` and
-    ``conj(zeta)/den`` are formed per row block on every apply, not stored.
-    """
-    return _Multiplier(zeta, m, z)
 
 
 def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
@@ -412,7 +379,7 @@ def apply_dirac(
             [p.m * psi.values[..., :1] + upper, lower - p.m * psi.values[..., 1:]], axis=-1
         )
     elif path == "symbol":
-        symbol = _Multiplier(_natural_zeta(psi.mesh, p), p.m)
+        symbol = _Multiplier(_natural_frequencies(psi.mesh), p, p.m)
         out = _channel_last(_multiplier_apply(_channel_first(psi.values), symbol))
     else:
         raise ValueError(f"unknown path {path!r}")
@@ -483,7 +450,7 @@ def _require_resolvent_region(z: complex, V: PotentialSpec):
 def resolvent_free(psi: LatticeField, q: ResolventQuery) -> LatticeField:
     """Free resolvent ``(D - z)**-1 psi`` by closed-form symbol inversion."""
     _check_spinor(psi, q.p)
-    symbol = _resolvent_multiplier(_natural_zeta(psi.mesh, q.p), q.p.m, q.z)
+    symbol = _Multiplier(_natural_frequencies(psi.mesh), q.p, q.p.m, q.z)
     return LatticeField(psi.mesh, _channel_last(_multiplier_apply(_channel_first(psi.values), symbol)))
 
 
@@ -529,7 +496,7 @@ def resolvent_continuum(
         spec = _require_channels(phi, phi.fourier(grid.coords()))
     else:
         spec = dft(sample(phi, ref)).values
-    out = _resolvent_multiplier(_AxisZeta(grid.frequencies, None), m, z)(_channel_first(spec))
+    out = _Multiplier(grid.frequencies, None, m, z)(_channel_first(spec))
     out *= np.conj(_grid_step_factor(grid, mesh.h))
     fine = idft(SpectralField(grid, _channel_last(out)))
     coarse_vals = fine.values[::refine, ::refine, :]
@@ -650,7 +617,7 @@ def _solve_with_potential(
         for rows, vu in _vmul_blocks(V, mesh, w):  # w <- psi - V w, one row block at a time
             np.subtract(rhs[:, rows], vu, out=w[:, rows])
 
-    symbol = _resolvent_multiplier(_natural_zeta(mesh, p), m, z)
+    symbol = _Multiplier(_natural_frequencies(mesh), p, m, z)
     steps, info = max_iter, 0
     if policy == "krylov":
         shape = (psi.channels,) + mesh.shape

@@ -196,7 +196,25 @@ def test_step_transform_product_identity_on_grid(rng):
     np.testing.assert_allclose(exact, dft(f).values * factor[..., None], atol=1e-12)
 
 
-@pytest.mark.parametrize("d,N", [(1, 96), (2, 24), (2, 96), (2, 384)])
+@pytest.mark.parametrize("xi", [0.5, [[np.nan, 0.0]], [[0.0, np.inf]], [[1.0, 2.0, 3.0]]])
+def test_step_transform_rejects_frequency_points_of_another_shape_or_not_finite(xi):
+    f = LatticeField(Mesh(2, 0.5, 8), np.ones((8, 8, 1), dtype=complex))
+    with pytest.raises(ValueError, match="frequency points"):
+        continuum_ft_of_step(f, xi)
+
+
+@pytest.mark.parametrize("N", [384, 768])
+def test_step_factor_is_the_product_of_the_two_axis_factors_bit_for_bit(N, rng):
+    # on the stacked dual grid, whose arrays are far above the size at which numpy may run
+    # a product in place in a temporary operand, and on random points
+    xi = FrequencyGrid(Mesh(2, 9.6 / N, N)).coords()
+    for points in (xi, rng.uniform(-3 * N, 3 * N, size=(N, 7, 2))):
+        for h in (9.6 / N, 0.4):
+            expected = np.multiply(a_factor(h * points[..., 0]), a_factor(h * points[..., 1]))
+            assert _step_factor(points, h).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("d,N", [(1, 96), (2, 24), (2, 96), (2, 384), (2, 768)])
 def test_dual_grid_step_factor_and_weight_are_the_stacked_formulas_bit_for_bit(d, N):
     # per-axis values and their outer product against the formulas on the stacked dual grid,
     # below and above the size at which numpy runs a product in place in its new operand

@@ -428,6 +428,14 @@ def test_evaluate_step_rejects_a_non_finite_point(x):
 # catalog closed forms
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 2.0 - 1.5j])
+def test_gaussian_transform_without_a_centre_is_the_one_centred_at_zero(amplitude, rng):
+    xi = rng.uniform(-20.0, 20.0, size=(7, 5, 2))
+    plain = gaussian(2, amplitude=amplitude).fourier(xi)
+    centred = gaussian(2, amplitude=amplitude, center=(0, 0)).fourier(xi)
+    assert plain.dtype == np.complex128 and np.array_equal(plain, centred)
+
+
 @pytest.mark.parametrize("entry,probe", [
     (gaussian(1, a=1.0), [0.0, 0.7, -2.3]),
     (gaussian(1, a=0.5, amplitude=2.0, center=(0.4,)), [0.3, -1.1]),

@@ -27,7 +27,7 @@ from latticedirac import (
 from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion, RealShift
 from latticedirac.grid import bandlimited_spinor, gaussian
 from latticedirac.lab import DYADIC_HS, _assemble, weighted_operator_gap_probe
-from latticedirac.operators import _resolvent_multiplier, _zeta
+from latticedirac.operators import _Multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +346,10 @@ def test_weighted_operator_gap_decays_at_rate_min_s_1(s):
 
 def _bump_ratio(m, z, s, h, box, center, width, spinor):
     """``||(R_disc - R_cont) u|| / ||<xi>**s u||`` for a Gaussian frequency bump ``u``, by multiplier applies."""
-    coords = FrequencyGrid(Mesh(2, h, round(box / h))).coords()
-    discrete = _resolvent_multiplier(_zeta(coords, DiracParams(m, h)), m, z)
-    continuum = _resolvent_multiplier(_zeta(coords, None), m, z)
+    grid = FrequencyGrid(Mesh(2, h, round(box / h)))
+    coords = grid.coords()
+    discrete = _Multiplier(grid.frequencies, DiracParams(m, h), m, z)
+    continuum = _Multiplier(grid.frequencies, None, m, z)
     bump = np.exp(-np.sum((coords - center) ** 2, axis=-1) / (2 * width**2))
     u = spinor[:, None, None] * bump  # channel-first, as the multipliers take it
     gap = discrete(u.copy()) - continuum(u.copy())
