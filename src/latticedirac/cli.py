@@ -10,9 +10,9 @@ byte-stable for a given config: fixed field order and 17-significant-digit
 floats.  Complex shifts are written in ``a+bi`` literal form, and a flag's
 value may start with ``-`` (``--z -2i``).  Flags are spelled in full; no
 prefix stands for one.  A JSON config file can seed any flag; explicit
-flags win.  A sweep runs its levels one after another;
-LATTICE_DIRAC_THREADS caps the row-block workers of the cell quadrature and
-the workers of every FFT, and ``--threads`` overrides it for one run.
+flags win.  A sweep runs its levels one after another on the calling thread;
+LATTICE_DIRAC_THREADS caps only the workers of every FFT
+(`fourier.thread_cap`), and ``--threads`` overrides it for one run.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, LatticeDiracError
-from .fourier import FrequencyGrid
-from .grid import FUNCTION_IDS, Mesh, thread_cap
+from .fourier import FrequencyGrid, thread_cap
+from .grid import FUNCTION_IDS, Mesh
 from .lab import (
     DYADIC_HS,
     Sweep,

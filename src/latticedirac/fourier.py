@@ -16,7 +16,8 @@ on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``;
 
 `_fftn` is the one FFT entry point, for `dft`/`idft` (`_centred_fftn`: on a
 copy rolled into natural FFT order) and the multipliers of `operators`.  It
-runs `scipy.fft` on up to `thread_cap` workers, the same at any worker count.
+runs `scipy.fft` on up to `thread_cap` workers, the library's only threads,
+with the same results at any worker count.
 
 The part of `weighted_ft_error` outside the frequency box is a fixed tensor
 Gauss-Legendre rule (`_tail_integral` on the axes of `_tail_axes`) that calls
@@ -27,14 +28,15 @@ no `scipy.integrate` is involved.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportViolation, UnknownClosedForm
+from .errors import ConfigError, SupportViolation, UnknownClosedForm
 from .grid import (
-    ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, thread_cap, _RULES, _cell_points,
-    _checked, _multiply, _tensor_axes,
+    ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, _RULES, _cell_points, _checked,
+    _grid_values, _multiply, _tensor_axes,
 )
 
 __all__ = [
@@ -101,6 +103,21 @@ class SpectralField:
 def spectral_norm(u: SpectralField) -> float:
     """L2 norm over the frequency box as a Riemann sum with the dual cell volume."""
     return float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2)))
+
+
+def thread_cap(n_tasks: int) -> int:
+    """Worker count for ``n_tasks`` independent tasks, capped by LATTICE_DIRAC_THREADS.
+
+    Unset or empty means the CPU count; any value that is not a positive
+    integer raises `ConfigError`.  The cap bounds only the workers of `_fftn`
+    (every transform); the quadrature of `grid` and the levels of a sweep run
+    on the calling thread.
+    """
+    cap = os.environ.get("LATTICE_DIRAC_THREADS")
+    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
+        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
+    limit = int(cap) if cap else (os.cpu_count() or 1)
+    return max(1, min(n_tasks, limit))
 
 
 def _fftn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
@@ -183,10 +200,10 @@ def _grid_weight(grid: FrequencyGrid, s: float) -> np.ndarray:
 
 
 def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
-    """Samples of a frequency-side function on the dual grid."""
+    """Samples of a frequency-side function on the dual grid, from `grid._grid_values` as in `sample`."""
     if u.d != grid.mesh.d:
         raise ValueError(f"function is {u.d}-dimensional, grid is {grid.mesh.d}-dimensional")
-    return SpectralField(grid, u(grid.coords()))
+    return SpectralField(grid, _grid_values(u, [grid.frequencies] * grid.mesh.d)())
 
 
 def _edges(widths, length: float) -> np.ndarray:
@@ -306,7 +323,8 @@ def inverse_ft_error(u: ContinuumFunction, mesh: Mesh) -> float:
 
     Requires ``u`` compactly supported inside the frequency box; then the
     discrete inverse transform is the sampled step function of the closed
-    form, so this measures a pure sampling error.
+    form, so this measures a pure sampling error.  The target is ``u.inverse_fourier``
+    as declared if it is a `ContinuumFunction`, else wrapped in one with ``u``'s ``sup_norm``.
     """
     if u.support_inf is None:
         raise SupportViolation(f"{u.name} declares no compact frequency support")
@@ -317,8 +335,8 @@ def inverse_ft_error(u: ContinuumFunction, mesh: Mesh) -> float:
     if u.inverse_fourier is None:
         raise UnknownClosedForm(f"{u.name} declares no closed-form inverse transform")
     g = idft(sample_spectrum(u, FrequencyGrid(mesh)))
-    target = ContinuumFunction(
-        name=f"ift-{u.name}", d=u.d, channels=u.channels, evaluate=u.inverse_fourier,
-        sup_norm=u.sup_norm,
-    )
+    target = u.inverse_fourier
+    if not isinstance(target, ContinuumFunction):
+        target = ContinuumFunction(name=f"ift-{u.name}", d=u.d, channels=u.channels, evaluate=target,
+                                   sup_norm=u.sup_norm)
     return l2_error_vs_continuum(g, target)

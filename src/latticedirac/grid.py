@@ -27,10 +27,9 @@ outer products feed the same 8-vs-7-point Gauss checks.
 Cell quadrature cuts each cell at the declared kinks strictly inside it,
 through the weights of `_axis_rules`, so every cell takes one vectorized path.  It
 walks the mesh in blocks of whole cell rows (about `_BLOCK_CELLS` cells
-each), so node arrays never span the whole mesh, and runs the blocks
-through `_thread_map`, the one thread pool of the library.
+each) on the calling thread, so node arrays never span the whole mesh.
 Per-cell results land in full arrays that are reduced once at the end, so
-every result is the same at any block size and thread count.
+every result is the same at any block size.  No thread is started here.
 
 A 2D function with ``factors`` skips that walk in `project` and the
 projection errors: each cell is a product of two intervals, so its averages
@@ -41,14 +40,12 @@ bit for bit, and give the same 8-vs-7-point pairs per cell to the checks.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, MeshMismatch, OutOfDomain, QuadratureFailure
+from .errors import MeshMismatch, OutOfDomain, QuadratureFailure
 
 __all__ = [
     "Mesh",
@@ -81,21 +78,6 @@ _RULES = (_GAUSS_HI, _GAUSS_LO)
 
 # Cells per row block of the quadrature walk: one block's node arrays stay a few MB.
 _BLOCK_CELLS = 1024
-
-
-def thread_cap(n_tasks: int) -> int:
-    """Worker count for ``n_tasks`` independent tasks, capped by LATTICE_DIRAC_THREADS.
-
-    Unset or empty means the CPU count; any value that is not a positive
-    integer raises `ConfigError`.  The cap bounds the threads of `_thread_map`
-    (the quadrature row blocks) and the workers of `fourier._fftn` (every
-    transform); the levels of a sweep run one after another.
-    """
-    cap = os.environ.get("LATTICE_DIRAC_THREADS")
-    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
-        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
 
 
 @dataclass(frozen=True)
@@ -191,6 +173,8 @@ class ContinuumFunction:
         ``(2*pi)**(-d/2)`` convention, same calling shape.
     inverse_fourier : callable, optional
         Closed-form inverse transform; declared for frequency-side entries.
+        A spatial `ContinuumFunction` (as in `freq_window`) is callable alike,
+        and `fourier.inverse_ft_error` then integrates against it as declared.
     breakpoints : tuple of arrays, optional
         One array per axis of kink coordinates where the function is continuous
         but not smooth; cell quadrature cuts a cell at the kinks strictly
@@ -258,22 +242,10 @@ def _require_channels(phi: ContinuumFunction, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _thread_map(fn, tasks: Sequence) -> list:
-    """``[fn(t) for t in tasks]`` on up to `thread_cap` threads, serially at a cap of 1.
-
-    Each task must write only its own outputs; threads overlap where numpy releases the GIL.
-    """
-    workers = thread_cap(len(tasks))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _for_row_blocks(mesh: Mesh, block_fn) -> list:
-    """`_thread_map` of ``block_fn`` over slices of whole cell rows, about `_BLOCK_CELLS` cells each."""
+    """``block_fn`` of each slice of whole cell rows, about `_BLOCK_CELLS` cells each, in order."""
     step = max(1, _BLOCK_CELLS // mesh.N ** (mesh.d - 1))
-    return _thread_map(block_fn, [slice(r, min(r + step, mesh.N)) for r in range(0, mesh.N, step)])
+    return [block_fn(slice(r, min(r + step, mesh.N))) for r in range(0, mesh.N, step)]
 
 
 def _axis_rules(phi: ContinuumFunction, mesh: Mesh, rule) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -760,11 +732,15 @@ def bandlimited_spinor(d: int = 2, R: float = np.pi / 0.8, p: int = 8) -> Contin
 
 
 def freq_window(d: int, R: float, p: int = 8) -> ContinuumFunction:
-    """Frequency-side tensor cosine-power window with closed-form inverse transform."""
+    """Frequency-side tensor cosine-power window with closed-form inverse transform.
+
+    The inverse transform is the spatial tensor of the per-axis transforms, with
+    the window's ``sup_norm`` of 1.0 (the tolerance of `inverse_ft_error`'s check).
+    """
     window, transform = _cos_power_window(R, p)
+    spatial = _tensor(f"ift-freqbump{d}d", 1, [lambda x: transform(x)[..., None]] * d, sup_norm=1.0)
     return _tensor(f"freqbump{d}d", 1, [lambda q: window(q)[..., None]] * d,
-                   inverse_fourier=_product([lambda x: transform(x)[..., None]] * d),
-                   sup_norm=1.0, support_inf=R)
+                   inverse_fourier=spatial, sup_norm=1.0, support_inf=R)
 
 
 _DEFAULT_BUMP_R = np.pi / 0.8  # fits inside the frequency box of the coarsest default mesh

@@ -12,9 +12,9 @@ the floor-guard level included, and block-average it to every level.
 
 Experiments run their levels one after another on the calling thread, so
 each level's wall time is its own cost and a sweep's peak memory is that of
-its largest level.  Inside a level the cell quadrature's row blocks and the
-FFTs take the workers that ``LATTICE_DIRAC_THREADS`` caps; each per-h run is
-deterministic, so reports are bit-for-bit reproducible.
+its largest level.  Inside a level only the FFTs take workers, as many as
+``LATTICE_DIRAC_THREADS`` caps; each per-h run is deterministic, so reports
+are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ def _make_series(name: str, hs: Sequence[float], errors: Sequence[float]) -> Ser
 def _run_levels(hs, worker):
     """``worker(h)`` for each level in order on the calling thread, with wall times in ms.
 
-    No level runs beside another, so no thread pool opens inside another.
+    No level runs beside another; only the FFTs inside a level take workers.
     """
     results, timings = [], []
     for h in hs:

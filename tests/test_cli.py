@@ -278,6 +278,21 @@ def test_ft_sweep_loads_no_scipy_integrate():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def test_import_loads_no_thread_pool():
+    # the FFT workers are the only threads, so nothing imports concurrent.futures
+    code = (
+        "import sys\n"
+        "import latticedirac.cli\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("before", [None, "3"])
 def test_threads_flag_leaves_environment_as_found(before, monkeypatch):
     if before is None:

@@ -464,6 +464,49 @@ def test_sample_spectrum_round_trip():
     np.testing.assert_allclose(back.values, spec.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("separable", [False, True])
+def test_sample_spectrum_rejects_a_wrong_channel_count(separable):
+    # one evaluated channel must not pass as the two declared
+    def stacked(q):
+        return np.ones(q.shape[:-1] + (1,), complex)
+
+    def axis(q):
+        return np.ones(q.shape + (1,), complex)
+
+    liar = ContinuumFunction("liar", 2, 2, stacked, factors=(axis, axis) if separable else None)
+    with pytest.raises(ValueError, match="^liar declares 2 channels, evaluates to 1$"):
+        sample_spectrum(liar, FrequencyGrid(Mesh(2, 0.4, 24)))
+
+
+def test_sample_spectrum_of_a_separable_window_is_its_stacked_values_bit_for_bit():
+    u, grid = freq_window(2, np.pi / 0.8), FrequencyGrid(Mesh(2, 0.2, 48))
+    assert np.array_equal(sample_spectrum(u, grid).values, u(grid.coords()))
+
+
+def test_inverse_ft_error_in_2d_evaluates_its_target_per_axis():
+    # freq_window declares its inverse transform as a tensor: the error integral takes
+    # the per-axis values, with the bits of the stacked evaluation of a factor-less copy
+    u = freq_window(2, np.pi / 0.8)
+    target, shapes = u.inverse_fourier, []
+
+    def spy(factor):
+        def call(x):
+            shapes.append(np.shape(x))
+            return factor(x)
+        return call
+
+    def stacked(points):
+        raise AssertionError("the target was evaluated on stacked points")
+
+    spied = dataclasses.replace(u, inverse_fourier=dataclasses.replace(
+        target, evaluate=stacked, factors=tuple(map(spy, target.factors))))
+    plain = dataclasses.replace(u, inverse_fourier=lambda x: u.inverse_fourier(x))
+    for h in (0.4, 0.2):
+        mesh = Mesh(2, h, round(9.6 / h))
+        assert inverse_ft_error(spied, mesh) == inverse_ft_error(plain, mesh)
+    assert shapes and all(len(shape) == 2 for shape in shapes)  # the (N, P*q) nodes of one axis
+
+
 def test_inverse_ft_error_of_zero_window_is_zero():
     zero = ContinuumFunction(
         name="zero", d=1, channels=1,

@@ -32,7 +32,6 @@ from latticedirac.grid import (
     weighted_sampling_gap,
     _projection_errors,
     _stack_channels,
-    _thread_map,
 )
 
 from conftest import random_field
@@ -147,8 +146,8 @@ WEIGHTED_GAP_PINS = {
 
 @pytest.mark.parametrize("name,N", sorted(WEIGHTED_GAP_PINS))
 def test_weighted_sampling_gap_is_unchanged_by_row_blocks(name, N, monkeypatch):
-    # a max does not depend on the order of its terms, so any row blocks on any
-    # number of threads reproduce it exactly: one row per block, five, or the default
+    # a max does not depend on the order of its terms, so any row blocks reproduce it
+    # exactly: one row per block, five, or the default; the thread cap sets only FFT workers
     phi = function_catalog(name)
     mesh = Mesh(2, 9.6 / N, N)
     for block_cells in (grid._BLOCK_CELLS, N, 5 * N):
@@ -271,8 +270,8 @@ def test_projection_errors_fail_like_the_separate_calls(sup_norm, first):
 
 
 def test_projection_error_memory_peak_is_bounded(monkeypatch):
-    # the row-block walk never holds a whole (N, q, N, q, 2) node array (38 MB here);
-    # each of the two threads holds one block at a time
+    # the row-block walk of the error integral never holds a whole (N, q, N, q, 2) node
+    # array (38 MB here): it holds one block at a time, at any thread cap
     monkeypatch.setenv("LATTICE_DIRAC_THREADS", "2")
     phi = gaussian(2)
     tracemalloc.start()
@@ -284,17 +283,20 @@ def test_projection_error_memory_peak_is_bounded(monkeypatch):
     assert peak < 32e6
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_thread_map_keeps_task_order(threads, monkeypatch):
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
-    on_main = []
+def test_row_blocks_are_evaluated_on_the_calling_thread(monkeypatch):
+    # the thread cap sets only FFT workers: a function without factors is walked in
+    # row blocks, one after another on the main thread, whatever the cap
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "3")
+    g, on_main = gaussian(2), []
 
-    def task(i):
+    def evaluate(points):
         on_main.append(threading.current_thread() is threading.main_thread())
-        return i * i
+        return g.evaluate(points)
 
-    assert _thread_map(task, range(7)) == [i * i for i in range(7)]
-    assert all(on_main) == (threads == "1")  # a cap of 1 runs serially, in the caller
+    phi = ContinuumFunction("plain", 2, 1, evaluate)
+    mesh = Mesh(2, 0.1, 96)
+    np.testing.assert_allclose(project(phi, mesh).values, project(g, mesh).values, rtol=1e-14)
+    assert len(on_main) > 2 and all(on_main)  # one call per rule and block: several blocks ran
 
 
 def test_project_rejects_a_wrong_channel_count():

@@ -253,7 +253,7 @@ def test_floor_guard_level_runs_with_the_other_levels(monkeypatch):
 
 
 def test_sweep_levels_never_run_side_by_side(monkeypatch):
-    # one layer of parallelism: only the row blocks and the FFTs inside a level take workers
+    # one layer of parallelism: only the FFTs inside a level take workers
     from latticedirac import lab
 
     monkeypatch.setenv("LATTICE_DIRAC_THREADS", "2")
@@ -382,8 +382,8 @@ def test_thread_cap_does_not_change_results(monkeypatch):
 
 @pytest.mark.parametrize("function", ["gaussian2d", "gaussian-spinor"])
 def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch):
-    # the cap sets the row-block workers of the cell quadrature; 8 workers and a
-    # short switch interval stress the shared per-cell arrays
+    # the catalog's 2D functions have factors, so their projection is per axis and reads
+    # no cap; the cap sets only FFT workers, and no setting may move a result
     sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=function)
     errors = []
     interval = sys.getswitchinterval()
