@@ -20,10 +20,12 @@ runs `scipy.fft` on up to `thread_cap` workers, the library's only threads,
 with the same results at any worker count.
 
 The part of `weighted_ft_error` outside the frequency box is a fixed tensor
-Gauss-Legendre rule (`_tail_integral` on the axes of `_tail_axes`) that calls
-the closed-form transform on arrays of nodes, checked against a separate
-7-point rule as the cell quadrature of `grid` is; no adaptive quadrature and
-no `scipy.integrate` is involved.
+Gauss-Legendre rule (`_tail_integral` on the axes of `_tail_axes`), checked
+against a separate 7-point rule as the cell quadrature of `grid` is; no
+adaptive quadrature and no `scipy.integrate` is involved.  Every consumer of
+a declared transform (that tail, `sample_spectrum` for the continuum
+resolvent, the target of `inverse_ft_error`) samples it through
+`grid._grid_values`: per axis for the catalog, with its channels checked.
 """
 
 from __future__ import annotations
@@ -200,7 +202,13 @@ def _grid_weight(grid: FrequencyGrid, s: float) -> np.ndarray:
 
 
 def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
-    """Samples of a frequency-side function on the dual grid, from `grid._grid_values` as in `sample`."""
+    """Samples of a frequency-side function on the dual grid, from `grid._grid_values` as in `sample`.
+
+    ``u`` is a frequency-side catalog entry or a declared ``fourier`` (as in
+    `operators.resolvent_continuum`): a separable one is evaluated per axis on
+    the ``N`` frequencies of each axis, and its values carry the declared
+    channels or `ValueError` is raised.
+    """
     if u.d != grid.mesh.d:
         raise ValueError(f"function is {u.d}-dimensional, grid is {grid.mesh.d}-dimensional")
     return SpectralField(grid, _grid_values(u, [grid.frequencies] * grid.mesh.d)())
@@ -252,11 +260,13 @@ def _tail_axes(d: int, b: float) -> list[list[tuple[np.ndarray, np.ndarray]]]:
 def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     """``int <xi>**(-2s) |Fphi|**2`` outside ``[-b, b]**d`` from the closed form, per channel summed.
 
-    A fixed composite Gauss-Legendre rule on the tensor grid of `_tail_axes`,
-    one batched call of ``phi.fourier`` per side ``+-xi_1 > b`` and per rule.
-    It returns the 8-point sum and raises `QuadratureFailure` when the
-    separate 7-point sum differs by more than `_TAIL_TOL`.  A spectrum
-    declared to vanish outside the box (``support_inf <= b``) gives 0 at once.
+    A fixed composite Gauss-Legendre rule on the tensor grid of `_tail_axes`:
+    ``phi.fourier`` is sampled once per side ``+-xi_1 > b`` and per rule through
+    `grid._grid_values`, per axis for a separable transform, and values that do
+    not carry ``phi.channels`` raise `ValueError`.  It returns the 8-point sum
+    and raises `QuadratureFailure` when the separate 7-point sum differs by
+    more than `_TAIL_TOL`.  A spectrum declared to vanish outside the box
+    (``support_inf <= b``) gives 0 at once.
     In 2D the region is ``|xi_1| > b`` plus ``|xi_1| > b, |xi_2| <= b`` once
     more (ROADMAP item 2), not the whole outside of the box.  A 2D ``<xi>**(-s) |Fphi|``
     decaying like ``|xi|**-2`` or slower (at ``s = 0``, the spectrum) fails that check in
@@ -271,7 +281,7 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
         weight = (1.0 + sum(_tensor_axes([x**2 for x in nodes]))) ** (-s)  # the same on both sides
         total = 0.0
         for side in (nodes[0], -nodes[0]):
-            vals = np.sum(np.abs(phi.fourier(_cell_points([side, *nodes[1:]]))) ** 2, axis=-1) * weight
+            vals = np.sum(np.abs(_grid_values(phi.fourier, [side, *nodes[1:]])()) ** 2, axis=-1) * weight
             for w in weights[::-1]:
                 vals = vals @ w  # contracts the last axis
             total += vals
@@ -297,10 +307,12 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
     Outside the box the step-function transform is within aliasing error of
     the declared closed form, whose weighted square `_tail_integral` integrates
     with a fixed composite Gauss-Legendre rule: panels graded from the box edge
-    ``b = pi/h``, a map ``q = E/u`` of each axis's far end, one batched call of
-    the closed form per side and rule, and `QuadratureFailure` when the 8- and
-    7-point sums differ by more than 1e-10.  In 2D that region is ``|xi_1| > b``
-    plus ``|xi_1| > b, |xi_2| <= b`` a second time (ROADMAP item 2).  Returns
+    ``b = pi/h``, a map ``q = E/u`` of each axis's far end, the closed form
+    sampled per side and rule through `grid._grid_values` (per axis for the
+    catalog, a wrong channel count raising `ValueError`), and `QuadratureFailure`
+    when the 8- and 7-point sums differ by more than 1e-10.  In 2D that region
+    is ``|xi_1| > b`` plus ``|xi_1| > b, |xi_2| <= b`` a second time (ROADMAP
+    item 2).  Returns
     the root of the summed squares.  ``s = 0`` is allowed as an unweighted diagnostic;
     there a 2D spectrum that decays like ``|xi|**-2`` or slower raises
     `QuadratureFailure` from the mapped corner of the tail rule (`exp_ft` sweeps
@@ -323,8 +335,9 @@ def inverse_ft_error(u: ContinuumFunction, mesh: Mesh) -> float:
 
     Requires ``u`` compactly supported inside the frequency box; then the
     discrete inverse transform is the sampled step function of the closed
-    form, so this measures a pure sampling error.  The target is ``u.inverse_fourier``
-    as declared if it is a `ContinuumFunction`, else wrapped in one with ``u``'s ``sup_norm``.
+    form, so this measures a pure sampling error.  The target is
+    ``u.inverse_fourier``, a `ContinuumFunction` (a plain callable is wrapped with
+    ``u``'s name and ``sup_norm`` at construction), integrated as declared.
     """
     if u.support_inf is None:
         raise SupportViolation(f"{u.name} declares no compact frequency support")
@@ -334,9 +347,4 @@ def inverse_ft_error(u: ContinuumFunction, mesh: Mesh) -> float:
         )
     if u.inverse_fourier is None:
         raise UnknownClosedForm(f"{u.name} declares no closed-form inverse transform")
-    g = idft(sample_spectrum(u, FrequencyGrid(mesh)))
-    target = u.inverse_fourier
-    if not isinstance(target, ContinuumFunction):
-        target = ContinuumFunction(name=f"ift-{u.name}", d=u.d, channels=u.channels, evaluate=target,
-                                   sup_norm=u.sup_norm)
-    return l2_error_vs_continuum(g, target)
+    return l2_error_vs_continuum(idft(sample_spectrum(u, FrequencyGrid(mesh))), u.inverse_fourier)

@@ -168,13 +168,16 @@ class ContinuumFunction:
         the projection errors take outer products of 1D cell averages
         instead (`_separable_quadrature`).  Anything but ``d`` callables
         raises `ValueError`.
-    fourier : callable, optional
+    fourier : ContinuumFunction or callable, optional
         Closed-form forward Fourier transform with the unitary
-        ``(2*pi)**(-d/2)`` convention, same calling shape.
-    inverse_fourier : callable, optional
-        Closed-form inverse transform; declared for frequency-side entries.
-        A spatial `ContinuumFunction` (as in `freq_window`) is callable alike,
-        and `fourier.inverse_ft_error` then integrates against it as declared.
+        ``(2*pi)**(-d/2)`` convention, stored as a frequency-side
+        `ContinuumFunction` of this ``d`` and ``channels`` (a declared one of
+        another ``d`` or channel count raises `ValueError`); a plain callable
+        on stacked points is wrapped, without factors, under this ``name``
+        and ``sup_norm``.  Every consumer samples it through `_grid_values`.
+    inverse_fourier : ContinuumFunction or callable, optional
+        Closed-form inverse transform of a frequency-side entry, stored as
+        ``fourier`` is.
     breakpoints : tuple of arrays, optional
         One array per axis of kink coordinates where the function is continuous
         but not smooth; cell quadrature cuts a cell at the kinks strictly
@@ -213,6 +216,14 @@ class ContinuumFunction:
             if len(kinks) != self.d or any(b.ndim != 1 or not np.isfinite(b).all() for b in kinks):
                 raise ValueError(f"breakpoints must be {self.d} one-dimensional arrays of finite kinks")
             object.__setattr__(self, "breakpoints", tuple(np.sort(b) for b in kinks))
+        for field in ("fourier", "inverse_fourier"):
+            other = getattr(self, field)
+            if other is not None and not isinstance(other, ContinuumFunction):
+                object.__setattr__(self, field, ContinuumFunction(self.name, self.d, self.channels, other,
+                                                                  sup_norm=self.sup_norm))
+            elif other is not None and (other.d, other.channels) != (self.d, self.channels):
+                raise ValueError(f"{self.name} is {self.d}D with {self.channels} channels, its {field} is "
+                                 f"{other.d}D with {other.channels}")
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)
@@ -587,59 +598,74 @@ def _first_axis(amplitude: complex, d: int) -> tuple:
     return (amplitude,) + (1.0,) * (d - 1)
 
 
+def _pair(name: str, axes, **declared) -> ContinuumFunction:
+    """The separable scalar function of per-axis ``(space, frequency)`` factor pairs ``axes``.
+
+    Its ``fourier`` is the separable function of the frequency factors.
+    """
+    space, frequency = zip(*axes)
+    return _tensor(name, 1, space, fourier=_tensor(name, 1, frequency), **declared)
+
+
+def _point(d: int, value, what: str) -> np.ndarray:
+    """``value`` as ``d`` finite coordinates, zeros if None; anything else raises `ValueError`."""
+    x = np.zeros(d) if value is None else np.asarray(value, dtype=float)
+    if x.shape != (d,) or not np.isfinite(x).all():
+        raise ValueError(f"{what} must be {d} finite numbers, got {value!r}")
+    return x
+
+
+def _require_rate(a: float):
+    """Raise `ValueError` unless the Gaussian decay rate ``a`` is finite and positive."""
+    if not 0 < a < np.inf:
+        raise ValueError(f"gaussian decay rate must be finite and positive, got {a!r}")
+
+
 def gaussian(d: int, a: float = 1.0, amplitude: complex = 1.0, center=None) -> ContinuumFunction:
     """Isotropic Gaussian ``A * exp(-a*|x - x0|**2)`` with closed-form transform."""
-    if a <= 0:
-        raise ValueError("gaussian decay rate must be positive")
-    x0 = np.zeros(d) if center is None else np.asarray(center, dtype=float)
+    _require_rate(a)
 
     def axis(c, amp):
-        return lambda x: (amp * np.exp(-a * (x - c) ** 2))[..., None]
+        return (lambda x: (amp * np.exp(-a * (x - c) ** 2))[..., None],
+                lambda q: (amp * (2 * a) ** -0.5 * np.exp(-q**2 / (4 * a)) * np.exp(-1j * q * c))[..., None])
 
-    def fourier(xi):
-        q2 = np.sum(xi**2, axis=-1)
-        vals = amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a))
-        if center is not None:
-            vals = vals * np.exp(-1j * (xi @ x0))
-        return vals.astype(complex, copy=False)[..., None]
-
-    return _tensor(f"gaussian{d}d", 1, list(map(axis, x0, _first_axis(amplitude, d))), fourier=fourier,
-                   sup_norm=abs(amplitude))
+    return _pair(f"gaussian{d}d", map(axis, _point(d, center, "center"), _first_axis(amplitude, d)),
+                 sup_norm=abs(amplitude))
 
 
 def modulated_gaussian(d: int, a: float = 1.0, k0=None, amplitude: complex = 1.0) -> ContinuumFunction:
     """Gaussian-modulated plane wave ``A * exp(i*k0.x) * exp(-a*|x|**2)``."""
-    k0 = np.zeros(d) if k0 is None else np.asarray(k0, dtype=float)
+    _require_rate(a)
 
     def axis(k, amp):
-        return lambda x: (amp * np.exp(1j * k * x) * np.exp(-a * x**2))[..., None]
+        return (lambda x: (amp * np.exp(1j * k * x) * np.exp(-a * x**2))[..., None],
+                lambda q: (amp * (2 * a) ** -0.5 * np.exp(-(q - k) ** 2 / (4 * a)))[..., None])
 
-    def fourier(xi):
-        q2 = np.sum((xi - k0) ** 2, axis=-1)
-        return (amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)))[..., None]
-
-    return _tensor(f"modwave{d}d", 1, list(map(axis, k0, _first_axis(amplitude, d))), fourier=fourier,
-                   sup_norm=abs(amplitude))
+    return _pair(f"modwave{d}d", map(axis, _point(d, k0, "k0"), _first_axis(amplitude, d)),
+                 sup_norm=abs(amplitude))
 
 
 def _stack_channels(entries: Sequence[ContinuumFunction], name: str) -> ContinuumFunction:
     """The separable scalar ``entries`` as the channels of one separable function.
 
-    Each factor stacks the entries' factors of its axis, and each axis
-    carries every entry's kinks.
+    Each factor stacks the entries' factors of its axis, the factors of the
+    transform likewise when every entry declares one, and each axis carries
+    every entry's kinks.
     """
     d = entries[0].d
 
     def stack(parts):
-        return lambda x: np.concatenate([f(x) for f in parts], axis=-1)
+        return [lambda x, fs=fs: np.concatenate([f(x) for f in fs], axis=-1) for fs in zip(*parts)]
 
     kinked = [e.breakpoints for e in entries if e.breakpoints is not None]
     support = None
     if all(e.support_inf is not None for e in entries):
         support = max(e.support_inf for e in entries)
+    fourier = None
+    if all(e.fourier is not None for e in entries):
+        fourier = _tensor(name, len(entries), stack([e.fourier.factors for e in entries]))
     return _tensor(
-        name, len(entries), [stack([e.factors[j] for e in entries]) for j in range(d)],
-        fourier=stack([e.fourier for e in entries]) if all(e.fourier for e in entries) else None,
+        name, len(entries), stack([e.factors for e in entries]), fourier=fourier,
         breakpoints=tuple(np.unique(np.hstack([b[j] for b in kinked])) for j in range(d)) if kinked else None,
         sup_norm=float(np.hypot(*[e.sup_norm for e in entries])),
         support_inf=support,
@@ -666,14 +692,12 @@ def hat(width: float = 0.5) -> ContinuumFunction:
     def space(x):
         return np.where(np.abs(x) <= w, w, np.maximum(0.0, 2 * w - np.abs(x)))[..., None]
 
-    def fourier(xi):
-        q = xi[..., 0]
+    def fourier(q):
         val = (2 * np.pi) ** -0.5 * 4 * (1.5 * w) * (0.5 * w) \
             * np.sinc(1.5 * w * q / np.pi) * np.sinc(0.5 * w * q / np.pi)
         return val.astype(complex)[..., None]
 
-    return _tensor("hat", 1, [space], fourier=fourier,
-                   breakpoints=(np.array([-2 * w, -w, w, 2 * w]),), sup_norm=w)
+    return _pair("hat", [(space, fourier)], breakpoints=(np.array([-2 * w, -w, w, 2 * w]),), sup_norm=w)
 
 
 def _cos_power_window(R: float, p: int):
@@ -709,21 +733,15 @@ def bandlimited(d: int, R: float, p: int = 8, k0=None, amplitude: complex = 1.0)
     ``C^(2p-1)``, and the spatial profile decays like ``|x|**-(2p+1)``.
     """
     window, transform = _cos_power_window(R, p)
-    k0 = np.zeros(d) if k0 is None else np.asarray(k0, dtype=float)
+    k0 = _point(d, k0, "k0")
 
     def axis(k, amp):
-        def space(x):
-            return (amp * np.exp(1j * k * x) * transform(x))[..., None]
+        return (lambda x: (amp * np.exp(1j * k * x) * transform(x))[..., None],
+                lambda q: (amp * window(q - k))[..., None])
 
-        def freq(q):
-            return (amp * window(q - k))[..., None]
-
-        return space, freq
-
-    space, freq = zip(*map(axis, k0, _first_axis(amplitude, d)))
-    return _tensor(f"bandlimited{d}d", 1, space, fourier=_product(freq),
-                   sup_norm=abs(amplitude) * float(transform(np.zeros(1))[0]) ** d,
-                   support_inf=float(np.max(np.abs(k0)) + R))
+    return _pair(f"bandlimited{d}d", map(axis, k0, _first_axis(amplitude, d)),
+                 sup_norm=abs(amplitude) * float(transform(np.zeros(1))[0]) ** d,
+                 support_inf=float(np.max(np.abs(k0)) + R))
 
 
 def bandlimited_spinor(d: int = 2, R: float = np.pi / 0.8, p: int = 8) -> ContinuumFunction:

@@ -50,10 +50,8 @@ from .errors import (
     NotInResolventRegion,
     TooLarge,
 )
-from .fourier import FrequencyGrid, SpectralField, _fftn, _grid_step_factor, dft, idft
-from .grid import (
-    ContinuumFunction, LatticeField, Mesh, _cell_points, _require_channels, _require_dimension, norm_l2, sample,
-)
+from .fourier import FrequencyGrid, SpectralField, _fftn, _grid_step_factor, dft, idft, sample_spectrum
+from .grid import ContinuumFunction, LatticeField, Mesh, _cell_points, _require_dimension, norm_l2, sample
 # zeta_discrete is unused here; perfbench/spans.py times calls through this name
 from .symbols import DiracParams, _require_complex_shift, _require_mass, _zeta_terms, opnorm_2x2, zeta_discrete
 
@@ -478,8 +476,10 @@ def resolvent_continuum(
     Works pseudo-spectrally with the continuum symbol on the ``refine``-fold
     refinement of the experiment mesh (same box, so the frequency box is
     ``refine`` times wider), seeding the transform from the closed form when
-    declared, else from the `dft` of point samples on the refined mesh (that
-    of cell averages is biased by ``conj(a(h_f*xi_j))`` per axis).  The
+    declared, sampled on the refined dual grid by `fourier.sample_spectrum`
+    (per axis for a separable transform, with its channels checked), else
+    from the `dft` of point samples on the refined mesh (that of cell
+    averages is biased by ``conj(a(h_f*xi_j))`` per axis).  The
     result is handed back as exact cell averages on the experiment mesh:
     averaging ``exp(i*x.xi)`` over a width-``H`` cell multiplies it by
     ``conj(a(H*xi_j))`` per axis, so the projection is a frequency-side
@@ -493,7 +493,7 @@ def resolvent_continuum(
     ref = Mesh(mesh.d, mesh.h / refine, mesh.N * refine)
     grid = FrequencyGrid(ref)
     if phi.fourier is not None:
-        spec = _require_channels(phi, phi.fourier(grid.coords()))
+        spec = sample_spectrum(phi.fourier, grid).values
     else:
         spec = dft(sample(phi, ref)).values
     out = _Multiplier(grid.frequencies, None, m, z)(_channel_first(spec))

@@ -30,7 +30,7 @@ from latticedirac import (
 )
 from latticedirac.errors import QuadratureFailure, SupportViolation, UnknownClosedForm
 from latticedirac.fourier import _grid_step_factor, _grid_weight, _step_factor, _tail_integral
-from latticedirac.grid import freq_window, function_catalog, gaussian, hat, modulated_gaussian
+from latticedirac.grid import FUNCTION_IDS, freq_window, function_catalog, gaussian, hat, modulated_gaussian
 from latticedirac.operators import diff_backward, diff_forward
 
 from conftest import dft_direct, idft_direct, random_field
@@ -403,6 +403,48 @@ def test_tail_integral_of_a_spectrum_inside_the_box_evaluates_nothing():
         _tail_integral(phi, 0.99 * phi.support_inf, 1.0)
 
 
+@pytest.mark.parametrize("channels", [1, 3])
+def test_a_transform_that_evaluates_a_wrong_channel_count_is_rejected(channels):
+    # one channel once broadcast into the two declared, and a third was summed in: the
+    # weighted error on this mesh then read 0.39693 or 0.39698 instead of 0.39696
+    spinor = function_catalog("gaussian-spinor")
+
+    def fourier(xi):
+        vals = spinor.fourier(xi)
+        return vals[..., :1] if channels == 1 else np.concatenate([vals, vals[..., :1]], axis=-1)
+
+    liar = dataclasses.replace(spinor, name="liar", fourier=fourier)
+    message = f"^liar declares 2 channels, evaluates to {channels}$"
+    with pytest.raises(ValueError, match=message):
+        _tail_integral(liar, np.pi / 0.8, 1.0)
+    with pytest.raises(ValueError, match=message):
+        weighted_ft_error(liar, Mesh(2, 0.8, 12), 1.0)
+
+
+@pytest.mark.parametrize("name", [n for n in FUNCTION_IDS if function_catalog(n).fourier is not None])
+def test_tail_integral_evaluates_a_separable_transform_per_axis(name):
+    # every catalog transform declares per-axis factors: the tail rule takes each factor on
+    # its axis's nodes and never the stacked points, with the bits of a factor-less copy
+    phi = function_catalog(name)
+    shapes = []
+
+    def spy(factor):
+        def call(q):
+            shapes.append(np.shape(q))
+            return factor(q)
+        return call
+
+    def stacked(points):
+        raise AssertionError("the transform was evaluated on stacked points")
+
+    spied = dataclasses.replace(phi, fourier=dataclasses.replace(
+        phi.fourier, evaluate=stacked, factors=tuple(map(spy, phi.fourier.factors))))
+    plain = dataclasses.replace(phi, fourier=phi.fourier.evaluate)
+    b = 0.9 * np.pi / 0.8  # inside the support of the band-limited spectra, so every tail is evaluated
+    assert _tail_integral(spied, b, 1.0) == _tail_integral(plain, b, 1.0)
+    assert shapes and all(len(shape) == 1 for shape in shapes)  # the nodes of one axis
+
+
 def test_weighted_ft_error_decreases_and_dominates():
     phi = gaussian(1)
     errs = [weighted_ft_error(phi, Mesh(1, h, round(25.6 / h)), 1.0) for h in (0.4, 0.2, 0.1)]
@@ -481,6 +523,10 @@ def test_sample_spectrum_rejects_a_wrong_channel_count(separable):
 def test_sample_spectrum_of_a_separable_window_is_its_stacked_values_bit_for_bit():
     u, grid = freq_window(2, np.pi / 0.8), FrequencyGrid(Mesh(2, 0.2, 48))
     assert np.array_equal(sample_spectrum(u, grid).values, u(grid.coords()))
+    for name in FUNCTION_IDS:  # every catalog spectrum: a declared transform, or a frequency-side window
+        entry = function_catalog(name)
+        u, grid = entry.fourier or entry, FrequencyGrid(Mesh(entry.d, 0.2, 48))
+        assert u.factors is not None and np.array_equal(sample_spectrum(u, grid).values, u(grid.coords())), name
 
 
 def test_inverse_ft_error_in_2d_evaluates_its_target_per_axis():

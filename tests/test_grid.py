@@ -25,11 +25,14 @@ from latticedirac import grid
 from latticedirac.grid import (
     FUNCTION_IDS,
     bandlimited,
+    bandlimited_spinor,
     function_catalog,
     gaussian,
+    gaussian_spinor,
     hat,
     modulated_gaussian,
     weighted_sampling_gap,
+    _cos_power_window,
     _projection_errors,
     _stack_channels,
 )
@@ -436,6 +439,146 @@ def test_gaussian_transform_without_a_centre_is_the_one_centred_at_zero(amplitud
     plain = gaussian(2, amplitude=amplitude).fourier(xi)
     centred = gaussian(2, amplitude=amplitude, center=(0, 0)).fourier(xi)
     assert plain.dtype == np.complex128 and np.array_equal(plain, centred)
+
+
+_CENTER, _K0 = "center must be {} finite numbers", "k0 must be {} finite numbers"
+_RATE = "rate must be finite and positive"
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: gaussian(2, center=(0.5,)), _CENTER.format(2), id="gaussian-short-center"),
+    pytest.param(lambda: gaussian(2, center=(0.5, 0.1, 0.2)), _CENTER.format(2), id="gaussian-long-center"),
+    pytest.param(lambda: gaussian(2, center=(0.5, np.nan)), _CENTER.format(2), id="gaussian-nan-center"),
+    pytest.param(lambda: gaussian(1, center=np.inf), _CENTER.format(1), id="gaussian-inf-center"),
+    pytest.param(lambda: gaussian(2, a=np.nan), _RATE, id="gaussian-nan-rate"),
+    pytest.param(lambda: gaussian(2, a=np.inf), _RATE, id="gaussian-inf-rate"),
+    pytest.param(lambda: gaussian(2, a=0.0), _RATE, id="gaussian-zero-rate"),
+    pytest.param(lambda: modulated_gaussian(2, k0=(1.0,)), _K0.format(2), id="modwave-short-k0"),
+    pytest.param(lambda: modulated_gaussian(2, k0=(1.0, -0.5, 0.2)), _K0.format(2), id="modwave-long-k0"),
+    pytest.param(lambda: modulated_gaussian(2, k0=(np.nan, 0.0)), _K0.format(2), id="modwave-nan-k0"),
+    pytest.param(lambda: modulated_gaussian(2, a=-1.0), _RATE, id="modwave-negative-rate"),
+    pytest.param(lambda: modulated_gaussian(2, a=np.nan), _RATE, id="modwave-nan-rate"),
+    pytest.param(lambda: bandlimited(2, 3.0, k0=(1, 2, 3)), _K0.format(2), id="bandlimited-long-k0"),
+    pytest.param(lambda: bandlimited(2, 3.0, k0=(1.0,)), _K0.format(2), id="bandlimited-short-k0"),
+    pytest.param(lambda: bandlimited(1, 3.0, k0=(np.inf,)), _K0.format(1), id="bandlimited-inf-k0"),
+])
+def test_catalog_constructors_reject_inputs_that_would_change_the_function(build, message):
+    # a centre or k0 of the wrong length once changed the dimension or dropped a coordinate,
+    # and a NaN centre or rate passed unnoticed
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("field", ["fourier", "inverse_fourier"])
+@pytest.mark.parametrize("declared", [gaussian(2), gaussian(1), gaussian_spinor(1)],
+                         ids=["1ch-2d", "1ch-1d", "2ch-1d"])
+def test_a_declared_transform_of_another_dimension_or_channel_count_is_rejected(field, declared):
+    spinor = gaussian_spinor()
+    with pytest.raises(ValueError, match=f"^two is 2D with 2 channels, its {field} is {declared.d}D with "
+                                         f"{declared.channels}$"):
+        ContinuumFunction("two", 2, 2, spinor.evaluate, **{field: declared})
+    assert getattr(ContinuumFunction("two", 2, 2, spinor.evaluate, **{field: spinor}), field) is spinor
+
+
+@pytest.mark.parametrize("field", ["fourier", "inverse_fourier"])
+def test_a_plain_transform_is_wrapped_as_a_function_of_its_owner(field):
+    def transform(xi):
+        return np.ones(xi.shape[:-1] + (2,), complex)
+
+    phi = ContinuumFunction("owner", 2, 2, gaussian_spinor().evaluate, sup_norm=3.0, **{field: transform})
+    wrapped = getattr(phi, field)
+    assert isinstance(wrapped, ContinuumFunction) and wrapped.evaluate is transform and wrapped.factors is None
+    assert (wrapped.name, wrapped.d, wrapped.channels, wrapped.sup_norm) == ("owner", 2, 2, 3.0)
+    assert getattr(dataclasses.replace(phi), field) is wrapped  # wrapped once, then kept as declared
+
+
+# The closed forms of the catalog transforms on stacked points (..., d), written apart from the
+# per-axis factors that the catalog declares: the oracle of those factors.
+
+
+def _stacked_gaussian(d, a=1.0, amplitude=1.0, center=None):
+    def fourier(xi):
+        q2 = np.sum(xi**2, axis=-1)
+        vals = amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a))
+        if center is not None:
+            vals = vals * np.exp(-1j * (xi @ np.asarray(center, dtype=float)))
+        return vals.astype(complex, copy=False)[..., None]
+    return fourier
+
+
+def _stacked_modulated_gaussian(d, a=1.0, k0=None, amplitude=1.0):
+    k0 = np.zeros(d) if k0 is None else np.asarray(k0, dtype=float)
+
+    def fourier(xi):
+        q2 = np.sum((xi - k0) ** 2, axis=-1)
+        return (amplitude * (2 * a) ** (-d / 2) * np.exp(-q2 / (4 * a)))[..., None]
+    return fourier
+
+
+def _stacked_hat(width=0.5):
+    w = float(width)
+
+    def fourier(xi):
+        q = xi[..., 0]
+        val = (2 * np.pi) ** -0.5 * 4 * (1.5 * w) * (0.5 * w) \
+            * np.sinc(1.5 * w * q / np.pi) * np.sinc(0.5 * w * q / np.pi)
+        return val.astype(complex)[..., None]
+    return fourier
+
+
+def _stacked_bandlimited(d, R, p=8, k0=None, amplitude=1.0):
+    window, _ = _cos_power_window(R, p)
+    k0 = np.zeros(d) if k0 is None else np.asarray(k0, dtype=float)
+    return lambda xi: (amplitude * np.prod(window(xi - k0), axis=-1))[..., None]
+
+
+def _stacked_channels(*parts):
+    return lambda xi: np.concatenate([part(xi) for part in parts], axis=-1)
+
+
+_STACKED_TRANSFORMS = [
+    ("gaussian1d", function_catalog("gaussian1d"), _stacked_gaussian(1)),
+    ("gaussian2d", function_catalog("gaussian2d"), _stacked_gaussian(2)),
+    ("modwave2d", function_catalog("modwave2d"), _stacked_modulated_gaussian(2, 1.0, (1.0, -0.5))),
+    ("hat", function_catalog("hat"), _stacked_hat(0.5)),
+    ("gaussian-spinor", function_catalog("gaussian-spinor"),
+     _stacked_channels(_stacked_gaussian(2, 1.0, 1.0), _stacked_gaussian(2, 1.3, 0.6))),
+    ("bandlimited-spinor", function_catalog("bandlimited-spinor"),
+     _stacked_channels(_stacked_bandlimited(2, np.pi / 0.8), _stacked_bandlimited(2, np.pi / 0.8, amplitude=0.5))),
+    ("gaussian-centred-1d", gaussian(1, a=0.5, amplitude=2.0, center=(0.4,)),
+     _stacked_gaussian(1, 0.5, 2.0, (0.4,))),
+    ("gaussian-centred-2d", gaussian(2, a=0.7, amplitude=2.0 - 1.5j, center=(0.4, -1.1)),
+     _stacked_gaussian(2, 0.7, 2.0 - 1.5j, (0.4, -1.1))),
+    ("gaussian-at-zero-2d", gaussian(2, a=1.3, center=(0.0, 0.0)), _stacked_gaussian(2, 1.3, 1.0, (0.0, 0.0))),
+    ("modwave-complex-2d", modulated_gaussian(2, 0.6, (0.3, 0.8), amplitude=1j),
+     _stacked_modulated_gaussian(2, 0.6, (0.3, 0.8), 1j)),
+    ("modwave1d", modulated_gaussian(1, 2.0, (-0.7,)), _stacked_modulated_gaussian(1, 2.0, (-0.7,))),
+    ("hat-wide", hat(0.8), _stacked_hat(0.8)),
+    ("bandlimited1d", bandlimited(1, 2.0, p=4), _stacked_bandlimited(1, 2.0, 4)),
+    ("bandlimited-shifted-2d", bandlimited(2, 3.0, p=4, k0=(0.5, -0.2), amplitude=0.5),
+     _stacked_bandlimited(2, 3.0, 4, (0.5, -0.2), 0.5)),
+    ("gaussian-spinor-1d", gaussian_spinor(1), _stacked_channels(_stacked_gaussian(1, 1.0, 1.0),
+                                                                 _stacked_gaussian(1, 1.3, 0.6))),
+    ("bandlimited-spinor-wide", bandlimited_spinor(R=3.5, p=6),
+     _stacked_channels(_stacked_bandlimited(2, 3.5, 6), _stacked_bandlimited(2, 3.5, 6, amplitude=0.5))),
+]
+
+
+def test_every_catalog_transform_is_covered_by_a_stacked_closed_form():
+    covered = {name for name, _, _ in _STACKED_TRANSFORMS}
+    assert {name for name in FUNCTION_IDS if function_catalog(name).fourier is not None} <= covered
+
+
+@pytest.mark.parametrize("name, entry, stacked", _STACKED_TRANSFORMS, ids=[c[0] for c in _STACKED_TRANSFORMS])
+def test_declared_transform_matches_its_stacked_closed_form(name, entry, stacked, rng):
+    # per-axis factors and the stacked closed form round the Gaussian exponent differently, by
+    # a few ulps of |xi - k0|**2 / (4a) (below 40 here), so they match to 1e-14, not bit for bit
+    assert isinstance(entry.fourier, ContinuumFunction) and entry.fourier.factors is not None
+    xi = rng.uniform(-6.0, 6.0, size=(60, entry.d))
+    np.testing.assert_allclose(entry.fourier(xi), stacked(xi), rtol=1e-14, atol=0)
+    axes = [rng.uniform(-6.0, 6.0, size=n) for n in (9, 7)[: entry.d]]  # as the consumers sample it
+    np.testing.assert_allclose(grid._grid_values(entry.fourier, axes)(), stacked(grid._cell_points(axes)),
+                               rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("entry,probe", [

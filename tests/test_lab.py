@@ -282,7 +282,7 @@ def test_sweep_levels_never_run_side_by_side(monkeypatch):
 ])
 def test_resolvent_sweeps_reject_a_function_that_evaluates_too_few_channels(experiment, extra):
     g = gaussian(2)
-    liar = ContinuumFunction("liar", 2, 2, g.evaluate, fourier=g.fourier)
+    liar = ContinuumFunction("liar", 2, 2, g.evaluate, fourier=g.fourier.evaluate)
     sweep = Sweep(hs=(0.4, 0.2), box=9.6, function=liar, refine=2, **extra)
     with pytest.raises(ValueError, match="^liar declares 2 channels, evaluates to 1$"):
         experiment(sweep)
@@ -383,7 +383,8 @@ def test_thread_cap_does_not_change_results(monkeypatch):
 @pytest.mark.parametrize("function", ["gaussian2d", "gaussian-spinor"])
 def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch):
     # the catalog's 2D functions have factors, so their projection is per axis and reads
-    # no cap; the cap sets only FFT workers, and no setting may move a result
+    # no cap; the cap sets only FFT workers, as in the 4N-point transforms of exp_ft, and
+    # no setting may move a result
     sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=function)
     errors = []
     interval = sys.getswitchinterval()
@@ -391,7 +392,8 @@ def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch)
     try:
         for threads in ("1", "2", "8"):
             monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
-            errors.append([series.errors for series in exp_projection(sweep).series])
+            errors.append([series.errors for experiment in (exp_projection, exp_ft)
+                           for series in experiment(sweep).series])
     finally:
         sys.setswitchinterval(interval)
     assert errors[0] == errors[1] == errors[2]

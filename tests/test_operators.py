@@ -269,7 +269,7 @@ def test_continuum_resolvent_rejects_bad_refine(refine):
 @pytest.mark.parametrize("closed_form", [True, False])
 def test_continuum_resolvent_rejects_a_wrong_channel_count(closed_form):
     g = gaussian(2)
-    liar = ContinuumFunction("liar", 2, 2, g.evaluate, fourier=g.fourier if closed_form else None)
+    liar = ContinuumFunction("liar", 2, 2, g.evaluate, fourier=g.fourier.evaluate if closed_form else None)
     with pytest.raises(ValueError, match="^liar declares 2 channels, evaluates to 1$"):
         resolvent_continuum(liar, 2j, 1.0, Mesh(2, 0.4, 24), refine=2)
 
