@@ -705,9 +705,13 @@ def _cos_power_window(R: float, p: int):
 
     Returns ``(window, transform)`` where ``transform`` is the inverse
     Fourier transform of the window (equivalently, the window is the
-    forward transform of ``transform``; both are even and real).
+    forward transform of ``transform``; both are even and real).  Raises
+    `ValueError` unless ``R`` is finite and positive.
     """
     from math import comb
+
+    if not 0 < R < np.inf:
+        raise ValueError(f"window half-width R must be finite and positive, got {R!r}")
 
     coeffs = np.array([comb(2 * p, q) for q in range(2 * p + 1)], dtype=float) / 4.0**p
     omegas = np.array([(p - q) * np.pi / R for q in range(2 * p + 1)])

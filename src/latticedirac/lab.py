@@ -348,11 +348,13 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     is held), and the solver limits of a default `ResolventQuery`, in
     complex128 throughout.  The continuum symbol does not change with the mesh
     size, so the reference is first solved on the even sites (recursively,
-    while the site count stays a multiple of 4) and iterated on each finer mesh
-    from the interpolated coarser solution; the fine mesh's own residual test
-    certifies it at ``sweep.tol``.  The levels compare against block averages of its point
-    values: a left-endpoint rule on each coarse cell, biased at first order in
-    ``h / refine``, where the free sweep's reference holds exact cell averages.
+    while the site count stays a multiple of 4).  On each finer mesh the
+    interpolated coarser solution is returned as it is when it passes that
+    mesh's own residual test at ``sweep.tol``, and iterated from otherwise, so
+    the returned field is certified at ``sweep.tol`` either way.  The levels
+    compare against block averages of its point values: a left-endpoint rule on
+    each coarse cell, biased at first order in ``h / refine``, where the free
+    sweep's reference holds exact cell averages.
     """
     V = sweep.resolved_potential()
     if V is None:

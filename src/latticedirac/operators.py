@@ -18,10 +18,11 @@ contraction ``sup||V|| / |Im z| <= 0.9`` is certified and by a restarted
 residual-minimizing Krylov iteration otherwise, both in complex128 and both
 certified by one residual test.  With the continuum symbol, which does not
 depend on the mesh size, a solve on a mesh with ``N % 4 == 0`` first solves
-the same problem on the even sites (the half mesh of the same box),
-interpolates that solution spectrally, and iterates from there until the fine
-mesh's own test passes.  A dense matrix of the full operator (small lattices
-only) serves as the cross-validation oracle.
+the same problem on the even sites (the half mesh of the same box) and
+interpolates that solution spectrally.  The interpolant is returned as it is
+when it passes the fine mesh's own residual test, and iterated from otherwise.
+A dense matrix of the full operator (small lattices only) serves as the
+cross-validation oracle.
 
 Fourier multipliers work channel-first: the two spinor channels are held as
 one contiguous ``(2, *sites)`` array, transformed over the site axes by
@@ -541,13 +542,14 @@ def _neumann_steps(w, psi, symbol, V, steps, relative, goal):
     return res, u
 
 
-def _prolong(u: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Trigonometric interpolation of channel-last half-mesh values onto ``mesh``, channel-first.
+def _prolonged_spectrum(u: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Channel-first spectrum on ``mesh``, in natural FFT order, of channel-last half-mesh values ``u``.
 
-    The half-mesh spectrum is zero-padded in natural FFT order, so its Nyquist
-    row and column stay at the frequency ``-N/4`` where its symbol put them, and
-    scaled by ``(N / (N/2))**2`` for the unnormalized inverse: the result equals
-    ``u`` on the even sites.
+    The half-mesh spectrum is zero-padded, so its Nyquist row and column stay at
+    the frequency ``-N/4`` where its symbol put them, and scaled by
+    ``(N / (N/2))**2`` for the unnormalized inverse: the inverse `_fftn` of the
+    result is the trigonometric interpolant of ``u``, equal to ``u`` on the even
+    sites.
     """
     axes = (1, 2)
     spec = _fftn(_channel_first(u), axes)
@@ -557,7 +559,33 @@ def _prolong(u: np.ndarray, mesh: Mesh) -> np.ndarray:
     for rows in (slice(None, half), slice(-half, None)):
         for cols in (slice(None, half), slice(-half, None)):
             fine[:, rows, cols] = spec[:, rows, cols]
-    return _fftn(fine, axes, inverse=True)
+    return fine
+
+
+def _prolonged_start(psi: LatticeField, spec: np.ndarray, z: complex, m: float, V: PotentialSpec):
+    """Test the interpolant ``u_p`` whose spectrum `_prolonged_spectrum` gave as ``spec``.
+
+    Returns the channel-first ``u_p``, the sum of squares of its residual
+    ``(D - z) u_p + V u_p - psi`` with the continuum ``D``, and the start
+    ``w = psi - V u_p`` of further iteration.  ``u_p`` and ``D u_p`` are the two
+    inverse transforms of ``spec``, the latter multiplied by ``M`` first, so no
+    forward transform on this mesh is needed; ``u_p`` takes the memory of ``spec``.
+    One pass of `_vmul_blocks` sums the residual block by block and writes ``w``
+    over ``D u_p``.
+    """
+    mesh, axes = psi.mesh, (1, 2)
+    w = _fftn(_Multiplier(_natural_frequencies(mesh), None, m)(spec.copy()), axes, inverse=True)
+    u = _fftn(spec, axes, inverse=True)
+    rhs = np.moveaxis(psi.values, -1, 0)
+    zu = np.empty_like(u[:, _row_blocks(u)[0]])
+    sum_sq = 0.0
+    for rows, vu in _vmul_blocks(V, mesh, u):
+        r, start = w[:, rows], np.subtract(rhs[:, rows], vu, out=vu)
+        r -= np.multiply(u[:, rows], z, out=zu[:, : rows.stop - rows.start])
+        r -= start
+        sum_sq += _sum_sq(r)
+        r[...] = start
+    return u, sum_sq, w
 
 
 def _solve_with_potential(
@@ -580,20 +608,23 @@ def _solve_with_potential(
     before anything else, so that samples of the wrong shape raise `ValueError` before
     any transform, on this mesh or a coarser one.  Everything runs in complex128.  Neumann
     takes at most ``max_iter`` `_neumann_steps` steps; Krylov runs GMRES and hands its
-    ``w`` to one such step, which forms ``u`` and the residual.  Either way ``u`` comes
-    from a step whose residual was measured, and a relative residual above ``tol``
-    raises `NoConvergence`, as does one that is not finite, at the step that measured
-    it.  A GMRES product that is not finite raises `NoConvergence` at once, with the
-    number of products made.
+    ``w`` to one such step, which forms ``u`` and the residual.  Either way the returned
+    ``u`` is one whose relative residual was measured, and a relative residual above
+    ``tol`` raises `NoConvergence`, as does one that is not finite, at the step that
+    measured it.  A GMRES product that is not finite raises `NoConvergence` at once,
+    with the number of products made.
 
     The continuum symbol is the same on every mesh of the box, so for ``p`` None and
     ``N % 4 == 0`` (``N >= 8``) the problem restricted to the even sites, which are
     the sites of the half mesh, is solved first by this function, with the policy
     chosen here.  The half mesh's sites ``(2h)*k`` are the even sites ``h*(2k)`` bit
-    for bit, since doubling is exact.  Its solution, interpolated by `_prolong`, gives
-    the start ``w = psi - V u`` of Neumann steps or of GMRES, each with its own
-    ``max_iter``.  For smooth data the first step already passes the test.  A level
-    that does not converge raises `NoConvergence` for its own residual.
+    for bit, since doubling is exact.  Its solution is interpolated spectrally
+    (`_prolonged_spectrum`), and `_prolonged_start` measures the residual of the
+    interpolant ``u_p`` on this mesh.  For smooth data on a fine enough mesh that
+    residual is at most ``tol``, and ``u_p`` is returned with no step and no GMRES.
+    Otherwise ``w = psi - V u_p`` starts the Neumann steps or GMRES, each with its
+    own ``max_iter``.  A level that does not converge raises `NoConvergence` for its
+    own residual.
     """
     mesh = psi.mesh
     next(_vmul_blocks(V, mesh, np.moveaxis(psi.values, -1, 0)))  # a misshapen V fails before any transform
@@ -610,12 +641,11 @@ def _solve_with_potential(
     w = None  # the cold start: psi for Neumann, zero for GMRES
     if p is None and mesh.N % 4 == 0 and mesh.N >= 8:
         half = LatticeField(Mesh(mesh.d, 2 * mesh.h, mesh.N // 2), psi.values[::2, ::2])
-        u = _solve_with_potential(half, z, m, V, policy, tol, max_iter, restart)
-        w = _prolong(u.values, mesh)
-        del u
-        rhs = np.moveaxis(psi.values, -1, 0)
-        for rows, vu in _vmul_blocks(V, mesh, w):  # w <- psi - V w, one row block at a time
-            np.subtract(rhs[:, rows], vu, out=w[:, rows])
+        spec = _prolonged_spectrum(_solve_with_potential(half, z, m, V, policy, tol, max_iter, restart).values, mesh)
+        u, sum_sq, w = _prolonged_start(psi, spec, z, m, V)
+        if relative(sum_sq) <= tol:  # a residual that is not finite fails here
+            return LatticeField(mesh, _channel_last(u))
+        del spec, u
 
     symbol = _Multiplier(_natural_frequencies(mesh), p, m, z)
     steps, info = max_iter, 0

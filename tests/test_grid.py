@@ -26,6 +26,7 @@ from latticedirac.grid import (
     FUNCTION_IDS,
     bandlimited,
     bandlimited_spinor,
+    freq_window,
     function_catalog,
     gaussian,
     gaussian_spinor,
@@ -467,6 +468,18 @@ def test_catalog_constructors_reject_inputs_that_would_change_the_function(build
     # and a NaN centre or rate passed unnoticed
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("R", [-3.0, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda R: bandlimited(2, R), id="bandlimited"),
+    pytest.param(lambda R: bandlimited_spinor(R=R), id="bandlimited-spinor"),
+    pytest.param(lambda R: freq_window(1, R), id="freq-window"),
+])
+def test_cosine_window_constructors_reject_a_half_width_that_is_not_finite_and_positive(build, R):
+    # a negative R once declared a zero transform for a nonzero profile, and NaN a NaN window
+    with pytest.raises(ValueError, match="half-width R must be finite and positive"):
+        build(R)
 
 
 @pytest.mark.parametrize("field", ["fourier", "inverse_fourier"])

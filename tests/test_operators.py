@@ -595,15 +595,69 @@ def test_nested_continuum_solve_matches_a_double_loop_property(N, h, m, name, ga
     assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
 
 
-def test_nested_continuum_solve_takes_at_most_two_full_size_steps(monkeypatch):
-    # smooth data: the interpolated half-mesh solution passes the fine test within two steps
+@PROPERTY
+@given(N=st.sampled_from([8, 12, 16, 24, 32, 48, 64]), h=st.sampled_from([0.5, 1.0]),
+       m=st.floats(0.5, 1.5), name=st.sampled_from(POTENTIAL_IDS), gap=st.floats(0.25, 3.0),
+       re=st.floats(-2.0, 2.0), sign=st.sampled_from([1.0, -1.0]), seed=SEEDS)
+def test_nested_continuum_krylov_solve_matches_a_double_loop_property(N, h, m, name, gap, re, sign, seed):
+    # rough data: the prolonged half-mesh solution fails the fine test, so GMRES starts from it
+    mesh = Mesh(2, h, N)
+    V = potential_catalog(name)
+    z = complex(re, sign * (V.sup_norm + gap) / 0.9)
+    psi = random_field(mesh, 2, np.random.default_rng(seed))
+    Vh = sample_potential(V, mesh)
+    u = _continuum_neumann_loop(psi, z, m, Vh, 1e-10)
+    solved = _solve_with_potential(psi, z, m, V, "krylov", 1e-10, 2000, 50)
+    assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
+
+
+SMOOTH_REFERENCE = pytest.mark.parametrize("z,policy", [(3j, None), (1.2j, "krylov")], ids=["neumann", "krylov"])
+
+
+@SMOOTH_REFERENCE
+def test_nested_continuum_solve_returns_its_prolonged_start_from_two_inverse_transforms(z, policy, monkeypatch):
+    # smooth data: the interpolated half-mesh solution passes the fine test as it is, so the
+    # fine mesh transforms only back, for u and D u, and runs neither a step nor GMRES
     mesh = Mesh(2, 9.6 / 256, 256)
     V = potential_catalog("nonhermitian-gaussian")
     psi = sample(gaussian_spinor(), mesh)
-    shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
-    _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50)
-    assert 1 <= shapes.count((2, 256, 256)) <= 2
-    assert (2, 128, 128) in shapes
+    forward = _spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn",))
+    inverse = _spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
+    gmres_sizes = []
+
+    def gmres(matvec, b_vec, *args, _gmres=operators._gmres):
+        gmres_sizes.append(b_vec.size)
+        return _gmres(matvec, b_vec, *args)
+
+    monkeypatch.setattr(operators, "_gmres", gmres)
+    _solve_with_potential(psi, z, 1.0, V, policy, 1e-10, 2000, 50)
+    assert forward.count((2, 256, 256)) == 0
+    assert inverse.count((2, 256, 256)) == 2
+    assert (2, 128, 128) in forward + inverse
+    assert bool(gmres_sizes) == (policy == "krylov")  # the coarse levels still iterate
+    assert psi.values.size not in gmres_sizes
+
+
+def _continuum_dirac(u: LatticeField, m: float) -> np.ndarray:
+    """``D u`` with the continuum symbol, on `dft`/`idft` as in `_continuum_neumann_loop`."""
+    u_hat = dft(u)
+    xi = u_hat.grid.coords()
+    zeta = xi[..., 0] + 1j * xi[..., 1]
+    a, b = u_hat.values[..., 0], u_hat.values[..., 1]
+    return idft(SpectralField(u_hat.grid, np.stack([m * a + np.conj(zeta) * b, zeta * a - m * b], axis=-1))).values
+
+
+@SMOOTH_REFERENCE
+def test_returned_prolonged_start_is_certified_at_tol(z, policy):
+    # the field returned without a step, checked independently of the solver's residual
+    mesh = Mesh(2, 9.6 / 256, 256)
+    m, tol = 1.0, 1e-10
+    V = potential_catalog("nonhermitian-gaussian")
+    psi = sample(gaussian_spinor(), mesh)
+    u = _solve_with_potential(psi, z, m, V, policy, tol, 2000, 50)
+    Vu = np.einsum("...ab,...b->...a", sample_potential(V, mesh), u.values)
+    r = _continuum_dirac(u, m) + Vu - z * u.values - psi.values
+    assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= tol
 
 
 @pytest.mark.parametrize("policy", ["neumann", "krylov"])
@@ -736,6 +790,25 @@ def test_non_finite_krylov_products_stop_gmres_at_once():
         resolvent_with_potential(sample(gaussian_spinor(), mesh), q, _constant_potential(float("nan")))
     assert not np.isfinite(info.value.residual)
     assert info.value.iterations == 1
+
+
+def _nan_off_the_half_mesh(x):
+    """NaN times the identity at the odd sites of ``Mesh(2, 0.5, N)`` (odd ``x_1 / 0.5``), zero elsewhere."""
+    odd = np.round(x[..., 0] / 0.5) % 2 == 1
+    return np.where(odd[..., None, None], np.nan, 0.0) * np.eye(2)
+
+
+@pytest.mark.parametrize("policy", ["neumann", "krylov"])
+@pytest.mark.parametrize("nan_sites", ["all", "odd"])
+def test_non_finite_prolonged_start_raises_no_convergence(nan_sites, policy):
+    # NaN on every site stops the coarsest level; NaN on the odd sites only leaves the half
+    # meshes finite, so the fine mesh's start test reads NaN, fails, and the iteration stops
+    mesh = Mesh(2, 0.5, 16)
+    psi = sample(gaussian_spinor(), mesh)
+    V = {"all": _constant_potential(float("nan")),
+         "odd": PotentialSpec("nan-off-the-half-mesh", _nan_off_the_half_mesh, 1.0, 0.0)}[nan_sites]
+    with pytest.raises(NoConvergence, match="not finite"):
+        _solve_with_potential(psi, 3j, 1.0, V, policy, 1e-10, 2000, 50)
 
 
 _MISSHAPEN = [
