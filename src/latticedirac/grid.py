@@ -686,8 +686,8 @@ def hat(width: float = 0.5) -> ContinuumFunction:
     ``+-w, +-2w`` are declared so quadrature cuts cells there.
     """
     w = float(width)
-    if w <= 0:
-        raise ValueError("hat width must be positive")
+    if not 0 < w < np.inf:
+        raise ValueError(f"hat width must be finite and positive, got {width!r}")
 
     def space(x):
         return np.where(np.abs(x) <= w, w, np.maximum(0.0, 2 * w - np.abs(x)))[..., None]

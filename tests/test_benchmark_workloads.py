@@ -1,9 +1,9 @@
 """The benchmark's commands must parse, and its seed-0 sweeps must match their references.
 
-Every seed-0 smoke sweep is checked, and so are the full-size ``project``
-commands of the ``quadrature`` workload, which take a fraction of a second,
-and the full-size commands of both potential workloads, whose references
-pin the coarse-to-fine reference solve.
+Every seed-0 smoke sweep is checked, and so are the full-size commands of
+the ``quadrature`` workload (``project`` and ``ft``), which take a fraction of
+a second each, and the full-size commands of both potential workloads, whose
+references pin the coarse-to-fine reference solve.
 
 ``perfbench/workloads.py`` lists the CLI argv lists a benchmark sweep runs and
 ``perfbench/refs.json`` the error columns each must reproduce, within the
@@ -45,7 +45,7 @@ def _check_constant(name):
 
 WORKLOADS = _workloads()
 SMOKE_SEED0 = [argv for name in WORKLOADS["NAMES"] for argv in WORKLOADS["commands"](name, 0, smoke=True)]
-FULL_PROJECT_SEED0 = [argv for argv in WORKLOADS["commands"]("quadrature", 0) if argv[0] == "project"]
+FULL_QUADRATURE_SEED0 = WORKLOADS["commands"]("quadrature", 0)
 FULL_POTENTIAL_SEED0 = [argv for name in ("potential-neumann", "potential-krylov")
                         for argv in WORKLOADS["commands"](name, 0)]
 
@@ -63,8 +63,8 @@ def test_seed0_smoke_sweep_reproduces_its_references(argv, tmp_path):
     _assert_reproduces_its_references(argv, tmp_path)
 
 
-@pytest.mark.parametrize("argv", FULL_PROJECT_SEED0, ids=WORKLOADS["key"])
-def test_seed0_full_size_project_sweep_reproduces_its_references(argv, tmp_path):
+@pytest.mark.parametrize("argv", FULL_QUADRATURE_SEED0, ids=WORKLOADS["key"])
+def test_seed0_full_size_quadrature_sweep_reproduces_its_references(argv, tmp_path):
     _assert_reproduces_its_references(argv, tmp_path)
 
 

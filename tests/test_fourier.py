@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from latticedirac import cli, lab
+from latticedirac import cli, fourier, lab
 from latticedirac import (
     ContinuumFunction,
     FrequencyGrid,
@@ -275,6 +275,41 @@ def test_weighted_ft_error_matches_quadrature_oracle():
     left, _ = quad(tail, -np.inf, -np.pi / mesh.h)
     oracle = np.sqrt(box_sq + right + left)
     np.testing.assert_allclose(weighted_ft_error(phi, mesh, 1.0), oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", [n for n in FUNCTION_IDS if function_catalog(n).fourier is not None])
+def test_weighted_ft_error_per_axis_matches_the_stacked_2d_transform(name):
+    # a function with factors takes 1D transforms of its factors; the copy without
+    # factors is sampled on the stacked sites and transformed by dft on (4N)**d sites
+    phi = function_catalog(name)
+    stacked = dataclasses.replace(phi, factors=None)
+    for h in (0.8, 0.4, 0.2, 0.1):
+        mesh = Mesh(phi.d, h, round(9.6 / h))
+        for s in (0.5, 1.0, 2.0):
+            want = weighted_ft_error(stacked, mesh, s)
+            assert weighted_ft_error(phi, mesh, s) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["gaussian2d", "modwave2d", "gaussian-spinor", "bandlimited-spinor"])
+def test_weighted_ft_error_of_a_separable_function_transforms_one_axis_at_a_time(name, monkeypatch):
+    # each factor is transformed on its axis's 4N padded sites: no (4N)**2-point FFT, and
+    # the function is never evaluated on stacked points
+    phi = function_catalog(name)
+    mesh = Mesh(2, 0.4, 24)
+    want = weighted_ft_error(phi, mesh, 1.0)
+
+    def stacked(points):
+        raise AssertionError("the function was evaluated on stacked points")
+
+    calls = []
+
+    def spy(x, axes, inverse=False, _fftn=fourier._fftn):
+        calls.append((x.shape, axes))
+        return _fftn(x, axes, inverse)
+
+    monkeypatch.setattr(fourier, "_fftn", spy)
+    assert weighted_ft_error(dataclasses.replace(phi, evaluate=stacked), mesh, 1.0) == want
+    assert calls == [((4 * mesh.N, phi.channels), (0,))] * 2
 
 
 def _tensor_tail(phi, b, s, n=160, width=30.0):

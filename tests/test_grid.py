@@ -482,6 +482,14 @@ def test_cosine_window_constructors_reject_a_half_width_that_is_not_finite_and_p
         build(R)
 
 
+@pytest.mark.parametrize("width", [-0.5, 0.0, np.nan, np.inf])
+def test_hat_rejects_a_width_that_is_not_finite_and_positive(width):
+    # NaN and inf once passed the sign check and failed later, in the breakpoint check,
+    # with a message that named no width
+    with pytest.raises(ValueError, match="^hat width must be finite and positive, got "):
+        hat(width)
+
+
 @pytest.mark.parametrize("field", ["fourier", "inverse_fourier"])
 @pytest.mark.parametrize("declared", [gaussian(2), gaussian(1), gaussian_spinor(1)],
                          ids=["1ch-2d", "1ch-1d", "2ch-1d"])

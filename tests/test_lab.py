@@ -1,5 +1,6 @@
 """Tests for the convergence laboratory: sweeps, rate fits, and reports."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -25,7 +26,7 @@ from latticedirac import (
     project,
 )
 from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion, RealShift
-from latticedirac.grid import bandlimited_spinor, gaussian
+from latticedirac.grid import bandlimited_spinor, function_catalog, gaussian
 from latticedirac.lab import DYADIC_HS, _assemble, weighted_operator_gap_probe
 from latticedirac.operators import _Multiplier
 
@@ -380,10 +381,15 @@ def test_thread_cap_does_not_change_results(monkeypatch):
         assert a.errors == b.errors
 
 
-@pytest.mark.parametrize("function", ["gaussian2d", "gaussian-spinor"])
+@pytest.mark.parametrize("function", [
+    "gaussian2d",
+    "gaussian-spinor",
+    pytest.param(dataclasses.replace(function_catalog("gaussian2d"), factors=None), id="gaussian2d-stacked"),
+])
 def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch):
     # the catalog's 2D functions have factors, so their projection is per axis and reads
-    # no cap; the cap sets only FFT workers, as in the 4N-point transforms of exp_ft, and
+    # no cap, and exp_ft transforms them in 1D; the copy without factors keeps the row-block
+    # walk and the (4N)**2-point 2D transform of exp_ft.  The cap sets only FFT workers, and
     # no setting may move a result
     sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=function)
     errors = []

@@ -398,6 +398,15 @@ def test_solver_stopping_test_bounds_the_true_residual(policy, rng):
     assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= 2 * q.tol
 
 
+def _continuum_dirac(u: LatticeField, m: float) -> np.ndarray:
+    """``D u`` with the continuum symbol, on `dft`/`idft` as in `_continuum_neumann_loop`."""
+    u_hat = dft(u)
+    xi = u_hat.grid.coords()
+    zeta = xi[..., 0] + 1j * xi[..., 1]
+    a, b = u_hat.values[..., 0], u_hat.values[..., 1]
+    return idft(SpectralField(u_hat.grid, np.stack([m * a + np.conj(zeta) * b, zeta * a - m * b], axis=-1))).values
+
+
 @pytest.mark.parametrize("policy", ["neumann", "krylov"])
 def test_continuum_symbol_solve_bounds_the_true_residual(policy, rng):
     # the same with the continuum symbol, D applied through the public transform pair
@@ -407,13 +416,7 @@ def test_continuum_symbol_solve_bounds_the_true_residual(policy, rng):
     V = potential_catalog("nonhermitian-gaussian")
     Vh = sample_potential(V, mesh)
     u = _solve_with_potential(psi, z, m, V, policy, tol, 2000, 50)
-    u_hat = dft(u)
-    xi = u_hat.grid.coords()
-    zeta = xi[..., 0] + 1j * xi[..., 1]
-    v0, v1 = u_hat.values[..., 0], u_hat.values[..., 1]
-    Du_hat = np.stack([m * v0 + np.conj(zeta) * v1, zeta * v0 - m * v1], axis=-1)
-    Du = idft(SpectralField(u_hat.grid, Du_hat)).values
-    r = Du + np.einsum("...ab,...b->...a", Vh, u.values) - z * u.values - psi.values
+    r = _continuum_dirac(u, m) + np.einsum("...ab,...b->...a", Vh, u.values) - z * u.values - psi.values
     assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= 2 * tol
 
 
@@ -636,15 +639,6 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_two_inverse_tra
     assert (2, 128, 128) in forward + inverse
     assert bool(gmres_sizes) == (policy == "krylov")  # the coarse levels still iterate
     assert psi.values.size not in gmres_sizes
-
-
-def _continuum_dirac(u: LatticeField, m: float) -> np.ndarray:
-    """``D u`` with the continuum symbol, on `dft`/`idft` as in `_continuum_neumann_loop`."""
-    u_hat = dft(u)
-    xi = u_hat.grid.coords()
-    zeta = xi[..., 0] + 1j * xi[..., 1]
-    a, b = u_hat.values[..., 0], u_hat.values[..., 1]
-    return idft(SpectralField(u_hat.grid, np.stack([m * a + np.conj(zeta) * b, zeta * a - m * b], axis=-1))).values
 
 
 @SMOOTH_REFERENCE
