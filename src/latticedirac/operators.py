@@ -19,8 +19,11 @@ residual-minimizing Krylov iteration otherwise, both in complex128 and both
 certified by one residual test.  With the continuum symbol, which does not
 depend on the mesh size, a solve on a mesh with ``N % 4 == 0`` first solves
 the same problem on the even sites (the half mesh of the same box) and
-interpolates that solution spectrally.  The interpolant is returned as it is
-when it passes the fine mesh's own residual test, and iterated from otherwise.
+interpolates that solution spectrally.  The fine sites are four cosets of
+row and column parity, each a copy of the half mesh, so the interpolant and
+``D`` applied to it are formed one coset at a time by half-size inverse
+transforms (`_coset_start`).  The interpolant is returned as it is when it
+passes the fine mesh's own residual test, and iterated from otherwise.
 A dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
@@ -32,13 +35,15 @@ of ``zeta`` on the dual grid (`_Multiplier`); ``zeta`` and the coefficients of
 a block are formed from them when the block is multiplied, on every apply, so
 no grid-sized symbol or coefficient array is ever stored.  The perturbed
 solves treat the potential the same way: ``V`` is evaluated at the sites of
-each block of rows just before it multiplies that block, so they hold no
-grid-sized potential array either; `sample_potential` samples the whole mesh
-for `apply_dirac` and `dense_matrix`.
+each block of rows (of the mesh, or of one coset) just before it multiplies
+that block, so they hold no grid-sized potential array either;
+`sample_potential` samples the whole mesh for `apply_dirac` and
+`dense_matrix`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -329,21 +334,26 @@ def _multiplier_apply(x: np.ndarray, multiplier: _Multiplier) -> np.ndarray:
     return _fftn(multiplier(_fftn(x, axes)), axes, inverse=True)
 
 
-def _vmul_blocks(V: PotentialSpec, mesh: Mesh, u: np.ndarray):
-    """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u`` on the 2D ``mesh``.
+def _site_axes(mesh: Mesh) -> list[np.ndarray]:
+    """Per-axis site coordinates ``h*n`` of ``mesh``."""
+    return [mesh.h * mesh.indices] * mesh.d
 
-    ``V`` is evaluated at the sites ``h*n`` of each block just before it multiplies
-    that block, so no grid-sized potential array is held.  The yielded block buffer
-    is reused.
+
+def _vmul_blocks(V: PotentialSpec, axes: list[np.ndarray], u: np.ndarray):
+    """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u``.
+
+    ``u`` lives on the tensor grid of the per-axis coordinates ``axes`` (`_site_axes`
+    of a mesh, or of one of its cosets).  ``V`` is evaluated at the sites of each block
+    just before it multiplies that block, so no grid-sized potential array is held.
+    The yielded block buffer is reused.
     """
     blocks = _row_blocks(u)
-    coords = mesh.h * mesh.indices
     buf = np.empty_like(u[:, blocks[0]])
     tmp = np.empty_like(buf[0])
     for rows in blocks:
         k = rows.stop - rows.start
         vu, t = buf[:, :k], tmp[:k]
-        Vb = _potential_values(V, _cell_points([coords[rows], coords]))
+        Vb = _potential_values(V, _cell_points([axes[0][rows], axes[1]]))
         for a in range(2):
             np.multiply(Vb[..., a, 0], u[0, rows], out=vu[a])
             np.multiply(Vb[..., a, 1], u[1, rows], out=t)
@@ -522,13 +532,13 @@ def _neumann_steps(w, psi, symbol, V, steps, relative, goal):
     and the last ``u``, ``R_z w_old``.  A step norm that is not finite raises
     `NoConvergence` for that step at once.
     """
-    rhs = np.moveaxis(psi.values, -1, 0)
+    rhs, axes = np.moveaxis(psi.values, -1, 0), _site_axes(psi.mesh)
     u = np.empty_like(w)
     for n in range(1, steps + 1):
         np.copyto(u, w)
         u = _multiplier_apply(u, symbol)
         sum_sq = 0.0
-        for rows, vu in _vmul_blocks(V, psi.mesh, u):
+        for rows, vu in _vmul_blocks(V, axes, u):
             w_next = np.subtract(rhs[:, rows], vu, out=vu)
             step = w[:, rows]
             step -= w_next
@@ -542,50 +552,67 @@ def _neumann_steps(w, psi, symbol, V, steps, relative, goal):
     return res, u
 
 
-def _prolonged_spectrum(u: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Channel-first spectrum on ``mesh``, in natural FFT order, of channel-last half-mesh values ``u``.
+def _half_mesh(mesh: Mesh) -> Optional[Mesh]:
+    """The mesh of the even sites of 2D ``mesh`` (the same box at ``2h``), or None unless ``N % 4 == 0``, ``N >= 8``."""
+    if mesh.N % 4 or mesh.N < 8:
+        return None
+    return Mesh(mesh.d, 2 * mesh.h, mesh.N // 2)
 
-    The half-mesh spectrum is zero-padded, so its Nyquist row and column stay at
-    the frequency ``-N/4`` where its symbol put them, and scaled by
-    ``(N / (N/2))**2`` for the unnormalized inverse: the inverse `_fftn` of the
-    result is the trigonometric interpolant of ``u``, equal to ``u`` on the even
-    sites.
+
+def _half_spectrum(half: LatticeField) -> np.ndarray:
+    """Channel-first ``fftn`` of the values of ``half``, in natural FFT order, as `_coset_start` takes it."""
+    return _fftn(_channel_first(half.values), (1, 2))
+
+
+def _coset_start(spec: np.ndarray, mesh: Mesh, rhs, z: complex, m: float, V: PotentialSpec, tol: float, sink) -> bool:
+    """Test on ``mesh`` the spectral interpolant ``u_p`` of a half-mesh solution, coset by coset.
+
+    ``spec`` is the `_half_spectrum` ``S`` of that solution; it is read, not changed.
+    The sites of ``mesh`` split into four cosets ``(a, b)``, of row parity ``a`` and
+    column parity ``b``, each a copy of the half mesh of ``n = N/2`` sites per axis.
+    With ``k`` the signed index of ``S`` (Nyquist at ``-n/2``), the interpolant that
+    zero-pads ``S`` is on coset ``(a, b)`` the half-size inverse transform of
+    ``S * exp(i*pi*a*k_1/n) * exp(i*pi*b*k_2/n)``, so it equals the half-mesh solution
+    on the even sites; ``D u_p`` is the same with the continuum ``M(xi)`` of the half
+    mesh's dual grid applied first.  Each coset forms both in two half-size buffers
+    that every coset reuses, so no array of ``mesh``'s size is made.
+
+    ``rhs(a, b)`` gives ``psi`` on coset ``(a, b)`` as ``values(rows)``: channel-last
+    values on a slice of the coset's rows, as `grid._grid_values` returns them.  ``psi``
+    and ``V`` are evaluated on row blocks of the coset's sites, where the residual
+    ``(D - z) u_p + V u_p - psi`` and ``psi`` itself are summed in squares.  Then
+    ``sink(a, b, u)`` is handed the coset's channel-first ``u_p`` in the buffer that
+    the next coset overwrites.  Returns whether ``||residual|| <= tol * ||psi||``: a
+    residual that is not finite fails, and a zero ``psi`` with a zero residual passes
+    with no division.
     """
-    axes = (1, 2)
-    spec = _fftn(_channel_first(u), axes)
-    half = spec.shape[1] // 2
-    spec *= (mesh.N / spec.shape[1]) ** 2
-    fine = np.zeros((spec.shape[0],) + mesh.shape, dtype=spec.dtype)
-    for rows in (slice(None, half), slice(-half, None)):
-        for cols in (slice(None, half), slice(-half, None)):
-            fine[:, rows, cols] = spec[:, rows, cols]
-    return fine
-
-
-def _prolonged_start(psi: LatticeField, spec: np.ndarray, z: complex, m: float, V: PotentialSpec):
-    """Test the interpolant ``u_p`` whose spectrum `_prolonged_spectrum` gave as ``spec``.
-
-    Returns the channel-first ``u_p``, the sum of squares of its residual
-    ``(D - z) u_p + V u_p - psi`` with the continuum ``D``, and the start
-    ``w = psi - V u_p`` of further iteration.  ``u_p`` and ``D u_p`` are the two
-    inverse transforms of ``spec``, the latter multiplied by ``M`` first, so no
-    forward transform on this mesh is needed; ``u_p`` takes the memory of ``spec``.
-    One pass of `_vmul_blocks` sums the residual block by block and writes ``w``
-    over ``D u_p``.
-    """
-    mesh, axes = psi.mesh, (1, 2)
-    w = _fftn(_Multiplier(_natural_frequencies(mesh), None, m)(spec.copy()), axes, inverse=True)
-    u = _fftn(spec, axes, inverse=True)
-    rhs = np.moveaxis(psi.values, -1, 0)
+    axes, n = (1, 2), spec.shape[1]
+    twiddle = np.exp(1j * np.pi / n * np.roll(np.arange(-(n // 2), n // 2), n // 2))
+    symbol = _Multiplier(_natural_frequencies(_half_mesh(mesh)), None, m)
+    x = _site_axes(mesh)[0]
+    u, du = np.empty_like(spec), np.empty_like(spec)
     zu = np.empty_like(u[:, _row_blocks(u)[0]])
-    sum_sq = 0.0
-    for rows, vu in _vmul_blocks(V, mesh, u):
-        r, start = w[:, rows], np.subtract(rhs[:, rows], vu, out=vu)
-        r -= np.multiply(u[:, rows], z, out=zu[:, : rows.stop - rows.start])
-        r -= start
-        sum_sq += _sum_sq(r)
-        r[...] = start
-    return u, sum_sq, w
+    sum_sq = psi_sq = 0.0
+    for a in (0, 1):
+        for b in (0, 1):
+            np.copyto(u, spec)
+            if a:
+                u *= twiddle[:, None]
+            if b:
+                u *= twiddle
+            np.copyto(du, u)
+            du = _fftn(symbol(du), axes, inverse=True)
+            u = _fftn(u, axes, inverse=True)
+            psi = rhs(a, b)
+            for rows, vu in _vmul_blocks(V, [x[a::2], x[b::2]], u):
+                r, psi_rows = du[:, rows], np.moveaxis(psi(rows), -1, 0)
+                r -= np.multiply(u[:, rows], z, out=zu[:, : rows.stop - rows.start])
+                r += vu
+                r -= psi_rows
+                sum_sq += _sum_sq(r)
+                psi_sq += _sum_sq(psi_rows)
+            sink(a, b, u)
+    return math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq)
 
 
 def _solve_with_potential(
@@ -598,6 +625,7 @@ def _solve_with_potential(
     max_iter: int,
     restart: int,
     p: Optional[DiracParams] = None,
+    half_spectrum: Optional[np.ndarray] = None,
 ) -> LatticeField:
     """Core factorized solve of ``(D + V - z) u = psi`` on one mesh.
 
@@ -616,18 +644,23 @@ def _solve_with_potential(
 
     The continuum symbol is the same on every mesh of the box, so for ``p`` None and
     ``N % 4 == 0`` (``N >= 8``) the problem restricted to the even sites, which are
-    the sites of the half mesh, is solved first by this function, with the policy
-    chosen here.  The half mesh's sites ``(2h)*k`` are the even sites ``h*(2k)`` bit
-    for bit, since doubling is exact.  Its solution is interpolated spectrally
-    (`_prolonged_spectrum`), and `_prolonged_start` measures the residual of the
-    interpolant ``u_p`` on this mesh.  For smooth data on a fine enough mesh that
-    residual is at most ``tol``, and ``u_p`` is returned with no step and no GMRES.
-    Otherwise ``w = psi - V u_p`` starts the Neumann steps or GMRES, each with its
-    own ``max_iter``.  A level that does not converge raises `NoConvergence` for its
-    own residual.
+    the sites of the half mesh (`_half_mesh`), is solved first by this function, with
+    the policy chosen here, unless the `_half_spectrum` of its solution is given.  The
+    half mesh's sites ``(2h)*k`` are the even sites ``h*(2k)`` bit for bit, since
+    doubling is exact.
+    `_coset_start` interpolates that solution spectrally on the four cosets of this
+    mesh's sites, from half-size inverse transforms only, measures the residual of the
+    interpolant ``u_p`` and writes each coset of ``u_p`` into the returned field.  For
+    smooth data on a fine enough mesh that residual is at most ``tol``, and ``u_p`` is
+    returned with no transform of this mesh's size, no step and no GMRES.  Otherwise
+    ``w = psi - V u_p`` starts the Neumann steps or GMRES, each with its own
+    ``max_iter``.  A level that does not converge raises `NoConvergence` for its own
+    residual.
     """
     mesh = psi.mesh
-    next(_vmul_blocks(V, mesh, np.moveaxis(psi.values, -1, 0)))  # a misshapen V fails before any transform
+    axes = _site_axes(mesh)
+    rhs = np.moveaxis(psi.values, -1, 0)
+    next(_vmul_blocks(V, axes, rhs))  # a misshapen V fails before any transform
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
         return LatticeField(mesh, np.zeros_like(psi.values))
@@ -639,13 +672,22 @@ def _solve_with_potential(
         policy = "neumann" if V.sup_norm / abs(complex(z).imag) <= 0.9 else "krylov"
 
     w = None  # the cold start: psi for Neumann, zero for GMRES
-    if p is None and mesh.N % 4 == 0 and mesh.N >= 8:
-        half = LatticeField(Mesh(mesh.d, 2 * mesh.h, mesh.N // 2), psi.values[::2, ::2])
-        spec = _prolonged_spectrum(_solve_with_potential(half, z, m, V, policy, tol, max_iter, restart).values, mesh)
-        u, sum_sq, w = _prolonged_start(psi, spec, z, m, V)
-        if relative(sum_sq) <= tol:  # a residual that is not finite fails here
+    half_mesh = _half_mesh(mesh) if p is None else None
+    if half_mesh is not None:
+        if half_spectrum is None:
+            half_psi = LatticeField(half_mesh, psi.values[::2, ::2])
+            half_spectrum = _half_spectrum(_solve_with_potential(half_psi, z, m, V, policy, tol, max_iter, restart))
+        u = np.empty((psi.channels,) + mesh.shape, dtype=complex)
+
+        def into_u(a, b, coset):
+            u[:, a::2, b::2] = coset
+
+        if _coset_start(half_spectrum, mesh, lambda a, b: psi.values[a::2, b::2].__getitem__, z, m, V, tol, into_u):
             return LatticeField(mesh, _channel_last(u))
-        del spec, u
+        del half_spectrum
+        for rows, vu in _vmul_blocks(V, axes, u):  # w = psi - V u_p, over u_p
+            np.subtract(rhs[:, rows], vu, out=u[:, rows])
+        w = u
 
     symbol = _Multiplier(_natural_frequencies(mesh), p, m, z)
     steps, info = max_iter, 0
@@ -659,7 +701,7 @@ def _solve_with_potential(
             products += 1
             w = w_vec.reshape(shape)
             out = _multiplier_apply(w.copy(), symbol)
-            for rows, vu in _vmul_blocks(V, mesh, out):
+            for rows, vu in _vmul_blocks(V, axes, out):
                 if not np.isfinite(np.add(w[:, rows], vu, out=out[:, rows])).all():
                     raise NoConvergence(products, float("nan"), f"GMRES product {products} is not finite")
             return out.ravel()

@@ -1,7 +1,8 @@
 """Shared oracle helpers for the test suite.
 
 The direct-summation transforms below are deliberately naive (O(N**2d))
-re-implementations used to cross-check the FFT paths at small sizes.
+re-implementations used to cross-check the FFT paths at small sizes;
+`spy_fftn` records what reaches the library's one transform call site.
 """
 
 import numpy as np
@@ -34,6 +35,20 @@ def idft_direct(u: SpectralField) -> np.ndarray:
 def random_field(mesh: Mesh, channels: int, rng) -> LatticeField:
     shape = mesh.shape + (channels,)
     return LatticeField(mesh, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def spy_fftn(monkeypatch, record=lambda x: x.dtype, names=("fftn",)) -> list:
+    """Record ``record(x)``, by default the dtype, of every array handed to the `scipy.fft` ``names``."""
+    import scipy.fft
+
+    seen = []
+    for name in names:
+        def spy(x, *args, _transform=getattr(scipy.fft, name), **kwargs):
+            seen.append(record(x))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    return seen
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ import dataclasses
 import sys
 import threading
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +27,13 @@ from latticedirac import (
     norm_l2,
     project,
 )
-from latticedirac.errors import DegenerateFit, MeshMismatch, NotInResolventRegion, RealShift
-from latticedirac.grid import bandlimited_spinor, function_catalog, gaussian
+from latticedirac import lab
+from latticedirac.errors import DegenerateFit, MeshMismatch, NoConvergence, NotInResolventRegion, RealShift
+from latticedirac.grid import bandlimited_spinor, function_catalog, gaussian, gaussian_spinor, sample
 from latticedirac.lab import DYADIC_HS, _assemble, weighted_operator_gap_probe
-from latticedirac.operators import _Multiplier
+from latticedirac.operators import PotentialSpec, _Multiplier, _solve_with_potential, block_average
+
+from conftest import spy_fftn
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +219,144 @@ def test_resolvent_potential_region_checked_before_sampling(monkeypatch):
             Sweep(hs=(0.4, 0.2), box=9.6, function="gaussian-spinor", z=0.5j,
                   potential="nonhermitian-gaussian")
         )
+
+
+# ---------------------------------------------------------------------------
+# the refined potential reference
+
+
+def _spy_reference(monkeypatch) -> tuple[list, list]:
+    """Lists that collect the reference `exp_resolvent_potential` builds and what its finest start test returns.
+
+    The finest start is the lab's own `_coset_start` call; the solves below it call
+    the one in `operators`, which this leaves alone.
+    """
+    references, starts = [], []
+
+    def worker(sweep, reference, V, _worker=lab._resolvent_worker):
+        references.append(reference)
+        return _worker(sweep, reference, V)
+
+    def coset_start(*args, _coset_start=lab._coset_start):
+        starts.append(_coset_start(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(lab, "_resolvent_worker", worker)
+    monkeypatch.setattr(lab, "_coset_start", coset_start)
+    return references, starts
+
+
+def _potential_sweep(refine: int, h: float, z: complex = 3j, **extra) -> Sweep:
+    """One-level `resolve-potential` sweep of the catalog spinor on the 9.6 box."""
+    settings = {"function": "gaussian-spinor", "potential": "nonhermitian-gaussian", **extra}
+    return Sweep(hs=(h,), box=9.6, z=z, refine=refine, **settings)
+
+
+# (refine, h, whether the finest start passes); None: the fine site count is no multiple
+# of 4, so there is no half mesh and no start.  Odd refines split a coarse cell's sites of
+# one coset into runs of unequal length, and refine 1 puts a coset in every other cell.
+REFERENCE_CASES = [
+    (1, 0.05, True), (1, 0.2, False), (1, 0.32, None),
+    (2, 0.1, True), (2, 0.2, False),
+    (3, 0.2, True), (3, 0.4, False), (3, 0.32, None),
+    (4, 0.2, True), (4, 0.4, False),
+    (8, 0.4, True), (8, 0.8, False),
+]
+
+
+def _fine_reference(sweep: Sweep, phi: ContinuumFunction) -> np.ndarray:
+    """Block averages on the finest level of the solve on its refinement, from the full fine samples."""
+    finest = sweep.mesh_for(sweep.levels[-1])
+    fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
+    u = _solve_with_potential(sample(phi, fine), complex(sweep.z), sweep.m, sweep.resolved_potential(),
+                              None, sweep.tol, 2000, 50)
+    return block_average(u, finest).values
+
+
+@pytest.mark.parametrize("z", [3j, 1.2j], ids=["neumann", "krylov"])
+@pytest.mark.parametrize("refine,h,start", REFERENCE_CASES)
+def test_potential_reference_is_the_block_average_of_the_fine_solve(refine, h, start, z, monkeypatch):
+    references, starts = _spy_reference(monkeypatch)
+    sweep = _potential_sweep(refine, h, z)
+    exp_resolvent_potential(sweep)
+    assert starts == ([] if start is None else [start])
+    expected = _fine_reference(sweep, sweep.resolved_function())
+    assert np.linalg.norm(references[0].values - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("refine,h", [(2, 0.1), (3, 0.2)])
+def test_potential_reference_evaluates_a_function_without_factors_per_coset(refine, h, monkeypatch):
+    # the same spinor without per-axis factors: the cosets call evaluate on each row block's points
+    plain = ContinuumFunction("plain-spinor", 2, 2, gaussian_spinor().evaluate)
+    references, starts = _spy_reference(monkeypatch)
+    sweep = _potential_sweep(refine, h, function=plain)
+    exp_resolvent_potential(sweep)
+    assert starts == [True]
+    expected = _fine_reference(sweep, plain)
+    assert np.linalg.norm(references[0].values - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_zero_right_hand_side_gives_a_zero_reference_without_warnings(monkeypatch):
+    # the start test compares ||residual|| with tol * ||psi||, both 0 here, with no 0/0
+    zero = ContinuumFunction("zero-spinor", 2, 2, lambda x: np.zeros(x.shape[:-1] + (2,)))
+    references, starts = _spy_reference(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exp_resolvent_potential(_potential_sweep(8, 0.4, function=zero))
+    assert starts == [True]
+    assert not references[0].values.any()
+
+
+def _nan_off_the_half_mesh(h: float) -> PotentialSpec:
+    """NaN at the odd sites of a mesh of size ``h`` (odd ``x_1 / h``), zero elsewhere; declares sup_norm 1."""
+
+    def matrix_fn(x):
+        odd = np.round(x[..., 0] / h) % 2 == 1
+        return np.where(odd[..., None, None], np.nan, 0.0) * np.eye(2)
+
+    return PotentialSpec("nan-off-the-half-mesh", matrix_fn, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("z", [3j, 2j], ids=["neumann", "krylov"])
+def test_non_finite_coset_residual_never_passes(z, monkeypatch):
+    # the half mesh sees only zeros and solves; the odd cosets of the fine mesh read NaN, so the
+    # start fails and the fine iteration stops on its first residual or product that is not finite
+    references, starts = _spy_reference(monkeypatch)
+    with pytest.raises(NoConvergence, match="not finite"):
+        exp_resolvent_potential(_potential_sweep(2, 0.4, z, potential=_nan_off_the_half_mesh(0.2)))
+    assert starts == [False] and references == []
+
+
+@pytest.mark.parametrize("matrix_fn", [
+    lambda x: np.ones(x.shape, dtype=complex),  # (..., 2): broadcasts along the wrong axis
+    lambda x: np.eye(2, dtype=complex),  # one matrix for every site
+], ids=["channel-axis", "one-matrix"])
+def test_misshapen_potential_fails_the_reference_before_any_transform(matrix_fn, monkeypatch):
+    transforms = spy_fftn(monkeypatch, names=("fftn", "ifftn"))
+    V = PotentialSpec("misshapen", matrix_fn, 1.0, 0.0)
+    with pytest.raises(ValueError, match="potential 'misshapen' gave samples of shape"):
+        exp_resolvent_potential(_potential_sweep(8, 0.4, potential=V))
+    assert transforms == []
+
+
+def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
+    # a passing finest start at refine 8 (fine N = 768): the half-mesh spectrum and the two coset
+    # buffers are a quarter of a fine spinor field each, with block buffers on top (0.99 fields in
+    # all); the fine samples, the fine solution or D u on the fine mesh would each add one
+    import scipy.fft  # noqa: F401  imported outside the traced call
+
+    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
+    sweep = _potential_sweep(8, 0.1)
+    fine_field = 2 * (sweep.mesh_for(0.1).N * 8) ** 2 * 16
+    _, starts = _spy_reference(monkeypatch)
+    tracemalloc.start()
+    try:
+        exp_resolvent_potential(sweep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert starts == [True]
+    assert peak < 1.5 * fine_field
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,7 @@ from latticedirac.operators import (
 )
 from latticedirac.symbols import SIGMA1, SIGMA2, SIGMA3, opnorm_2x2, resolvent_norm_bound
 
-from conftest import random_field
+from conftest import random_field, spy_fftn
 
 # few examples, drawn the same way on every run, so tier-1 stays quick and repeatable
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -502,26 +502,12 @@ def test_resolvent_region_enforced(rng):
         resolvent_with_potential(psi, ResolventQuery(z=1j, p=p), V)
 
 
-def _spy_fftn(monkeypatch, record=lambda x: x.dtype, names=("fftn",)) -> list:
-    """Record ``record(x)``, by default the dtype, of every array handed to the `scipy.fft` ``names``."""
-    import scipy.fft
-
-    seen = []
-    for name in names:
-        def spy(x, *args, _transform=getattr(scipy.fft, name), **kwargs):
-            seen.append(record(x))
-            return _transform(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, spy)
-    return seen
-
-
 def test_solves_run_in_complex128(monkeypatch, rng):
     # every transform of either policy, with the discrete symbol and the continuum one, and every result
     mesh = Mesh(2, 0.15, 64)
     psi = random_field(mesh, 2, rng)
     V = potential_catalog("nonhermitian-gaussian")
-    dtypes = _spy_fftn(monkeypatch)
+    dtypes = spy_fftn(monkeypatch)
     for policy in ("neumann", "krylov"):
         q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.15), policy=policy)
         discrete = resolvent_with_potential(psi, q, V)
@@ -618,25 +604,36 @@ SMOOTH_REFERENCE = pytest.mark.parametrize("z,policy", [(3j, None), (1.2j, "kryl
 
 
 @SMOOTH_REFERENCE
-def test_nested_continuum_solve_returns_its_prolonged_start_from_two_inverse_transforms(z, policy, monkeypatch):
-    # smooth data: the interpolated half-mesh solution passes the fine test as it is, so the
-    # fine mesh transforms only back, for u and D u, and runs neither a step nor GMRES
+def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_transforms(z, policy, monkeypatch):
+    # smooth data: the interpolated half-mesh solution passes the fine test as it is.  The fine
+    # mesh's start test transforms each of its four cosets back twice, for u and D u, at the half
+    # mesh's size, and the fine mesh runs no other transform, no step and no GMRES
     mesh = Mesh(2, 9.6 / 256, 256)
     V = potential_catalog("nonhermitian-gaussian")
     psi = sample(gaussian_spinor(), mesh)
-    forward = _spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn",))
-    inverse = _spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
-    gmres_sizes = []
+    transforms = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn", "ifftn"))
+    inverse = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
+    gmres_sizes, fine_start = [], []
 
     def gmres(matvec, b_vec, *args, _gmres=operators._gmres):
         gmres_sizes.append(b_vec.size)
         return _gmres(matvec, b_vec, *args)
 
+    def coset_start(spec, fine, *args, _coset_start=operators._coset_start):
+        before, inverse_before = len(transforms), len(inverse)
+        passed = _coset_start(spec, fine, *args)
+        if fine.N == mesh.N:
+            fine_start.append((passed, transforms[before:], inverse[inverse_before:]))
+        return passed
+
     monkeypatch.setattr(operators, "_gmres", gmres)
+    monkeypatch.setattr(operators, "_coset_start", coset_start)
     _solve_with_potential(psi, z, 1.0, V, policy, 1e-10, 2000, 50)
-    assert forward.count((2, 256, 256)) == 0
-    assert inverse.count((2, 256, 256)) == 2
-    assert (2, 128, 128) in forward + inverse
+    [(passed, during, inverse_during)] = fine_start
+    assert passed
+    assert (2, 256, 256) not in transforms
+    assert during == inverse_during == [(2, 128, 128)] * 8
+    assert transforms[-len(during):] == during  # nothing after the start test
     assert bool(gmres_sizes) == (policy == "krylov")  # the coarse levels still iterate
     assert psi.values.size not in gmres_sizes
 
@@ -659,7 +656,7 @@ def test_discrete_symbol_solve_stays_on_its_mesh(policy, monkeypatch, rng):
     mesh = Mesh(2, 0.5, 16)
     psi = random_field(mesh, 2, rng)
     q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.5), policy=policy)
-    shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
+    shapes = spy_fftn(monkeypatch, record=lambda x: x.shape)
     resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
     assert shapes and set(shapes) == {(2, 16, 16)}
 
@@ -670,7 +667,7 @@ def test_continuum_solve_with_odd_half_does_not_coarsen(monkeypatch, rng):
     V = potential_catalog("hermitian-gaussian")
     Vh = sample_potential(V, mesh)
     u = _continuum_neumann_loop(psi, 3j, 1.0, Vh, 1e-10)
-    shapes = _spy_fftn(monkeypatch, record=lambda x: x.shape)
+    shapes = spy_fftn(monkeypatch, record=lambda x: x.shape)
     solved = _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50)
     assert shapes and set(shapes) == {(2, 18, 18)}
     assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
@@ -716,7 +713,7 @@ def _nonfinite_input_cases():
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("case", sorted(_nonfinite_input_cases()))
 def test_non_finite_inputs_fail_before_any_transform(case, value, monkeypatch):
-    transforms = _spy_fftn(monkeypatch, names=("fftn", "ifftn"))
+    transforms = spy_fftn(monkeypatch, names=("fftn", "ifftn"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises((ValueError, LatticeDiracError)):
@@ -835,7 +832,7 @@ def test_potential_values_of_the_wrong_shape_are_rejected_per_row_block(matrix_f
     assert rows < mesh.N
     V = PotentialSpec("misshapen", matrix_fn, 1.0, 0.0)
     psi = sample(gaussian_spinor(), mesh)
-    transforms = _spy_fftn(monkeypatch, names=("fftn", "ifftn"))
+    transforms = spy_fftn(monkeypatch, names=("fftn", "ifftn"))
     expected = rf"potential 'misshapen' gave samples of shape .*expected \({rows}, 192, 2, 2\)"
     for solve in (
         lambda: resolvent_with_potential(psi, ResolventQuery(z=3j, p=p, policy=policy), V),
