@@ -58,7 +58,6 @@ __all__ = [
     "inner",
     "evaluate_step",
     "l2_error_vs_continuum",
-    "weighted_sampling_gap",
     "gaussian",
     "modulated_gaussian",
     "gaussian_spinor",
@@ -552,26 +551,6 @@ def _gap_sq(vals: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
 def _broadcast_cell_values(values: np.ndarray, d: int) -> np.ndarray:
     """Site values laid out like `_cell_points`, constant across the in-cell node axes."""
     return values[:, None, :] if d == 1 else values[:, None, :, None, :]
-
-
-def weighted_sampling_gap(phi: ContinuumFunction, mesh: Mesh, k: int) -> float:
-    """Max over quadrature probe points of ``<x>**k * |phi_h(x) - phi(x)|``.
-
-    Qualitative uniform-in-h diagnostic for the weighted pointwise sampling
-    bound; the probe set is the 8-point tensor Gauss nodes of every piece of
-    every cell (see `_axis_rules`), walked in row blocks.
-    """
-    f = sample(phi, mesh)
-    nodes = [x for x, _ in _axis_rules(phi, mesh, _GAUSS_HI)]
-    values = _grid_values(phi, nodes)
-
-    def block(rows):
-        gap = _gap_sq(values(rows), _broadcast_cell_values(f.values[rows], mesh.d))[..., 0] ** 0.5
-        r2 = sum(_tensor_axes([x**2 for x in (nodes[0][rows], *nodes[1:])]))
-        weight = (1.0 + r2) ** (k / 2.0)
-        return np.max(weight * gap)
-
-    return float(max(_for_row_blocks(mesh, block)))
 
 
 # ---------------------------------------------------------------------------

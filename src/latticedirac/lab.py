@@ -9,9 +9,10 @@ excluded from slope fits (roundoff floor), and an optional guard runs one
 extra halving of the finest mesh to flag a reached error floor.  The
 resolvent sweeps build one refined reference on the finest level they run,
 the floor-guard level included, and block-average it to every level.  The
-potential sweep's reference sums a passing interpolated start into the
-cells of that level coset by coset, so it never forms a field on the
-refined mesh (`_potential_reference`).
+potential sweep's reference is one call of the nested continuum solve
+`operators._solve_with_potential`, which returns the reference's averages
+on that level; with a passing interpolated start it never forms a field on
+the refined mesh.
 
 Experiments run their levels one after another on the calling thread, so
 each level's wall time is its own cost, and a sweep's peak memory is that
@@ -39,8 +40,7 @@ from .grid import (
     l2_error_vs_continuum,  # unused here; perfbench/spans.py times calls through this name
     norm_l2,
     project,
-    sample,
-    _grid_values,
+    sample,  # unused here; perfbench/spans.py times calls through this name
     _projection_errors,
 )
 from .operators import (
@@ -53,9 +53,6 @@ from .operators import (
     resolvent_with_potential,
     sample_potential,  # unused here; perfbench/spans.py times calls through this name
     _channel_last,
-    _coset_start,
-    _half_mesh,
-    _half_spectrum,
     _require_refine,
     _require_resolvent_region,
     _require_spinor_function,
@@ -347,91 +344,38 @@ def exp_resolvent_free(sweep: Sweep) -> ConvergenceReport:
     return _sweep("resolve-free", sweep, ("resolvent-free",), worker)
 
 
-def _cell_sums_sink(sums: np.ndarray, refine: int):
-    """An `operators._coset_start` sink that adds each coset into the channel-first cell sums ``sums``.
-
-    The fine mesh refines the mesh of ``sums`` ``refine``-fold, so fine index ``i``
-    lies in coarse cell ``i // refine``, and site ``j`` of a coset of parity ``a``
-    (fine index ``2j + a``) in cell ``(2j + a) // refine``.  Each coarse cell holds
-    one run of consecutive ``j``; for an odd ``refine`` the runs of a cell's two
-    parities differ in length, and at refine 1 every run is one site and a coset
-    fills every other cell.  `np.add.reduceat` sums the runs per axis.
-    """
-    n = refine * sums.shape[1] // 2
-    runs = []
-    for a in (0, 1):
-        cells = (2 * np.arange(n) + a) // refine
-        starts = np.flatnonzero(np.diff(cells, prepend=-1))
-        runs.append((starts, cells[starts]))
-
-    def sink(a, b, u):
-        (rows, row_cells), (cols, col_cells) = runs[a], runs[b]
-        sums[:, row_cells[:, None], col_cells] += np.add.reduceat(np.add.reduceat(u, rows, axis=1), cols, axis=2)
-
-    return sink
-
-
-def _potential_reference(sweep: Sweep, phi: ContinuumFunction, V: PotentialSpec, finest: Mesh) -> LatticeField:
-    """Block averages on ``finest`` of the continuum-symbol solve on its ``refine``-fold refinement.
-
-    When the fine site count has a half mesh (`operators._half_mesh`), the problem is
-    first solved there, from samples of ``phi`` at the half mesh's sites, which are
-    the fine mesh's even sites bit for bit.  `operators._coset_start` then tests the
-    interpolated half-mesh solution on the fine mesh coset by coset, with ``phi``
-    evaluated per row block of each coset through `grid._grid_values`, and adds each
-    coset into the cell sums on ``finest``.  When the test passes, those sums are the
-    reference and no array of the fine mesh's size is ever made.  Otherwise, and
-    without a half mesh, the fine samples are solved, iterated from the interpolated
-    start, and block-averaged.
-    """
-    fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
-    _require_spinor_function(phi, fine)
-    z = complex(sweep.z)
-
-    def solve(psi, half_spectrum=None):
-        return _solve_with_potential(psi, z, sweep.m, V, policy=None, tol=sweep.tol, max_iter=ResolventQuery.max_iter,
-                                     restart=ResolventQuery.restart, half_spectrum=half_spectrum)
-
-    half_mesh, spec = _half_mesh(fine), None
-    if half_mesh is not None:
-        spec = _half_spectrum(solve(sample(phi, half_mesh)))
-        sums = np.zeros((2,) + finest.shape, dtype=complex)
-        x = fine.h * fine.indices
-        if _coset_start(spec, fine, lambda a, b: _grid_values(phi, [x[a::2], x[b::2]]), z, sweep.m, V, sweep.tol,
-                        _cell_sums_sink(sums, sweep.refine)):
-            sums /= sweep.refine**2
-            return LatticeField(finest, _channel_last(sums))
-    return block_average(solve(sample(phi, fine), spec), finest)
-
-
 def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     """Per-vector error of the perturbed resolvent against a refined-grid reference.
 
-    The reference runs the same Neumann/Krylov factorization on the
+    The reference is one call of `operators._solve_with_potential` on the
     ``refine``-fold refinement of the finest level (the floor-guard level when
-    set), with the continuum symbol, the potential evaluated at the fine sites
-    of each row block as the solve multiplies it (no grid-sized potential array
-    is held), and the solver limits of a default `ResolventQuery`, in
-    complex128 throughout.  The continuum symbol does not change with the mesh
-    size, so the reference is first solved on the even sites (recursively,
-    while the site count stays a multiple of 4).  On each finer mesh the
-    interpolated coarser solution is returned as it is when it passes that
-    mesh's own residual test at ``sweep.tol``, and iterated from otherwise, so
-    the returned field is certified at ``sweep.tol`` either way.  On the
-    refined mesh itself the test runs on the four cosets of its sites, each a
-    copy of the half mesh, and a passing start is block-averaged coset by
-    coset, so that mesh's field is never formed (`_potential_reference`).  The
-    levels compare against block averages of point values: a left-endpoint rule
-    on each coarse cell, biased at first order in ``h / refine``, where the free
-    sweep's reference holds exact cell averages.
+    set).  It runs the same Neumann/Krylov factorization with the continuum
+    symbol, the potential evaluated at the sites of each row block as the solve
+    multiplies it (no grid-sized potential array is held), and the solver limits
+    of a default `ResolventQuery`, in complex128 throughout.  The continuum
+    symbol does not change with the mesh size, so the reference is first solved
+    on the even sites (recursively, while the site count stays a multiple of 4),
+    each level evaluating the continuum function itself.  On each finer mesh the
+    interpolated coarser solution is kept as it is when it passes that mesh's own
+    residual test at ``sweep.tol``, and iterated from otherwise, so the reference
+    is certified at ``sweep.tol`` either way.  The test runs on the four cosets
+    of the mesh's sites, each a copy of the half mesh, and the solution is added
+    into the cells of the finest level coset by coset, so with a passing start
+    the refined mesh's field is never formed.  The levels compare against these
+    block averages of point values: a left-endpoint rule on each coarse cell,
+    biased at first order in ``h / refine``, where the free sweep's reference
+    holds exact cell averages.
     """
     V = sweep.resolved_potential()
     if V is None:
         raise ValueError("the potential sweep needs a potential id")
     _require_resolvent_region(sweep.z, V)
-    finest = sweep.mesh_for(sweep.levels[-1])
-    reference = _potential_reference(sweep, sweep.resolved_function(), V, finest)
-    worker = _resolvent_worker(sweep, reference, V)
+    phi, finest = sweep.resolved_function(), sweep.mesh_for(sweep.levels[-1])
+    fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
+    _require_spinor_function(phi, fine)
+    averages = _solve_with_potential(phi, fine, sweep.refine, complex(sweep.z), sweep.m, V, None, sweep.tol,
+                                     ResolventQuery.max_iter, ResolventQuery.restart)
+    worker = _resolvent_worker(sweep, LatticeField(finest, _channel_last(averages)), V)
     return _sweep("resolve-potential", sweep, ("resolvent-potential",), worker)
 
 

@@ -16,14 +16,18 @@ Perturbed resolvents solve ``(D + V - z) u = psi`` through the factorization
 ``u = R_z w`` with ``(I + V R_z) w = psi``, by Neumann iteration when the
 contraction ``sup||V|| / |Im z| <= 0.9`` is certified and by a restarted
 residual-minimizing Krylov iteration otherwise, both in complex128 and both
-certified by one residual test.  With the continuum symbol, which does not
-depend on the mesh size, a solve on a mesh with ``N % 4 == 0`` first solves
-the same problem on the even sites (the half mesh of the same box) and
-interpolates that solution spectrally.  The fine sites are four cosets of
-row and column parity, each a copy of the half mesh, so the interpolant and
-``D`` applied to it are formed one coset at a time by half-size inverse
-transforms (`_coset_start`).  The interpolant is returned as it is when it
-passes the fine mesh's own residual test, and iterated from otherwise.
+certified by one residual test (`_iterate`, the solve on one mesh).  The
+continuum symbol does not depend on the mesh size, so the nested continuum
+solve (`_solve_with_potential`) takes the continuum right-hand side itself:
+on a mesh with ``N % 4 == 0`` it first solves the same problem on the even
+sites (the half mesh of the same box) and interpolates that solution
+spectrally.  The fine sites are four cosets of row and column parity, each a
+copy of the half mesh, so the interpolant and ``D`` applied to it are formed
+one coset at a time by half-size inverse transforms, with the right-hand
+side evaluated on each coset (`_coset_start`).  Each coset is added into the
+cell sums of a mesh ``refine`` times coarser, the interpolant's when it
+passes the fine mesh's own residual test, and otherwise those of the
+solution iterated from it; no level slices a finer field.
 A dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
@@ -57,7 +61,7 @@ from .errors import (
     TooLarge,
 )
 from .fourier import FrequencyGrid, SpectralField, _fftn, _grid_step_factor, dft, idft, sample_spectrum
-from .grid import ContinuumFunction, LatticeField, Mesh, _cell_points, _require_dimension, norm_l2, sample
+from .grid import ContinuumFunction, LatticeField, Mesh, _cell_points, _grid_values, _require_dimension, norm_l2, sample
 # zeta_discrete is unused here; perfbench/spans.py times calls through this name
 from .symbols import DiracParams, _require_complex_shift, _require_mass, _zeta_terms, opnorm_2x2, zeta_discrete
 
@@ -449,7 +453,8 @@ def _require_spinor_function(phi: ContinuumFunction, mesh: Mesh):
 
 
 def _require_resolvent_region(z: complex, V: PotentialSpec):
-    """Raise `NotInResolventRegion` unless ``|Im z| > skew_bound`` by more than 1e-12."""
+    """`_require_complex_shift`, then `NotInResolventRegion` unless ``|Im z| > skew_bound`` by more than 1e-12."""
+    _require_complex_shift(z)
     if not abs(complex(z).imag) > V.skew_bound + 1e-12:
         raise NotInResolventRegion(
             f"|Im z| = {abs(complex(z).imag):.6g} not above skew bound {V.skew_bound:.6g}"
@@ -559,32 +564,62 @@ def _half_mesh(mesh: Mesh) -> Optional[Mesh]:
     return Mesh(mesh.d, 2 * mesh.h, mesh.N // 2)
 
 
-def _half_spectrum(half: LatticeField) -> np.ndarray:
-    """Channel-first ``fftn`` of the values of ``half``, in natural FFT order, as `_coset_start` takes it."""
-    return _fftn(_channel_first(half.values), (1, 2))
+# the four cosets ``(a, b)`` of a mesh's sites: row parity ``a``, column parity ``b``
+_COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _coset_start(spec: np.ndarray, mesh: Mesh, rhs, z: complex, m: float, V: PotentialSpec, tol: float, sink) -> bool:
+def _cell_sums_sink(sums: np.ndarray, refine: int):
+    """``sink(a, b, u)``, which adds coset ``(a, b)`` of a field into the channel-first cell sums ``sums``.
+
+    The field's mesh refines the mesh of ``sums`` ``refine``-fold, so fine index ``i``
+    lies in coarse cell ``i // refine``, and site ``j`` of a coset of parity ``a``
+    (fine index ``2j + a``) in cell ``(2j + a) // refine``.  ``u`` is the coset's
+    channel-first values.  At refine 1 the coset fills every other cell and is added
+    by basic slicing.  Otherwise each coarse cell holds one run of consecutive ``j``
+    (for an odd ``refine`` the runs of a cell's two parities differ in length), and
+    `np.add.reduceat` sums the runs per axis.
+    """
+    if refine == 1:
+        def sink(a, b, u):
+            sums[:, a::2, b::2] += u
+
+        return sink
+    n = refine * sums.shape[1] // 2
+    runs = []
+    for a in (0, 1):
+        cells = (2 * np.arange(n) + a) // refine
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        runs.append((starts, cells[starts]))
+
+    def sink(a, b, u):
+        (rows, row_cells), (cols, col_cells) = runs[a], runs[b]
+        sums[:, row_cells[:, None], col_cells] += np.add.reduceat(np.add.reduceat(u, rows, axis=1), cols, axis=2)
+
+    return sink
+
+
+def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: complex, m: float, V: PotentialSpec,
+                 tol: float, sink) -> Optional[np.ndarray]:
     """Test on ``mesh`` the spectral interpolant ``u_p`` of a half-mesh solution, coset by coset.
 
-    ``spec`` is the `_half_spectrum` ``S`` of that solution; it is read, not changed.
-    The sites of ``mesh`` split into four cosets ``(a, b)``, of row parity ``a`` and
-    column parity ``b``, each a copy of the half mesh of ``n = N/2`` sites per axis.
-    With ``k`` the signed index of ``S`` (Nyquist at ``-n/2``), the interpolant that
-    zero-pads ``S`` is on coset ``(a, b)`` the half-size inverse transform of
-    ``S * exp(i*pi*a*k_1/n) * exp(i*pi*b*k_2/n)``, so it equals the half-mesh solution
-    on the even sites; ``D u_p`` is the same with the continuum ``M(xi)`` of the half
-    mesh's dual grid applied first.  Each coset forms both in two half-size buffers
-    that every coset reuses, so no array of ``mesh``'s size is made.
+    ``spec`` is the channel-first ``fftn`` ``S`` of that solution, in natural FFT order;
+    it is read, not changed.  The sites of ``mesh`` split into the four `_COSETS`, each
+    a copy of the half mesh of ``n = N/2`` sites per axis.  With ``k`` the signed index
+    of ``S`` (Nyquist at ``-n/2``), the interpolant that zero-pads ``S`` is on coset
+    ``(a, b)`` the half-size inverse transform of ``S * exp(i*pi*a*k_1/n) *
+    exp(i*pi*b*k_2/n)``, so it equals the half-mesh solution on the even sites; ``D u_p``
+    is the same with the continuum ``M(xi)`` of the half mesh's dual grid applied first.
+    Each coset forms both in two half-size buffers that every coset reuses, so no array
+    of ``mesh``'s size is made.
 
-    ``rhs(a, b)`` gives ``psi`` on coset ``(a, b)`` as ``values(rows)``: channel-last
-    values on a slice of the coset's rows, as `grid._grid_values` returns them.  ``psi``
-    and ``V`` are evaluated on row blocks of the coset's sites, where the residual
-    ``(D - z) u_p + V u_p - psi`` and ``psi`` itself are summed in squares.  Then
-    ``sink(a, b, u)`` is handed the coset's channel-first ``u_p`` in the buffer that
-    the next coset overwrites.  Returns whether ``||residual|| <= tol * ||psi||``: a
-    residual that is not finite fails, and a zero ``psi`` with a zero residual passes
-    with no division.
+    ``psi``, the continuum ``phi`` at the coset's sites (`grid._grid_values`), and ``V``
+    are evaluated on row blocks of each coset, where the residual ``(D - z) u_p + V u_p
+    - psi`` and ``psi`` itself are summed in squares.  Then ``sink(a, b, u)`` is handed
+    the coset's channel-first ``u_p`` in the buffer that the next coset overwrites.
+    When ``||residual|| <= tol * ||psi||`` this returns None: a residual that is not
+    finite fails, and a zero ``psi`` with a zero residual passes with no division.
+    Otherwise it forms the cosets of ``u_p`` again, into a channel-first field of
+    ``mesh``, and returns that field to start the iteration from.
     """
     axes, n = (1, 2), spec.shape[1]
     twiddle = np.exp(1j * np.pi / n * np.roll(np.arange(-(n // 2), n // 2), n // 2))
@@ -592,75 +627,61 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, rhs, z: complex, m: float, V: Pot
     x = _site_axes(mesh)[0]
     u, du = np.empty_like(spec), np.empty_like(spec)
     zu = np.empty_like(u[:, _row_blocks(u)[0]])
+
+    def twiddled(a, b, out):
+        """The spectrum of coset ``(a, b)`` of ``u_p``, written into ``out``."""
+        np.copyto(out, spec)
+        if a:
+            out *= twiddle[:, None]
+        if b:
+            out *= twiddle
+        return out
+
     sum_sq = psi_sq = 0.0
-    for a in (0, 1):
-        for b in (0, 1):
-            np.copyto(u, spec)
-            if a:
-                u *= twiddle[:, None]
-            if b:
-                u *= twiddle
-            np.copyto(du, u)
-            du = _fftn(symbol(du), axes, inverse=True)
-            u = _fftn(u, axes, inverse=True)
-            psi = rhs(a, b)
-            for rows, vu in _vmul_blocks(V, [x[a::2], x[b::2]], u):
-                r, psi_rows = du[:, rows], np.moveaxis(psi(rows), -1, 0)
-                r -= np.multiply(u[:, rows], z, out=zu[:, : rows.stop - rows.start])
-                r += vu
-                r -= psi_rows
-                sum_sq += _sum_sq(r)
-                psi_sq += _sum_sq(psi_rows)
-            sink(a, b, u)
-    return math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq)
+    for a, b in _COSETS:
+        du = _fftn(symbol(twiddled(a, b, du)), axes, inverse=True)
+        u = _fftn(twiddled(a, b, u), axes, inverse=True)
+        coords = [x[a::2], x[b::2]]
+        psi = _grid_values(phi, coords)
+        for rows, vu in _vmul_blocks(V, coords, u):
+            r, psi_rows = du[:, rows], np.moveaxis(psi(rows), -1, 0)
+            r -= np.multiply(u[:, rows], z, out=zu[:, : rows.stop - rows.start])
+            r += vu
+            r -= psi_rows
+            sum_sq += _sum_sq(r)
+            psi_sq += _sum_sq(psi_rows)
+        sink(a, b, u)
+    if math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq):
+        return None
+    start = np.empty((spec.shape[0],) + mesh.shape, dtype=complex)
+    for a, b in _COSETS:
+        start[:, a::2, b::2] = _fftn(twiddled(a, b, u), axes, inverse=True)
+    return start
 
 
-def _solve_with_potential(
-    psi: LatticeField,
-    z: complex,
-    m: float,
-    V: PotentialSpec,
-    policy: Optional[str],
-    tol: float,
-    max_iter: int,
-    restart: int,
-    p: Optional[DiracParams] = None,
-    half_spectrum: Optional[np.ndarray] = None,
-) -> LatticeField:
-    """Core factorized solve of ``(D + V - z) u = psi`` on one mesh.
+def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: Optional[str], tol: float,
+             max_iter: int, restart: int, p: Optional[DiracParams] = None,
+             w: Optional[np.ndarray] = None) -> LatticeField:
+    """Factorized solve of ``(D + V - z) u = psi`` on the mesh of ``psi``, from the start ``w``.
 
     ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
     ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
     ``V`` is evaluated at the sites of each row block whenever it multiplies that block,
     so no grid-sized potential array is held; it is evaluated on the first row block
     before anything else, so that samples of the wrong shape raise `ValueError` before
-    any transform, on this mesh or a coarser one.  Everything runs in complex128.  Neumann
-    takes at most ``max_iter`` `_neumann_steps` steps; Krylov runs GMRES and hands its
-    ``w`` to one such step, which forms ``u`` and the residual.  Either way the returned
-    ``u`` is one whose relative residual was measured, and a relative residual above
-    ``tol`` raises `NoConvergence`, as does one that is not finite, at the step that
-    measured it.  A GMRES product that is not finite raises `NoConvergence` at once,
-    with the number of products made.
-
-    The continuum symbol is the same on every mesh of the box, so for ``p`` None and
-    ``N % 4 == 0`` (``N >= 8``) the problem restricted to the even sites, which are
-    the sites of the half mesh (`_half_mesh`), is solved first by this function, with
-    the policy chosen here, unless the `_half_spectrum` of its solution is given.  The
-    half mesh's sites ``(2h)*k`` are the even sites ``h*(2k)`` bit for bit, since
-    doubling is exact.
-    `_coset_start` interpolates that solution spectrally on the four cosets of this
-    mesh's sites, from half-size inverse transforms only, measures the residual of the
-    interpolant ``u_p`` and writes each coset of ``u_p`` into the returned field.  For
-    smooth data on a fine enough mesh that residual is at most ``tol``, and ``u_p`` is
-    returned with no transform of this mesh's size, no step and no GMRES.  Otherwise
-    ``w = psi - V u_p`` starts the Neumann steps or GMRES, each with its own
-    ``max_iter``.  A level that does not converge raises `NoConvergence` for its own
-    residual.
+    any transform.  Everything runs in complex128.  Policy None selects Neumann when
+    ``sup||V|| / |Im z| <= 0.9`` and Krylov otherwise.  ``w``, channel-first and
+    overwritten, starts the Neumann steps or GMRES; None is the cold start, ``psi`` for
+    Neumann and zero for GMRES.  Neumann takes at most ``max_iter`` `_neumann_steps`
+    steps; Krylov runs GMRES and hands its ``w`` to one such step, which forms ``u`` and
+    the residual.  Either way the returned ``u`` is one whose relative residual was
+    measured, and a relative residual above ``tol`` raises `NoConvergence`, as does one
+    that is not finite, at the step that measured it.  A GMRES product that is not
+    finite raises `NoConvergence` at once, with the number of products made.
     """
     mesh = psi.mesh
     axes = _site_axes(mesh)
-    rhs = np.moveaxis(psi.values, -1, 0)
-    next(_vmul_blocks(V, axes, rhs))  # a misshapen V fails before any transform
+    next(_vmul_blocks(V, axes, np.moveaxis(psi.values, -1, 0)))  # a misshapen V fails before any transform
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
         return LatticeField(mesh, np.zeros_like(psi.values))
@@ -670,25 +691,6 @@ def _solve_with_potential(
 
     if policy is None:
         policy = "neumann" if V.sup_norm / abs(complex(z).imag) <= 0.9 else "krylov"
-
-    w = None  # the cold start: psi for Neumann, zero for GMRES
-    half_mesh = _half_mesh(mesh) if p is None else None
-    if half_mesh is not None:
-        if half_spectrum is None:
-            half_psi = LatticeField(half_mesh, psi.values[::2, ::2])
-            half_spectrum = _half_spectrum(_solve_with_potential(half_psi, z, m, V, policy, tol, max_iter, restart))
-        u = np.empty((psi.channels,) + mesh.shape, dtype=complex)
-
-        def into_u(a, b, coset):
-            u[:, a::2, b::2] = coset
-
-        if _coset_start(half_spectrum, mesh, lambda a, b: psi.values[a::2, b::2].__getitem__, z, m, V, tol, into_u):
-            return LatticeField(mesh, _channel_last(u))
-        del half_spectrum
-        for rows, vu in _vmul_blocks(V, axes, u):  # w = psi - V u_p, over u_p
-            np.subtract(rhs[:, rows], vu, out=u[:, rows])
-        w = u
-
     symbol = _Multiplier(_natural_frequencies(mesh), p, m, z)
     steps, info = max_iter, 0
     if policy == "krylov":
@@ -717,6 +719,46 @@ def _solve_with_potential(
     return LatticeField(mesh, _channel_last(u))
 
 
+def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: complex, m: float, V: PotentialSpec,
+                          policy: Optional[str], tol: float, max_iter: int, restart: int) -> np.ndarray:
+    """Channel-first averages over ``refine x refine`` cells of ``u`` with ``(D + V - z) u = phi`` on 2D ``mesh``.
+
+    ``D`` has the continuum symbol and the right-hand side ``psi`` is ``phi`` at the sites
+    of ``mesh``; at refine 1 the averages are ``u`` itself.  ``V`` is evaluated on the
+    first row block of ``mesh`` first, so that samples of the wrong shape raise
+    `ValueError` before any transform.  The symbol is the same on every mesh of the box,
+    so for ``N % 4 == 0`` (``N >= 8``) the problem on the even sites, which are the sites
+    ``(2h)*k = h*(2k)`` of the half mesh (`_half_mesh`) bit for bit, is solved first by
+    this function at refine 1, with the same policy.  `_coset_start` tests its spectral
+    interpolant ``u_p`` on ``mesh`` and adds each coset of it into the cell sums
+    (`_cell_sums_sink`).  When ``u_p`` passes, as it does for smooth data on a fine
+    enough mesh, those sums are the result, with no transform, step or array of
+    ``mesh``'s size.  Otherwise, and without a half mesh, ``phi`` is sampled on
+    ``mesh``, `_iterate` solves from ``w = psi - V u_p`` (or its cold start) with its
+    own ``max_iter``, and the cosets of its ``u`` go into the same sums.
+    """
+    next(_vmul_blocks(V, _site_axes(mesh), np.broadcast_to(0j, (2,) + mesh.shape)))  # before any transform
+    half, spec = _half_mesh(mesh), None
+    if half is not None:
+        spec = _fftn(_solve_with_potential(phi, half, 1, z, m, V, policy, tol, max_iter, restart), (1, 2))
+    sums = np.zeros((2,) + (mesh.N // refine,) * 2, dtype=complex)
+    sink = _cell_sums_sink(sums, refine)
+    w = None if spec is None else _coset_start(spec, mesh, phi, z, m, V, tol, sink)
+    del spec
+    if half is None or w is not None:
+        psi = sample(phi, mesh)
+        if w is not None:  # w = psi - V u_p, over u_p
+            rhs = np.moveaxis(psi.values, -1, 0)
+            for rows, vu in _vmul_blocks(V, _site_axes(mesh), w):
+                np.subtract(rhs[:, rows], vu, out=w[:, rows])
+        u = np.moveaxis(_iterate(psi, z, m, V, policy, tol, max_iter, restart, w=w).values, -1, 0)
+        sums[...] = 0.0
+        for a, b in _COSETS:
+            sink(a, b, u[:, a::2, b::2])
+    sums /= refine**2
+    return sums
+
+
 def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialSpec) -> LatticeField:
     """Perturbed resolvent ``(D + V - z)**-1 psi`` via the free-resolvent factorization.
 
@@ -734,7 +776,7 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
         A = dense_matrix(q.p, psi.mesh, V)
         u_vec = np.linalg.solve(A - complex(q.z) * np.eye(A.shape[0]), field_to_vec(psi))
         return vec_to_field(u_vec, psi.mesh)
-    return _solve_with_potential(psi, complex(q.z), q.p.m, V, q.policy, q.tol, q.max_iter, q.restart, p=q.p)
+    return _iterate(psi, complex(q.z), q.p.m, V, q.policy, q.tol, q.max_iter, q.restart, p=q.p)
 
 
 # ---------------------------------------------------------------------------

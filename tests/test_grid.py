@@ -32,7 +32,6 @@ from latticedirac.grid import (
     gaussian_spinor,
     hat,
     modulated_gaussian,
-    weighted_sampling_gap,
     _cos_power_window,
     _projection_errors,
     _stack_channels,
@@ -126,39 +125,6 @@ def test_sampling_error_rate_constant_is_stable():
         mesh = Mesh(2, h, round(9.6 / h))
         ratios.append(l2_error_vs_continuum(sample(phi, mesh), phi) / h)
     assert max(ratios) / min(ratios) < 1.5
-
-
-def test_weighted_pointwise_gap_uniform_in_h():
-    # max <x>**k |phi_h - phi| stays O(h) with a stable constant
-    phi = gaussian(1)
-    ratios = [weighted_sampling_gap(phi, Mesh(1, h, round(9.6 / h)), k=2) / h
-              for h in (0.4, 0.2, 0.1)]
-    assert max(ratios) / min(ratios) < 2.0
-
-
-# weighted_sampling_gap(phi, Mesh(2, 9.6 / N, N), k=2), recorded when the catalog entries
-# were first evaluated through their per-axis factors
-WEIGHTED_GAP_PINS = {
-    ("gaussian2d", 24): 0.9943075003454215,
-    ("gaussian2d", 48): 0.4651828541640959,
-    ("modwave2d", 24): 1.0143813274830593,
-    ("modwave2d", 48): 0.472396719884312,
-    ("gaussian-spinor", 24): 1.1758487172920782,
-    ("gaussian-spinor", 48): 0.538679604937685,
-}
-
-
-@pytest.mark.parametrize("name,N", sorted(WEIGHTED_GAP_PINS))
-def test_weighted_sampling_gap_is_unchanged_by_row_blocks(name, N, monkeypatch):
-    # a max does not depend on the order of its terms, so any row blocks reproduce it
-    # exactly: one row per block, five, or the default; the thread cap sets only FFT workers
-    phi = function_catalog(name)
-    mesh = Mesh(2, 9.6 / N, N)
-    for block_cells in (grid._BLOCK_CELLS, N, 5 * N):
-        for threads in ("1", "2"):
-            monkeypatch.setattr(grid, "_BLOCK_CELLS", block_cells)
-            monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
-            assert weighted_sampling_gap(phi, mesh, k=2) == WEIGHTED_GAP_PINS[name, N]
 
 
 # ---------------------------------------------------------------------------
@@ -744,12 +710,29 @@ def test_factors_give_the_values_of_the_stacked_points(name):
     assert phi.factors is not None
     mesh, plain = _TENSOR_MESHES[phi.d], _evaluate_only(phi)
     np.testing.assert_array_equal(sample(phi, mesh).values, sample(plain, mesh).values)
-    assert weighted_sampling_gap(phi, mesh, k=2) == weighted_sampling_gap(plain, mesh, k=2)
+    assert l2_error_vs_continuum(sample(phi, mesh), phi) == l2_error_vs_continuum(sample(plain, mesh), plain)
     if phi.d == 1:  # both walk row blocks
         np.testing.assert_array_equal(project(phi, mesh).values, project(plain, mesh).values)
         assert _projection_errors(phi, mesh) == _projection_errors(plain, mesh)
     else:
         _assert_per_axis_matches_row_blocks(phi, mesh)
+
+
+@pytest.mark.parametrize("name,N", [(name, N) for name in ("gaussian2d", "modwave2d", "gaussian-spinor")
+                                     for N in (24, 48)])
+def test_stacked_point_quadrature_is_unchanged_by_row_blocks(name, N, monkeypatch):
+    # the row-block walk fills full per-cell arrays before any sum, so any row blocks give the same
+    # bits: one row per block, five, or the default; the thread cap sets only FFT workers
+    plain = _evaluate_only(function_catalog(name))
+    mesh = Mesh(2, 9.6 / N, N)
+    f = sample(plain, mesh)
+    projected, error = project(plain, mesh).values, l2_error_vs_continuum(f, plain)
+    for block_cells in (grid._BLOCK_CELLS, N, 5 * N):
+        for threads in ("1", "2"):
+            monkeypatch.setattr(grid, "_BLOCK_CELLS", block_cells)
+            monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+            np.testing.assert_array_equal(project(plain, mesh).values, projected)
+            assert l2_error_vs_continuum(f, plain) == error
 
 
 def test_separable_project_evaluates_each_factor_once_per_rule():

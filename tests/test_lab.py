@@ -27,11 +27,11 @@ from latticedirac import (
     norm_l2,
     project,
 )
-from latticedirac import lab
+from latticedirac import lab, operators
 from latticedirac.errors import DegenerateFit, MeshMismatch, NoConvergence, NotInResolventRegion, RealShift
 from latticedirac.grid import bandlimited_spinor, function_catalog, gaussian, gaussian_spinor, sample
 from latticedirac.lab import DYADIC_HS, _assemble, weighted_operator_gap_probe
-from latticedirac.operators import PotentialSpec, _Multiplier, _solve_with_potential, block_average
+from latticedirac.operators import PotentialSpec, _Multiplier, _iterate, block_average
 
 from conftest import spy_fftn
 
@@ -221,28 +221,43 @@ def test_resolvent_potential_region_checked_before_sampling(monkeypatch):
         )
 
 
+def test_real_shift_with_a_potential_raises_real_shift_before_sampling(monkeypatch):
+    # as `exp_resolvent_free`, `ResolventQuery` and `weighted_operator_gap_probe` do for a real shift;
+    # the skew bound 0 of the zero potential would otherwise read it as outside the resolvent region
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("fields sampled before the shift check")
+
+    for module, name in ((lab, "project"), (operators, "sample"), (operators, "_grid_values")):
+        monkeypatch.setattr(module, name, no_sampling)
+    with pytest.raises(RealShift):
+        exp_resolvent_potential(Sweep(hs=(0.4, 0.2), box=9.6, function="gaussian-spinor", z=1.0, potential="zero"))
+
+
 # ---------------------------------------------------------------------------
 # the refined potential reference
 
 
-def _spy_reference(monkeypatch) -> tuple[list, list]:
-    """Lists that collect the reference `exp_resolvent_potential` builds and what its finest start test returns.
+def _spy_reference(monkeypatch, sweep: Sweep) -> tuple[list, list]:
+    """Lists that collect the reference `exp_resolvent_potential` builds and whether its finest start passes.
 
-    The finest start is the lab's own `_coset_start` call; the solves below it call
-    the one in `operators`, which this leaves alone.
+    The finest start is the `operators._coset_start` call on the refined mesh of
+    ``sweep``; the calls on the coarser meshes below it are not recorded.
     """
     references, starts = [], []
+    fine_N = sweep.mesh_for(sweep.levels[-1]).N * sweep.refine
 
     def worker(sweep, reference, V, _worker=lab._resolvent_worker):
         references.append(reference)
         return _worker(sweep, reference, V)
 
-    def coset_start(*args, _coset_start=lab._coset_start):
-        starts.append(_coset_start(*args))
-        return starts[-1]
+    def coset_start(spec, mesh, *args, _coset_start=operators._coset_start):
+        start = _coset_start(spec, mesh, *args)
+        if mesh.N == fine_N:
+            starts.append(start is None)
+        return start
 
     monkeypatch.setattr(lab, "_resolvent_worker", worker)
-    monkeypatch.setattr(lab, "_coset_start", coset_start)
+    monkeypatch.setattr(operators, "_coset_start", coset_start)
     return references, starts
 
 
@@ -265,19 +280,18 @@ REFERENCE_CASES = [
 
 
 def _fine_reference(sweep: Sweep, phi: ContinuumFunction) -> np.ndarray:
-    """Block averages on the finest level of the solve on its refinement, from the full fine samples."""
+    """Block averages on the finest level of a cold one-mesh solve of the full fine samples on its refinement."""
     finest = sweep.mesh_for(sweep.levels[-1])
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
-    u = _solve_with_potential(sample(phi, fine), complex(sweep.z), sweep.m, sweep.resolved_potential(),
-                              None, sweep.tol, 2000, 50)
+    u = _iterate(sample(phi, fine), complex(sweep.z), sweep.m, sweep.resolved_potential(), None, sweep.tol, 2000, 50)
     return block_average(u, finest).values
 
 
 @pytest.mark.parametrize("z", [3j, 1.2j], ids=["neumann", "krylov"])
 @pytest.mark.parametrize("refine,h,start", REFERENCE_CASES)
 def test_potential_reference_is_the_block_average_of_the_fine_solve(refine, h, start, z, monkeypatch):
-    references, starts = _spy_reference(monkeypatch)
     sweep = _potential_sweep(refine, h, z)
+    references, starts = _spy_reference(monkeypatch, sweep)
     exp_resolvent_potential(sweep)
     assert starts == ([] if start is None else [start])
     expected = _fine_reference(sweep, sweep.resolved_function())
@@ -288,8 +302,8 @@ def test_potential_reference_is_the_block_average_of_the_fine_solve(refine, h, s
 def test_potential_reference_evaluates_a_function_without_factors_per_coset(refine, h, monkeypatch):
     # the same spinor without per-axis factors: the cosets call evaluate on each row block's points
     plain = ContinuumFunction("plain-spinor", 2, 2, gaussian_spinor().evaluate)
-    references, starts = _spy_reference(monkeypatch)
     sweep = _potential_sweep(refine, h, function=plain)
+    references, starts = _spy_reference(monkeypatch, sweep)
     exp_resolvent_potential(sweep)
     assert starts == [True]
     expected = _fine_reference(sweep, plain)
@@ -299,10 +313,11 @@ def test_potential_reference_evaluates_a_function_without_factors_per_coset(refi
 def test_zero_right_hand_side_gives_a_zero_reference_without_warnings(monkeypatch):
     # the start test compares ||residual|| with tol * ||psi||, both 0 here, with no 0/0
     zero = ContinuumFunction("zero-spinor", 2, 2, lambda x: np.zeros(x.shape[:-1] + (2,)))
-    references, starts = _spy_reference(monkeypatch)
+    sweep = _potential_sweep(8, 0.4, function=zero)
+    references, starts = _spy_reference(monkeypatch, sweep)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        exp_resolvent_potential(_potential_sweep(8, 0.4, function=zero))
+        exp_resolvent_potential(sweep)
     assert starts == [True]
     assert not references[0].values.any()
 
@@ -321,9 +336,10 @@ def _nan_off_the_half_mesh(h: float) -> PotentialSpec:
 def test_non_finite_coset_residual_never_passes(z, monkeypatch):
     # the half mesh sees only zeros and solves; the odd cosets of the fine mesh read NaN, so the
     # start fails and the fine iteration stops on its first residual or product that is not finite
-    references, starts = _spy_reference(monkeypatch)
+    sweep = _potential_sweep(2, 0.4, z, potential=_nan_off_the_half_mesh(0.2))
+    references, starts = _spy_reference(monkeypatch, sweep)
     with pytest.raises(NoConvergence, match="not finite"):
-        exp_resolvent_potential(_potential_sweep(2, 0.4, z, potential=_nan_off_the_half_mesh(0.2)))
+        exp_resolvent_potential(sweep)
     assert starts == [False] and references == []
 
 
@@ -348,7 +364,7 @@ def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
     monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
     sweep = _potential_sweep(8, 0.1)
     fine_field = 2 * (sweep.mesh_for(0.1).N * 8) ** 2 * 16
-    _, starts = _spy_reference(monkeypatch)
+    _, starts = _spy_reference(monkeypatch, sweep)
     tracemalloc.start()
     try:
         exp_resolvent_potential(sweep)

@@ -55,6 +55,7 @@ from latticedirac.grid import gaussian, gaussian_spinor, modulated_gaussian, _st
 from latticedirac.operators import (
     POTENTIAL_IDS,
     PotentialSpec,
+    _iterate,
     _solve_with_potential,
     field_to_vec,
     potential_catalog,
@@ -407,6 +408,23 @@ def _continuum_dirac(u: LatticeField, m: float) -> np.ndarray:
     return idft(SpectralField(u_hat.grid, np.stack([m * a + np.conj(zeta) * b, zeta * a - m * b], axis=-1))).values
 
 
+def _site_table(psi: LatticeField) -> ContinuumFunction:
+    """The spinor whose values at the sites of ``psi``'s mesh, and so at those of its half meshes, are ``psi``'s."""
+    mesh = psi.mesh
+
+    def evaluate(x):
+        n = np.round(x / mesh.h).astype(int) + mesh.N // 2
+        return psi.values[n[..., 0], n[..., 1]]
+
+    return ContinuumFunction("site-table", 2, 2, evaluate)
+
+
+def _nested_solve(phi: ContinuumFunction, mesh: Mesh, z, m, V, policy, tol=1e-10, max_iter=2000) -> LatticeField:
+    """The nested continuum solve of ``phi`` on ``mesh``, at refine 1, as a field."""
+    u = _solve_with_potential(phi, mesh, 1, z, m, V, policy, tol, max_iter, 50)
+    return LatticeField(mesh, np.moveaxis(u, 0, -1))
+
+
 @pytest.mark.parametrize("policy", ["neumann", "krylov"])
 def test_continuum_symbol_solve_bounds_the_true_residual(policy, rng):
     # the same with the continuum symbol, D applied through the public transform pair
@@ -415,7 +433,7 @@ def test_continuum_symbol_solve_bounds_the_true_residual(policy, rng):
     psi = random_field(mesh, 2, rng)
     V = potential_catalog("nonhermitian-gaussian")
     Vh = sample_potential(V, mesh)
-    u = _solve_with_potential(psi, z, m, V, policy, tol, 2000, 50)
+    u = _nested_solve(_site_table(psi), mesh, z, m, V, policy, tol)
     r = _continuum_dirac(u, m) + np.einsum("...ab,...b->...a", Vh, u.values) - z * u.values - psi.values
     assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= 2 * tol
 
@@ -511,7 +529,7 @@ def test_solves_run_in_complex128(monkeypatch, rng):
     for policy in ("neumann", "krylov"):
         q = ResolventQuery(z=3j, p=DiracParams(1.0, 0.15), policy=policy)
         discrete = resolvent_with_potential(psi, q, V)
-        continuum = _solve_with_potential(psi, 3j, 1.0, V, policy, 1e-10, 2000, 50)
+        continuum = _nested_solve(_site_table(psi), mesh, 3j, 1.0, V, policy)
         assert discrete.values.dtype == continuum.values.dtype == np.complex128
     assert dtypes and set(dtypes) == {np.dtype(np.complex128)}
 
@@ -580,7 +598,7 @@ def test_nested_continuum_solve_matches_a_double_loop_property(N, h, m, name, ga
     psi = random_field(mesh, 2, np.random.default_rng(seed))
     Vh = sample_potential(V, mesh)
     u = _continuum_neumann_loop(psi, z, m, Vh, 1e-10)
-    solved = _solve_with_potential(psi, z, m, V, None, 1e-10, 2000, 50)
+    solved = _nested_solve(_site_table(psi), mesh, z, m, V, None)
     assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
 
 
@@ -596,7 +614,7 @@ def test_nested_continuum_krylov_solve_matches_a_double_loop_property(N, h, m, n
     psi = random_field(mesh, 2, np.random.default_rng(seed))
     Vh = sample_potential(V, mesh)
     u = _continuum_neumann_loop(psi, z, m, Vh, 1e-10)
-    solved = _solve_with_potential(psi, z, m, V, "krylov", 1e-10, 2000, 50)
+    solved = _nested_solve(_site_table(psi), mesh, z, m, V, "krylov")
     assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
 
 
@@ -610,7 +628,6 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_trans
     # mesh's size, and the fine mesh runs no other transform, no step and no GMRES
     mesh = Mesh(2, 9.6 / 256, 256)
     V = potential_catalog("nonhermitian-gaussian")
-    psi = sample(gaussian_spinor(), mesh)
     transforms = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn", "ifftn"))
     inverse = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
     gmres_sizes, fine_start = [], []
@@ -621,21 +638,21 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_trans
 
     def coset_start(spec, fine, *args, _coset_start=operators._coset_start):
         before, inverse_before = len(transforms), len(inverse)
-        passed = _coset_start(spec, fine, *args)
+        start = _coset_start(spec, fine, *args)
         if fine.N == mesh.N:
-            fine_start.append((passed, transforms[before:], inverse[inverse_before:]))
-        return passed
+            fine_start.append((start is None, transforms[before:], inverse[inverse_before:]))
+        return start
 
     monkeypatch.setattr(operators, "_gmres", gmres)
     monkeypatch.setattr(operators, "_coset_start", coset_start)
-    _solve_with_potential(psi, z, 1.0, V, policy, 1e-10, 2000, 50)
+    _nested_solve(gaussian_spinor(), mesh, z, 1.0, V, policy)
     [(passed, during, inverse_during)] = fine_start
     assert passed
     assert (2, 256, 256) not in transforms
     assert during == inverse_during == [(2, 128, 128)] * 8
     assert transforms[-len(during):] == during  # nothing after the start test
     assert bool(gmres_sizes) == (policy == "krylov")  # the coarse levels still iterate
-    assert psi.values.size not in gmres_sizes
+    assert 2 * mesh.N**2 not in gmres_sizes
 
 
 @SMOOTH_REFERENCE
@@ -645,7 +662,7 @@ def test_returned_prolonged_start_is_certified_at_tol(z, policy):
     m, tol = 1.0, 1e-10
     V = potential_catalog("nonhermitian-gaussian")
     psi = sample(gaussian_spinor(), mesh)
-    u = _solve_with_potential(psi, z, m, V, policy, tol, 2000, 50)
+    u = _nested_solve(gaussian_spinor(), mesh, z, m, V, policy, tol)
     Vu = np.einsum("...ab,...b->...a", sample_potential(V, mesh), u.values)
     r = _continuum_dirac(u, m) + Vu - z * u.values - psi.values
     assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= tol
@@ -668,7 +685,7 @@ def test_continuum_solve_with_odd_half_does_not_coarsen(monkeypatch, rng):
     Vh = sample_potential(V, mesh)
     u = _continuum_neumann_loop(psi, 3j, 1.0, Vh, 1e-10)
     shapes = spy_fftn(monkeypatch, record=lambda x: x.shape)
-    solved = _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50)
+    solved = _nested_solve(_site_table(psi), mesh, 3j, 1.0, V, None)
     assert shapes and set(shapes) == {(2, 18, 18)}
     assert norm_l2(LatticeField(mesh, solved.values - u)) <= 1e-8 * norm_l2(LatticeField(mesh, u))
 
@@ -679,7 +696,7 @@ def test_continuum_solve_step_cap_reports_no_convergence(rng):
     V = potential_catalog("nonhermitian-gaussian")
     tol = 1e-10
     with pytest.raises(NoConvergence) as info:
-        _solve_with_potential(psi, 3j, 1.0, V, None, tol, 3, 50)
+        _nested_solve(_site_table(psi), mesh, 3j, 1.0, V, None, tol, 3)
     assert info.value.residual > tol
 
 
@@ -795,11 +812,10 @@ def test_non_finite_prolonged_start_raises_no_convergence(nan_sites, policy):
     # NaN on every site stops the coarsest level; NaN on the odd sites only leaves the half
     # meshes finite, so the fine mesh's start test reads NaN, fails, and the iteration stops
     mesh = Mesh(2, 0.5, 16)
-    psi = sample(gaussian_spinor(), mesh)
     V = {"all": _constant_potential(float("nan")),
          "odd": PotentialSpec("nan-off-the-half-mesh", _nan_off_the_half_mesh, 1.0, 0.0)}[nan_sites]
     with pytest.raises(NoConvergence, match="not finite"):
-        _solve_with_potential(psi, 3j, 1.0, V, policy, 1e-10, 2000, 50)
+        _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, V, policy)
 
 
 _MISSHAPEN = [
@@ -836,7 +852,7 @@ def test_potential_values_of_the_wrong_shape_are_rejected_per_row_block(matrix_f
     expected = rf"potential 'misshapen' gave samples of shape .*expected \({rows}, 192, 2, 2\)"
     for solve in (
         lambda: resolvent_with_potential(psi, ResolventQuery(z=3j, p=p, policy=policy), V),
-        lambda: _solve_with_potential(psi, 3j, 1.0, V, policy, 1e-10, 2000, 50),
+        lambda: _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, V, policy),
     ):
         with pytest.raises(ValueError, match=expected):
             solve()
@@ -866,8 +882,8 @@ def _multiplier_results(mesh: Mesh) -> dict:
         "resolvent_free": resolvent_free(psi, ResolventQuery(z=0.5 + 2j, p=p)),
         "apply_dirac": apply_dirac(psi, p, path="symbol"),
         "resolvent_continuum": resolvent_continuum(gaussian_spinor(), 0.5 + 2j, 1.0, half, refine=2),
-        "continuum solve": _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50),
-        "discrete solve": _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50, p=p),
+        "continuum solve": _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, V, None),
+        "discrete solve": _iterate(psi, 3j, 1.0, V, None, 1e-10, 2000, 50, p=p),
     }
 
 
@@ -896,8 +912,9 @@ def _peak_bytes(call) -> int:
 @pytest.mark.parametrize("solve,bound", [("resolvent_free", 1.5), ("continuum solve", 2.75)])
 def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound, monkeypatch):
     # in field bytes: the free resolvent holds its channel-first copy and block buffers,
-    # the continuum solve its iterate, u and the interpolated start, and evaluates the
-    # potential inside the traced call; a stored symbol (1/den, zeta/den, conj(zeta)/den)
+    # the nested continuum solve its returned field, the half-mesh spectrum and two coset
+    # buffers, and evaluates the potential and the function inside the traced call; a
+    # stored symbol (1/den, zeta/den, conj(zeta)/den)
     # would add 1.5, its stacked frequency grid 0.5 more
     monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
     mesh = Mesh(2, 9.6 / 512, 512)
@@ -906,7 +923,7 @@ def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound, monkeypa
     q = ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h))
     calls = {
         "resolvent_free": lambda: resolvent_free(psi, q),
-        "continuum solve": lambda: _solve_with_potential(psi, 3j, 1.0, V, None, 1e-10, 2000, 50),
+        "continuum solve": lambda: _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, V, None),
     }
     resolvent_free(psi, q)  # imports scipy.fft, outside the traced call
     assert _peak_bytes(calls[solve]) <= bound * psi.values.nbytes
