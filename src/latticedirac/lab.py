@@ -11,8 +11,8 @@ resolvent sweeps build one refined reference on the finest level they run,
 the floor-guard level included, and block-average it to every level.  The
 potential sweep's reference is one call of the nested continuum solve
 `operators._solve_with_potential`, which returns the reference's averages
-on that level; with a passing interpolated start it never forms a field on
-the refined mesh.
+on that level, with the residual sums that certified them; with a passing
+interpolated start it never forms a field on the refined mesh.
 
 Experiments run their levels one after another on the calling thread, so
 each level's wall time is its own cost, and a sweep's peak memory is that
@@ -359,9 +359,12 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     interpolated coarser solution is kept as it is when it passes that mesh's own
     residual test at ``sweep.tol``, and iterated from otherwise, so the reference
     is certified at ``sweep.tol`` either way.  The test runs on the four cosets
-    of the mesh's sites, each a copy of the half mesh, and the solution is added
-    into the cells of the finest level coset by coset, so with a passing start
-    the refined mesh's field is never formed.  The levels compare against these
+    of the mesh's sites, each a copy of the half mesh.  Coset ``(0, 0)`` is the
+    coarser solution, whose residual that mesh has already measured, so only the
+    three other cosets are transformed and tested.  The solution is added into
+    the cells of the finest level coset by coset, by sums over periods of
+    ``refine`` sites, so with a passing start the refined mesh's field is never
+    formed.  The levels compare against these
     block averages of point values: a left-endpoint rule on each coarse cell,
     biased at first order in ``h / refine``, where the free sweep's reference
     holds exact cell averages.
@@ -373,8 +376,8 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     phi, finest = sweep.resolved_function(), sweep.mesh_for(sweep.levels[-1])
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
     _require_spinor_function(phi, fine)
-    averages = _solve_with_potential(phi, fine, sweep.refine, complex(sweep.z), sweep.m, V, None, sweep.tol,
-                                     ResolventQuery.max_iter, ResolventQuery.restart)
+    averages, _ = _solve_with_potential(phi, fine, sweep.refine, complex(sweep.z), sweep.m, V, None, sweep.tol,
+                                        ResolventQuery.max_iter, ResolventQuery.restart)
     worker = _resolvent_worker(sweep, LatticeField(finest, _channel_last(averages)), V)
     return _sweep("resolve-potential", sweep, ("resolvent-potential",), worker)
 

@@ -22,12 +22,16 @@ solve (`_solve_with_potential`) takes the continuum right-hand side itself:
 on a mesh with ``N % 4 == 0`` it first solves the same problem on the even
 sites (the half mesh of the same box) and interpolates that solution
 spectrally.  The fine sites are four cosets of row and column parity, each a
-copy of the half mesh, so the interpolant and ``D`` applied to it are formed
-one coset at a time by half-size inverse transforms, with the right-hand
-side evaluated on each coset (`_coset_start`).  Each coset is added into the
-cell sums of a mesh ``refine`` times coarser, the interpolant's when it
-passes the fine mesh's own residual test, and otherwise those of the
-solution iterated from it; no level slices a finer field.
+copy of the half mesh.  Coset ``(0, 0)`` is the half-mesh solution, which is
+handed back with the sums of its residual and right-hand side in squares
+that its own mesh measured, so only the three other cosets of the
+interpolant and of ``D`` applied to it are formed, one at a time, by
+half-size inverse transforms, with the right-hand side evaluated on each
+coset (`_coset_start`).  Each coset is added into the cell sums of a mesh
+``refine`` times coarser by sums over the periods of ``refine`` coset sites
+(`_cell_sums_sink`), the interpolant's when it passes the fine mesh's own
+residual test, and otherwise those of the solution iterated from it; no
+level slices a finer field.
 A dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
@@ -575,31 +579,39 @@ def _cell_sums_sink(sums: np.ndarray, refine: int):
     lies in coarse cell ``i // refine``, and site ``j`` of a coset of parity ``a``
     (fine index ``2j + a``) in cell ``(2j + a) // refine``.  ``u`` is the coset's
     channel-first values.  At refine 1 the coset fills every other cell and is added
-    by basic slicing.  Otherwise each coarse cell holds one run of consecutive ``j``
-    (for an odd ``refine`` the runs of a cell's two parities differ in length), and
-    `np.add.reduceat` sums the runs per axis.
+    by basic slicing.  Otherwise the sites ``j`` fall in periods of ``refine`` that
+    cover two cells, ``2q`` and ``2q + 1`` for period ``q``: the first
+    ``(refine + 1 - a) // 2`` sites of a period lie in the first cell and the rest in
+    the second, for odd and even ``refine`` alike.  Each axis is summed over those two
+    slices of every period by a product with the ``(refine, 2)`` 0/1 matrix of its
+    parity, columns first, and the result is added into the view of ``sums`` with
+    each pair of cells as an axis of 2.  This runs on blocks of whole periods of rows,
+    about `_BLOCK_SITES` sites each, so the column sums held are a block's.  ``sums``
+    has an even number of cells per axis.
     """
     if refine == 1:
         def sink(a, b, u):
             sums[:, a::2, b::2] += u
 
         return sink
-    n = refine * sums.shape[1] // 2
-    runs = []
+    n = sums.shape[1] // 2
+    periods = []
     for a in (0, 1):
-        cells = (2 * np.arange(n) + a) // refine
-        starts = np.flatnonzero(np.diff(cells, prepend=-1))
-        runs.append((starts, cells[starts]))
+        split = np.arange(refine) >= (refine + 1 - a) // 2
+        periods.append(np.stack([~split, split], axis=1).astype(complex))
+    pairs = sums.reshape(2, n, 2, 2 * n)
+    step = max(1, _BLOCK_SITES // (refine * refine * n))
 
     def sink(a, b, u):
-        (rows, row_cells), (cols, col_cells) = runs[a], runs[b]
-        sums[:, row_cells[:, None], col_cells] += np.add.reduceat(np.add.reduceat(u, rows, axis=1), cols, axis=2)
+        for q in range(0, n, step):
+            cols = u[:, q * refine:(q + step) * refine].reshape(2, -1, n, refine) @ periods[b]
+            pairs[:, q:q + step] += periods[a].T @ cols.reshape(2, -1, refine, 2 * n)
 
     return sink
 
 
 def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: complex, m: float, V: PotentialSpec,
-                 tol: float, sink) -> Optional[np.ndarray]:
+                 tol: float, sink, measured: tuple[float, float]) -> tuple[Optional[np.ndarray], tuple[float, float]]:
     """Test on ``mesh`` the spectral interpolant ``u_p`` of a half-mesh solution, coset by coset.
 
     ``spec`` is the channel-first ``fftn`` ``S`` of that solution, in natural FFT order;
@@ -609,17 +621,25 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     ``(a, b)`` the half-size inverse transform of ``S * exp(i*pi*a*k_1/n) *
     exp(i*pi*b*k_2/n)``, so it equals the half-mesh solution on the even sites; ``D u_p``
     is the same with the continuum ``M(xi)`` of the half mesh's dual grid applied first.
-    Each coset forms both in two half-size buffers that every coset reuses, so no array
-    of ``mesh``'s size is made.
 
+    Coset ``(0, 0)`` is therefore the half-mesh solution itself, with the half mesh's
+    residual and right-hand side, so it is not formed here: the caller has added it
+    through ``sink`` and passes ``measured``, the squared sums ``(sum_sq, psi_sq)`` of
+    its residual and of ``psi`` that the half mesh's own test measured.  Each of the
+    three other cosets forms its twiddled spectrum once, into the buffer of ``u``, and
+    copies it for ``D u``; both go through a half-size inverse transform, in two
+    half-size buffers that every coset reuses, so no array of ``mesh``'s size is made.
     ``psi``, the continuum ``phi`` at the coset's sites (`grid._grid_values`), and ``V``
-    are evaluated on row blocks of each coset, where the residual ``(D - z) u_p + V u_p
-    - psi`` and ``psi`` itself are summed in squares.  Then ``sink(a, b, u)`` is handed
-    the coset's channel-first ``u_p`` in the buffer that the next coset overwrites.
-    When ``||residual|| <= tol * ||psi||`` this returns None: a residual that is not
-    finite fails, and a zero ``psi`` with a zero residual passes with no division.
-    Otherwise it forms the cosets of ``u_p`` again, into a channel-first field of
-    ``mesh``, and returns that field to start the iteration from.
+    are evaluated on row blocks of the coset, where the residual ``(D - z) u_p + V u_p
+    - psi`` and ``psi`` itself are added in squares to ``measured``.  Then ``sink(a, b,
+    u)`` is handed the coset's channel-first ``u_p`` in the buffer that the next coset
+    overwrites.
+
+    Returns ``(start, (sum_sq, psi_sq))`` with the sums over all of ``mesh``.  ``start``
+    is None when ``||residual|| <= tol * ||psi||``: a residual that is not finite fails,
+    and a zero ``psi`` with a zero residual passes with no division.  Otherwise it forms
+    all four cosets of ``u_p`` again, into a channel-first field of ``mesh``, and
+    returns that field as ``start`` to start the iteration from.
     """
     axes, n = (1, 2), spec.shape[1]
     twiddle = np.exp(1j * np.pi / n * np.roll(np.arange(-(n // 2), n // 2), n // 2))
@@ -629,18 +649,22 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     zu = np.empty_like(u[:, _row_blocks(u)[0]])
 
     def twiddled(a, b, out):
-        """The spectrum of coset ``(a, b)`` of ``u_p``, written into ``out``."""
-        np.copyto(out, spec)
+        """The spectrum of coset ``(a, b)`` of ``u_p``, written into ``out`` in one pass over ``spec``."""
         if a:
-            out *= twiddle[:, None]
-        if b:
-            out *= twiddle
+            np.multiply(spec, twiddle[:, None], out=out)
+            if b:
+                out *= twiddle
+        elif b:
+            np.multiply(spec, twiddle, out=out)
+        else:
+            np.copyto(out, spec)
         return out
 
-    sum_sq = psi_sq = 0.0
-    for a, b in _COSETS:
-        du = _fftn(symbol(twiddled(a, b, du)), axes, inverse=True)
-        u = _fftn(twiddled(a, b, u), axes, inverse=True)
+    sum_sq, psi_sq = measured
+    for a, b in _COSETS[1:]:
+        np.copyto(du, twiddled(a, b, u))
+        du = _fftn(symbol(du), axes, inverse=True)
+        u = _fftn(u, axes, inverse=True)
         coords = [x[a::2], x[b::2]]
         psi = _grid_values(phi, coords)
         for rows, vu in _vmul_blocks(V, coords, u):
@@ -652,16 +676,16 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
             psi_sq += _sum_sq(psi_rows)
         sink(a, b, u)
     if math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq):
-        return None
+        return None, (sum_sq, psi_sq)
     start = np.empty((spec.shape[0],) + mesh.shape, dtype=complex)
     for a, b in _COSETS:
         start[:, a::2, b::2] = _fftn(twiddled(a, b, u), axes, inverse=True)
-    return start
+    return start, (sum_sq, psi_sq)
 
 
 def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: Optional[str], tol: float,
              max_iter: int, restart: int, p: Optional[DiracParams] = None,
-             w: Optional[np.ndarray] = None) -> LatticeField:
+             w: Optional[np.ndarray] = None) -> tuple[LatticeField, float]:
     """Factorized solve of ``(D + V - z) u = psi`` on the mesh of ``psi``, from the start ``w``.
 
     ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
@@ -675,16 +699,17 @@ def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: 
     Neumann and zero for GMRES.  Neumann takes at most ``max_iter`` `_neumann_steps`
     steps; Krylov runs GMRES and hands its ``w`` to one such step, which forms ``u`` and
     the residual.  Either way the returned ``u`` is one whose relative residual was
-    measured, and a relative residual above ``tol`` raises `NoConvergence`, as does one
-    that is not finite, at the step that measured it.  A GMRES product that is not
-    finite raises `NoConvergence` at once, with the number of products made.
+    measured, and it is returned with that residual; a relative residual above ``tol``
+    raises `NoConvergence`, as does one that is not finite, at the step that measured
+    it.  A GMRES product that is not finite raises `NoConvergence` at once, with the
+    number of products made.
     """
     mesh = psi.mesh
     axes = _site_axes(mesh)
     next(_vmul_blocks(V, axes, np.moveaxis(psi.values, -1, 0)))  # a misshapen V fails before any transform
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
-        return LatticeField(mesh, np.zeros_like(psi.values))
+        return LatticeField(mesh, np.zeros_like(psi.values)), 0.0
 
     def relative(sum_sq):
         return float(np.sqrt(mesh.h**mesh.d * sum_sq)) / psi_norm
@@ -716,47 +741,58 @@ def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: 
     res, u = _neumann_steps(w, psi, symbol, V, steps, relative, tol)
     if res > tol:
         raise NoConvergence(info if info > 0 else max_iter, res)
-    return LatticeField(mesh, _channel_last(u))
+    return LatticeField(mesh, _channel_last(u)), res
 
 
 def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: complex, m: float, V: PotentialSpec,
-                          policy: Optional[str], tol: float, max_iter: int, restart: int) -> np.ndarray:
+                          policy: Optional[str], tol: float, max_iter: int,
+                          restart: int) -> tuple[np.ndarray, tuple[float, float]]:
     """Channel-first averages over ``refine x refine`` cells of ``u`` with ``(D + V - z) u = phi`` on 2D ``mesh``.
 
     ``D`` has the continuum symbol and the right-hand side ``psi`` is ``phi`` at the sites
-    of ``mesh``; at refine 1 the averages are ``u`` itself.  ``V`` is evaluated on the
-    first row block of ``mesh`` first, so that samples of the wrong shape raise
-    `ValueError` before any transform.  The symbol is the same on every mesh of the box,
-    so for ``N % 4 == 0`` (``N >= 8``) the problem on the even sites, which are the sites
-    ``(2h)*k = h*(2k)`` of the half mesh (`_half_mesh`) bit for bit, is solved first by
-    this function at refine 1, with the same policy.  `_coset_start` tests its spectral
-    interpolant ``u_p`` on ``mesh`` and adds each coset of it into the cell sums
-    (`_cell_sums_sink`).  When ``u_p`` passes, as it does for smooth data on a fine
-    enough mesh, those sums are the result, with no transform, step or array of
+    of ``mesh``; at refine 1 the averages are ``u`` itself.  They are returned with
+    ``(sum_sq, psi_sq)``, the sums over the sites of ``mesh`` of ``|residual|**2`` and
+    ``|psi|**2`` that certified ``u``.  ``V`` is evaluated on the first row block of
+    ``mesh`` first, so that samples of the wrong shape raise `ValueError` before any
+    transform.  The symbol is the same on every mesh of the box, so for ``N % 4 == 0``
+    (``N >= 8``) the problem on the even sites, which are the sites ``(2h)*k = h*(2k)``
+    of the half mesh (`_half_mesh`) bit for bit, is solved first by this function at
+    refine 1, with the same policy.  That solution is coset ``(0, 0)`` of its spectral
+    interpolant ``u_p`` on ``mesh``, and its sums are that coset's, so it is added into
+    the cell sums (`_cell_sums_sink`) as it is, before its forward transform, and its
+    sums seed the test of `_coset_start`, which transforms, tests and adds the three
+    other cosets.  When ``u_p`` passes, as it does for smooth data on a fine enough
+    mesh, those cell sums are the result, with no transform, step or array of
     ``mesh``'s size.  Otherwise, and without a half mesh, ``phi`` is sampled on
     ``mesh``, `_iterate` solves from ``w = psi - V u_p`` (or its cold start) with its
-    own ``max_iter``, and the cosets of its ``u`` go into the same sums.
+    own ``max_iter``, the cosets of its ``u`` replace the cell sums, and its final
+    relative residual ``res`` gives ``sum_sq = res**2 * psi_sq``.
     """
     next(_vmul_blocks(V, _site_axes(mesh), np.broadcast_to(0j, (2,) + mesh.shape)))  # before any transform
-    half, spec = _half_mesh(mesh), None
-    if half is not None:
-        spec = _fftn(_solve_with_potential(phi, half, 1, z, m, V, policy, tol, max_iter, restart), (1, 2))
+    half, w = _half_mesh(mesh), None
+    if half is not None:  # solved before sums is allocated, so a coarser GMRES basis is not held with it
+        u, measured = _solve_with_potential(phi, half, 1, z, m, V, policy, tol, max_iter, restart)
     sums = np.zeros((2,) + (mesh.N // refine,) * 2, dtype=complex)
     sink = _cell_sums_sink(sums, refine)
-    w = None if spec is None else _coset_start(spec, mesh, phi, z, m, V, tol, sink)
-    del spec
+    if half is not None:
+        sink(0, 0, u)
+        w, measured = _coset_start(_fftn(u, (1, 2)), mesh, phi, z, m, V, tol, sink, measured)
+        del u
     if half is None or w is not None:
         psi = sample(phi, mesh)
+        rhs = np.moveaxis(psi.values, -1, 0)
         if w is not None:  # w = psi - V u_p, over u_p
-            rhs = np.moveaxis(psi.values, -1, 0)
             for rows, vu in _vmul_blocks(V, _site_axes(mesh), w):
                 np.subtract(rhs[:, rows], vu, out=w[:, rows])
-        u = np.moveaxis(_iterate(psi, z, m, V, policy, tol, max_iter, restart, w=w).values, -1, 0)
+        solution, res = _iterate(psi, z, m, V, policy, tol, max_iter, restart, w=w)
+        psi_sq = _sum_sq(rhs)
+        measured = (res**2 * psi_sq, psi_sq)
+        u = np.moveaxis(solution.values, -1, 0)
         sums[...] = 0.0
         for a, b in _COSETS:
             sink(a, b, u[:, a::2, b::2])
     sums /= refine**2
-    return sums
+    return sums, measured
 
 
 def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialSpec) -> LatticeField:
@@ -776,7 +812,7 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
         A = dense_matrix(q.p, psi.mesh, V)
         u_vec = np.linalg.solve(A - complex(q.z) * np.eye(A.shape[0]), field_to_vec(psi))
         return vec_to_field(u_vec, psi.mesh)
-    return _iterate(psi, complex(q.z), q.p.m, V, q.policy, q.tol, q.max_iter, q.restart, p=q.p)
+    return _iterate(psi, complex(q.z), q.p.m, V, q.policy, q.tol, q.max_iter, q.restart, p=q.p)[0]
 
 
 # ---------------------------------------------------------------------------

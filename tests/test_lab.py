@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -251,10 +252,10 @@ def _spy_reference(monkeypatch, sweep: Sweep) -> tuple[list, list]:
         return _worker(sweep, reference, V)
 
     def coset_start(spec, mesh, *args, _coset_start=operators._coset_start):
-        start = _coset_start(spec, mesh, *args)
+        start, measured = _coset_start(spec, mesh, *args)
         if mesh.N == fine_N:
             starts.append(start is None)
-        return start
+        return start, measured
 
     monkeypatch.setattr(lab, "_resolvent_worker", worker)
     monkeypatch.setattr(operators, "_coset_start", coset_start)
@@ -283,7 +284,7 @@ def _fine_reference(sweep: Sweep, phi: ContinuumFunction) -> np.ndarray:
     """Block averages on the finest level of a cold one-mesh solve of the full fine samples on its refinement."""
     finest = sweep.mesh_for(sweep.levels[-1])
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
-    u = _iterate(sample(phi, fine), complex(sweep.z), sweep.m, sweep.resolved_potential(), None, sweep.tol, 2000, 50)
+    u, _ = _iterate(sample(phi, fine), complex(sweep.z), sweep.m, sweep.resolved_potential(), None, sweep.tol, 2000, 50)
     return block_average(u, finest).values
 
 
@@ -373,6 +374,35 @@ def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
         tracemalloc.stop()
     assert starts == [True]
     assert peak < 1.5 * fine_field
+
+
+def test_default_reference_transform_count_is_pinned(monkeypatch):
+    # the default refine-8 reference of h = 0.05 (fine N = 1536), by transform size n.  The meshes
+    # N = 192 ... 1536 pass their starts: each transforms its half-mesh solution forward once and
+    # three cosets back twice, six inverse transforms of size N/2, and nothing of size N.  The
+    # meshes N = 12 ... 96 fail theirs (six plus the four cosets of the start) and iterate, and
+    # N = 6 starts cold.  A transform added anywhere in the reference changes these counts.
+    forward = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn",))
+    inverse = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
+    spans = []
+
+    def reference(*args, _solve=lab._solve_with_potential):
+        before = len(forward), len(inverse)
+        result = _solve(*args)
+        spans.append((forward[before[0]:], inverse[before[1]:]))
+        return result
+
+    monkeypatch.setattr(lab, "_solve_with_potential", reference)
+    sweep = _potential_sweep(8, 0.05)
+    _, starts = _spy_reference(monkeypatch, sweep)
+    exp_resolvent_potential(sweep)
+    [(forward_sizes, inverse_sizes)] = spans
+    assert starts == [True]
+    assert all(shape == (2, shape[1], shape[1]) for shape in forward_sizes + inverse_sizes)
+    assert Counter(shape[1] for shape in forward_sizes) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2, 192: 1, 384: 1,
+                                                            768: 1}
+    assert Counter(shape[1] for shape in inverse_sizes) == {6: 28, 12: 25, 24: 22, 48: 17, 96: 7, 192: 6, 384: 6,
+                                                            768: 6}
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,10 @@ from latticedirac.errors import (
 from latticedirac import operators
 from latticedirac.grid import gaussian, gaussian_spinor, modulated_gaussian, _stack_channels
 from latticedirac.operators import (
+    _COSETS,
     POTENTIAL_IDS,
     PotentialSpec,
+    _cell_sums_sink,
     _iterate,
     _solve_with_potential,
     field_to_vec,
@@ -421,7 +423,7 @@ def _site_table(psi: LatticeField) -> ContinuumFunction:
 
 def _nested_solve(phi: ContinuumFunction, mesh: Mesh, z, m, V, policy, tol=1e-10, max_iter=2000) -> LatticeField:
     """The nested continuum solve of ``phi`` on ``mesh``, at refine 1, as a field."""
-    u = _solve_with_potential(phi, mesh, 1, z, m, V, policy, tol, max_iter, 50)
+    u, _ = _solve_with_potential(phi, mesh, 1, z, m, V, policy, tol, max_iter, 50)
     return LatticeField(mesh, np.moveaxis(u, 0, -1))
 
 
@@ -623,8 +625,9 @@ SMOOTH_REFERENCE = pytest.mark.parametrize("z,policy", [(3j, None), (1.2j, "kryl
 
 @SMOOTH_REFERENCE
 def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_transforms(z, policy, monkeypatch):
-    # smooth data: the interpolated half-mesh solution passes the fine test as it is.  The fine
-    # mesh's start test transforms each of its four cosets back twice, for u and D u, at the half
+    # smooth data: the interpolated half-mesh solution passes the fine test as it is.  Coset
+    # (0, 0) is the half-mesh solution, whose residual the half mesh measured, so the fine mesh's
+    # start test transforms each of the three other cosets back twice, for u and D u, at the half
     # mesh's size, and the fine mesh runs no other transform, no step and no GMRES
     mesh = Mesh(2, 9.6 / 256, 256)
     V = potential_catalog("nonhermitian-gaussian")
@@ -638,10 +641,10 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_trans
 
     def coset_start(spec, fine, *args, _coset_start=operators._coset_start):
         before, inverse_before = len(transforms), len(inverse)
-        start = _coset_start(spec, fine, *args)
+        start, measured = _coset_start(spec, fine, *args)
         if fine.N == mesh.N:
             fine_start.append((start is None, transforms[before:], inverse[inverse_before:]))
-        return start
+        return start, measured
 
     monkeypatch.setattr(operators, "_gmres", gmres)
     monkeypatch.setattr(operators, "_coset_start", coset_start)
@@ -649,7 +652,7 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_trans
     [(passed, during, inverse_during)] = fine_start
     assert passed
     assert (2, 256, 256) not in transforms
-    assert during == inverse_during == [(2, 128, 128)] * 8
+    assert during == inverse_during == [(2, 128, 128)] * 6
     assert transforms[-len(during):] == during  # nothing after the start test
     assert bool(gmres_sizes) == (policy == "krylov")  # the coarse levels still iterate
     assert 2 * mesh.N**2 not in gmres_sizes
@@ -666,6 +669,82 @@ def test_returned_prolonged_start_is_certified_at_tol(z, policy):
     Vu = np.einsum("...ab,...b->...a", sample_potential(V, mesh), u.values)
     r = _continuum_dirac(u, m) + Vu - z * u.values - psi.values
     assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= tol
+
+
+def _prolonged(spec: np.ndarray, mesh: Mesh) -> LatticeField:
+    """The interpolant on ``mesh`` that zero-pads the half-mesh spectrum ``spec``, by one full-size transform."""
+    n = spec.shape[1]
+    k = np.arange(-(n // 2), n // 2)  # signed indices of the half mesh, Nyquist at -n/2
+    padded = np.zeros((2,) + mesh.shape, dtype=complex)
+    padded[:, (k % mesh.N)[:, None], k % mesh.N] = spec[:, (k % n)[:, None], k % n]
+    return LatticeField(mesh, np.moveaxis(4 * np.fft.ifft2(padded), 0, -1))
+
+
+def _spy_starts(monkeypatch) -> list:
+    """``(N, passed, sum_sq, psi_sq, spectrum)`` of every `operators._coset_start` call, in call order."""
+    starts = []
+
+    def coset_start(spec, fine, *args, _coset_start=operators._coset_start):
+        half_spectrum = spec.copy()
+        start, measured = _coset_start(spec, fine, *args)
+        starts.append((fine.N, start is None, *measured, half_spectrum))
+        return start, measured
+
+    monkeypatch.setattr(operators, "_coset_start", coset_start)
+    return starts
+
+
+# (N, tol, data, whether the half mesh's own start passes): the half mesh's solution is then its
+# interpolated start, or the solution iterated to tol; the fine residual stays near 1e-2 or above,
+# far above the roundoff of the independent residual
+MEASURED_HALF = pytest.mark.parametrize("N,tol,rough,half_passed", [
+    (64, 1e-2, False, True), (32, 1e-3, False, False), (32, 1e-10, True, False),
+], ids=["half-passed", "half-iterated", "rough"])
+
+
+@MEASURED_HALF
+@SMOOTH_REFERENCE
+def test_fine_start_test_value_is_the_full_mesh_residual_of_the_interpolant(N, tol, rough, half_passed, z, policy,
+                                                                            monkeypatch, rng):
+    # coset (0, 0) enters the fine test through the sums the half mesh measured; the test value
+    # sqrt(sum_sq / psi_sq) is checked against the residual of the interpolant on all four cosets
+    mesh, m = Mesh(2, 9.6 / N, N), 1.0
+    psi = random_field(mesh, 2, rng) if rough else sample(gaussian_spinor(), mesh)
+    V = potential_catalog("nonhermitian-gaussian")
+    starts = _spy_starts(monkeypatch)
+    _nested_solve(_site_table(psi), mesh, z, m, V, policy, tol)
+    [(_, half_start, *_)] = [start for start in starts if start[0] == mesh.N // 2]
+    [(_, _, sum_sq, psi_sq, spec)] = [start for start in starts if start[0] == mesh.N]
+    assert half_start == half_passed
+    u_p = _prolonged(spec, mesh)
+    Vu = np.einsum("...ab,...b->...a", sample_potential(V, mesh), u_p.values)
+    r = _continuum_dirac(u_p, m) + Vu - z * u_p.values - psi.values
+    expected = norm_l2(LatticeField(mesh, r)) / norm_l2(psi)
+    assert abs(np.sqrt(sum_sq / psi_sq) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("refine", range(1, 9))
+@pytest.mark.parametrize("a,b", _COSETS)
+@pytest.mark.parametrize("cells", [4, 6])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("block_sites", [operators._BLOCK_SITES, 1], ids=["one-block", "one-period-per-block"])
+def test_cell_sums_sink_adds_the_block_sums_of_the_scattered_coset(refine, a, b, cells, layout, block_sites,
+                                                                   monkeypatch, rng):
+    # refine coset sites cover two cells, split unevenly for an odd refine; the oracle scatters the
+    # coset into a fine field and block-averages it
+    monkeypatch.setattr(operators, "_BLOCK_SITES", block_sites)
+    coarse, fine = Mesh(2, 1.0, cells), Mesh(2, 1.0 / refine, cells * refine)
+    field = np.zeros((2,) + fine.shape, dtype=complex)
+    field[:, a::2, b::2] = rng.standard_normal((2, fine.N // 2, fine.N // 2, 2)) @ [1.0, 1j]
+    u = field[:, a::2, b::2]  # the fallback sinks cosets of its solution as strided views
+    if layout == "contiguous":
+        u = u.copy()
+    before = rng.standard_normal((2, cells, cells)) + 0j
+    sums = before.copy()
+    _cell_sums_sink(sums, refine)(a, b, u)
+    expected = before + refine**2 * np.moveaxis(block_average(LatticeField(fine, np.moveaxis(field, 0, -1)),
+                                                              coarse).values, -1, 0)
+    assert np.linalg.norm(sums - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("policy", ["neumann", "krylov"])
@@ -818,6 +897,28 @@ def test_non_finite_prolonged_start_raises_no_convergence(nan_sites, policy):
         _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, V, policy)
 
 
+def _nan_rows(period: int, residue: int) -> PotentialSpec:
+    """NaN times the identity on the rows ``x_1 / 0.5 = residue (mod period)`` of ``Mesh(2, 0.5, N)``, else zero."""
+    def matrix_fn(x):
+        rows = np.round(x[..., 0] / 0.5) % period == residue
+        return np.where(rows[..., None, None], np.nan, 0.0) * np.eye(2)
+
+    return PotentialSpec(f"nan-rows-{residue}-mod-{period}", matrix_fn, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("policy", ["neumann", "krylov"])
+@pytest.mark.parametrize("period,residue", [(4, 2), (2, 0)], ids=["odd-sites-of-the-half-mesh", "half-mesh"])
+def test_nan_only_on_the_half_mesh_sites_never_passes_the_fine_start(period, residue, policy, monkeypatch):
+    # the fine test takes coset (0, 0), the half mesh's sites, from the sums the half mesh measured;
+    # a NaN there stops the half mesh (or a coarser one) and the fine start is never tested
+    mesh = Mesh(2, 0.5, 16)
+    starts = _spy_starts(monkeypatch)
+    with pytest.raises(NoConvergence, match="not finite"):
+        _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, _nan_rows(period, residue), policy)
+    assert [N for N, *_ in starts] == ([mesh.N // 2] if residue else [])
+    assert not any(passed for _, passed, *_ in starts)
+
+
 _MISSHAPEN = [
     lambda x: np.ones(x.shape, dtype=complex),  # (..., 2): broadcasts along the wrong axis
     lambda x: np.eye(2, dtype=complex),  # one matrix for every site
@@ -883,7 +984,7 @@ def _multiplier_results(mesh: Mesh) -> dict:
         "apply_dirac": apply_dirac(psi, p, path="symbol"),
         "resolvent_continuum": resolvent_continuum(gaussian_spinor(), 0.5 + 2j, 1.0, half, refine=2),
         "continuum solve": _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, V, None),
-        "discrete solve": _iterate(psi, 3j, 1.0, V, None, 1e-10, 2000, 50, p=p),
+        "discrete solve": _iterate(psi, 3j, 1.0, V, None, 1e-10, 2000, 50, p=p)[0],
     }
 
 
