@@ -11,8 +11,9 @@ resolvent sweeps build one refined reference on the finest level they run,
 the floor-guard level included, and block-average it to every level.  The
 potential sweep's reference is one call of the nested continuum solve
 `operators._solve_with_potential`, which returns the reference's averages
-on that level, with the residual sums that certified them; with a passing
-interpolated start it never forms a field on the refined mesh.
+on that level (`operators._cell_spectrum` of its refined spectrum), with
+the residual sums that certified them; with a passing interpolated start it
+never forms a field on the refined mesh.
 
 Experiments run their levels one after another on the calling thread, so
 each level's wall time is its own cost, and a sweep's peak memory is that
@@ -361,13 +362,13 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     is certified at ``sweep.tol`` either way.  The test runs on the four cosets
     of the mesh's sites, each a copy of the half mesh.  Coset ``(0, 0)`` is the
     coarser solution, whose residual that mesh has already measured, so only the
-    three other cosets are transformed and tested.  The solution is added into
-    the cells of the finest level coset by coset, by sums over periods of
-    ``refine`` sites, so with a passing start the refined mesh's field is never
-    formed.  The levels compare against these
-    block averages of point values: a left-endpoint rule on each coarse cell,
-    biased at first order in ``h / refine``, where the free sweep's reference
-    holds exact cell averages.
+    three other cosets are transformed and tested.  Each mesh hands back a
+    spectrum, the coarser one's when its start passes, so with a passing start
+    the refined mesh's field is never formed.  The levels compare against the
+    block averages of its point values that `operators._cell_spectrum` forms:
+    its kernel ``K`` is a left-endpoint rule on each coarse cell, biased at
+    first order in ``h / refine``, where the free sweep's reference holds exact
+    cell averages.
     """
     V = sweep.resolved_potential()
     if V is None:

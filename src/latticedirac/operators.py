@@ -27,11 +27,13 @@ handed back with the sums of its residual and right-hand side in squares
 that its own mesh measured, so only the three other cosets of the
 interpolant and of ``D`` applied to it are formed, one at a time, by
 half-size inverse transforms, with the right-hand side evaluated on each
-coset (`_coset_start`).  Each coset is added into the cell sums of a mesh
-``refine`` times coarser by sums over the periods of ``refine`` coset sites
-(`_cell_sums_sink`), the interpolant's when it passes the fine mesh's own
-residual test, and otherwise those of the solution iterated from it; no
-level slices a finer field.
+coset (`_coset_start`).  Every level hands back a spectrum: the half mesh's
+when the interpolant passes the fine mesh's own residual test, since
+zero-padded it is the interpolant, and otherwise the one forward transform
+of the solution iterated from it.  The top turns its spectrum into averages
+over cells ``refine`` sites wide by one left-endpoint kernel per axis, one
+fold of the frequencies onto the coarse dual grid and one coarse inverse
+transform (`_cell_spectrum`); no level forms or slices a finer field.
 A dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
@@ -444,8 +446,8 @@ def _require_tolerance(tol: float):
 
 
 def _require_refine(refine: int):
-    """Raise `ValueError` unless ``refine`` is an integer of at least 1."""
-    if not isinstance(refine, (int, np.integer)) or refine < 1:
+    """Raise `ValueError` unless ``refine`` is an integer of at least 1; a boolean is none."""
+    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)) or refine < 1:
         raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
 
 
@@ -572,46 +574,34 @@ def _half_mesh(mesh: Mesh) -> Optional[Mesh]:
 _COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _cell_sums_sink(sums: np.ndarray, refine: int):
-    """``sink(a, b, u)``, which adds coset ``(a, b)`` of a field into the channel-first cell sums ``sums``.
+def _cell_spectrum(spec: np.ndarray, refine: int, N: int) -> np.ndarray:
+    """The ``fftn`` of the ``refine x refine`` cell means of the ``N x N``-site field that zero-pads ``spec``.
 
-    The field's mesh refines the mesh of ``sums`` ``refine``-fold, so fine index ``i``
-    lies in coarse cell ``i // refine``, and site ``j`` of a coset of parity ``a``
-    (fine index ``2j + a``) in cell ``(2j + a) // refine``.  ``u`` is the coset's
-    channel-first values.  At refine 1 the coset fills every other cell and is added
-    by basic slicing.  Otherwise the sites ``j`` fall in periods of ``refine`` that
-    cover two cells, ``2q`` and ``2q + 1`` for period ``q``: the first
-    ``(refine + 1 - a) // 2`` sites of a period lie in the first cell and the rest in
-    the second, for odd and even ``refine`` alike.  Each axis is summed over those two
-    slices of every period by a product with the ``(refine, 2)`` 0/1 matrix of its
-    parity, columns first, and the result is added into the view of ``sums`` with
-    each pair of cells as an axis of 2.  This runs on blocks of whole periods of rows,
-    about `_BLOCK_SITES` sites each, so the column sums held are a block's.  ``sums``
-    has an even number of cells per axis.
+    ``spec``, overwritten, is a channel-first natural-order ``fftn`` of ``M = N`` or ``N/2``
+    sites per axis, with signed index ``k`` (Nyquist at ``-M/2``).  Per axis, the mean over
+    cell ``c`` of the ``n = N // refine`` cells is ``sum_k spec[k] K(k) exp(2*pi*i*k*c/n) / M``
+    with the left-endpoint kernel ``K(k) = (1/refine) sum_{j<refine} exp(2*pi*i*k*j/N)``, so
+    ``spec`` is multiplied by ``K * n / M`` per axis, zero-padded (``k`` at index ``k mod P``)
+    to the least multiple ``P`` of ``n`` not below ``M``, and summed over its ``P // n``
+    periods of ``n``; one inverse transform of ``n`` sites per axis gives the means.  At
+    refine 1 this is the field's own spectrum.  The exact cell average of the band-limited
+    field has ``conj(a(H*xi))``, ``H`` the cell width, in the place of ``K``.
     """
-    if refine == 1:
-        def sink(a, b, u):
-            sums[:, a::2, b::2] += u
-
-        return sink
-    n = sums.shape[1] // 2
-    periods = []
-    for a in (0, 1):
-        split = np.arange(refine) >= (refine + 1 - a) // 2
-        periods.append(np.stack([~split, split], axis=1).astype(complex))
-    pairs = sums.reshape(2, n, 2, 2 * n)
-    step = max(1, _BLOCK_SITES // (refine * refine * n))
-
-    def sink(a, b, u):
-        for q in range(0, n, step):
-            cols = u[:, q * refine:(q + step) * refine].reshape(2, -1, n, refine) @ periods[b]
-            pairs[:, q:q + step] += periods[a].T @ cols.reshape(2, -1, refine, 2 * n)
-
-    return sink
+    M, n = spec.shape[1], N // refine
+    P = -(-M // n) * n
+    k = (np.arange(M) + M // 2) % M - M // 2
+    kernel = np.exp(2j * np.pi / N * np.outer(k, np.arange(refine))).mean(axis=1) * (n / M)
+    spec *= kernel[:, None]
+    spec *= kernel
+    if P > M:
+        padded = np.zeros((spec.shape[0], P, P), dtype=complex)
+        padded[:, (k % P)[:, None], k % P] = spec
+        spec = padded
+    return spec if P == n else spec.reshape(spec.shape[0], P // n, n, P // n, n).sum(axis=(1, 3))
 
 
 def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: complex, m: float, V: PotentialSpec,
-                 tol: float, sink, measured: tuple[float, float]) -> tuple[Optional[np.ndarray], tuple[float, float]]:
+                 tol: float, measured: tuple[float, float]) -> tuple[Optional[np.ndarray], tuple[float, float]]:
     """Test on ``mesh`` the spectral interpolant ``u_p`` of a half-mesh solution, coset by coset.
 
     ``spec`` is the channel-first ``fftn`` ``S`` of that solution, in natural FFT order;
@@ -623,17 +613,15 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     is the same with the continuum ``M(xi)`` of the half mesh's dual grid applied first.
 
     Coset ``(0, 0)`` is therefore the half-mesh solution itself, with the half mesh's
-    residual and right-hand side, so it is not formed here: the caller has added it
-    through ``sink`` and passes ``measured``, the squared sums ``(sum_sq, psi_sq)`` of
-    its residual and of ``psi`` that the half mesh's own test measured.  Each of the
-    three other cosets forms its twiddled spectrum once, into the buffer of ``u``, and
-    copies it for ``D u``; both go through a half-size inverse transform, in two
-    half-size buffers that every coset reuses, so no array of ``mesh``'s size is made.
-    ``psi``, the continuum ``phi`` at the coset's sites (`grid._grid_values`), and ``V``
-    are evaluated on row blocks of the coset, where the residual ``(D - z) u_p + V u_p
-    - psi`` and ``psi`` itself are added in squares to ``measured``.  Then ``sink(a, b,
-    u)`` is handed the coset's channel-first ``u_p`` in the buffer that the next coset
-    overwrites.
+    residual and right-hand side, so it is not formed here: the caller passes
+    ``measured``, the squared sums ``(sum_sq, psi_sq)`` of its residual and of ``psi``
+    that the half mesh's own test measured.  Each of the three other cosets forms its
+    twiddled spectrum once, into the buffer of ``u``, and copies it for ``D u``; both go
+    through a half-size inverse transform, in two half-size buffers that every coset
+    reuses, so no array of ``mesh``'s size is made.  ``psi``, the continuum ``phi`` at the
+    coset's sites (`grid._grid_values`), and ``V`` are evaluated on row blocks of the
+    coset, where the residual ``(D - z) u_p + V u_p - psi`` and ``psi`` itself are added
+    in squares to ``measured``.
 
     Returns ``(start, (sum_sq, psi_sq))`` with the sums over all of ``mesh``.  ``start``
     is None when ``||residual|| <= tol * ||psi||``: a residual that is not finite fails,
@@ -674,7 +662,6 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
             r -= psi_rows
             sum_sq += _sum_sq(r)
             psi_sq += _sum_sq(psi_rows)
-        sink(a, b, u)
     if math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq):
         return None, (sum_sq, psi_sq)
     start = np.empty((spec.shape[0],) + mesh.shape, dtype=complex)
@@ -754,31 +741,31 @@ def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: co
     ``(sum_sq, psi_sq)``, the sums over the sites of ``mesh`` of ``|residual|**2`` and
     ``|psi|**2`` that certified ``u``.  ``V`` is evaluated on the first row block of
     ``mesh`` first, so that samples of the wrong shape raise `ValueError` before any
-    transform.  The symbol is the same on every mesh of the box, so for ``N % 4 == 0``
-    (``N >= 8``) the problem on the even sites, which are the sites ``(2h)*k = h*(2k)``
-    of the half mesh (`_half_mesh`) bit for bit, is solved first by this function at
-    refine 1, with the same policy.  That solution is coset ``(0, 0)`` of its spectral
-    interpolant ``u_p`` on ``mesh``, and its sums are that coset's, so it is added into
-    the cell sums (`_cell_sums_sink`) as it is, before its forward transform, and its
-    sums seed the test of `_coset_start`, which transforms, tests and adds the three
-    other cosets.  When ``u_p`` passes, as it does for smooth data on a fine enough
-    mesh, those cell sums are the result, with no transform, step or array of
-    ``mesh``'s size.  Otherwise, and without a half mesh, ``phi`` is sampled on
-    ``mesh``, `_iterate` solves from ``w = psi - V u_p`` (or its cold start) with its
-    own ``max_iter``, the cosets of its ``u`` replace the cell sums, and its final
-    relative residual ``res`` gives ``sum_sq = res**2 * psi_sq``.
+    transform.  The symbol is the same on every mesh of the box, and each level of the
+    solve hands back the natural-order spectrum of its solution.  For ``N % 4 == 0`` (``N
+    >= 8``) the problem on the even sites, which are the sites ``(2h)*k = h*(2k)`` of the
+    half mesh (`_half_mesh`) bit for bit, is solved first, with the same policy; its
+    solution is coset ``(0, 0)`` of the interpolant ``u_p`` on the mesh, so its spectrum
+    (`_cell_spectrum` at refine 1) and its sums are handed to the test of `_coset_start`.
+    When ``u_p`` passes, as it does for smooth data on a fine enough mesh, the level hands
+    back that spectrum, which zero-padded *is* ``u_p``, with no step and no transform or
+    array of its mesh's size.  Otherwise, and without a half mesh, ``phi`` is sampled on
+    the mesh, `_iterate` solves from ``w = psi - V u_p`` (or its cold start) with its own
+    ``max_iter``, its final relative residual ``res`` gives ``sum_sq = res**2 * psi_sq``,
+    and the level hands back the forward transform of its ``u``.  The top's spectrum goes
+    through `_cell_spectrum` and one inverse transform of ``N / refine`` sites per axis.
     """
     next(_vmul_blocks(V, _site_axes(mesh), np.broadcast_to(0j, (2,) + mesh.shape)))  # before any transform
-    half, w = _half_mesh(mesh), None
-    if half is not None:  # solved before sums is allocated, so a coarser GMRES basis is not held with it
-        u, measured = _solve_with_potential(phi, half, 1, z, m, V, policy, tol, max_iter, restart)
-    sums = np.zeros((2,) + (mesh.N // refine,) * 2, dtype=complex)
-    sink = _cell_sums_sink(sums, refine)
-    if half is not None:
-        sink(0, 0, u)
-        w, measured = _coset_start(_fftn(u, (1, 2)), mesh, phi, z, m, V, tol, sink, measured)
-        del u
-    if half is None or w is not None:
+
+    def solve(mesh: Mesh) -> tuple[np.ndarray, tuple[float, float]]:
+        half, w = _half_mesh(mesh), None
+        if half is not None:
+            spec, measured = solve(half)
+            spec = _cell_spectrum(spec, 1, half.N)
+            w, measured = _coset_start(spec, mesh, phi, z, m, V, tol, measured)
+            if w is None:
+                return spec, measured
+            del spec
         psi = sample(phi, mesh)
         rhs = np.moveaxis(psi.values, -1, 0)
         if w is not None:  # w = psi - V u_p, over u_p
@@ -786,13 +773,10 @@ def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: co
                 np.subtract(rhs[:, rows], vu, out=w[:, rows])
         solution, res = _iterate(psi, z, m, V, policy, tol, max_iter, restart, w=w)
         psi_sq = _sum_sq(rhs)
-        measured = (res**2 * psi_sq, psi_sq)
-        u = np.moveaxis(solution.values, -1, 0)
-        sums[...] = 0.0
-        for a, b in _COSETS:
-            sink(a, b, u[:, a::2, b::2])
-    sums /= refine**2
-    return sums, measured
+        return _fftn(np.moveaxis(solution.values, -1, 0), (1, 2)), (res**2 * psi_sq, psi_sq)
+
+    spec, measured = solve(mesh)
+    return _fftn(_cell_spectrum(spec, refine, mesh.N), (1, 2), inverse=True), measured
 
 
 def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialSpec) -> LatticeField:

@@ -80,7 +80,7 @@ def test_sweep_rejects_bad_tolerance(tol):
               potential="nonhermitian-gaussian", tol=tol)
 
 
-@pytest.mark.parametrize("refine", [0, -2, 2.5, 2.0])
+@pytest.mark.parametrize("refine", [0, -2, 2.5, 2.0, True])
 def test_sweep_rejects_bad_refine(refine):
     # raised on construction, before any reference is sampled or solved
     with pytest.raises(ValueError, match="refine"):
@@ -378,10 +378,12 @@ def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
 
 def test_default_reference_transform_count_is_pinned(monkeypatch):
     # the default refine-8 reference of h = 0.05 (fine N = 1536), by transform size n.  The meshes
-    # N = 192 ... 1536 pass their starts: each transforms its half-mesh solution forward once and
-    # three cosets back twice, six inverse transforms of size N/2, and nothing of size N.  The
-    # meshes N = 12 ... 96 fail theirs (six plus the four cosets of the start) and iterate, and
-    # N = 6 starts cold.  A transform added anywhere in the reference changes these counts.
+    # N = 192 ... 1536 pass their starts: each transforms three cosets back twice, six inverse
+    # transforms of size N/2, hands back its half mesh's spectrum, and transforms nothing forward
+    # and nothing of size N.  The meshes N = 12 ... 96 fail theirs (six plus the four cosets of
+    # the start), iterate and transform their solution forward once, and N = 6 starts cold.  The
+    # cell averages on the finest level are one inverse transform of its size, 192.  A transform
+    # added anywhere in the reference changes these counts.
     forward = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn",))
     inverse = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
     spans = []
@@ -399,9 +401,8 @@ def test_default_reference_transform_count_is_pinned(monkeypatch):
     [(forward_sizes, inverse_sizes)] = spans
     assert starts == [True]
     assert all(shape == (2, shape[1], shape[1]) for shape in forward_sizes + inverse_sizes)
-    assert Counter(shape[1] for shape in forward_sizes) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2, 192: 1, 384: 1,
-                                                            768: 1}
-    assert Counter(shape[1] for shape in inverse_sizes) == {6: 28, 12: 25, 24: 22, 48: 17, 96: 7, 192: 6, 384: 6,
+    assert Counter(shape[1] for shape in forward_sizes) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2}
+    assert Counter(shape[1] for shape in inverse_sizes) == {6: 28, 12: 25, 24: 22, 48: 17, 96: 7, 192: 7, 384: 6,
                                                             768: 6}
 
 

@@ -53,10 +53,9 @@ from latticedirac.errors import (
 from latticedirac import operators
 from latticedirac.grid import gaussian, gaussian_spinor, modulated_gaussian, _stack_channels
 from latticedirac.operators import (
-    _COSETS,
     POTENTIAL_IDS,
     PotentialSpec,
-    _cell_sums_sink,
+    _cell_spectrum,
     _iterate,
     _solve_with_potential,
     field_to_vec,
@@ -263,7 +262,7 @@ def test_continuum_resolvent_stable_under_refinement_doubling():
     assert np.max(np.abs(r8.values - r16.values)) < 1e-8
 
 
-@pytest.mark.parametrize("refine", [0, -2, 2.5, 2.0])
+@pytest.mark.parametrize("refine", [0, -2, 2.5, 2.0, True])
 def test_continuum_resolvent_rejects_bad_refine(refine):
     with pytest.raises(ValueError, match="refine"):
         resolvent_continuum(gaussian_spinor(), 2j, 1.0, Mesh(2, 0.4, 24), refine=refine)
@@ -623,12 +622,15 @@ def test_nested_continuum_krylov_solve_matches_a_double_loop_property(N, h, m, n
 SMOOTH_REFERENCE = pytest.mark.parametrize("z,policy", [(3j, None), (1.2j, "krylov")], ids=["neumann", "krylov"])
 
 
+@pytest.mark.parametrize("refine", [1, 2])
 @SMOOTH_REFERENCE
-def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_transforms(z, policy, monkeypatch):
+def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_transforms(z, policy, refine, monkeypatch):
     # smooth data: the interpolated half-mesh solution passes the fine test as it is.  Coset
     # (0, 0) is the half-mesh solution, whose residual the half mesh measured, so the fine mesh's
     # start test transforms each of the three other cosets back twice, for u and D u, at the half
-    # mesh's size, and the fine mesh runs no other transform, no step and no GMRES
+    # mesh's size, and the fine mesh runs no step and no GMRES.  Its cell averages are then one
+    # inverse transform of the coarse size from the half-mesh spectrum: of the fine mesh's own
+    # size at refine 1, and at refine 2 no transform of that size runs at all
     mesh = Mesh(2, 9.6 / 256, 256)
     V = potential_catalog("nonhermitian-gaussian")
     transforms = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn", "ifftn"))
@@ -643,17 +645,18 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_trans
         before, inverse_before = len(transforms), len(inverse)
         start, measured = _coset_start(spec, fine, *args)
         if fine.N == mesh.N:
-            fine_start.append((start is None, transforms[before:], inverse[inverse_before:]))
+            fine_start.append((start is None, transforms[before:], inverse[inverse_before:], len(transforms)))
         return start, measured
 
     monkeypatch.setattr(operators, "_gmres", gmres)
     monkeypatch.setattr(operators, "_coset_start", coset_start)
-    _nested_solve(gaussian_spinor(), mesh, z, 1.0, V, policy)
-    [(passed, during, inverse_during)] = fine_start
+    _solve_with_potential(gaussian_spinor(), mesh, refine, z, 1.0, V, policy, 1e-10, 2000, 50)
+    [(passed, during, inverse_during, end)] = fine_start
     assert passed
-    assert (2, 256, 256) not in transforms
     assert during == inverse_during == [(2, 128, 128)] * 6
-    assert transforms[-len(during):] == during  # nothing after the start test
+    cells = mesh.N // refine
+    assert transforms[end:] == inverse[-1:] == [(2, cells, cells)]  # the one coarse inverse after the start
+    assert ((2, 256, 256) in transforms) == (refine == 1)
     assert bool(gmres_sizes) == (policy == "krylov")  # the coarse levels still iterate
     assert 2 * mesh.N**2 not in gmres_sizes
 
@@ -723,28 +726,22 @@ def test_fine_start_test_value_is_the_full_mesh_residual_of_the_interpolant(N, t
     assert abs(np.sqrt(sum_sq / psi_sq) - expected) <= 1e-12 * expected
 
 
-@pytest.mark.parametrize("refine", range(1, 9))
-@pytest.mark.parametrize("a,b", _COSETS)
-@pytest.mark.parametrize("cells", [4, 6])
-@pytest.mark.parametrize("layout", ["contiguous", "strided"])
-@pytest.mark.parametrize("block_sites", [operators._BLOCK_SITES, 1], ids=["one-block", "one-period-per-block"])
-def test_cell_sums_sink_adds_the_block_sums_of_the_scattered_coset(refine, a, b, cells, layout, block_sites,
-                                                                   monkeypatch, rng):
-    # refine coset sites cover two cells, split unevenly for an odd refine; the oracle scatters the
-    # coset into a fine field and block-averages it
-    monkeypatch.setattr(operators, "_BLOCK_SITES", block_sites)
-    coarse, fine = Mesh(2, 1.0, cells), Mesh(2, 1.0 / refine, cells * refine)
-    field = np.zeros((2,) + fine.shape, dtype=complex)
-    field[:, a::2, b::2] = rng.standard_normal((2, fine.N // 2, fine.N // 2, 2)) @ [1.0, 1j]
-    u = field[:, a::2, b::2]  # the fallback sinks cosets of its solution as strided views
-    if layout == "contiguous":
-        u = u.copy()
-    before = rng.standard_normal((2, cells, cells)) + 0j
-    sums = before.copy()
-    _cell_sums_sink(sums, refine)(a, b, u)
-    expected = before + refine**2 * np.moveaxis(block_average(LatticeField(fine, np.moveaxis(field, 0, -1)),
-                                                              coarse).values, -1, 0)
-    assert np.linalg.norm(sums - expected) <= 1e-14 * np.linalg.norm(expected)
+def test_cell_spectrum_is_the_spectrum_of_the_block_average_of_the_zero_padded_field(rng):
+    # the kernel and fold against `block_average` of the fine field that zero-pads a half-size
+    # spectrum (M = N/2; no multiple of the coarse size for an odd refine, and odd itself at 6
+    # cells and an odd refine) or a full one (M = N), Nyquist at -M/2 as in `operators._coset_start`
+    for refine in range(1, 9):
+        for cells in (4, 6):
+            coarse, fine = Mesh(2, 1.0, cells), Mesh(2, 1.0 / refine, cells * refine)
+            for M in (fine.N // 2, fine.N):
+                spec = np.fft.fft2(rng.standard_normal((2, M, M, 2)) @ [1.0, 1j])
+                k = (np.arange(M) + M // 2) % M - M // 2
+                padded = np.zeros((2,) + fine.shape, dtype=complex)
+                padded[:, (k % fine.N)[:, None], k % fine.N] = (fine.N / M) ** 2 * spec
+                field = LatticeField(fine, np.moveaxis(np.fft.ifft2(padded), 0, -1))
+                expected = np.moveaxis(block_average(field, coarse).values, -1, 0)
+                averages = np.fft.ifft2(_cell_spectrum(spec, refine, fine.N))
+                assert np.linalg.norm(averages - expected) <= 1e-14 * np.linalg.norm(expected), (refine, cells, M)
 
 
 @pytest.mark.parametrize("policy", ["neumann", "krylov"])
