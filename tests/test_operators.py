@@ -726,22 +726,24 @@ def test_fine_start_test_value_is_the_full_mesh_residual_of_the_interpolant(N, t
     assert abs(np.sqrt(sum_sq / psi_sq) - expected) <= 1e-12 * expected
 
 
-def test_cell_spectrum_is_the_spectrum_of_the_block_average_of_the_zero_padded_field(rng):
+@pytest.mark.parametrize("refine", range(1, 9))
+@pytest.mark.parametrize("cells", range(4, 36, 2))
+@pytest.mark.parametrize("size", ["half", "full"])
+def test_cell_spectrum_is_the_spectrum_of_the_block_average_of_the_zero_padded_field(refine, cells, size, rng):
     # the kernel and fold against `block_average` of the fine field that zero-pads a half-size
-    # spectrum (M = N/2; no multiple of the coarse size for an odd refine, and odd itself at 6
-    # cells and an odd refine) or a full one (M = N), Nyquist at -M/2 as in `operators._coset_start`
-    for refine in range(1, 9):
-        for cells in (4, 6):
-            coarse, fine = Mesh(2, 1.0, cells), Mesh(2, 1.0 / refine, cells * refine)
-            for M in (fine.N // 2, fine.N):
-                spec = np.fft.fft2(rng.standard_normal((2, M, M, 2)) @ [1.0, 1j])
-                k = (np.arange(M) + M // 2) % M - M // 2
-                padded = np.zeros((2,) + fine.shape, dtype=complex)
-                padded[:, (k % fine.N)[:, None], k % fine.N] = (fine.N / M) ** 2 * spec
-                field = LatticeField(fine, np.moveaxis(np.fft.ifft2(padded), 0, -1))
-                expected = np.moveaxis(block_average(field, coarse).values, -1, 0)
-                averages = np.fft.ifft2(_cell_spectrum(spec, refine, fine.N))
-                assert np.linalg.norm(averages - expected) <= 1e-14 * np.linalg.norm(expected), (refine, cells, M)
+    # spectrum (M = N/2; no multiple of the coarse size for an odd refine, and odd itself when
+    # both cells / 2 and refine are odd) or a full one (M = N), Nyquist at -M/2 as in
+    # `operators._coset_start`
+    coarse, fine = Mesh(2, 1.0, cells), Mesh(2, 1.0 / refine, cells * refine)
+    M = fine.N // 2 if size == "half" else fine.N
+    spec = np.fft.fft2(rng.standard_normal((2, M, M, 2)) @ [1.0, 1j])
+    k = (np.arange(M) + M // 2) % M - M // 2
+    padded = np.zeros((2,) + fine.shape, dtype=complex)
+    padded[:, (k % fine.N)[:, None], k % fine.N] = (fine.N / M) ** 2 * spec
+    field = LatticeField(fine, np.moveaxis(np.fft.ifft2(padded), 0, -1))
+    expected = np.moveaxis(block_average(field, coarse).values, -1, 0)
+    averages = np.fft.ifft2(_cell_spectrum(spec, refine, fine.N))
+    assert np.linalg.norm(averages - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("policy", ["neumann", "krylov"])
