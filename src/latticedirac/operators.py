@@ -27,13 +27,16 @@ handed back with the sums of its residual and right-hand side in squares
 that its own mesh measured, so only the three other cosets of the
 interpolant and of ``D`` applied to it are formed, one at a time, by
 half-size inverse transforms, with the right-hand side evaluated on each
-coset (`_coset_start`).  Every level hands back a spectrum: the half mesh's
-when the interpolant passes the fine mesh's own residual test, since
-zero-padded it is the interpolant, and otherwise the one forward transform
-of the solution iterated from it.  The top turns its spectrum into averages
-over cells ``refine`` sites wide by one left-endpoint kernel per axis, one
-fold of the frequencies onto the coarse dual grid and one coarse inverse
-transform (`_cell_spectrum`); no level forms or slices a finer field.
+coset (`_coset_start`).  Every level hands back a spectrum on its band, the
+size of the last level that iterated: the one it was given when the
+interpolant passes the fine mesh's own residual test, since zero-padded it
+is the interpolant, and otherwise the one forward transform of the solution
+iterated from it.  The start test works on the band, and its inverse
+transforms skip the columns that zero-padding leaves empty.  The top turns
+its spectrum into averages over cells ``refine`` sites wide by one
+left-endpoint kernel per axis, one fold of the frequencies onto the coarse
+dual grid and one coarse inverse transform (`_cell_spectrum`); no level
+forms or slices a finer field.
 A dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
@@ -44,11 +47,12 @@ one block of rows at a time.  Every multiplier holds only the per-axis terms
 of ``zeta`` on the dual grid (`_Multiplier`); ``zeta`` and the coefficients of
 a block are formed from them when the block is multiplied, on every apply, so
 no grid-sized symbol or coefficient array is ever stored.  The perturbed
-solves treat the potential the same way: ``V`` is evaluated at the sites of
-each block of rows (of the mesh, or of one coset) just before it multiplies
-that block, so they hold no grid-sized potential array either;
-`sample_potential` samples the whole mesh for `apply_dirac` and
-`dense_matrix`.
+solves treat the potential the same way: a catalog ``V`` declares its
+per-axis envelope and fixed matrix, evaluated once per multiply on each
+axis, and any other ``V`` is evaluated at the sites of each block of rows
+(of the mesh, or of one coset) just before it multiplies that block, so they
+hold no grid-sized potential array either; `sample_potential` samples the
+whole mesh for `apply_dirac` and `dense_matrix`.
 """
 
 from __future__ import annotations
@@ -67,7 +71,10 @@ from .errors import (
     TooLarge,
 )
 from .fourier import FrequencyGrid, SpectralField, _fftn, _grid_step_factor, dft, idft, sample_spectrum
-from .grid import ContinuumFunction, LatticeField, Mesh, _cell_points, _grid_values, _require_dimension, norm_l2, sample
+from .grid import (
+    ContinuumFunction, LatticeField, Mesh, _axis_values, _cell_points, _grid_values, _require_dimension, norm_l2,
+    sample,
+)
 # zeta_discrete is unused here; perfbench/spans.py times calls through this name
 from .symbols import DiracParams, _require_complex_shift, _require_mass, _zeta_terms, opnorm_2x2, zeta_discrete
 
@@ -104,13 +111,35 @@ class PotentialSpec:
     ``matrix_fn`` maps points ``(..., 2)`` to matrices ``(..., 2, 2)``;
     ``sup_norm`` bounds the pointwise spectral norm and ``skew_bound`` the
     spectral norm of the skew-Hermitian part (the theorem region is
-    ``|Im z| > skew_bound``).
+    ``|Im z| > skew_bound``).  A potential ``e_0(x_0) * e_1(x_1) * matrix`` may
+    also declare ``envelope``, one callable per axis that maps a coordinate array
+    to values of its shape, and the fixed 2x2 ``matrix`` (stored as nested tuples).
+    The iterative solves then multiply by ``matrix`` and the outer product of the
+    envelope's values on each axis (`_vmul_blocks`), while `sample_potential` and
+    `dense_matrix` keep ``matrix_fn``, which must agree.  An envelope without a
+    matrix, or the reverse, anything but two callables, a matrix that is not 2x2,
+    or an envelope whose values on a probe axis have the wrong shape, raises
+    `ValueError` naming the potential.
     """
 
     name: str
     matrix_fn: Callable[[np.ndarray], np.ndarray]
     sup_norm: float
     skew_bound: float
+    envelope: Optional[tuple[Callable[[np.ndarray], np.ndarray], ...]] = None
+    matrix: Optional[tuple[tuple[complex, complex], tuple[complex, complex]]] = None
+
+    def __post_init__(self):
+        if self.envelope is None and self.matrix is None:
+            return
+        envelope, matrix = self.envelope, np.asarray(self.matrix, dtype=object)
+        if not isinstance(envelope, (tuple, list)) or len(envelope) != 2 or not all(map(callable, envelope)) \
+                or matrix.shape != (2, 2):
+            raise ValueError(f"potential {self.name!r} declares an envelope of {envelope!r} and a matrix of shape "
+                             f"{matrix.shape}, expected two per-axis callables and a 2x2 matrix")
+        object.__setattr__(self, "envelope", tuple(envelope))
+        object.__setattr__(self, "matrix", tuple(tuple(complex(v) for v in row) for row in matrix))
+        _envelope_values(self, [np.arange(3.0)] * 2)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.matrix_fn(points)
@@ -126,6 +155,18 @@ def _potential_values(V: PotentialSpec, points: np.ndarray) -> np.ndarray:
     expected = points.shape[:-1] + (2, 2)
     if np.shape(values) != expected:
         raise ValueError(f"potential {V.name!r} gave samples of shape {np.shape(values)}, expected {expected}")
+    return values
+
+
+def _envelope_values(V: PotentialSpec, coords: list[np.ndarray]) -> list[np.ndarray]:
+    """The declared envelope of ``V`` on each axis's coordinates ``coords[j]``.
+
+    Raises `ValueError`, naming the potential, unless each has the shape of its coordinates.
+    """
+    values = [np.asarray(e(c)) for e, c in zip(V.envelope, coords)]
+    for v, c in zip(values, coords):
+        if v.shape != c.shape:
+            raise ValueError(f"potential {V.name!r} gave envelope values of shape {v.shape}, expected {c.shape}")
     return values
 
 
@@ -146,7 +187,7 @@ def split_hermitian(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _envelope_potential(name: str, matrix: np.ndarray, rate: float) -> PotentialSpec:
-    """Potential ``exp(-rate*|x|**2) * M``; rate 0 gives the constant ``M`` exactly."""
+    """Potential ``exp(-rate*|x|**2) * M``, declared per axis; rate 0 gives the constant ``M`` exactly."""
     matrix = np.asarray(matrix, dtype=complex)
 
     def matrix_fn(points):
@@ -160,12 +201,17 @@ def _envelope_potential(name: str, matrix: np.ndarray, rate: float) -> Potential
                 np.multiply(env, matrix[a, b], out=out[a, b])
         return np.moveaxis(out, (0, 1), (-2, -1))
 
+    def axis(x):
+        return np.exp(-rate * x**2)
+
     herm, skew = split_hermitian(matrix)
     return PotentialSpec(
         name=name,
         matrix_fn=matrix_fn,
         sup_norm=float(opnorm_2x2(matrix)),
         skew_bound=float(opnorm_2x2(skew)),
+        envelope=(axis, axis),
+        matrix=matrix,
     )
 
 
@@ -353,21 +399,33 @@ def _vmul_blocks(V: PotentialSpec, axes: list[np.ndarray], u: np.ndarray):
     """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u``.
 
     ``u`` lives on the tensor grid of the per-axis coordinates ``axes`` (`_site_axes`
-    of a mesh, or of one of its cosets).  ``V`` is evaluated at the sites of each block
-    just before it multiplies that block, so no grid-sized potential array is held.
-    The yielded block buffer is reused.
+    of a mesh, or of one of its cosets).  A ``V`` that declares its per-axis envelope
+    has it evaluated once per call, ``2N`` values; each block is then ``matrix`` times
+    ``u`` (four products with scalars) times the outer product of the envelope's values
+    on the block's rows and on the columns.  Any other ``V`` is evaluated at the sites of
+    each block just before it multiplies that block.  Either way no grid-sized potential
+    array is held.  The yielded block buffer is reused.
     """
     blocks = _row_blocks(u)
     buf = np.empty_like(u[:, blocks[0]])
     tmp = np.empty_like(buf[0])
+    if V.envelope is not None:
+        env_rows, env_cols = _envelope_values(V, axes)
+        env = np.empty(tmp.shape, np.result_type(env_rows, env_cols))
     for rows in blocks:
         k = rows.stop - rows.start
         vu, t = buf[:, :k], tmp[:k]
-        Vb = _potential_values(V, _cell_points([axes[0][rows], axes[1]]))
+        if V.envelope is None:
+            Vb = _potential_values(V, _cell_points([axes[0][rows], axes[1]]))
+            entries = [[Vb[..., a, 0], Vb[..., a, 1]] for a in range(2)]
+        else:
+            entries = V.matrix
         for a in range(2):
-            np.multiply(Vb[..., a, 0], u[0, rows], out=vu[a])
-            np.multiply(Vb[..., a, 1], u[1, rows], out=t)
+            np.multiply(entries[a][0], u[0, rows], out=vu[a])
+            np.multiply(entries[a][1], u[1, rows], out=t)
             vu[a] += t
+        if V.envelope is not None:
+            vu *= np.multiply(env_rows[rows, None], env_cols, out=env[:k])
         yield rows, vu
 
 
@@ -574,11 +632,27 @@ def _half_mesh(mesh: Mesh) -> Optional[Mesh]:
 _COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def _signed_index(M: int) -> np.ndarray:
+    """Signed index ``k`` of the natural-order ``fftn`` of ``M`` sites (Nyquist at ``-M/2``)."""
+    return (np.arange(M) + M // 2) % M - M // 2
+
+
+def _zero_pad(band: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Natural-order ``band`` zero-padded along ``axis`` into ``out``: signed index ``k`` at ``k mod n``."""
+    src, dst = np.moveaxis(band, axis, 0), np.moveaxis(out, axis, 0)
+    low, high = (len(src) + 1) // 2, len(dst) - len(src) // 2  # k >= 0 take the first indices, k < 0 the last
+    dst[:low] = src[:low]
+    dst[low:high] = 0.0
+    dst[high:] = src[low:]
+    return out
+
+
 def _cell_spectrum(spec: np.ndarray, refine: int, N: int) -> np.ndarray:
     """The ``fftn`` of the ``refine x refine`` cell means of the ``N x N``-site field that zero-pads ``spec``.
 
-    ``spec``, overwritten, is a channel-first natural-order ``fftn`` of ``M = N`` or ``N/2``
-    sites per axis, with signed index ``k`` (Nyquist at ``-M/2``).  Per axis, the mean over
+    ``spec``, overwritten, is a channel-first natural-order ``fftn`` of a band of ``M <= N``
+    sites per axis (the size of the level that last iterated), with signed index ``k``
+    (Nyquist at ``-M/2``).  Per axis, the mean over
     cell ``c`` of the ``n = N // refine`` cells is ``sum_k spec[k] K(k) exp(2*pi*i*k*c/n) / M``
     with the left-endpoint kernel ``K(k) = (1/refine) sum_{j<refine} exp(2*pi*i*k*j/N)``, so
     ``spec`` is multiplied by ``K * n / M`` per axis, zero-padded (``k`` at index ``k mod P``)
@@ -589,7 +663,7 @@ def _cell_spectrum(spec: np.ndarray, refine: int, N: int) -> np.ndarray:
     """
     M, n = spec.shape[1], N // refine
     P = -(-M // n) * n
-    k = (np.arange(M) + M // 2) % M - M // 2
+    k = _signed_index(M)
     kernel = np.exp(2j * np.pi / N * np.outer(k, np.arange(refine))).mean(axis=1) * (n / M)
     spec *= kernel[:, None]
     spec *= kernel
@@ -604,69 +678,92 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
                  tol: float, measured: tuple[float, float]) -> tuple[Optional[np.ndarray], tuple[float, float]]:
     """Test on ``mesh`` the spectral interpolant ``u_p`` of a half-mesh solution, coset by coset.
 
-    ``spec`` is the channel-first ``fftn`` ``S`` of that solution, in natural FFT order;
-    it is read, not changed.  The sites of ``mesh`` split into the four `_COSETS`, each
-    a copy of the half mesh of ``n = N/2`` sites per axis.  With ``k`` the signed index
-    of ``S`` (Nyquist at ``-n/2``), the interpolant that zero-pads ``S`` is on coset
-    ``(a, b)`` the half-size inverse transform of ``S * exp(i*pi*a*k_1/n) *
-    exp(i*pi*b*k_2/n)``, so it equals the half-mesh solution on the even sites; ``D u_p``
-    is the same with the continuum ``M(xi)`` of the half mesh's dual grid applied first.
+    ``spec`` is the channel-first natural-order ``fftn`` ``S`` of that solution on its band
+    of ``K`` sites per axis, the size of the level that last iterated (``K`` divides the
+    ``n = N/2`` sites of the half mesh, and the solution is ``S`` zero-padded); it is read,
+    not changed.  The sites of ``mesh`` split into the four `_COSETS`, each a copy of the
+    half mesh.  With ``k`` the signed index of ``S`` (Nyquist at ``-K/2``), the interpolant
+    on coset ``(a, b)`` is the ``n x n`` inverse transform of ``(n/K)**2 * S *
+    exp(i*pi*a*k_1/n) * exp(i*pi*b*k_2/n)`` zero-padded, so it equals the half-mesh
+    solution on the even sites; ``D u_p`` is the same with the continuum ``M(xi)`` of the
+    half mesh's dual grid applied first.  The twiddles, the scale (a power of two, so
+    exact) and ``M`` act on the ``K x K`` entries only.  For ``K < n`` each inverse
+    transform is pruned: one transform along the rows of the ``(2, n, K)`` column band,
+    zero-padded, then one along the columns of the ``(2, n, n)`` coset buffer it is
+    scattered into; for ``K == n`` it is one 2D transform.
 
     Coset ``(0, 0)`` is therefore the half-mesh solution itself, with the half mesh's
     residual and right-hand side, so it is not formed here: the caller passes
     ``measured``, the squared sums ``(sum_sq, psi_sq)`` of its residual and of ``psi``
     that the half mesh's own test measured.  Each of the three other cosets forms its
-    twiddled spectrum once, into the buffer of ``u``, and copies it for ``D u``; both go
-    through a half-size inverse transform, in two half-size buffers that every coset
-    reuses, so no array of ``mesh``'s size is made.  ``psi``, the continuum ``phi`` at the
-    coset's sites (`grid._grid_values`), and ``V`` are evaluated on row blocks of the
-    coset, where the residual ``(D - z) u_p + V u_p - psi`` and ``psi`` itself are added
-    in squares to ``measured``.
+    twiddled spectrum once and copies it for ``D u``; both go through the inverse, into
+    two coset buffers that every coset reuses, so no array of ``mesh``'s size is made.
+    ``psi``, the continuum ``phi`` at the coset's sites, and ``V`` are evaluated on row
+    blocks of the coset, where the residual ``(D - z) u_p + V u_p - psi`` and ``psi``
+    itself are added in squares to ``measured``.  A ``phi`` with ``factors`` has them
+    evaluated once per coset on each axis (`grid._axis_values`), and each block of ``psi``
+    is their outer product, channel-first, in one reused buffer; any other ``phi`` is
+    evaluated per block (`grid._grid_values`).
 
     Returns ``(start, (sum_sq, psi_sq))`` with the sums over all of ``mesh``.  ``start``
     is None when ``||residual|| <= tol * ||psi||``: a residual that is not finite fails,
     and a zero ``psi`` with a zero residual passes with no division.  Otherwise it forms
-    all four cosets of ``u_p`` again, into a channel-first field of ``mesh``, and
-    returns that field as ``start`` to start the iteration from.
+    all four cosets of ``u_p`` again, by the same inverse, into a channel-first field of
+    ``mesh``, and returns that field as ``start`` to start the iteration from.
     """
-    axes, n = (1, 2), spec.shape[1]
-    twiddle = np.exp(1j * np.pi / n * np.roll(np.arange(-(n // 2), n // 2), n // 2))
-    symbol = _Multiplier(_natural_frequencies(_half_mesh(mesh)), None, m)
+    channels, K, n = spec.shape[0], spec.shape[1], mesh.N // 2
+    k = _signed_index(K)
+    twiddle = (n / K) * np.exp(1j * np.pi / n * k)
+    parity = (np.full(K, n / K), twiddle)  # per-axis factor of a coset of parity 0 or 1, with the scale
+    symbol = _Multiplier(_natural_frequencies(_half_mesh(mesh))[k % n], None, m)
     x = _site_axes(mesh)[0]
-    u, du = np.empty_like(spec), np.empty_like(spec)
-    zu = np.empty_like(u[:, _row_blocks(u)[0]])
+    s, ds = np.empty_like(spec), np.empty_like(spec)
+    band = u = du = None
+    if K < n:
+        band = np.empty((channels, n, K), complex)
+        u, du = (np.empty((channels, n, n), complex) for _ in range(2))
+    block = _row_blocks(np.broadcast_to(0j, (channels, n, n)))[0]
+    zu, psi_buf = (np.empty((channels, block.stop, n), complex) for _ in range(2))
 
     def twiddled(a, b, out):
-        """The spectrum of coset ``(a, b)`` of ``u_p``, written into ``out`` in one pass over ``spec``."""
-        if a:
-            np.multiply(spec, twiddle[:, None], out=out)
-            if b:
-                out *= twiddle
-        elif b:
-            np.multiply(spec, twiddle, out=out)
-        else:
-            np.copyto(out, spec)
+        """The scaled spectrum of coset ``(a, b)`` of ``u_p`` on the band, written into ``out``."""
+        np.multiply(spec, parity[a][:, None], out=out)
+        out *= parity[b]
         return out
+
+    def inverse(spectrum, out):
+        """The ``n x n`` inverse transform of ``spectrum`` zero-padded; overwrites it and ``out`` (None if ``K == n``)."""
+        if out is None:
+            return _fftn(spectrum, (1, 2), inverse=True)
+        rows = _fftn(_zero_pad(spectrum, band, 1), (1,), inverse=True)
+        return _fftn(_zero_pad(rows, out, 2), (2,), inverse=True)
+
+    def rhs(coords):
+        """``psi(rows)``: channel-first ``phi`` on the rows ``rows`` of the tensor grid of ``coords``."""
+        if phi.factors is None:
+            values = _grid_values(phi, coords)
+            return lambda rows: np.moveaxis(values(rows), -1, 0)
+        f0, f1 = (f.T for f in _axis_values(phi, coords))
+        return lambda rows: np.multiply(f0[:, rows, None], f1[:, None], out=psi_buf[:, : rows.stop - rows.start])
 
     sum_sq, psi_sq = measured
     for a, b in _COSETS[1:]:
-        np.copyto(du, twiddled(a, b, u))
-        du = _fftn(symbol(du), axes, inverse=True)
-        u = _fftn(u, axes, inverse=True)
+        np.copyto(ds, twiddled(a, b, s))
+        fu, dfu = inverse(s, u), inverse(symbol(ds), du)
         coords = [x[a::2], x[b::2]]
-        psi = _grid_values(phi, coords)
-        for rows, vu in _vmul_blocks(V, coords, u):
-            r, psi_rows = du[:, rows], np.moveaxis(psi(rows), -1, 0)
-            r -= np.multiply(u[:, rows], z, out=zu[:, : rows.stop - rows.start])
+        psi = rhs(coords)
+        for rows, vu in _vmul_blocks(V, coords, fu):
+            r, psi_rows = dfu[:, rows], psi(rows)
+            r -= np.multiply(fu[:, rows], z, out=zu[:, : rows.stop - rows.start])
             r += vu
             r -= psi_rows
             sum_sq += _sum_sq(r)
             psi_sq += _sum_sq(psi_rows)
     if math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq):
         return None, (sum_sq, psi_sq)
-    start = np.empty((spec.shape[0],) + mesh.shape, dtype=complex)
+    start = np.empty((channels,) + mesh.shape, dtype=complex)
     for a, b in _COSETS:
-        start[:, a::2, b::2] = _fftn(twiddled(a, b, u), axes, inverse=True)
+        start[:, a::2, b::2] = inverse(twiddled(a, b, s), u)
     return start, (sum_sq, psi_sq)
 
 
@@ -742,18 +839,20 @@ def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: co
     ``|psi|**2`` that certified ``u``.  ``V`` is evaluated on the first row block of
     ``mesh`` first, so that samples of the wrong shape raise `ValueError` before any
     transform.  The symbol is the same on every mesh of the box, and each level of the
-    solve hands back the natural-order spectrum of its solution.  For ``N % 4 == 0`` (``N
-    >= 8``) the problem on the even sites, which are the sites ``(2h)*k = h*(2k)`` of the
-    half mesh (`_half_mesh`) bit for bit, is solved first, with the same policy; its
-    solution is coset ``(0, 0)`` of the interpolant ``u_p`` on the mesh, so its spectrum
-    (`_cell_spectrum` at refine 1) and its sums are handed to the test of `_coset_start`.
+    solve hands back the natural-order spectrum of its solution on its band: ``K`` sites
+    per axis, the size of the last level that iterated, whose spectrum zero-padded is the
+    solution.  For ``N % 4 == 0`` (``N >= 8``) the problem on the even sites, which are the
+    sites ``(2h)*k = h*(2k)`` of the half mesh (`_half_mesh`) bit for bit, is solved first,
+    with the same policy; its solution is coset ``(0, 0)`` of the interpolant ``u_p`` on
+    the mesh, so its band spectrum and its sums are handed to the test of `_coset_start`.
     When ``u_p`` passes, as it does for smooth data on a fine enough mesh, the level hands
-    back that spectrum, which zero-padded *is* ``u_p``, with no step and no transform or
-    array of its mesh's size.  Otherwise, and without a half mesh, ``phi`` is sampled on
-    the mesh, `_iterate` solves from ``w = psi - V u_p`` (or its cold start) with its own
-    ``max_iter``, its final relative residual ``res`` gives ``sum_sq = res**2 * psi_sq``,
-    and the level hands back the forward transform of its ``u``.  The top's spectrum goes
-    through `_cell_spectrum` and one inverse transform of ``N / refine`` sites per axis.
+    back that band spectrum as it is, which zero-padded *is* ``u_p``, with no step and no
+    transform or array of its mesh's size.  Otherwise, and without a half mesh, ``phi`` is
+    sampled on the mesh, `_iterate` solves from ``w = psi - V u_p`` (or its cold start)
+    with its own ``max_iter``, its final relative residual ``res`` gives ``sum_sq = res**2 *
+    psi_sq``, and the level hands back the forward transform of its ``u``, so ``K = N``.
+    The top's band goes through `_cell_spectrum` and one inverse transform of ``N /
+    refine`` sites per axis.
     """
     next(_vmul_blocks(V, _site_axes(mesh), np.broadcast_to(0j, (2,) + mesh.shape)))  # before any transform
 
@@ -761,7 +860,6 @@ def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: co
         half, w = _half_mesh(mesh), None
         if half is not None:
             spec, measured = solve(half)
-            spec = _cell_spectrum(spec, 1, half.N)
             w, measured = _coset_start(spec, mesh, phi, z, m, V, tol, measured)
             if w is None:
                 return spec, measured

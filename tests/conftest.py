@@ -2,8 +2,12 @@
 
 The direct-summation transforms below are deliberately naive (O(N**2d))
 re-implementations used to cross-check the FFT paths at small sizes;
-`spy_fftn` records what reaches the library's one transform call site.
+`spy_fftn` and `spy_transforms` record what reaches the library's one
+transform call site, and `one_d_lengths` counts the 1D transforms it runs.
 """
+
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,16 +43,35 @@ def random_field(mesh: Mesh, channels: int, rng) -> LatticeField:
 
 def spy_fftn(monkeypatch, record=lambda x: x.dtype, names=("fftn",)) -> list:
     """Record ``record(x)``, by default the dtype, of every array handed to the `scipy.fft` ``names``."""
+    return _spy(monkeypatch, lambda x, axes: record(x), names)
+
+
+def spy_transforms(monkeypatch, names=("fftn", "ifftn")) -> list:
+    """Record ``(shape, axes)`` of every array handed to the `scipy.fft` ``names``."""
+    return _spy(monkeypatch, lambda x, axes: (x.shape, axes), names)
+
+
+def _spy(monkeypatch, record, names) -> list:
     import scipy.fft
 
     seen = []
     for name in names:
         def spy(x, *args, _transform=getattr(scipy.fft, name), **kwargs):
-            seen.append(record(x))
+            axes = kwargs.get("axes")
+            seen.append(record(x, tuple(range(x.ndim)) if axes is None else tuple(axes)))
             return _transform(x, *args, **kwargs)
 
         monkeypatch.setattr(scipy.fft, name, spy)
     return seen
+
+
+def one_d_lengths(transforms) -> Counter:
+    """The number of 1D transforms of each length that the ``(shape, axes)`` of `spy_transforms` run."""
+    counts = Counter()
+    for shape, axes in transforms:
+        for axis in axes:
+            counts[shape[axis]] += math.prod(shape) // shape[axis]
+    return counts
 
 
 @pytest.fixture

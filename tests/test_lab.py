@@ -32,9 +32,9 @@ from latticedirac import lab, operators
 from latticedirac.errors import DegenerateFit, MeshMismatch, NoConvergence, NotInResolventRegion, RealShift
 from latticedirac.grid import bandlimited_spinor, function_catalog, gaussian, gaussian_spinor, sample
 from latticedirac.lab import DYADIC_HS, _assemble, weighted_operator_gap_probe
-from latticedirac.operators import PotentialSpec, _Multiplier, _iterate, block_average
+from latticedirac.operators import POTENTIAL_IDS, PotentialSpec, _Multiplier, _iterate, block_average, potential_catalog
 
-from conftest import spy_fftn
+from conftest import one_d_lengths, spy_fftn, spy_transforms
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +356,34 @@ def test_misshapen_potential_fails_the_reference_before_any_transform(matrix_fn,
     assert transforms == []
 
 
+@pytest.mark.parametrize("z", [3j, 1.2j], ids=["neumann", "krylov"])
+@pytest.mark.parametrize("name", POTENTIAL_IDS)
+def test_catalog_resolve_potential_never_calls_matrix_fn(name, z, monkeypatch):
+    # every catalog potential declares its per-axis envelope, which the level solves and the
+    # reference multiply by; matrix_fn, kept for sample_potential and dense_matrix, is not called
+    calls = []
+
+    def catalog(potential, _catalog=potential_catalog):
+        V = _catalog(potential)
+
+        def matrix_fn(points, _matrix_fn=V.matrix_fn):
+            calls.append(points.shape)
+            return _matrix_fn(points)
+
+        return dataclasses.replace(V, matrix_fn=matrix_fn)
+
+    monkeypatch.setattr(lab, "potential_catalog", catalog)
+    sweep = Sweep(hs=(0.4, 0.2), box=9.6, function="gaussian-spinor", z=z, potential=name, refine=4)
+    assert len(exp_resolvent_potential(sweep).rows()) == 2
+    assert calls == []
+
+
 def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
-    # a passing finest start at refine 8 (fine N = 768): the half-mesh spectrum and the two coset
-    # buffers are a quarter of a fine spinor field each, with block buffers on top (0.99 fields in
-    # all); the fine samples, the fine solution or D u on the fine mesh would each add one
+    # a passing finest start at refine 8 (fine N = 768): the two coset buffers are a quarter of a
+    # fine spinor field each, and the band spectrum (of N = 48 here) and the (2, 384, 48) column
+    # band a small part of one, with block buffers on top (0.72 fields in all); the zero-padded
+    # half-mesh spectrum would add a quarter, and the fine samples, the fine solution or D u on
+    # the fine mesh one each
     import scipy.fft  # noqa: F401  imported outside the traced call
 
     monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
@@ -373,19 +397,23 @@ def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
     finally:
         tracemalloc.stop()
     assert starts == [True]
-    assert peak < 1.5 * fine_field
+    assert peak < 0.85 * fine_field
 
 
 def test_default_reference_transform_count_is_pinned(monkeypatch):
-    # the default refine-8 reference of h = 0.05 (fine N = 1536), by transform size n.  The meshes
-    # N = 192 ... 1536 pass their starts: each transforms three cosets back twice, six inverse
-    # transforms of size N/2, hands back its half mesh's spectrum, and transforms nothing forward
-    # and nothing of size N.  The meshes N = 12 ... 96 fail theirs (six plus the four cosets of
-    # the start), iterate and transform their solution forward once, and N = 6 starts cold.  The
-    # cell averages on the finest level are one inverse transform of its size, 192.  A transform
-    # added anywhere in the reference changes these counts.
-    forward = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn",))
-    inverse = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
+    # the default refine-8 reference of h = 0.05 (fine N = 1536), by the length of its 1D
+    # transforms (a 2D transform of (2, n, n) runs 2n of length n along each axis).  The
+    # meshes N = 12 ... 96 fail their starts (six 2D inverse transforms of size N/2 plus the
+    # four cosets of the start), iterate and transform their solution forward once, and N = 6
+    # starts cold; so the band of every passing level is the 96 x 96 spectrum of N = 96.  The
+    # meshes N = 192 ... 1536 pass their starts: each transforms three cosets back twice, six
+    # inverse transforms of size N/2 (2D at N = 192, whose half mesh is the band; above, each
+    # is pruned to one transform along the rows of the (2, N/2, 96) column band and one along
+    # the columns of (2, N/2, N/2)), hands back the band, and transforms nothing forward and
+    # nothing of size N.  The cell averages on the finest level are one 2D inverse transform
+    # of its size, 192.  A transform added anywhere in the reference changes these counts.
+    forward = spy_transforms(monkeypatch, names=("fftn",))
+    inverse = spy_transforms(monkeypatch, names=("ifftn",))
     spans = []
 
     def reference(*args, _solve=lab._solve_with_potential):
@@ -398,12 +426,14 @@ def test_default_reference_transform_count_is_pinned(monkeypatch):
     sweep = _potential_sweep(8, 0.05)
     _, starts = _spy_reference(monkeypatch, sweep)
     exp_resolvent_potential(sweep)
-    [(forward_sizes, inverse_sizes)] = spans
+    [(forward_calls, inverse_calls)] = spans
     assert starts == [True]
-    assert all(shape == (2, shape[1], shape[1]) for shape in forward_sizes + inverse_sizes)
-    assert Counter(shape[1] for shape in forward_sizes) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2}
-    assert Counter(shape[1] for shape in inverse_sizes) == {6: 28, 12: 25, 24: 22, 48: 17, 96: 7, 192: 7, 384: 6,
-                                                            768: 6}
+    assert all(shape == (2, shape[1], shape[1]) and axes == (1, 2) for shape, axes in forward_calls)
+    assert Counter(shape[1] for shape, _ in forward_calls) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2}
+    assert one_d_lengths(forward_calls) == {6: 456, 12: 768, 24: 1248, 48: 1536, 96: 768}
+    assert one_d_lengths(inverse_calls) == {6: 672, 12: 1200, 24: 2112, 48: 3264, 96: 2688, 192: 4224, 384: 5760,
+                                            768: 10368}
+    assert not any(1536 in shape for shape, _ in forward_calls + inverse_calls)
 
 
 # ---------------------------------------------------------------------------

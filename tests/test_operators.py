@@ -64,7 +64,7 @@ from latticedirac.operators import (
 )
 from latticedirac.symbols import SIGMA1, SIGMA2, SIGMA3, opnorm_2x2, resolvent_norm_bound
 
-from conftest import random_field, spy_fftn
+from conftest import one_d_lengths, random_field, spy_fftn, spy_transforms
 
 # few examples, drawn the same way on every run, so tier-1 stays quick and repeatable
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -628,13 +628,15 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_trans
     # smooth data: the interpolated half-mesh solution passes the fine test as it is.  Coset
     # (0, 0) is the half-mesh solution, whose residual the half mesh measured, so the fine mesh's
     # start test transforms each of the three other cosets back twice, for u and D u, at the half
-    # mesh's size, and the fine mesh runs no step and no GMRES.  Its cell averages are then one
-    # inverse transform of the coarse size from the half-mesh spectrum: of the fine mesh's own
-    # size at refine 1, and at refine 2 no transform of that size runs at all
+    # mesh's size, and the fine mesh runs no step and no GMRES.  The half mesh (N = 128) passes
+    # too, so the band is the 64 x 64 spectrum of N = 64, and each of the six inverse transforms
+    # is pruned: 128 transforms of length 128 along the rows of the (2, 128, 64) column band and
+    # 256 along the columns of (2, 128, 128), 2304 in all (six 2D transforms would run 3072).
+    # The cell averages are then one 2D inverse transform of the coarse size from the band: of
+    # the fine mesh's own size at refine 1, and at refine 2 no transform of that size runs at all
     mesh = Mesh(2, 9.6 / 256, 256)
     V = potential_catalog("nonhermitian-gaussian")
-    transforms = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("fftn", "ifftn"))
-    inverse = spy_fftn(monkeypatch, record=lambda x: x.shape, names=("ifftn",))
+    transforms = spy_transforms(monkeypatch)
     gmres_sizes, fine_start = [], []
 
     def gmres(matvec, b_vec, *args, _gmres=operators._gmres):
@@ -642,21 +644,26 @@ def test_nested_continuum_solve_returns_its_prolonged_start_from_half_size_trans
         return _gmres(matvec, b_vec, *args)
 
     def coset_start(spec, fine, *args, _coset_start=operators._coset_start):
-        before, inverse_before = len(transforms), len(inverse)
+        before, forward_before = len(transforms), len(forward)
         start, measured = _coset_start(spec, fine, *args)
         if fine.N == mesh.N:
-            fine_start.append((start is None, transforms[before:], inverse[inverse_before:], len(transforms)))
+            fine_start.append((start is None, spec.shape, transforms[before:], forward[forward_before:],
+                               len(transforms), len(forward)))
         return start, measured
 
     monkeypatch.setattr(operators, "_gmres", gmres)
     monkeypatch.setattr(operators, "_coset_start", coset_start)
+    forward = spy_transforms(monkeypatch, names=("fftn",))
     _solve_with_potential(gaussian_spinor(), mesh, refine, z, 1.0, V, policy, 1e-10, 2000, 50)
-    [(passed, during, inverse_during, end)] = fine_start
+    [(passed, band, during, forward_during, end, forward_end)] = fine_start
     assert passed
-    assert during == inverse_during == [(2, 128, 128)] * 6
+    assert band == (2, 64, 64)
+    assert forward_during == forward[forward_end:] == []  # inverse transforms only, from the start test on
+    assert sorted(set(during)) == [((2, 128, 64), (1,)), ((2, 128, 128), (2,))]
+    assert one_d_lengths(during) == {128: 2304}
     cells = mesh.N // refine
-    assert transforms[end:] == inverse[-1:] == [(2, cells, cells)]  # the one coarse inverse after the start
-    assert ((2, 256, 256) in transforms) == (refine == 1)
+    assert transforms[end:] == [((2, cells, cells), (1, 2))]  # the one coarse inverse after the start
+    assert (256 in one_d_lengths(transforms)) == (refine == 1)
     assert bool(gmres_sizes) == (policy == "krylov")  # the coarse levels still iterate
     assert 2 * mesh.N**2 not in gmres_sizes
 
@@ -674,13 +681,18 @@ def test_returned_prolonged_start_is_certified_at_tol(z, policy):
     assert norm_l2(LatticeField(mesh, r)) / norm_l2(psi) <= tol
 
 
+def _zero_padded(spec: np.ndarray, n: int) -> np.ndarray:
+    """The band spectrum ``spec`` as the ``n x n`` spectrum of the same field: zero-padded, times ``(n/K)**2``."""
+    K = spec.shape[1]
+    k = np.arange(-(K // 2), K // 2)  # signed indices of the band, Nyquist at -K/2
+    padded = np.zeros((spec.shape[0], n, n), dtype=complex)
+    padded[:, (k % n)[:, None], k % n] = (n / K) ** 2 * spec[:, (k % K)[:, None], k % K]
+    return padded
+
+
 def _prolonged(spec: np.ndarray, mesh: Mesh) -> LatticeField:
-    """The interpolant on ``mesh`` that zero-pads the half-mesh spectrum ``spec``, by one full-size transform."""
-    n = spec.shape[1]
-    k = np.arange(-(n // 2), n // 2)  # signed indices of the half mesh, Nyquist at -n/2
-    padded = np.zeros((2,) + mesh.shape, dtype=complex)
-    padded[:, (k % mesh.N)[:, None], k % mesh.N] = spec[:, (k % n)[:, None], k % n]
-    return LatticeField(mesh, np.moveaxis(4 * np.fft.ifft2(padded), 0, -1))
+    """The interpolant on ``mesh`` that zero-pads the band spectrum ``spec``, by one full-size transform."""
+    return LatticeField(mesh, np.moveaxis(np.fft.ifft2(_zero_padded(spec, mesh.N)), 0, -1))
 
 
 def _spy_starts(monkeypatch) -> list:
@@ -726,16 +738,42 @@ def test_fine_start_test_value_is_the_full_mesh_residual_of_the_interpolant(N, t
     assert abs(np.sqrt(sum_sq / psi_sq) - expected) <= 1e-12 * expected
 
 
-@pytest.mark.parametrize("refine", range(1, 9))
-@pytest.mark.parametrize("cells", range(4, 36, 2))
-@pytest.mark.parametrize("size", ["half", "full"])
+@pytest.mark.parametrize("factors", [True, False], ids=["factors", "no-factors"])
+@pytest.mark.parametrize("tol,passed", [(1e6, True), (1e-10, False)], ids=["passing", "failing"])
+@pytest.mark.parametrize("shrink", [2, 4, 8])
+@pytest.mark.parametrize("z", [3j, 1.2j], ids=["neumann", "krylov"])
+def test_band_start_matches_the_start_from_the_zero_padded_spectrum(z, shrink, tol, passed, factors, rng):
+    # the pruned inverse on a K-band spectrum against the one 2D transform of the same spectrum
+    # zero-padded to the half mesh's n x n; the right-hand side per axis or, without factors, per block
+    mesh, n = Mesh(2, 9.6 / 64, 64), 32
+    K = n // shrink
+    spec = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
+    phi = gaussian_spinor() if factors else ContinuumFunction("plain-spinor", 2, 2, gaussian_spinor().evaluate)
+    args = (mesh, phi, z, 1.0, potential_catalog("nonhermitian-gaussian"), tol, (0.5, 2.0))
+    start, (sum_sq, psi_sq) = operators._coset_start(spec, *args)
+    expected, (expected_sum_sq, expected_psi_sq) = operators._coset_start(_zero_padded(spec, n), *args)
+    assert (start is None) == (expected is None) == passed
+    if not passed:
+        assert np.linalg.norm(start - expected) <= 1e-13 * np.linalg.norm(expected)
+    assert abs(sum_sq - expected_sum_sq) <= 1e-13 * expected_sum_sq
+    assert abs(psi_sq - expected_psi_sq) <= 1e-13 * expected_psi_sq
+
+
+_BAND_DIVISORS = {"full": 1, "half": 2, "quarter": 4, "eighth": 8}
+
+
+@pytest.mark.parametrize("size,cells,refine", [
+    pytest.param(size, cells, refine, id=f"{size}-{cells}-{refine}")
+    for size, divisor in _BAND_DIVISORS.items() for cells in range(4, 36, 2) for refine in range(1, 9)
+    if cells * refine % divisor == 0
+])
 def test_cell_spectrum_is_the_spectrum_of_the_block_average_of_the_zero_padded_field(refine, cells, size, rng):
-    # the kernel and fold against `block_average` of the fine field that zero-pads a half-size
-    # spectrum (M = N/2; no multiple of the coarse size for an odd refine, and odd itself when
-    # both cells / 2 and refine are odd) or a full one (M = N), Nyquist at -M/2 as in
-    # `operators._coset_start`
+    # the kernel and fold against `block_average` of the fine field that zero-pads a band
+    # spectrum of M = N/2 (no multiple of the coarse size for an odd refine, and odd itself when
+    # both cells / 2 and refine are odd), M = N/4 or N/8 (the band of a level below the half
+    # mesh, where the start passed) or M = N, Nyquist at -M/2 as in `operators._coset_start`
     coarse, fine = Mesh(2, 1.0, cells), Mesh(2, 1.0 / refine, cells * refine)
-    M = fine.N // 2 if size == "half" else fine.N
+    M = fine.N // _BAND_DIVISORS[size]
     spec = np.fft.fft2(rng.standard_normal((2, M, M, 2)) @ [1.0, 1j])
     k = (np.arange(M) + M // 2) % M - M // 2
     padded = np.zeros((2,) + fine.shape, dtype=complex)
@@ -957,6 +995,54 @@ def test_potential_values_of_the_wrong_shape_are_rejected_per_row_block(matrix_f
         with pytest.raises(ValueError, match=expected):
             solve()
     assert transforms == []
+
+
+def _undeclared(V: PotentialSpec) -> PotentialSpec:
+    """``V`` without its per-axis declaration, so every solve evaluates its ``matrix_fn``."""
+    return dataclasses.replace(V, envelope=None, matrix=None)
+
+
+@pytest.mark.parametrize("policy", ["neumann", "krylov"])
+@pytest.mark.parametrize("name", POTENTIAL_IDS)
+def test_per_axis_potential_agrees_with_its_matrix_fn(name, policy):
+    # the envelope's outer product times the matrix against matrix_fn at the stacked sites: the
+    # products per block on N = 192 (several row blocks), and the level and nested solves
+    mesh, z = Mesh(2, 9.6 / 192, 192), 0.3 + 3j
+    V = potential_catalog(name)
+    assert V.envelope is not None and V.matrix is not None
+    u = np.moveaxis(sample(gaussian_spinor(), mesh).values, -1, 0)
+    per_axis, plain = ([vu.copy() for _, vu in operators._vmul_blocks(W, operators._site_axes(mesh), u)]
+                       for W in (V, _undeclared(V)))
+    assert len(per_axis) > 1
+    for a, b in zip(per_axis, plain):
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-14 * np.max(np.abs(b), initial=0.0)
+    psi, q = sample(gaussian_spinor(), mesh), ResolventQuery(z=z, p=DiracParams(1.0, mesh.h), policy=policy)
+    solves = [lambda W: resolvent_with_potential(psi, q, W).values,
+              lambda W: _solve_with_potential(gaussian_spinor(), mesh, 2, z, 1.0, W, policy, 1e-10, 2000, 50)[0]]
+    for solve in solves:
+        a, b = solve(V), solve(_undeclared(V))
+        assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+
+def _axis(x):
+    return np.exp(-(x**2))
+
+
+@pytest.mark.parametrize("declared", [
+    {"envelope": (_axis,), "matrix": np.eye(2)},  # one callable for two axes
+    {"envelope": (_axis, 1.0), "matrix": np.eye(2)},  # not a callable
+    {"envelope": _axis, "matrix": np.eye(2)},  # not a pair
+    {"envelope": (_axis, _axis), "matrix": np.eye(3)},
+    {"envelope": (_axis, _axis), "matrix": np.ones(4)},
+    {"envelope": (_axis, _axis)},  # no matrix
+    {"matrix": np.eye(2)},  # no envelope
+    {"envelope": (_axis, lambda x: 1.0), "matrix": np.eye(2)},  # one value for every coordinate
+    {"envelope": (lambda x: np.stack([x, x], axis=-1), _axis), "matrix": np.eye(2)},
+], ids=["one-callable", "not-callable", "bare-callable", "matrix-3x3", "matrix-flat", "no-matrix", "no-envelope",
+        "scalar-values", "stacked-values"])
+def test_declared_envelope_or_matrix_of_the_wrong_shape_is_rejected_at_construction(declared):
+    with pytest.raises(ValueError, match="potential 'bad'"):
+        PotentialSpec("bad", lambda x: np.zeros(x.shape[:-1] + (2, 2)), 1.0, 0.0, **declared)
 
 
 def test_half_mesh_sites_are_the_even_fine_sites_bit_for_bit():
