@@ -25,7 +25,7 @@ spectrally.  The fine sites are four cosets of row and column parity, each a
 copy of the half mesh.  Coset ``(0, 0)`` is the half-mesh solution, which is
 handed back with the sums of its residual and right-hand side in squares
 that its own mesh measured, so only the three other cosets of the
-interpolant and of ``D`` applied to it are formed, one at a time, by
+interpolant and of ``D - z`` applied to it are formed, one at a time, by
 half-size inverse transforms, with the right-hand side evaluated on each
 coset (`_coset_start`).  Every level hands back a spectrum on its band, the
 size of the last level that iterated: the one it was given when the
@@ -668,9 +668,8 @@ def _cell_spectrum(spec: np.ndarray, refine: int, N: int) -> np.ndarray:
     spec *= kernel[:, None]
     spec *= kernel
     if P > M:
-        padded = np.zeros((spec.shape[0], P, P), dtype=complex)
-        padded[:, (k % P)[:, None], k % P] = spec
-        spec = padded
+        rows = _zero_pad(spec, np.empty((spec.shape[0], P, M), complex), 1)
+        spec = _zero_pad(rows, np.empty((spec.shape[0], P, P), complex), 2)
     return spec if P == n else spec.reshape(spec.shape[0], P // n, n, P // n, n).sum(axis=(1, 3))
 
 
@@ -685,19 +684,19 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     half mesh.  With ``k`` the signed index of ``S`` (Nyquist at ``-K/2``), the interpolant
     on coset ``(a, b)`` is the ``n x n`` inverse transform of ``(n/K)**2 * S *
     exp(i*pi*a*k_1/n) * exp(i*pi*b*k_2/n)`` zero-padded, so it equals the half-mesh
-    solution on the even sites; ``D u_p`` is the same with the continuum ``M(xi)`` of the
-    half mesh's dual grid applied first.  The twiddles, the scale (a power of two, so
-    exact) and ``M`` act on the ``K x K`` entries only.  For ``K < n`` each inverse
-    transform is pruned: one transform along the rows of the ``(2, n, K)`` column band,
-    zero-padded, then one along the columns of the ``(2, n, n)`` coset buffer it is
-    scattered into; for ``K == n`` it is one 2D transform.
+    solution on the even sites; ``(D - z) u_p`` is the same with ``M(xi) - z`` applied
+    first, ``M`` the continuum symbol of the half mesh's dual grid.  The twiddles, the
+    scale (a power of two, so exact) and ``M - z`` act on the ``K x K`` entries only.  For
+    ``K < n`` each inverse transform is pruned: one transform along the rows of the ``(2,
+    n, K)`` column band, zero-padded, then one along the columns of the ``(2, n, n)`` coset
+    buffer it is scattered into; for ``K == n`` it is one 2D transform.
 
     Coset ``(0, 0)`` is therefore the half-mesh solution itself, with the half mesh's
     residual and right-hand side, so it is not formed here: the caller passes
     ``measured``, the squared sums ``(sum_sq, psi_sq)`` of its residual and of ``psi``
     that the half mesh's own test measured.  Each of the three other cosets forms its
-    twiddled spectrum once and copies it for ``D u``; both go through the inverse, into
-    two coset buffers that every coset reuses, so no array of ``mesh``'s size is made.
+    twiddled spectrum once and copies it for ``(D - z) u_p``; both go through the inverse,
+    into two coset buffers that every coset reuses, so no array of ``mesh``'s size is made.
     ``psi``, the continuum ``phi`` at the coset's sites, and ``V`` are evaluated on row
     blocks of the coset, where the residual ``(D - z) u_p + V u_p - psi`` and ``psi``
     itself are added in squares to ``measured``.  A ``phi`` with ``factors`` has them
@@ -723,7 +722,7 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
         band = np.empty((channels, n, K), complex)
         u, du = (np.empty((channels, n, n), complex) for _ in range(2))
     block = _row_blocks(np.broadcast_to(0j, (channels, n, n)))[0]
-    zu, psi_buf = (np.empty((channels, block.stop, n), complex) for _ in range(2))
+    psi_buf = np.empty((channels, block.stop, n), complex)
 
     def twiddled(a, b, out):
         """The scaled spectrum of coset ``(a, b)`` of ``u_p`` on the band, written into ``out``."""
@@ -732,7 +731,7 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
         return out
 
     def inverse(spectrum, out):
-        """The ``n x n`` inverse transform of ``spectrum`` zero-padded; overwrites it and ``out`` (None if ``K == n``)."""
+        """The ``n x n`` inverse of ``spectrum`` zero-padded; overwrites it and ``out``, which is None if ``K == n``."""
         if out is None:
             return _fftn(spectrum, (1, 2), inverse=True)
         rows = _fftn(_zero_pad(spectrum, band, 1), (1,), inverse=True)
@@ -749,12 +748,13 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     sum_sq, psi_sq = measured
     for a, b in _COSETS[1:]:
         np.copyto(ds, twiddled(a, b, s))
-        fu, dfu = inverse(s, u), inverse(symbol(ds), du)
+        symbol(ds)
+        ds -= z * s
+        fu, dfu = inverse(s, u), inverse(ds, du)
         coords = [x[a::2], x[b::2]]
         psi = rhs(coords)
         for rows, vu in _vmul_blocks(V, coords, fu):
             r, psi_rows = dfu[:, rows], psi(rows)
-            r -= np.multiply(fu[:, rows], z, out=zu[:, : rows.stop - rows.start])
             r += vu
             r -= psi_rows
             sum_sq += _sum_sq(r)
