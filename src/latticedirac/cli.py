@@ -10,9 +10,8 @@ byte-stable for a given config: fixed field order and 17-significant-digit
 floats.  Complex shifts are written in ``a+bi`` literal form, and a flag's
 value may start with ``-`` (``--z -2i``).  Flags are spelled in full; no
 prefix stands for one.  A JSON config file can seed any flag; explicit
-flags win.  A sweep runs its levels one after another on the calling thread;
-LATTICE_DIRAC_THREADS caps only the workers of every FFT
-(`fourier.thread_cap`), and ``--threads`` overrides it for one run.
+flags win.  A sweep runs its levels, and every transform in them, one after
+another on the calling thread.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Optional, get_args, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, LatticeDiracError
-from .fourier import FrequencyGrid, thread_cap
+from .fourier import FrequencyGrid
 from .grid import FUNCTION_IDS, Mesh
 from .lab import (
     DYADIC_HS,
@@ -98,7 +97,6 @@ class RunConfig:
     N: int = 16
     out: Optional[str] = None
     format: str = "csv"
-    threads: Optional[int] = None
 
     def validate(self):
         numbers = [("m", self.m), ("h", self.h), ("box", self.box), ("s", self.s), ("z", self.z)]
@@ -127,8 +125,6 @@ class RunConfig:
             raise ConfigError("oracle lattice size must be even, 4..32")
         if self.s < 0:
             raise ConfigError("weight exponent must be nonnegative")
-        if self.threads is not None and self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.experiment in ("resolve-free", "resolve-potential") and self.z.imag == 0:
             raise ConfigError("resolvent experiments need Im z != 0")
         if self.experiment == "resolve-potential" and self.potential is None:
@@ -174,7 +170,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # flags every experiment takes, ahead of its own; argparse options beyond a flag's type
-_SHARED_FLAGS = ("config", "out", "format", "threads")
+_SHARED_FLAGS = ("config", "out", "format")
 _FLAG_OPTIONS = {
     "config": {"help": "JSON config file; flags win"},
     "out": {"help": "output file path"},
@@ -372,17 +368,7 @@ _EXPERIMENTS = {
 def run(config: RunConfig) -> int:
     """Execute one experiment; returns 0 on pass, 2 on assertion failure."""
     config.validate()
-    saved = os.environ.get("LATTICE_DIRAC_THREADS")
-    if config.threads is not None:
-        os.environ["LATTICE_DIRAC_THREADS"] = str(config.threads)
-    try:
-        thread_cap(1)  # a malformed LATTICE_DIRAC_THREADS fails here, before any work
-        ok, summary, columns, rows = _EXPERIMENTS[config.experiment][2](config)
-    finally:  # --threads holds for this run only
-        if saved is None:
-            os.environ.pop("LATTICE_DIRAC_THREADS", None)
-        else:
-            os.environ["LATTICE_DIRAC_THREADS"] = saved
+    ok, summary, columns, rows = _EXPERIMENTS[config.experiment][2](config)
     _emit_report(config, columns, rows)
     print(f"{summary}  {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 2

@@ -16,9 +16,8 @@ on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``;
 
 `_fftn` is the one FFT entry point, for `dft`/`idft` (`_centred_fftn`: on a
 copy rolled into natural FFT order), the 1D transforms of `_power_spectrum`
-and the multipliers of `operators`.  It runs `scipy.fft` on up to
-`thread_cap` workers, the library's only threads, with the same results at
-any worker count.
+and the multipliers of `operators`.  It runs `scipy.fft` on the calling
+thread; the library starts no thread.
 
 Inside the frequency box `weighted_ft_error` sums the power spectrum of the
 sample zero-padded to ``4*N`` sites per axis (`_power_spectrum`).  A separable
@@ -37,12 +36,11 @@ resolvent, the target of `inverse_ft_error`) samples it through
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SupportViolation, UnknownClosedForm
+from .errors import SupportViolation, UnknownClosedForm
 from .grid import (
     ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, _RULES, _axis_values, _cell_points,
     _checked, _grid_values, _multiply, _require_dimension, _tensor_axes,
@@ -114,27 +112,15 @@ def spectral_norm(u: SpectralField) -> float:
     return float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2)))
 
 
-def thread_cap(n_tasks: int) -> int:
-    """Worker count for ``n_tasks`` independent tasks, capped by LATTICE_DIRAC_THREADS.
-
-    Unset or empty means the CPU count; any value that is not a positive
-    integer raises `ConfigError`.  The cap bounds only the workers of `_fftn`
-    (every transform); the quadrature of `grid` and the levels of a sweep run
-    on the calling thread.
-    """
-    cap = os.environ.get("LATTICE_DIRAC_THREADS")
-    if cap and not (cap.strip().isdecimal() and int(cap) > 0):
-        raise ConfigError(f"LATTICE_DIRAC_THREADS must be a positive integer, got {cap!r}")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(n_tasks, limit))
-
-
 def _fftn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
-    """``fftn`` (``ifftn`` if ``inverse``) over ``axes``; may overwrite ``x``, so pass memory you own."""
+    """``fftn`` (``ifftn`` if ``inverse``) over ``axes``, on the calling thread.
+
+    May overwrite ``x``, so pass memory you own.
+    """
     import scipy.fft  # not at module level: importing scipy costs start-up time
 
     transform = scipy.fft.ifftn if inverse else scipy.fft.fftn
-    return transform(x, axes=axes, workers=thread_cap(x.size // x.shape[axes[-1]]), overwrite_x=True)
+    return transform(x, axes=axes, overwrite_x=True)
 
 
 def _centred_fftn(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:

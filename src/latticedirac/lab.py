@@ -17,10 +17,9 @@ never forms a field on the refined mesh.
 
 Experiments run their levels one after another on the calling thread, so
 each level's wall time is its own cost, and a sweep's peak memory is that
-of its largest level or of its reference, whichever is larger.  Inside a
-level only the FFTs take workers, as many as ``LATTICE_DIRAC_THREADS``
-caps; each per-h run is deterministic, so reports are bit-for-bit
-reproducible.
+of its largest level or of its reference, whichever is larger.  Every
+transform inside a level runs on the calling thread too; each per-h run is
+deterministic, so reports are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -232,7 +231,7 @@ def _make_series(name: str, hs: Sequence[float], errors: Sequence[float]) -> Ser
 def _run_levels(hs, worker):
     """``worker(h)`` for each level in order on the calling thread, with wall times in ms.
 
-    No level runs beside another; only the FFTs inside a level take workers.
+    No level runs beside another, and no transform inside a level starts a thread.
     """
     results, timings = [], []
     for h in hs:

@@ -191,15 +191,8 @@ def _envelope_potential(name: str, matrix: np.ndarray, rate: float) -> Potential
     matrix = np.asarray(matrix, dtype=complex)
 
     def matrix_fn(points):
-        # the complex products of ``env[..., None, None] * matrix``, one entry at a time into
-        # contiguous memory (the broadcast's inner loop runs over two entries), returned as
-        # the ``(..., 2, 2)`` view of a ``(2, 2, ...)`` array
         env = np.exp(-rate * (points[..., 0] ** 2 + points[..., 1] ** 2)).astype(complex)
-        out = np.empty((2, 2) + env.shape, dtype=complex)
-        for a in range(2):
-            for b in range(2):
-                np.multiply(env, matrix[a, b], out=out[a, b])
-        return np.moveaxis(out, (0, 1), (-2, -1))
+        return env[..., None, None] * matrix
 
     def axis(x):
         return np.exp(-rate * x**2)
@@ -686,10 +679,10 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     exp(i*pi*a*k_1/n) * exp(i*pi*b*k_2/n)`` zero-padded, so it equals the half-mesh
     solution on the even sites; ``(D - z) u_p`` is the same with ``M(xi) - z`` applied
     first, ``M`` the continuum symbol of the half mesh's dual grid.  The twiddles, the
-    scale (a power of two, so exact) and ``M - z`` act on the ``K x K`` entries only.  For
-    ``K < n`` each inverse transform is pruned: one transform along the rows of the ``(2,
-    n, K)`` column band, zero-padded, then one along the columns of the ``(2, n, n)`` coset
-    buffer it is scattered into; for ``K == n`` it is one 2D transform.
+    scale (a power of two, so exact) and ``M - z`` act on the ``K x K`` entries only.  Each
+    inverse transform is pruned: one transform along the rows of the ``(2, n, K)`` column
+    band, zero-padded, then one along the columns of the ``(2, n, n)`` coset buffer it is
+    scattered into.
 
     Coset ``(0, 0)`` is therefore the half-mesh solution itself, with the half mesh's
     residual and right-hand side, so it is not formed here: the caller passes
@@ -717,10 +710,8 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     symbol = _Multiplier(_natural_frequencies(_half_mesh(mesh))[k % n], None, m)
     x = _site_axes(mesh)[0]
     s, ds = np.empty_like(spec), np.empty_like(spec)
-    band = u = du = None
-    if K < n:
-        band = np.empty((channels, n, K), complex)
-        u, du = (np.empty((channels, n, n), complex) for _ in range(2))
+    band = np.empty((channels, n, K), complex)
+    u, du = (np.empty((channels, n, n), complex) for _ in range(2))
     block = _row_blocks(np.broadcast_to(0j, (channels, n, n)))[0]
     psi_buf = np.empty((channels, block.stop, n), complex)
 
@@ -731,9 +722,7 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
         return out
 
     def inverse(spectrum, out):
-        """The ``n x n`` inverse of ``spectrum`` zero-padded; overwrites it and ``out``, which is None if ``K == n``."""
-        if out is None:
-            return _fftn(spectrum, (1, 2), inverse=True)
+        """The ``n x n`` inverse of ``spectrum`` zero-padded, written into ``out``."""
         rows = _fftn(_zero_pad(spectrum, band, 1), (1,), inverse=True)
         return _fftn(_zero_pad(rows, out, 2), (2,), inverse=True)
 

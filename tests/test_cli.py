@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,8 @@ import pytest
 from latticedirac import Sweep, cli
 from latticedirac.cli import RunConfig, config_from_argv, format_complex, main, parse_complex
 from latticedirac.errors import ConfigError
+from latticedirac.grid import function_catalog
+from latticedirac.lab import exp_ft, exp_resolvent_free, exp_resolvent_potential
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_config_file_unknown_field_rejected(tmp_path):
         config_from_argv(["spectrum", "--config", str(cfg)])
 
 
-@pytest.mark.parametrize("content", [{"box": "9.6"}, {"threads": "2"}, {"m": None}])
+@pytest.mark.parametrize("content", [{"box": "9.6"}, {"refine": "2"}, {"m": None}])
 def test_config_file_value_of_wrong_type_is_a_config_error(content, tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(content))
@@ -110,9 +112,9 @@ def test_config_file_keys_are_the_flags(content, tmp_path):
 def test_config_file_accepts_every_json_form_of_its_fields(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"sweep": [0.4, 0.2], "box": 10, "m": 0.5, "z": "1+2i",
-                               "potential": None, "refine": 2, "threads": 1, "out": None}))
+                               "potential": None, "refine": 2, "out": None}))
     config = config_from_argv(["resolve-free", "--config", str(cfg)])
-    assert (config.hs, config.box, config.z, config.refine, config.threads) == ((0.4, 0.2), 10, 1 + 2j, 2, 1)
+    assert (config.hs, config.box, config.z, config.refine) == ((0.4, 0.2), 10, 1 + 2j, 2)
 
 
 def test_config_validation_rejects_bad_values():
@@ -235,22 +237,12 @@ def test_project_seeded_by_config_file(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_bad_thread_count_is_a_config_error(value, monkeypatch, capsys):
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", value)
-    assert main(["project", "--sweep", "0.4,0.2,0.1", "--function", "gaussian1d"]) == 1
-    err = capsys.readouterr().err
-    assert "LATTICE_DIRAC_THREADS must be a positive integer" in err
-    assert repr(value) in err
-
-
 def test_import_and_config_error_load_no_scipy():
     # scipy loads inside the functions that use it, so a config error fails before it
     code = (
-        "import os, sys\n"
+        "import sys\n"
         "import latticedirac.cli as cli\n"
-        "os.environ['LATTICE_DIRAC_THREADS'] = 'abc'\n"
-        "assert cli.main(['project', '--sweep', '0.4,0.2,0.1', '--function', 'gaussian1d']) == 1\n"
+        "assert cli.main(['resolve-free', '--sweep', '0.4,0.2,0.1', '--m', '-1']) == 1\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -258,7 +250,7 @@ def test_import_and_config_error_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "LATTICE_DIRAC_THREADS must be a positive integer" in proc.stderr
+    assert "mass must be nonnegative" in proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
@@ -279,7 +271,7 @@ def test_ft_sweep_loads_no_scipy_integrate():
 
 
 def test_import_loads_no_thread_pool():
-    # the FFT workers are the only threads, so nothing imports concurrent.futures
+    # every transform runs on the calling thread, so nothing imports concurrent.futures
     code = (
         "import sys\n"
         "import latticedirac.cli\n"
@@ -293,15 +285,38 @@ def test_import_loads_no_thread_pool():
     assert proc.stdout.splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("before", [None, "3"])
-def test_threads_flag_leaves_environment_as_found(before, monkeypatch):
-    if before is None:
-        monkeypatch.delenv("LATTICE_DIRAC_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("LATTICE_DIRAC_THREADS", before)
-    argv = ["project", "--sweep", "0.4,0.2,0.1", "--function", "gaussian1d", "--threads", "1"]
-    assert main(argv) == 0
-    assert os.environ.get("LATTICE_DIRAC_THREADS") == before
+def test_every_transform_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    # no transform is handed workers, and no thread count in the environment is read
+    import scipy.fft
+
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def spy(x, *args, _transform=getattr(scipy.fft, name), **kwargs):
+            calls.append((len(kwargs["axes"]), kwargs))
+            return _transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, spy)
+    smoke = {"hs": (0.8, 0.4, 0.2), "box": 9.6, "function": "gaussian-spinor", "refine": 2}
+    for z in (3j, 1.2j):  # Neumann, then Krylov
+        exp_resolvent_potential(Sweep(z=z, potential="nonhermitian-gaussian", **smoke))
+    exp_resolvent_free(Sweep(**smoke))
+    # without factors the transform of exp_ft is one 2D transform of the padded sample
+    exp_ft(Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=replace(function_catalog("gaussian2d"), factors=None)))
+    assert 2 in {axes for axes, _ in calls}
+    assert not [kwargs for _, kwargs in calls if "workers" in kwargs]
+
+    argv = ["resolve-potential", "--sweep", "0.8,0.4,0.2", "--refine", "2", "--out", None]
+    tables = []
+    for value in (None, "abc"):
+        if value is None:
+            monkeypatch.delenv("LATTICE_DIRAC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LATTICE_DIRAC_THREADS", value)
+        argv[-1] = str(tmp_path / f"{value}.csv")
+        assert main(list(argv)) == 0
+        with open(argv[-1]) as fh:
+            tables.append([row[:-1] for row in csv.reader(fh)])  # all but wall-ms
+    assert tables[0] == tables[1]
 
 
 def test_resolvent_region_violation_is_an_error(capsys):
@@ -364,7 +379,7 @@ def test_negative_values_follow_their_flags(capsys):
     assert "mass must be nonnegative" in capsys.readouterr().err
 
 
-# each experiment's flags after --config, --out, --format and --threads, in --help order
+# each experiment's flags after --config, --out and --format, in --help order
 _EXPECTED_FLAGS = {
     "omega-scan": ("grid",),
     "spectrum": ("m", "h"),
@@ -375,11 +390,11 @@ _EXPECTED_FLAGS = {
     "resolve-potential": ("function", "sweep", "box", "m", "z", "refine", "potential"),
     "oracle-eigs": ("N", "h", "m"),
 }
-_SHARED = ("config", "out", "format", "threads")
+_SHARED = ("config", "out", "format")
 # a valid value for each flag and the RunConfig field and value it sets
 _FLAG_VALUES = {
     "config": ("{}", None, None), "out": ("o.csv", "out", None), "format": ("json", "format", "json"),
-    "threads": ("1", "threads", 1), "grid": ("16", "grid", 16), "m": ("0.5", "m", 0.5),
+    "grid": ("16", "grid", 16), "m": ("0.5", "m", 0.5),
     "h": ("0.5", "h", 0.5), "N": ("8", "N", 8), "function": ("gaussian2d", "function", "gaussian2d"),
     "sweep": ("0.4,0.2", "hs", (0.4, 0.2)), "box": ("9.6", "box", 9.6), "s": ("2", "s", 2.0),
     "z": ("3i", "z", 3j), "refine": ("2", "refine", 2), "potential": ("zero", "potential", "zero"),

@@ -86,17 +86,6 @@ def test_dft_pair_transforms_through_scipy_fft(monkeypatch, rng):
     assert calls == ["fftn", "ifftn"]
 
 
-def test_dft_pair_is_the_same_at_any_thread_cap(monkeypatch, rng):
-    f = random_field(Mesh(2, 0.3, 32), 2, rng)
-    results = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
-        u = dft(f)
-        results.append((u.values, idft(u).values))
-    assert np.all(results[0][0] == results[1][0])
-    assert np.all(results[0][1] == results[1][1])
-
-
 def test_dft_pair_leaves_its_input_untouched(rng):
     for d, N in ((1, 32), (2, 12)):
         f = random_field(Mesh(d, 0.4, N), 2, rng)

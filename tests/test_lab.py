@@ -1,7 +1,6 @@
 """Tests for the convergence laboratory: sweeps, rate fits, and reports."""
 
 import dataclasses
-import sys
 import threading
 import time
 import tracemalloc
@@ -386,7 +385,6 @@ def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
     # the fine mesh one each
     import scipy.fft  # noqa: F401  imported outside the traced call
 
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
     sweep = _potential_sweep(8, 0.1)
     fine_field = 2 * (sweep.mesh_for(0.1).N * 8) ** 2 * 16
     _, starts = _spy_reference(monkeypatch, sweep)
@@ -474,10 +472,9 @@ def test_floor_guard_level_runs_with_the_other_levels(monkeypatch):
 
 
 def test_sweep_levels_never_run_side_by_side(monkeypatch):
-    # one layer of parallelism: only the FFTs inside a level take workers
+    # no parallelism: levels, and every transform inside them, run on the calling thread
     from latticedirac import lab
 
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "2")
     lock, in_flight, seen = threading.Lock(), [0], []
     errors = lab._projection_errors
 
@@ -589,52 +586,6 @@ def test_weighted_operator_gap_bounds_every_bump_ratio_property(h, m, s, re, im,
     spinor = np.array([np.cos(angles[0]), np.sin(angles[0]) * np.exp(1j * angles[1])])
     ratio = _bump_ratio(m, z, s, h, 9.6, np.asarray(center) * np.pi / h, width, spinor)
     assert ratio <= weighted_operator_gap_probe(m, z, s, h, 9.6) * (1 + 1e-12)
-
-
-def test_thread_cap_does_not_change_results(monkeypatch):
-    sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function="gaussian1d")
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
-    serial = exp_projection(sweep)
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "4")
-    parallel = exp_projection(sweep)
-    for a, b in zip(serial.series, parallel.series):
-        assert a.errors == b.errors
-
-
-@pytest.mark.parametrize("function", [
-    "gaussian2d",
-    "gaussian-spinor",
-    pytest.param(dataclasses.replace(function_catalog("gaussian2d"), factors=None), id="gaussian2d-stacked"),
-])
-def test_thread_cap_does_not_change_2d_projection_results(function, monkeypatch):
-    # the catalog's 2D functions have factors, so their projection is per axis and reads
-    # no cap, and exp_ft transforms them in 1D; the copy without factors keeps the row-block
-    # walk and the (4N)**2-point 2D transform of exp_ft.  The cap sets only FFT workers, and
-    # no setting may move a result
-    sweep = Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=function)
-    errors = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for threads in ("1", "2", "8"):
-            monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
-            errors.append([series.errors for experiment in (exp_projection, exp_ft)
-                           for series in experiment(sweep).series])
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors[0] == errors[1] == errors[2]
-
-
-@pytest.mark.parametrize("z", [3j, 1.2j])  # Neumann, then Krylov
-def test_fft_workers_do_not_change_resolvent_results(z, monkeypatch):
-    # the cap sets the FFT workers of every solve
-    sweep = Sweep(hs=(0.8, 0.4, 0.2), box=9.6, function="gaussian-spinor", z=z,
-                  potential="nonhermitian-gaussian", refine=2)
-    errors = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
-        errors.append(exp_resolvent_potential(sweep).primary.errors)
-    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("z,error", [(1.0, RealShift), (complex(np.nan, 2.0), ValueError)])

@@ -311,7 +311,7 @@ def test_potential_catalog_declared_bounds_hold_on_sweep(rng):
 
 @pytest.mark.parametrize("rate", [0.0, 1.0])
 def test_envelope_potential_is_the_broadcast_product_bit_for_bit(rate, rng):
-    # the catalog's potentials write env * M one entry at a time, with the same complex products
+    # the catalog's potentials are env * M as one broadcast product, channel matrix last
     matrix = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     points = Mesh(2, 0.1, 48).site_coords()
     env = np.exp(-rate * (points[..., 0] ** 2 + points[..., 1] ** 2))
@@ -1073,9 +1073,7 @@ def _multiplier_results(mesh: Mesh) -> dict:
     }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_multipliers_do_not_depend_on_the_row_blocks(threads, monkeypatch):
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
+def test_multipliers_do_not_depend_on_the_row_blocks(monkeypatch):
     mesh = Mesh(2, 9.6 / 192, 192)
     assert len(operators._row_blocks(np.empty((2,) + mesh.shape))) > 1  # the default splits the grid
     default = _multiplier_results(mesh)
