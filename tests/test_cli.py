@@ -319,6 +319,62 @@ def test_every_transform_runs_on_the_calling_thread(tmp_path, monkeypatch):
     assert tables[0] == tables[1]
 
 
+# a quick run of each experiment that passes
+_SMOKE_ARGV = {
+    "omega-scan": [],
+    "spectrum": [],
+    "project": ["--sweep", "0.4,0.2,0.1"],
+    "ft": ["--sweep", "0.4,0.2,0.1"],
+    "ift": ["--sweep", "0.4,0.2,0.1"],
+    "resolve-free": ["--sweep", "0.8,0.4,0.2"],
+    "resolve-potential": ["--sweep", "0.8,0.4,0.2", "--refine", "2"],
+    "oracle-eigs": [],
+}
+
+
+def _csv_without_wall_time(path):
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, name in enumerate(rows[0]) if name != "wall-ms"]
+    return [[row[i] for i in keep] for row in rows]
+
+
+def test_smoke_runs_cover_every_experiment():
+    assert list(_SMOKE_ARGV) == list(cli._EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", list(_SMOKE_ARGV))
+def test_each_experiment_ignores_a_thread_count_in_the_environment(experiment, tmp_path, monkeypatch):
+    # the library reads no environment variable and writes none
+    tables = []
+    for value in (None, "abc"):
+        if value is None:
+            monkeypatch.delenv("LATTICE_DIRAC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LATTICE_DIRAC_THREADS", value)
+        before = dict(os.environ)
+        out = tmp_path / f"{value}.csv"
+        assert main([experiment, *_SMOKE_ARGV[experiment], "--out", str(out)]) == 0
+        assert dict(os.environ) == before
+        tables.append(_csv_without_wall_time(out))
+    assert len(tables[0]) > 1
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("experiment", list(_SMOKE_ARGV))
+def test_threads_flag_is_unrecognized(experiment, capsys):
+    assert main([experiment, "--threads", "1"]) == 1
+    assert "unrecognized arguments: --threads 1" in capsys.readouterr().err
+
+
+def test_threads_is_no_config_field(tmp_path):
+    assert "threads" not in {f.name for f in fields(RunConfig)}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"threads": 1}))
+    with pytest.raises(ConfigError, match="unknown config file fields.*'threads'"):
+        config_from_argv(["project", "--config", str(cfg)])
+
+
 def test_resolvent_region_violation_is_an_error(capsys):
     code = main(["resolve-potential", "--sweep", "0.4,0.2", "--z", "0.5i",
                  "--potential", "nonhermitian-gaussian"])
