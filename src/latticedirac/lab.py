@@ -53,7 +53,7 @@ from .operators import (
     resolvent_with_potential,
     sample_potential,  # unused here; perfbench/spans.py times calls through this name
     _channel_last,
-    _require_refine,
+    _require_count,
     _require_resolvent_region,
     _require_spinor_function,
     _require_tolerance,
@@ -114,7 +114,7 @@ class Sweep:
 
     def __post_init__(self):
         _require_tolerance(self.tol)
-        _require_refine(self.refine)
+        _require_count("refine", self.refine)
         _require_mass(self.m)
         # finiteness only: the sweeps that ignore z take a real one, and the resolvent solves reject it
         for name, value in (("shift z", self.z), ("s", self.s)):  # box and hs: `_box_mesh`
@@ -361,9 +361,11 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     is certified at ``sweep.tol`` either way.  The test runs on the four cosets
     of the mesh's sites, each a copy of the half mesh.  Coset ``(0, 0)`` is the
     coarser solution, whose residual that mesh has already measured, so only the
-    three other cosets are transformed and tested.  Each mesh hands back a
-    spectrum, the coarser one's when its start passes, so with a passing start
-    the refined mesh's field is never formed.  The levels compare against the
+    three other cosets are tested, each one block of rows at a time, so no
+    coset is held whole.  Each mesh hands back a spectrum, the coarser one's
+    when its start passes, so with a passing start the refined mesh's field is
+    never formed; a failing start is the coarser spectrum zero-padded to the
+    mesh and transformed back once.  The levels compare against the
     block averages of its point values that `operators._cell_spectrum` forms:
     its kernel ``K`` is a left-endpoint rule on each coarse cell, biased at
     first order in ``h / refine``, where the free sweep's reference holds exact

@@ -25,14 +25,16 @@ spectrally.  The fine sites are four cosets of row and column parity, each a
 copy of the half mesh.  Coset ``(0, 0)`` is the half-mesh solution, which is
 handed back with the sums of its residual and right-hand side in squares
 that its own mesh measured, so only the three other cosets of the
-interpolant and of ``D - z`` applied to it are formed, one at a time, by
-half-size inverse transforms, with the right-hand side evaluated on each
-coset (`_coset_start`).  Every level hands back a spectrum on its band, the
+interpolant and of ``D - z`` applied to it are tested, one at a time and
+one block of rows at a time, with the right-hand side evaluated on each
+block (`_coset_start`).  Every level hands back a spectrum on its band, the
 size of the last level that iterated: the one it was given when the
 interpolant passes the fine mesh's own residual test, since zero-padded it
 is the interpolant, and otherwise the one forward transform of the solution
-iterated from it.  The start test works on the band, and its inverse
-transforms skip the columns that zero-padding leaves empty.  The top turns
+iterated from the band zero-padded to the mesh.  The start test works on the
+band: its half-size inverse transforms skip the columns that zero-padding
+leaves empty and form each block's rows from the column bands that they
+keep, so no coset is held whole.  The top turns
 its spectrum into averages over cells ``refine`` sites wide by one
 left-endpoint kernel per axis, one fold of the frequencies onto the coarse
 dual grid and one coarse inverse transform (`_cell_spectrum`); no level
@@ -286,9 +288,14 @@ def _channel_last(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(x, 0, -1)
 
 
+def _signed_index(M: int) -> np.ndarray:
+    """Signed index ``k`` of the natural-order ``fftn`` of ``M`` sites (Nyquist at ``-M/2``)."""
+    return (np.arange(M) + M // 2) % M - M // 2
+
+
 def _natural_frequencies(mesh: Mesh) -> np.ndarray:
-    """Per-axis frequencies of the dual grid of ``mesh`` in natural FFT order."""
-    return np.roll(FrequencyGrid(mesh).frequencies, mesh.N // 2)
+    """Per-axis frequencies ``2*pi*k/L`` of the dual grid of ``mesh`` in natural FFT order."""
+    return 2 * np.pi * _signed_index(mesh.N) / mesh.L
 
 
 class _Multiplier:
@@ -388,25 +395,31 @@ def _site_axes(mesh: Mesh) -> list[np.ndarray]:
     return [mesh.h * mesh.indices] * mesh.d
 
 
-def _vmul_blocks(V: PotentialSpec, axes: list[np.ndarray], u: np.ndarray):
-    """Yield ``(rows, (V u)[:, rows])`` over row blocks of channel-first ``u``.
+def _vmul_blocks(V: PotentialSpec, axes: list[np.ndarray], blocks):
+    """Yield ``(rows, (V u)[:, rows])`` for each ``(rows, u[:, rows])`` of ``blocks``.
 
-    ``u`` lives on the tensor grid of the per-axis coordinates ``axes`` (`_site_axes`
-    of a mesh, or of one of its cosets).  A ``V`` that declares its per-axis envelope
-    has it evaluated once per call, ``2N`` values; each block is then ``matrix`` times
-    ``u`` (four products with scalars) times the outer product of the envelope's values
-    on the block's rows and on the columns.  Any other ``V`` is evaluated at the sites of
-    each block just before it multiplies that block.  Either way no grid-sized potential
-    array is held.  The yielded block buffer is reused.
+    ``u`` is channel-first on the tensor grid of the per-axis coordinates ``axes``
+    (`_site_axes` of a mesh, or of one of its cosets).  ``blocks`` is ``u`` itself,
+    walked by `_row_blocks`, or the caller's walk over the row blocks of a ``u`` that is
+    never held whole, each block formed when it is asked for; the first block is the
+    largest.  A ``V`` that declares its per-axis envelope has it evaluated once per
+    call, ``2N`` values; each block is then ``matrix`` times ``u`` (four products with
+    scalars) times the outer product of the envelope's values on the block's rows and on
+    the columns.  Any other ``V`` is evaluated at the sites of each block just before it
+    multiplies that block.  Either way no grid-sized potential array is held.  The
+    yielded block buffer is reused.
     """
-    blocks = _row_blocks(u)
-    buf = np.empty_like(u[:, blocks[0]])
-    tmp = np.empty_like(buf[0])
+    if isinstance(blocks, np.ndarray):
+        blocks = [(rows, blocks[:, rows]) for rows in _row_blocks(blocks)]
     if V.envelope is not None:
         env_rows, env_cols = _envelope_values(V, axes)
-        env = np.empty(tmp.shape, np.result_type(env_rows, env_cols))
-    for rows in blocks:
+    buf = None
+    for rows, u in blocks:
         k = rows.stop - rows.start
+        if buf is None:  # sized by the first block, the largest
+            buf, tmp = np.empty_like(u), np.empty_like(u[0])
+            if V.envelope is not None:
+                env = np.empty(tmp.shape, np.result_type(env_rows, env_cols))
         vu, t = buf[:, :k], tmp[:k]
         if V.envelope is None:
             Vb = _potential_values(V, _cell_points([axes[0][rows], axes[1]]))
@@ -414,8 +427,8 @@ def _vmul_blocks(V: PotentialSpec, axes: list[np.ndarray], u: np.ndarray):
         else:
             entries = V.matrix
         for a in range(2):
-            np.multiply(entries[a][0], u[0, rows], out=vu[a])
-            np.multiply(entries[a][1], u[1, rows], out=t)
+            np.multiply(entries[a][0], u[0], out=vu[a])
+            np.multiply(entries[a][1], u[1], out=t)
             vu[a] += t
         if V.envelope is not None:
             vu *= np.multiply(env_rows[rows, None], env_cols, out=env[:k])
@@ -484,10 +497,8 @@ class ResolventQuery:
         if self.policy not in (None, "neumann", "krylov", "dense-oracle"):
             raise ValueError(f"unknown solver policy {self.policy!r}")
         _require_tolerance(self.tol)
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if self.restart < 1:
-            raise ValueError(f"restart must be at least 1, got {self.restart!r}")
+        _require_count("max_iter", self.max_iter)
+        _require_count("restart", self.restart)
 
 
 def _require_tolerance(tol: float):
@@ -496,10 +507,10 @@ def _require_tolerance(tol: float):
         raise ValueError(f"solver tolerance must be finite and positive, got {tol!r}")
 
 
-def _require_refine(refine: int):
-    """Raise `ValueError` unless ``refine`` is an integer of at least 1; a boolean is none."""
-    if isinstance(refine, bool) or not isinstance(refine, (int, np.integer)) or refine < 1:
-        raise ValueError(f"refine must be an integer >= 1, got {refine!r}")
+def _require_count(name: str, value: int):
+    """Raise `ValueError` unless ``value``, named ``name``, is an integer of at least 1; a boolean is none."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _require_spinor_function(phi: ContinuumFunction, mesh: Mesh):
@@ -562,7 +573,7 @@ def resolvent_continuum(
     _require_complex_shift(z)
     _require_mass(m)
     _require_spinor_function(phi, mesh)
-    _require_refine(refine)
+    _require_count("refine", refine)
     ref = Mesh(mesh.d, mesh.h / refine, mesh.N * refine)
     grid = FrequencyGrid(ref)
     if phi.fourier is not None:
@@ -621,15 +632,6 @@ def _half_mesh(mesh: Mesh) -> Optional[Mesh]:
     return Mesh(mesh.d, 2 * mesh.h, mesh.N // 2)
 
 
-# the four cosets ``(a, b)`` of a mesh's sites: row parity ``a``, column parity ``b``
-_COSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _signed_index(M: int) -> np.ndarray:
-    """Signed index ``k`` of the natural-order ``fftn`` of ``M`` sites (Nyquist at ``-M/2``)."""
-    return (np.arange(M) + M // 2) % M - M // 2
-
-
 def _zero_pad(band: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     """Natural-order ``band`` zero-padded along ``axis`` into ``out``: signed index ``k`` at ``k mod n``."""
     src, dst = np.moveaxis(band, axis, 0), np.moveaxis(out, axis, 0)
@@ -673,58 +675,54 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     ``spec`` is the channel-first natural-order ``fftn`` ``S`` of that solution on its band
     of ``K`` sites per axis, the size of the level that last iterated (``K`` divides the
     ``n = N/2`` sites of the half mesh, and the solution is ``S`` zero-padded); it is read,
-    not changed.  The sites of ``mesh`` split into the four `_COSETS`, each a copy of the
-    half mesh.  With ``k`` the signed index of ``S`` (Nyquist at ``-K/2``), the interpolant
-    on coset ``(a, b)`` is the ``n x n`` inverse transform of ``(n/K)**2 * S *
-    exp(i*pi*a*k_1/n) * exp(i*pi*b*k_2/n)`` zero-padded, so it equals the half-mesh
-    solution on the even sites; ``(D - z) u_p`` is the same with ``M(xi) - z`` applied
-    first, ``M`` the continuum symbol of the half mesh's dual grid.  The twiddles, the
-    scale (a power of two, so exact) and ``M - z`` act on the ``K x K`` entries only.  Each
-    inverse transform is pruned: one transform along the rows of the ``(2, n, K)`` column
-    band, zero-padded, then one along the columns of the ``(2, n, n)`` coset buffer it is
-    scattered into.
+    not changed.  The sites of ``mesh`` split into four cosets ``(a, b)`` of row parity
+    ``a`` and column parity ``b``, each a copy of the half mesh.  With ``k`` the signed
+    index of ``S`` (Nyquist at ``-K/2``), the interpolant on coset ``(a, b)`` is the
+    ``n x n`` inverse transform of ``(n/K)**2 * S * exp(i*pi*a*k_1/n) * exp(i*pi*b*k_2/n)``
+    zero-padded, so it equals the half-mesh solution on the even sites; ``(D - z) u_p`` is
+    the same with ``M(xi) - z`` applied first, ``M`` the continuum symbol at the band's
+    frequencies ``2*pi*k/L``.  The twiddles, the scale (a power of two, so exact) and
+    ``M - z`` act on the ``K x K`` entries only.  Each inverse transform is pruned: one
+    transform along the rows of the zero-padded ``(2, n, K)`` column band, then, one block
+    of rows at a time, one along the columns of those rows zero-padded to ``n`` columns in
+    a block buffer.
 
     Coset ``(0, 0)`` is therefore the half-mesh solution itself, with the half mesh's
     residual and right-hand side, so it is not formed here: the caller passes
     ``measured``, the squared sums ``(sum_sq, psi_sq)`` of its residual and of ``psi``
     that the half mesh's own test measured.  Each of the three other cosets forms its
-    twiddled spectrum once and copies it for ``(D - z) u_p``; both go through the inverse,
-    into two coset buffers that every coset reuses, so no array of ``mesh``'s size is made.
-    ``psi``, the continuum ``phi`` at the coset's sites, and ``V`` are evaluated on row
-    blocks of the coset, where the residual ``(D - z) u_p + V u_p - psi`` and ``psi``
-    itself are added in squares to ``measured``.  A ``phi`` with ``factors`` has them
-    evaluated once per coset on each axis (`grid._axis_values`), and each block of ``psi``
-    is their outer product, channel-first, in one reused buffer; any other ``phi`` is
-    evaluated per block (`grid._grid_values`).
+    twiddled spectrum once and copies it for ``(D - z) u_p``, and keeps the column bands of
+    both.  One walk over the row blocks of the coset then forms the rows of ``u_p`` and of
+    ``(D - z) u_p`` from the bands and evaluates ``psi``, the continuum ``phi`` at the
+    coset's sites, and ``V`` on them (`_vmul_blocks`), where the residual ``(D - z) u_p + V
+    u_p - psi`` and ``psi`` itself are added in squares to ``measured``; so the arrays of
+    side ``n`` are the two column bands and the block buffers that every coset reuses, and
+    no coset is held whole.  A ``phi`` with ``factors`` has them evaluated once per coset
+    on each axis (`grid._axis_values`), and each block of ``psi`` is their outer product,
+    channel-first, in one reused buffer; any other ``phi`` is evaluated per block
+    (`grid._grid_values`).
 
     Returns ``(start, (sum_sq, psi_sq))`` with the sums over all of ``mesh``.  ``start``
     is None when ``||residual|| <= tol * ||psi||``: a residual that is not finite fails,
-    and a zero ``psi`` with a zero residual passes with no division.  Otherwise it forms
-    all four cosets of ``u_p`` again, by the same inverse, into a channel-first field of
-    ``mesh``, and returns that field as ``start`` to start the iteration from.
+    and a zero ``psi`` with a zero residual passes with no division.  Otherwise ``start``
+    is ``u_p`` on ``mesh``, channel-first, to start the iteration from: ``S`` zero-padded
+    to ``N x N`` (`_cell_spectrum` at refine 1) and one inverse transform, as the top
+    level forms its cell averages.
     """
     channels, K, n = spec.shape[0], spec.shape[1], mesh.N // 2
     k = _signed_index(K)
     twiddle = (n / K) * np.exp(1j * np.pi / n * k)
     parity = (np.full(K, n / K), twiddle)  # per-axis factor of a coset of parity 0 or 1, with the scale
-    symbol = _Multiplier(_natural_frequencies(_half_mesh(mesh))[k % n], None, m)
+    symbol = _Multiplier(2 * np.pi * k / mesh.L, None, m)
     x = _site_axes(mesh)[0]
     s, ds = np.empty_like(spec), np.empty_like(spec)
-    band = np.empty((channels, n, K), complex)
-    u, du = (np.empty((channels, n, n), complex) for _ in range(2))
-    block = _row_blocks(np.broadcast_to(0j, (channels, n, n)))[0]
-    psi_buf = np.empty((channels, block.stop, n), complex)
+    bands = [np.empty((channels, n, K), complex) for _ in range(2)]
+    blocks = _row_blocks(np.broadcast_to(0j, (channels, n, n)))
+    u, du, psi_buf = (np.empty((channels, blocks[0].stop, n), complex) for _ in range(3))
 
-    def twiddled(a, b, out):
-        """The scaled spectrum of coset ``(a, b)`` of ``u_p`` on the band, written into ``out``."""
-        np.multiply(spec, parity[a][:, None], out=out)
-        out *= parity[b]
-        return out
-
-    def inverse(spectrum, out):
-        """The ``n x n`` inverse of ``spectrum`` zero-padded, written into ``out``."""
-        rows = _fftn(_zero_pad(spectrum, band, 1), (1,), inverse=True)
-        return _fftn(_zero_pad(rows, out, 2), (2,), inverse=True)
+    def inverse_rows(band, rows, out):
+        """Rows ``rows`` of the ``n x n`` inverse whose column band is ``band``, written into ``out``."""
+        return _fftn(_zero_pad(band[:, rows], out[:, : rows.stop - rows.start], 2), (2,), inverse=True)
 
     def rhs(coords):
         """``psi(rows)``: channel-first ``phi`` on the rows ``rows`` of the tensor grid of ``coords``."""
@@ -735,25 +733,24 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
         return lambda rows: np.multiply(f0[:, rows, None], f1[:, None], out=psi_buf[:, : rows.stop - rows.start])
 
     sum_sq, psi_sq = measured
-    for a, b in _COSETS[1:]:
-        np.copyto(ds, twiddled(a, b, s))
+    for a, b in ((0, 1), (1, 0), (1, 1)):
+        np.multiply(spec, parity[a][:, None], out=s)
+        s *= parity[b]
+        np.copyto(ds, s)
         symbol(ds)
         ds -= z * s
-        fu, dfu = inverse(s, u), inverse(ds, du)
+        fu, dfu = (_fftn(_zero_pad(t, band, 1), (1,), inverse=True) for t, band in zip((s, ds), bands))
         coords = [x[a::2], x[b::2]]
         psi = rhs(coords)
-        for rows, vu in _vmul_blocks(V, coords, fu):
-            r, psi_rows = dfu[:, rows], psi(rows)
+        for rows, vu in _vmul_blocks(V, coords, ((rows, inverse_rows(fu, rows, u)) for rows in blocks)):
+            r, psi_rows = inverse_rows(dfu, rows, du), psi(rows)
             r += vu
             r -= psi_rows
             sum_sq += _sum_sq(r)
             psi_sq += _sum_sq(psi_rows)
     if math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq):
         return None, (sum_sq, psi_sq)
-    start = np.empty((channels,) + mesh.shape, dtype=complex)
-    for a, b in _COSETS:
-        start[:, a::2, b::2] = inverse(twiddled(a, b, s), u)
-    return start, (sum_sq, psi_sq)
+    return _fftn(_cell_spectrum(spec.copy(), 1, mesh.N), (1, 2), inverse=True), (sum_sq, psi_sq)
 
 
 def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: Optional[str], tol: float,
@@ -764,10 +761,11 @@ def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: 
     ``D`` has the discrete symbol of ``p``, or the continuum one if ``p`` is None.  For
     ``u = R_z w`` the residual is ``w + V u - psi``, which needs no further operator apply.
     ``V`` is evaluated at the sites of each row block whenever it multiplies that block,
-    so no grid-sized potential array is held; it is evaluated on the first row block
-    before anything else, so that samples of the wrong shape raise `ValueError` before
-    any transform.  Everything runs in complex128.  Policy None selects Neumann when
-    ``sup||V|| / |Im z| <= 0.9`` and Krylov otherwise.  ``w``, channel-first and
+    so no grid-sized potential array is held; the entries (`resolvent_with_potential`,
+    `_solve_with_potential`) evaluate it on the first row block before any transform, so
+    that samples of the wrong shape raise `ValueError` there, once per solve.  Everything
+    runs in complex128.  Policy None selects Neumann when ``sup||V|| / |Im z| <= 0.9`` and
+    Krylov otherwise.  ``w``, channel-first and
     overwritten, starts the Neumann steps or GMRES; None is the cold start, ``psi`` for
     Neumann and zero for GMRES.  Neumann takes at most ``max_iter`` `_neumann_steps`
     steps; Krylov runs GMRES and hands its ``w`` to one such step, which forms ``u`` and
@@ -779,7 +777,6 @@ def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: 
     """
     mesh = psi.mesh
     axes = _site_axes(mesh)
-    next(_vmul_blocks(V, axes, np.moveaxis(psi.values, -1, 0)))  # a misshapen V fails before any transform
     psi_norm = norm_l2(psi)
     if psi_norm == 0.0:
         return LatticeField(mesh, np.zeros_like(psi.values)), 0.0
@@ -874,15 +871,17 @@ def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialS
     Neumann iteration when the contraction is certified and the Krylov
     fallback otherwise; ``"dense-oracle"`` solves with `dense_matrix`.
     The iterative policies evaluate ``V`` on one block of sites at a time;
-    samples of the wrong shape raise `ValueError` on the first block, before
-    any transform.
+    samples of the wrong shape raise `ValueError` on the first block, which
+    is evaluated here before any transform.
     """
     _check_spinor(psi, q.p)
     _require_resolvent_region(q.z, V)
+    mesh = psi.mesh
     if q.policy == "dense-oracle":
-        A = dense_matrix(q.p, psi.mesh, V)
+        A = dense_matrix(q.p, mesh, V)
         u_vec = np.linalg.solve(A - complex(q.z) * np.eye(A.shape[0]), field_to_vec(psi))
-        return vec_to_field(u_vec, psi.mesh)
+        return vec_to_field(u_vec, mesh)
+    next(_vmul_blocks(V, _site_axes(mesh), np.broadcast_to(0j, (2,) + mesh.shape)))  # before any transform
     return _iterate(psi, complex(q.z), q.p.m, V, q.policy, q.tol, q.max_iter, q.restart, p=q.p)[0]
 
 

@@ -239,10 +239,9 @@ def test_projection_errors_fail_like_the_separate_calls(sup_norm, first):
     assert messages[1].startswith(f"{first} self-estimate")
 
 
-def test_projection_error_memory_peak_is_bounded(monkeypatch):
+def test_projection_error_memory_peak_is_bounded():
     # the row-block walk of the error integral never holds a whole (N, q, N, q, 2) node
-    # array (38 MB here): it holds one block at a time, at any thread cap
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "2")
+    # array (38 MB here): it holds one block at a time
     phi = gaussian(2)
     tracemalloc.start()
     try:
@@ -253,10 +252,8 @@ def test_projection_error_memory_peak_is_bounded(monkeypatch):
     assert peak < 32e6
 
 
-def test_row_blocks_are_evaluated_on_the_calling_thread(monkeypatch):
-    # the thread cap sets only FFT workers: a function without factors is walked in
-    # row blocks, one after another on the main thread, whatever the cap
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "3")
+def test_row_blocks_are_evaluated_on_the_calling_thread():
+    # a function without factors is walked in row blocks, one after another on the main thread
     g, on_main = gaussian(2), []
 
     def evaluate(points):
@@ -722,17 +719,15 @@ def test_factors_give_the_values_of_the_stacked_points(name):
                                      for N in (24, 48)])
 def test_stacked_point_quadrature_is_unchanged_by_row_blocks(name, N, monkeypatch):
     # the row-block walk fills full per-cell arrays before any sum, so any row blocks give the same
-    # bits: one row per block, five, or the default; the thread cap sets only FFT workers
+    # bits: one row per block, five, or the default
     plain = _evaluate_only(function_catalog(name))
     mesh = Mesh(2, 9.6 / N, N)
     f = sample(plain, mesh)
     projected, error = project(plain, mesh).values, l2_error_vs_continuum(f, plain)
     for block_cells in (grid._BLOCK_CELLS, N, 5 * N):
-        for threads in ("1", "2"):
-            monkeypatch.setattr(grid, "_BLOCK_CELLS", block_cells)
-            monkeypatch.setenv("LATTICE_DIRAC_THREADS", threads)
-            np.testing.assert_array_equal(project(plain, mesh).values, projected)
-            assert l2_error_vs_continuum(f, plain) == error
+        monkeypatch.setattr(grid, "_BLOCK_CELLS", block_cells)
+        np.testing.assert_array_equal(project(plain, mesh).values, projected)
+        assert l2_error_vs_continuum(f, plain) == error
 
 
 def test_separable_project_evaluates_each_factor_once_per_rule():

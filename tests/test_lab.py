@@ -378,11 +378,11 @@ def test_catalog_resolve_potential_never_calls_matrix_fn(name, z, monkeypatch):
 
 
 def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
-    # a passing finest start at refine 8 (fine N = 768): the two coset buffers are a quarter of a
-    # fine spinor field each, and the band spectrum (of N = 48 here) and the (2, 384, 48) column
-    # band a small part of one, with block buffers on top (0.72 fields in all); the zero-padded
-    # half-mesh spectrum would add a quarter, and the fine samples, the fine solution or D u on
-    # the fine mesh one each
+    # a passing finest start at refine 8 (fine N = 768): the start test holds the band spectrum
+    # (of N = 48 here), the two (2, 384, 48) column bands and its row-block buffers, each a small
+    # part of a fine spinor field (0.34 fields in all); one (2, 384, 384) coset buffer or the
+    # zero-padded half-mesh spectrum would add a quarter, and the fine samples, the fine solution
+    # or D u on the fine mesh one each
     import scipy.fft  # noqa: F401  imported outside the traced call
 
     sweep = _potential_sweep(8, 0.1)
@@ -395,21 +395,22 @@ def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
     finally:
         tracemalloc.stop()
     assert starts == [True]
-    assert peak < 0.85 * fine_field
+    assert peak < 0.45 * fine_field
 
 
 def test_default_reference_transform_count_is_pinned(monkeypatch):
     # the default refine-8 reference of h = 0.05 (fine N = 1536), by the length of its 1D
-    # transforms (a 2D transform of (2, n, n) runs 2n of length n along each axis).  The
-    # meshes N = 12 ... 96 fail their starts (six 2D inverse transforms of size N/2 plus the
-    # four cosets of the start), iterate and transform their solution forward once, and N = 6
-    # starts cold; so the band of every passing level is the 96 x 96 spectrum of N = 96.  The
-    # meshes N = 192 ... 1536 pass their starts: each transforms three cosets back twice, six
-    # inverse transforms of size N/2 (2D at N = 192, whose half mesh is the band; above, each
-    # is pruned to one transform along the rows of the (2, N/2, 96) column band and one along
-    # the columns of (2, N/2, N/2)), hands back the band, and transforms nothing forward and
-    # nothing of size N.  The cell averages on the finest level are one 2D inverse transform
-    # of its size, 192.  A transform added anywhere in the reference changes these counts.
+    # transforms (a 2D transform of (2, n, n) runs 2n of length n along each axis).  Each start
+    # test transforms three cosets back twice, six inverse transforms of size N/2, each pruned to
+    # one transform along the rows of the (2, N/2, K) column band of a K x K band and one along
+    # the columns of its rows zero-padded to N/2, block by block (as many 1D transforms as a 2D
+    # one when K = N/2).  The meshes N = 12 ... 96 fail their starts (the six, plus one 2D
+    # inverse transform of size N for the start, the band zero-padded), iterate and transform
+    # their solution forward once, and N = 6 starts cold; so the band of every passing level is
+    # the 96 x 96 spectrum of N = 96.  The meshes N = 192 ... 1536 pass their starts: each runs
+    # the six, hands back the band, and transforms nothing forward and nothing of size N.  The
+    # cell averages on the finest level are one 2D inverse transform of its size, 192.  A
+    # transform added anywhere in the reference changes these counts.
     forward = spy_transforms(monkeypatch, names=("fftn",))
     inverse = spy_transforms(monkeypatch, names=("ifftn",))
     spans = []
@@ -429,7 +430,7 @@ def test_default_reference_transform_count_is_pinned(monkeypatch):
     assert all(shape == (2, shape[1], shape[1]) and axes == (1, 2) for shape, axes in forward_calls)
     assert Counter(shape[1] for shape, _ in forward_calls) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2}
     assert one_d_lengths(forward_calls) == {6: 456, 12: 768, 24: 1248, 48: 1536, 96: 768}
-    assert one_d_lengths(inverse_calls) == {6: 672, 12: 1200, 24: 2112, 48: 3264, 96: 2688, 192: 4224, 384: 5760,
+    assert one_d_lengths(inverse_calls) == {6: 576, 12: 1056, 24: 1824, 48: 2688, 96: 3072, 192: 4224, 384: 5760,
                                             768: 10368}
     assert not any(1536 in shape for shape, _ in forward_calls + inverse_calls)
 

@@ -753,8 +753,10 @@ def test_band_start_matches_the_start_from_the_zero_padded_spectrum(z, shrink, t
     start, (sum_sq, psi_sq) = operators._coset_start(spec, *args)
     expected, (expected_sum_sq, expected_psi_sq) = operators._coset_start(_zero_padded(spec, n), *args)
     assert (start is None) == (expected is None) == passed
-    if not passed:
-        assert np.linalg.norm(start - expected) <= 1e-13 * np.linalg.norm(expected)
+    if not passed:  # both against the interpolant by one 2D transform of the fine mesh's size
+        u_p = np.moveaxis(_prolonged(spec, mesh).values, -1, 0)
+        for field in (start, expected):
+            assert np.linalg.norm(field - u_p) <= 1e-13 * np.linalg.norm(u_p)
     assert abs(sum_sq - expected_sum_sq) <= 1e-13 * expected_sum_sq
     assert abs(psi_sq - expected_psi_sq) <= 1e-13 * expected_psi_sq
 
@@ -857,6 +859,8 @@ def test_non_finite_inputs_fail_before_any_transform(case, value, monkeypatch):
 @pytest.mark.parametrize("bad", [
     {"tol": 0.0}, {"tol": -1.0}, {"tol": float("nan")}, {"tol": float("inf")},
     {"max_iter": 0}, {"restart": 0},
+    {"max_iter": 2.5}, {"max_iter": np.float64(10)}, {"max_iter": True},
+    {"restart": 2.5}, {"restart": np.float64(10)}, {"restart": True},
 ])
 def test_resolvent_query_rejects_bad_solver_parameters(bad):
     with pytest.raises(ValueError):
@@ -1073,14 +1077,29 @@ def _multiplier_results(mesh: Mesh) -> dict:
     }
 
 
+def _coset_start_results(mesh: Mesh) -> list:
+    """Failing `operators._coset_start` tests on ``mesh`` of one random band spectrum of ``N/4`` sites per axis:
+    with the function's factors and the declared potential, and with neither (both evaluated per block)."""
+    K, rng = mesh.N // 4, np.random.default_rng(7)
+    spec = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
+    V, plain = potential_catalog("nonhermitian-gaussian"), ContinuumFunction("plain", 2, 2, gaussian_spinor().evaluate)
+    return [operators._coset_start(spec, mesh, phi, 3j, 1.0, W, 1e-10, (0.5, 2.0))
+            for phi, W in ((gaussian_spinor(), V), (plain, _undeclared(V)))]
+
+
 def test_multipliers_do_not_depend_on_the_row_blocks(monkeypatch):
+    # and neither does the start test's walk over the rows of a coset (n = 96 here), which the
+    # default and the whole grid take in one block: the sums it adds block by block agree to rounding
     mesh = Mesh(2, 9.6 / 192, 192)
     assert len(operators._row_blocks(np.empty((2,) + mesh.shape))) > 1  # the default splits the grid
-    default = _multiplier_results(mesh)
-    for sites in (1, mesh.N**2):  # one row per block, the whole grid in one
+    default, starts = _multiplier_results(mesh), _coset_start_results(mesh)
+    for sites in (1, 5 * mesh.N // 2, mesh.N**2):  # one row per block, 5 of a coset's 96 rows, the whole grid in one
         monkeypatch.setattr(operators, "_BLOCK_SITES", sites)
         for name, field in _multiplier_results(mesh).items():
             assert np.array_equal(field.values, default[name].values), (name, sites)
+        for (start, sums), (expected, expected_sums) in zip(_coset_start_results(mesh), starts):
+            assert np.array_equal(start, expected)
+            assert np.allclose(sums, expected_sums, rtol=1e-14, atol=0), sites
 
 
 def _peak_bytes(call) -> int:
@@ -1093,14 +1112,15 @@ def _peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("solve,bound", [("resolvent_free", 1.5), ("continuum solve", 2.75)])
-def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound, monkeypatch):
-    # in field bytes: the free resolvent holds its channel-first copy and block buffers,
-    # the nested continuum solve its returned field, the half-mesh spectrum and two coset
-    # buffers, and evaluates the potential and the function inside the traced call; a
-    # stored symbol (1/den, zeta/den, conj(zeta)/den)
-    # would add 1.5, its stacked frequency grid 0.5 more
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
+@pytest.mark.parametrize("solve,bound", [("resolvent_free", 1.5), ("continuum solve", 1.3)])
+def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound):
+    # in field bytes: the free resolvent holds its channel-first copy and block buffers; the
+    # nested continuum solve evaluates the potential and the function inside the traced call,
+    # and its peak (1.14) is its returned field with the (2, N, K) column band of the K x K band
+    # spectrum it is formed from (K = 64), while its start tests hold column bands and block
+    # buffers only; the bound leaves less than one (2, N/2, N/2) coset buffer (0.25) above that
+    # peak.  A stored symbol (1/den, zeta/den, conj(zeta)/den) would add 1.5, its stacked
+    # frequency grid 0.5 more
     mesh = Mesh(2, 9.6 / 512, 512)
     psi = sample(gaussian_spinor(), mesh)
     V = potential_catalog("hermitian-gaussian")
@@ -1113,10 +1133,9 @@ def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound, monkeypa
     assert _peak_bytes(calls[solve]) <= bound * psi.values.nbytes
 
 
-def test_potential_solve_memory_peak_holds_no_grid_sized_potential(monkeypatch):
+def test_potential_solve_memory_peak_holds_no_grid_sized_potential():
     # in field bytes, the potential's evaluation included: the Neumann solve holds its iterate
     # and u, plus transform and block buffers; sampled values (2 x 2 complex per site) would add 2
-    monkeypatch.setenv("LATTICE_DIRAC_THREADS", "1")
     mesh = Mesh(2, 9.6 / 512, 512)
     psi = sample(gaussian_spinor(), mesh)
     q = ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h), policy="neumann")
