@@ -16,8 +16,8 @@ on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``;
 
 `_fftn` is the one FFT entry point, for `dft`/`idft` (`_centred_fftn`: on a
 copy rolled into natural FFT order), the 1D transforms of `_power_spectrum`
-and the multipliers of `operators`.  It runs `scipy.fft` on the calling
-thread; the library starts no thread.
+and the multipliers of `operators`.  It runs numpy's FFT in place, one 1D
+transform per axis, on the calling thread; the library starts no thread.
 
 Inside the frequency box `weighted_ft_error` sums the power spectrum of the
 sample zero-padded to ``4*N`` sites per axis (`_power_spectrum`).  A separable
@@ -113,14 +113,12 @@ def spectral_norm(u: SpectralField) -> float:
 
 
 def _fftn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
-    """``fftn`` (``ifftn`` if ``inverse``) over ``axes``, on the calling thread.
-
-    May overwrite ``x``, so pass memory you own.
-    """
-    import scipy.fft  # not at module level: importing scipy costs start-up time
-
-    transform = scipy.fft.ifftn if inverse else scipy.fft.fftn
-    return transform(x, axes=axes, overwrite_x=True)
+    """``fftn`` (``ifftn`` if ``inverse``) over ``axes``, axis by axis; overwrites ``x`` when it is complex128."""
+    x = np.asarray(x, dtype=complex)
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in axes:
+        transform(x, axis=axis, out=x)
+    return x
 
 
 def _centred_fftn(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:

@@ -44,7 +44,7 @@ cross-validation oracle.
 
 Fourier multipliers work channel-first: the two spinor channels are held as
 one contiguous ``(2, *sites)`` array, transformed over the site axes by
-`fourier._fftn` (the library's one FFT entry point) and multiplied in place
+`fourier._fftn` (numpy's FFT axis by axis, in place) and multiplied in place
 one block of rows at a time.  Every multiplier holds only the per-axis terms
 of ``zeta`` on the dual grid (`_Multiplier`); ``zeta`` and the coefficients of
 a block are formed from them when the block is multiplied, on every apply, so
@@ -632,13 +632,16 @@ def _half_mesh(mesh: Mesh) -> Optional[Mesh]:
     return Mesh(mesh.d, 2 * mesh.h, mesh.N // 2)
 
 
-def _zero_pad(band: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    """Natural-order ``band`` zero-padded along ``axis`` into ``out``: signed index ``k`` at ``k mod n``."""
-    src, dst = np.moveaxis(band, axis, 0), np.moveaxis(out, axis, 0)
-    low, high = (len(src) + 1) // 2, len(dst) - len(src) // 2  # k >= 0 take the first indices, k < 0 the last
-    dst[:low] = src[:low]
-    dst[low:high] = 0.0
-    dst[high:] = src[low:]
+def _zero_pad(band: np.ndarray, out: np.ndarray, *axes: int) -> np.ndarray:
+    """Natural-order ``band`` zero-padded along each of ``axes`` into ``out``: signed index ``k`` at ``k mod n``."""
+    if not axes:
+        np.copyto(out, band)
+        return out
+    m, at = band.shape[axes[0]], (slice(None),) * axes[0]
+    low, high = (m + 1) // 2, out.shape[axes[0]] - m // 2  # k >= 0 take the first indices, k < 0 the last
+    out[at + (slice(low, high),)] = 0.0
+    for src, dst in ((slice(low), slice(low)), (slice(low, None), slice(high, None))):
+        _zero_pad(band[at + (src,)], out[at + (dst,)], *axes[1:])
     return out
 
 
@@ -663,8 +666,7 @@ def _cell_spectrum(spec: np.ndarray, refine: int, N: int) -> np.ndarray:
     spec *= kernel[:, None]
     spec *= kernel
     if P > M:
-        rows = _zero_pad(spec, np.empty((spec.shape[0], P, M), complex), 1)
-        spec = _zero_pad(rows, np.empty((spec.shape[0], P, P), complex), 2)
+        spec = _zero_pad(spec, np.empty((spec.shape[0], P, P), complex), 1, 2)
     return spec if P == n else spec.reshape(spec.shape[0], P // n, n, P // n, n).sum(axis=(1, 3))
 
 

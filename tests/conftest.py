@@ -2,8 +2,9 @@
 
 The direct-summation transforms below are deliberately naive (O(N**2d))
 re-implementations used to cross-check the FFT paths at small sizes;
-`spy_fftn` and `spy_transforms` record what reaches the library's one
-transform call site, and `one_d_lengths` counts the 1D transforms it runs.
+`spy_fft` and `spy_transforms` record what reaches `numpy.fft.fft`/`ifft`,
+which the library's one transform call site runs once per axis, and
+`one_d_lengths` counts the 1D transforms it runs.
 """
 
 import math
@@ -41,27 +42,24 @@ def random_field(mesh: Mesh, channels: int, rng) -> LatticeField:
     return LatticeField(mesh, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
-def spy_fftn(monkeypatch, record=lambda x: x.dtype, names=("fftn",)) -> list:
-    """Record ``record(x)``, by default the dtype, of every array handed to the `scipy.fft` ``names``."""
+def spy_fft(monkeypatch, record=lambda x: x.dtype, names=("fft",)) -> list:
+    """Record ``record(x)``, by default the dtype, of every array handed to the `numpy.fft` ``names``."""
     return _spy(monkeypatch, lambda x, axes: record(x), names)
 
 
-def spy_transforms(monkeypatch, names=("fftn", "ifftn")) -> list:
-    """Record ``(shape, axes)`` of every array handed to the `scipy.fft` ``names``."""
+def spy_transforms(monkeypatch, names=("fft", "ifft")) -> list:
+    """Record ``(shape, (axis,))`` of every array handed to the `numpy.fft` ``names``, one 1D transform each."""
     return _spy(monkeypatch, lambda x, axes: (x.shape, axes), names)
 
 
 def _spy(monkeypatch, record, names) -> list:
-    import scipy.fft
-
     seen = []
     for name in names:
-        def spy(x, *args, _transform=getattr(scipy.fft, name), **kwargs):
-            axes = kwargs.get("axes")
-            seen.append(record(x, tuple(range(x.ndim)) if axes is None else tuple(axes)))
+        def spy(x, *args, _transform=getattr(np.fft, name), **kwargs):
+            seen.append(record(x, (kwargs.get("axis", -1) % x.ndim,)))
             return _transform(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, name, spy)
+        monkeypatch.setattr(np.fft, name, spy)
     return seen
 
 

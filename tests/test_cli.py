@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,6 +17,8 @@ from latticedirac.cli import RunConfig, config_from_argv, format_complex, main, 
 from latticedirac.errors import ConfigError
 from latticedirac.grid import function_catalog
 from latticedirac.lab import exp_ft, exp_resolvent_free, exp_resolvent_potential
+
+from conftest import spy_fft
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +241,20 @@ def test_project_seeded_by_config_file(tmp_path, capsys):
 
 
 def test_import_and_config_error_load_no_scipy():
-    # scipy loads inside the functions that use it, so a config error fails before it
+    # scipy loads only inside GMRES, so a config error fails before it, and a free run, a
+    # projection, a transform sweep and a Neumann reference solve never load it
+    runs = [
+        ["resolve-free", "--sweep", "0.8,0.4,0.2"],
+        ["project", "--sweep", "0.4,0.2,0.1"],
+        ["ft", "--sweep", "0.4,0.2,0.1"],
+        ["resolve-potential", "--sweep", "0.8,0.4,0.2", "--refine", "2", "--z", "3i"],
+    ]
     code = (
         "import sys\n"
         "import latticedirac.cli as cli\n"
         "assert cli.main(['resolve-free', '--sweep', '0.4,0.2,0.1', '--m', '-1']) == 1\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -251,7 +263,7 @@ def test_import_and_config_error_load_no_scipy():
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "mass must be nonnegative" in proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_ft_sweep_loads_no_scipy_integrate():
@@ -271,7 +283,7 @@ def test_ft_sweep_loads_no_scipy_integrate():
 
 
 def test_import_loads_no_thread_pool():
-    # every transform runs on the calling thread, so nothing imports concurrent.futures
+    # every transform is numpy's, on the calling thread, so nothing imports concurrent.futures
     code = (
         "import sys\n"
         "import latticedirac.cli\n"
@@ -286,24 +298,18 @@ def test_import_loads_no_thread_pool():
 
 
 def test_every_transform_runs_on_the_calling_thread(tmp_path, monkeypatch):
-    # no transform is handed workers, and no thread count in the environment is read
-    import scipy.fft
-
-    calls = []
-    for name in ("fftn", "ifftn"):
-        def spy(x, *args, _transform=getattr(scipy.fft, name), **kwargs):
-            calls.append((len(kwargs["axes"]), kwargs))
-            return _transform(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, spy)
+    # every transform is a numpy.fft.fft/ifft call on the calling thread, scipy.fft is never
+    # imported, and no thread count in the environment is read
+    monkeypatch.setitem(sys.modules, "scipy.fft", None)  # an import of scipy.fft raises from here on
+    calls = spy_fft(monkeypatch, record=lambda x: (x.shape, threading.get_ident()), names=("fft", "ifft"))
     smoke = {"hs": (0.8, 0.4, 0.2), "box": 9.6, "function": "gaussian-spinor", "refine": 2}
     for z in (3j, 1.2j):  # Neumann, then Krylov
         exp_resolvent_potential(Sweep(z=z, potential="nonhermitian-gaussian", **smoke))
     exp_resolvent_free(Sweep(**smoke))
-    # without factors the transform of exp_ft is one 2D transform of the padded sample
+    # without factors the transform of exp_ft is the 2D dft of the padded (4N, 4N, 1) sample
     exp_ft(Sweep(hs=(0.4, 0.2, 0.1), box=9.6, function=replace(function_catalog("gaussian2d"), factors=None)))
-    assert 2 in {axes for axes, _ in calls}
-    assert not [kwargs for _, kwargs in calls if "workers" in kwargs]
+    assert calls.count(((384, 384, 1), threading.get_ident())) == 2
+    assert {thread for _, thread in calls} == {threading.get_ident()}
 
     argv = ["resolve-potential", "--sweep", "0.8,0.4,0.2", "--refine", "2", "--out", None]
     tables = []

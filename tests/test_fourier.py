@@ -33,7 +33,7 @@ from latticedirac.fourier import _grid_step_factor, _grid_weight, _step_factor, 
 from latticedirac.grid import FUNCTION_IDS, freq_window, function_catalog, gaussian, hat, modulated_gaussian
 from latticedirac.operators import diff_backward, diff_forward
 
-from conftest import dft_direct, idft_direct, random_field
+from conftest import dft_direct, idft_direct, random_field, spy_transforms
 
 # first verified run of the weighted transform gap at
 # (gaussian a=1, d=1, h=0.2, N=128, s=1); regression anchor
@@ -72,18 +72,15 @@ def test_dft_unitary_and_invertible(rng):
         np.testing.assert_allclose(dft(idft(v)).values, v.values, atol=1e-12)
 
 
-def test_dft_pair_transforms_through_scipy_fft(monkeypatch, rng):
-    import scipy.fft
-
-    calls = []
-    for name in ("fftn", "ifftn"):
-        def spy(x, *args, _name=name, _transform=getattr(scipy.fft, name), **kwargs):
-            calls.append(_name)
-            return _transform(x, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, spy)
-    idft(dft(random_field(Mesh(2, 0.5, 8), 2, rng)))
-    assert calls == ["fftn", "ifftn"]
+def test_dft_pair_transforms_through_numpy_fft(monkeypatch, rng):
+    # one in-place 1D transform per site axis: forward for dft, inverse for idft
+    forward = spy_transforms(monkeypatch, names=("fft",))
+    inverse = spy_transforms(monkeypatch, names=("ifft",))
+    site_axes = [((8, 8, 2), (0,)), ((8, 8, 2), (1,))]
+    u = dft(random_field(Mesh(2, 0.5, 8), 2, rng))
+    assert (forward, inverse) == (site_axes, [])
+    idft(u)
+    assert (forward, inverse) == (site_axes, site_axes)
 
 
 def test_dft_pair_leaves_its_input_untouched(rng):

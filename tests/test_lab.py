@@ -33,7 +33,7 @@ from latticedirac.grid import bandlimited_spinor, function_catalog, gaussian, ga
 from latticedirac.lab import DYADIC_HS, _assemble, weighted_operator_gap_probe
 from latticedirac.operators import POTENTIAL_IDS, PotentialSpec, _Multiplier, _iterate, block_average, potential_catalog
 
-from conftest import one_d_lengths, spy_fftn, spy_transforms
+from conftest import one_d_lengths, spy_fft, spy_transforms
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ def test_non_finite_coset_residual_never_passes(z, monkeypatch):
     lambda x: np.eye(2, dtype=complex),  # one matrix for every site
 ], ids=["channel-axis", "one-matrix"])
 def test_misshapen_potential_fails_the_reference_before_any_transform(matrix_fn, monkeypatch):
-    transforms = spy_fftn(monkeypatch, names=("fftn", "ifftn"))
+    transforms = spy_fft(monkeypatch, names=("fft", "ifft"))
     V = PotentialSpec("misshapen", matrix_fn, 1.0, 0.0)
     with pytest.raises(ValueError, match="potential 'misshapen' gave samples of shape"):
         exp_resolvent_potential(_potential_sweep(8, 0.4, potential=V))
@@ -383,7 +383,7 @@ def test_potential_reference_memory_peak_holds_no_fine_field(monkeypatch):
     # part of a fine spinor field (0.34 fields in all); one (2, 384, 384) coset buffer or the
     # zero-padded half-mesh spectrum would add a quarter, and the fine samples, the fine solution
     # or D u on the fine mesh one each
-    import scipy.fft  # noqa: F401  imported outside the traced call
+    np.fft.fft(np.zeros(1, complex))  # loads numpy.fft outside the traced call
 
     sweep = _potential_sweep(8, 0.1)
     fine_field = 2 * (sweep.mesh_for(0.1).N * 8) ** 2 * 16
@@ -411,8 +411,8 @@ def test_default_reference_transform_count_is_pinned(monkeypatch):
     # the six, hands back the band, and transforms nothing forward and nothing of size N.  The
     # cell averages on the finest level are one 2D inverse transform of its size, 192.  A
     # transform added anywhere in the reference changes these counts.
-    forward = spy_transforms(monkeypatch, names=("fftn",))
-    inverse = spy_transforms(monkeypatch, names=("ifftn",))
+    forward = spy_transforms(monkeypatch, names=("fft",))
+    inverse = spy_transforms(monkeypatch, names=("ifft",))
     spans = []
 
     def reference(*args, _solve=lab._solve_with_potential):
@@ -427,8 +427,10 @@ def test_default_reference_transform_count_is_pinned(monkeypatch):
     exp_resolvent_potential(sweep)
     [(forward_calls, inverse_calls)] = spans
     assert starts == [True]
-    assert all(shape == (2, shape[1], shape[1]) and axes == (1, 2) for shape, axes in forward_calls)
-    assert Counter(shape[1] for shape, _ in forward_calls) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2}
+    # every forward transform is 2D: one call along axis 1 of a (2, n, n) solution, then one along axis 2
+    assert all(shape == (2, shape[1], shape[1]) and axes == (1,) for shape, axes in forward_calls[::2])
+    assert forward_calls[1::2] == [(shape, (2,)) for shape, _ in forward_calls[::2]]
+    assert Counter(shape[1] for shape, _ in forward_calls[::2]) == {6: 19, 12: 16, 24: 13, 48: 8, 96: 2}
     assert one_d_lengths(forward_calls) == {6: 456, 12: 768, 24: 1248, 48: 1536, 96: 768}
     assert one_d_lengths(inverse_calls) == {6: 576, 12: 1056, 24: 1824, 48: 2688, 96: 3072, 192: 4224, 384: 5760,
                                             768: 10368}
