@@ -480,9 +480,11 @@ def apply_dirac(
 class ResolventQuery:
     """Shift, operator parameters, and solver policy for a resolvent solve.
 
-    Raises on construction `RealShift` for a real shift, and `ValueError` for a shift that
-    is not finite, an unknown policy, a ``tol`` that is not finite and positive, or
-    ``max_iter`` or ``restart`` below 1.
+    ``max_iter`` caps the Neumann steps, or the GMRES Arnoldi steps over all restart
+    cycles of at most ``restart`` steps each, so the last cycle may be shorter.  Raises on
+    construction `RealShift` for a real shift, and `ValueError` for a shift that is not
+    finite, an unknown policy, a ``tol`` that is not finite and positive, or ``max_iter``
+    or ``restart`` below 1.
     """
 
     z: complex
@@ -588,11 +590,62 @@ def resolvent_continuum(
 
 
 def _gmres(matvec, b_vec, tol, restart, max_iter, x0=None):
-    import scipy.sparse.linalg as spla  # not at module level: importing scipy costs start-up time
+    """Restarted GMRES for ``A x = b`` (Saad and Schultz 1986); returns ``(x, info)``.
 
-    n = b_vec.size
-    op = spla.LinearOperator((n, n), matvec=matvec, dtype=complex)
-    return spla.gmres(op, b_vec, x0, rtol=tol, restart=restart, maxiter=max(1, max_iter // restart))
+    ``matvec`` applies ``A`` to a complex vector of the size of ``b_vec`` and returns a new
+    array, which is overwritten; ``x0`` (None is zero) starts the iteration.  Each cycle runs
+    at most ``restart`` Arnoldi steps, and all cycles together at most ``max_iter``, so the
+    last cycle may be shorter.  The basis is one ``(min(restart, n), n)`` array,
+    orthogonalized by classical Gram-Schmidt applied twice, and Givens rotations of the
+    Hessenberg columns give the residual norm of each step without a product.  A cycle whose estimate meets ``tol * ||b||`` returns ``x`` with ``info`` 0 and
+    no further product; the true residual ``b - A x`` is formed only to start the next cycle,
+    and also returns with ``info`` 0 when it meets the target.  When the steps run out first,
+    ``info`` is the number of steps run.  ``b = 0`` returns zeros with ``info`` 0.
+    """
+    b = np.asarray(b_vec, dtype=complex)
+    n, atol = b.size, tol * np.linalg.norm(b)
+    if atol == 0.0:
+        return np.zeros(n, dtype=complex), 0
+    x = np.zeros(n, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
+    r = b if x0 is None else b - matvec(x)
+    m = min(restart, n)
+    V = np.empty((m, n), dtype=complex)  # rows that are never written take no memory
+    R = np.zeros((m + 1, m), dtype=complex)  # Hessenberg columns, rotated to upper triangular
+    cs, sn = np.empty(m, dtype=complex), np.empty(m)
+    steps = 0
+    while True:
+        beta = np.linalg.norm(r)
+        if beta <= atol:
+            return x, 0
+        np.divide(r, beta, out=V[0])
+        g = np.zeros(m + 1, dtype=complex)
+        g[0] = beta
+        cycle = min(m, max_iter - steps)
+        for j in range(cycle):
+            w, h = matvec(V[j]), R[: j + 2, j]
+            h[:] = 0.0
+            for _ in range(2):  # c = V^H w without copying V to conjugate it
+                c = np.conj(V[: j + 1] @ np.conj(w))
+                w -= c @ V[: j + 1]
+                h[: j + 1] += c
+            h[j + 1] = h_next = np.linalg.norm(w)
+            for k in range(j):
+                h[k], h[k + 1] = np.conj(cs[k]) * h[k] + sn[k] * h[k + 1], cs[k] * h[k + 1] - sn[k] * h[k]
+            rho = math.hypot(abs(h[j]), h_next)
+            cs[j], sn[j] = h[j] / rho, h_next / rho
+            h[j], h[j + 1] = rho, 0.0
+            g[j + 1], g[j] = -sn[j] * g[j], np.conj(cs[j]) * g[j]
+            steps += 1
+            if abs(g[j + 1]) <= atol or j + 1 == cycle:  # a happy breakdown, h_next == 0, meets atol
+                break
+            np.divide(w, h_next, out=V[j + 1])
+        k = j + 1
+        x += np.linalg.solve(R[:k, :k], g[:k]) @ V[:k]
+        if abs(g[k]) <= atol:
+            return x, 0
+        if steps == max_iter:
+            return x, steps
+        r = b - matvec(x)
 
 
 def _neumann_steps(w, psi, symbol, V, steps, relative, goal):
@@ -770,12 +823,15 @@ def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: 
     Krylov otherwise.  ``w``, channel-first and
     overwritten, starts the Neumann steps or GMRES; None is the cold start, ``psi`` for
     Neumann and zero for GMRES.  Neumann takes at most ``max_iter`` `_neumann_steps`
-    steps; Krylov runs GMRES and hands its ``w`` to one such step, which forms ``u`` and
-    the residual.  Either way the returned ``u`` is one whose relative residual was
-    measured, and it is returned with that residual; a relative residual above ``tol``
-    raises `NoConvergence`, as does one that is not finite, at the step that measured
-    it.  A GMRES product that is not finite raises `NoConvergence` at once, with the
-    number of products made.
+    steps; Krylov runs `_gmres` to ``tol * 1e-2``, with at most ``max_iter`` Arnoldi
+    steps in cycles of at most ``restart``, and hands its ``w`` to one such step, which
+    forms ``u`` and the residual.  Either way the returned ``u`` is one whose relative
+    residual was measured, and it is returned with that residual; a relative residual
+    above ``tol`` raises `NoConvergence`, as does one that is not finite, at the step
+    that measured it.  Its ``iterations`` are the Neumann steps or the Arnoldi steps run
+    (``max_iter`` when GMRES met its own target but the measured residual did not).  A
+    GMRES product that is not finite raises `NoConvergence` at once, with the number of
+    products made.
     """
     mesh = psi.mesh
     axes = _site_axes(mesh)

@@ -241,13 +241,14 @@ def test_project_seeded_by_config_file(tmp_path, capsys):
 
 
 def test_import_and_config_error_load_no_scipy():
-    # scipy loads only inside GMRES, so a config error fails before it, and a free run, a
-    # projection, a transform sweep and a Neumann reference solve never load it
+    # the library uses no scipy: a config error, a free run, a projection, a transform sweep,
+    # and Neumann and GMRES reference solves run on numpy alone
     runs = [
         ["resolve-free", "--sweep", "0.8,0.4,0.2"],
         ["project", "--sweep", "0.4,0.2,0.1"],
         ["ft", "--sweep", "0.4,0.2,0.1"],
         ["resolve-potential", "--sweep", "0.8,0.4,0.2", "--refine", "2", "--z", "3i"],
+        ["resolve-potential", "--sweep", "0.8,0.4,0.2", "--refine", "2", "--z", "1.2i"],
     ]
     code = (
         "import sys\n"
@@ -264,6 +265,16 @@ def test_import_and_config_error_load_no_scipy():
     assert proc.returncode == 0, proc.stderr
     assert "mass must be nonnegative" in proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_library_source_imports_no_scipy():
+    # scipy is a test extra only, so no module of the library may import it, even lazily
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert not re.search(r"^\s*(import|from)\s+scipy\b", text, re.MULTILINE), name
 
 
 def test_ft_sweep_loads_no_scipy_integrate():

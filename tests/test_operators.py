@@ -890,6 +890,25 @@ def test_krylov_reports_no_convergence(rng):
     assert info.value.iterations >= 1
 
 
+@pytest.mark.parametrize("max_iter,restart", [(1, 50), (3, 50), (4, 2), (7, 5)])
+def test_krylov_runs_max_iter_arnoldi_steps_and_reports_them(monkeypatch, rng, max_iter, restart):
+    # tol 1e-14 is out of reach in so few steps: GMRES runs exactly max_iter Arnoldi steps, the
+    # last cycle cut short, plus one product per restart, and NoConvergence counts the steps
+    products = []
+
+    def gmres(matvec, *args, _gmres=operators._gmres):
+        return _gmres(lambda v: products.append(1) or matvec(v), *args)
+
+    monkeypatch.setattr(operators, "_gmres", gmres)
+    psi = random_field(Mesh(2, 0.5, 16), 2, rng)
+    q = ResolventQuery(z=1.2j, p=DiracParams(1.0, 0.5), policy="krylov", tol=1e-14, max_iter=max_iter,
+                       restart=restart)
+    with pytest.raises(NoConvergence) as info:
+        resolvent_with_potential(psi, q, potential_catalog("nonhermitian-gaussian"))
+    assert info.value.iterations == max_iter
+    assert len(products) == max_iter + (max_iter - 1) // restart
+
+
 def _constant_potential(value: float) -> PotentialSpec:
     """``value * I`` that declares ``sup_norm`` 1, whatever ``value`` is."""
     return PotentialSpec("undeclared", lambda x: np.broadcast_to(value * np.eye(2), x.shape[:-1] + (2, 2)), 1.0, 0.0)
@@ -1143,6 +1162,99 @@ def test_potential_solve_memory_peak_holds_no_grid_sized_potential():
     V = potential_catalog("hermitian-gaussian")
     np.fft.fft(np.zeros(1, complex))  # loads numpy.fft outside the traced call
     assert _peak_bytes(lambda: resolvent_with_potential(psi, q, V)) <= 3 * psi.values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# restarted GMRES
+
+
+def _system(kind: str, n: int, seed: int):
+    """A seeded complex ``(A, b)``: ``8 I`` plus noise (condition about 1.6), or ``2 I`` plus a
+    strictly upper triangle of noise, which is non-normal (condition 50-90 at these sizes)."""
+    rng = np.random.default_rng(seed)
+    noise = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+    A = 8 * np.eye(n) + noise if kind == "well-conditioned" else 2 * np.eye(n) + 3 * np.triu(noise, 1)
+    return A, rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+def _counted(A):
+    """``(matvec, products)``: ``A @ v``, with every call recorded in ``products``."""
+    products = []
+    return (lambda v: products.append(1) or A @ v), products
+
+
+@pytest.mark.parametrize("kind", ["well-conditioned", "non-normal"])
+@pytest.mark.parametrize("restart", [1, 5, 24, 30])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "x0"])
+def test_gmres_agrees_with_scipy(kind, restart, warm):
+    import scipy.sparse.linalg as spla
+
+    n, tol, max_iter = 24, 1e-10, 300
+    A, b = _system(kind, n, seed=restart)
+    x0 = np.random.default_rng(1).normal(size=n) + 0j if warm else None
+    x, info = operators._gmres(_counted(A)[0], b, tol, restart, max_iter, x0)
+    op = spla.LinearOperator((n, n), matvec=lambda v: A @ v, dtype=complex)
+    x_ref, info_ref = spla.gmres(op, b, x0, rtol=tol, restart=restart, maxiter=max_iter // restart)
+    assert (info == 0) == (info_ref == 0)
+    if info == 0:
+        assert np.linalg.norm(A @ x - b) <= tol * np.linalg.norm(b)
+    else:  # GMRES(1) stalls on the non-normal system; both ran all 300 steps
+        assert (kind, restart, info) == ("non-normal", 1, max_iter)
+    assert np.linalg.norm(x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+
+
+def test_gmres_basis_stays_orthonormal():
+    # a cold call hands each basis vector to one product; Gram-Schmidt applied once leaves these
+    # 7e-5 from orthonormal, applied twice 1e-15
+    A, b = _system("non-normal", 60, seed=3)
+    basis = []
+    x, info = operators._gmres(lambda v: basis.append(v.copy()) or A @ v, b, 1e-12, 60, 60)
+    Q = np.array(basis)
+    assert info == 0 and len(basis) > 20
+    assert np.abs(Q @ Q.conj().T - np.eye(len(basis))).max() < 1e-13
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "x0"])
+def test_converging_gmres_forms_no_final_residual(warm):
+    # a cycle whose running residual meets the target returns without another product, so a
+    # cold call makes one product per Arnoldi step, and a warm one adds b - A x0; one step
+    # fewer falls short and reports the steps it ran
+    A, b = _system("non-normal", 24, seed=3)
+    x0 = np.ones(24, dtype=complex) if warm else None
+    matvec, products = _counted(A)
+    x, info = operators._gmres(matvec, b, 1e-10, 50, 2000, x0)
+    steps = len(products) - warm
+    assert info == 0 and 1 < steps < 24
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert operators._gmres(_counted(A)[0], b, 1e-10, 50, steps - 1, x0)[1] == steps - 1
+
+
+@pytest.mark.parametrize("x0", [None, np.ones(6, dtype=complex)], ids=["cold", "x0"])
+def test_gmres_of_zero_returns_zeros_without_a_product(x0):
+    matvec, products = _counted(np.eye(6))
+    x, info = operators._gmres(matvec, np.zeros(6, dtype=complex), 1e-10, 5, 10, x0)
+    assert info == 0 and not products
+    assert np.array_equal(x, np.zeros(6))
+
+
+@pytest.mark.parametrize("b", [np.arange(1.0, 7.0) + 2j, 3 * np.eye(6)[0]], ids=["random", "unit"])
+def test_gmres_stops_at_a_happy_breakdown(b):
+    # the identity converges in one step; for a multiple of e_0 the orthogonalized product is
+    # exactly zero, and a division by it would fail under the suite's warnings-as-errors
+    matvec, products = _counted(np.eye(6))
+    x, info = operators._gmres(matvec, b, 1e-10, 5, 10)
+    assert info == 0 and len(products) == 1
+    np.testing.assert_allclose(x, b, rtol=1e-14)
+
+
+def test_gmres_stops_when_the_krylov_space_is_invariant():
+    # b spans three eigenvectors of a diagonal A, so the third step reaches the exact solution
+    A = np.diag(np.arange(1.0, 9.0) + 0.5j)
+    b = np.r_[1.0, 2.0, 3.0, np.zeros(5)]
+    matvec, products = _counted(A)
+    x, info = operators._gmres(matvec, b, 1e-10, 50, 100)
+    assert info == 0 and len(products) == 3
+    np.testing.assert_allclose(x, b / np.diag(A), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
