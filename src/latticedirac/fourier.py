@@ -16,8 +16,8 @@ on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``;
 
 `_fftn` is the one FFT entry point, for `dft`/`idft` (`_centred_fftn`: on a
 copy rolled into natural FFT order), the 1D transforms of `_power_spectrum`
-and the multipliers of `operators`.  It runs numpy's FFT in place, one 1D
-transform per axis, on the calling thread; the library starts no thread.
+and every transform of `operators`, all in natural order.  It runs numpy's
+FFT in place, one 1D transform per axis, on the calling thread; the library starts no thread.
 
 Inside the frequency box `weighted_ft_error` sums the power spectrum of the
 sample zero-padded to ``4*N`` sites per axis (`_power_spectrum`).  A separable
@@ -29,9 +29,9 @@ The part of `weighted_ft_error` outside the frequency box is a fixed tensor
 Gauss-Legendre rule (`_tail_integral` on the axes of `_tail_axes`), checked
 against a separate 7-point rule as the cell quadrature of `grid` is; no
 adaptive quadrature and no `scipy.integrate` is involved.  Every consumer of
-a declared transform (that tail, `sample_spectrum` for the continuum
-resolvent, the target of `inverse_ft_error`) samples it through
-`grid._grid_values`: per axis for the catalog, with its channels checked.
+a declared transform (that tail, `operators.resolvent_continuum`, the target
+of `inverse_ft_error`) samples it through `grid._grid_values`, as does
+`sample_spectrum`: per axis for the catalog, with its channels checked.
 """
 
 from __future__ import annotations
@@ -195,10 +195,10 @@ def _grid_weight(grid: FrequencyGrid, s: float) -> np.ndarray:
 def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
     """Samples of a frequency-side function on the dual grid, from `grid._grid_values` as in `sample`.
 
-    ``u`` is a frequency-side catalog entry or a declared ``fourier`` (as in
-    `operators.resolvent_continuum`): a separable one is evaluated per axis on
-    the ``N`` frequencies of each axis, and its values carry the declared
-    channels or `ValueError` is raised.
+    ``u`` is a frequency-side catalog entry or a declared ``fourier``: a
+    separable one is evaluated per axis on the ``N`` frequencies of each axis,
+    and its values carry the declared channels or `ValueError` is raised.
+    The values are in centred order, as `idft` takes them.
     """
     if u.d != grid.mesh.d:
         raise ValueError(f"function is {u.d}-dimensional, grid is {grid.mesh.d}-dimensional")

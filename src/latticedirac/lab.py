@@ -11,7 +11,7 @@ resolvent sweeps build one refined reference on the finest level they run,
 the floor-guard level included, and block-average it to every level.  The
 potential sweep's reference is one call of the nested continuum solve
 `operators._solve_with_potential`, which returns the reference's averages
-on that level (`operators._cell_spectrum` of its refined spectrum), with
+on that level (`operators._cell_means` of its refined spectrum), with
 the residual sums that certified them; with a passing interpolated start it
 never forms a field on the refined mesh.
 
@@ -366,10 +366,10 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     when its start passes, so with a passing start the refined mesh's field is
     never formed; a failing start is the coarser spectrum zero-padded to the
     mesh and transformed back once.  The levels compare against the
-    block averages of its point values that `operators._cell_spectrum` forms:
+    block averages of its point values that `operators._cell_means` forms:
     its kernel ``K`` is a left-endpoint rule on each coarse cell, biased at
-    first order in ``h / refine``, where the free sweep's reference holds exact
-    cell averages.
+    first order in ``h / refine``, where the free sweep's reference passes it
+    the exact cell-average kernel ``conj(a(H*xi))``.
     """
     V = sweep.resolved_potential()
     if V is None:

@@ -37,8 +37,8 @@ leaves empty and form each block's rows from the column bands that they
 keep, so no coset is held whole.  The top turns
 its spectrum into averages over cells ``refine`` sites wide by one
 left-endpoint kernel per axis, one fold of the frequencies onto the coarse
-dual grid and one coarse inverse transform (`_cell_spectrum`); no level
-forms or slices a finer field.
+dual grid and one coarse inverse transform (`_cell_means`, which
+`resolvent_continuum` shares); no level forms or slices a finer field.
 A dense matrix of the full operator (small lattices only) serves as the
 cross-validation oracle.
 
@@ -72,12 +72,12 @@ from .errors import (
     NotInResolventRegion,
     TooLarge,
 )
-from .fourier import FrequencyGrid, SpectralField, _fftn, _grid_step_factor, dft, idft, sample_spectrum
 from .grid import (
     ContinuumFunction, LatticeField, Mesh, _axis_values, _cell_points, _grid_values, _require_dimension, norm_l2,
     sample,
 )
-# zeta_discrete is unused here; perfbench/spans.py times calls through this name
+# dft, idft and zeta_discrete are unused here; perfbench/spans.py times calls through these names
+from .fourier import _fftn, a_factor, dft, idft
 from .symbols import DiracParams, _require_complex_shift, _require_mass, _zeta_terms, opnorm_2x2, zeta_discrete
 
 __all__ = [
@@ -561,32 +561,29 @@ def resolvent_continuum(
 
     Works pseudo-spectrally with the continuum symbol on the ``refine``-fold
     refinement of the experiment mesh (same box, so the frequency box is
-    ``refine`` times wider), seeding the transform from the closed form when
-    declared, sampled on the refined dual grid by `fourier.sample_spectrum`
-    (per axis for a separable transform, with its channels checked), else
-    from the `dft` of point samples on the refined mesh (that of cell
-    averages is biased by ``conj(a(h_f*xi_j))`` per axis).  The
-    result is handed back as exact cell averages on the experiment mesh:
-    averaging ``exp(i*x.xi)`` over a width-``H`` cell multiplies it by
-    ``conj(a(H*xi_j))`` per axis, so the projection is a frequency-side
-    multiplier followed by subsampling at the coarse cell corners.  Adequacy
-    is checked by refinement doubling in tests.
+    ``refine`` times wider), in natural FFT order: the ``fftn`` of point
+    samples on the refined mesh (that of cell averages is biased by
+    ``conj(a(h_f*xi_j))`` per axis), or the declared closed form sampled by
+    `grid._grid_values` (per axis when separable, channels checked) times
+    ``(-1)**k * sqrt(2*pi) / h_f`` per axis, the ``fftn`` of centred samples.
+    Averaging ``exp(i*x.xi)`` over a width-``H`` cell multiplies it by
+    ``conj(a(H*xi_j))`` per axis, the kernel by which `_cell_means` hands back
+    exact cell averages on the experiment mesh.  Adequacy is checked by
+    refinement doubling in tests.
     """
     _require_complex_shift(z)
     _require_mass(m)
     _require_spinor_function(phi, mesh)
     _require_count("refine", refine)
     ref = Mesh(mesh.d, mesh.h / refine, mesh.N * refine)
-    grid = FrequencyGrid(ref)
+    f = _natural_frequencies(ref)
+    kernel = np.conj(a_factor(mesh.h * f))
     if phi.fourier is not None:
-        spec = sample_spectrum(phi.fourier, grid).values
+        spec = _channel_first(_grid_values(phi.fourier, [f] * mesh.d)())
+        kernel *= (-1.0) ** _signed_index(ref.N) * (np.sqrt(2 * np.pi) / ref.h)  # fftn of the centred samples
     else:
-        spec = dft(sample(phi, ref)).values
-    out = _Multiplier(grid.frequencies, None, m, z)(_channel_first(spec))
-    out *= np.conj(_grid_step_factor(grid, mesh.h))
-    fine = idft(SpectralField(grid, _channel_last(out)))
-    coarse_vals = fine.values[::refine, ::refine, :]
-    return LatticeField(mesh, coarse_vals)
+        spec = _fftn(_channel_first(sample(phi, ref).values), (1, 2))
+    return LatticeField(mesh, _channel_last(_cell_means(_Multiplier(f, None, m, z)(spec), kernel, mesh.N)))
 
 
 def _gmres(matvec, b_vec, tol, restart, max_iter, x0=None):
@@ -698,29 +695,30 @@ def _zero_pad(band: np.ndarray, out: np.ndarray, *axes: int) -> np.ndarray:
     return out
 
 
-def _cell_spectrum(spec: np.ndarray, refine: int, N: int) -> np.ndarray:
-    """The ``fftn`` of the ``refine x refine`` cell means of the ``N x N``-site field that zero-pads ``spec``.
+def _cell_means(spec: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
+    """Channel-first means over the ``n x n`` cells of the box of the field whose band spectrum is ``spec``.
 
-    ``spec``, overwritten, is a channel-first natural-order ``fftn`` of a band of ``M <= N``
-    sites per axis (the size of the level that last iterated), with signed index ``k``
-    (Nyquist at ``-M/2``).  Per axis, the mean over
-    cell ``c`` of the ``n = N // refine`` cells is ``sum_k spec[k] K(k) exp(2*pi*i*k*c/n) / M``
-    with the left-endpoint kernel ``K(k) = (1/refine) sum_{j<refine} exp(2*pi*i*k*j/N)``, so
-    ``spec`` is multiplied by ``K * n / M`` per axis, zero-padded (``k`` at index ``k mod P``)
-    to the least multiple ``P`` of ``n`` not below ``M``, and summed over its ``P // n``
-    periods of ``n``; one inverse transform of ``n`` sites per axis gives the means.  At
-    refine 1 this is the field's own spectrum.  The exact cell average of the band-limited
-    field has ``conj(a(H*xi))``, ``H`` the cell width, in the place of ``K``.
+    ``spec``, overwritten, is a channel-first natural-order ``fftn`` of ``M`` sites per axis,
+    with signed index ``k`` (Nyquist at ``-M/2``), and ``kernel[k]`` is the factor by which
+    averaging over a cell multiplies mode ``k`` at the cell's first site, the same on each
+    axis.  Per axis, the mean over cell ``c`` is ``sum_k spec[k] kernel[k] exp(2*pi*i*k*c/n)
+    / M``, so ``spec`` is multiplied by ``kernel * n / M`` per axis, zero-padded (``k`` at
+    index ``k mod P``) to the least multiple ``P`` of ``n`` not below ``M``, and summed over
+    its ``P // n`` periods of ``n``; one inverse transform of ``n`` sites per axis gives the
+    means.  A kernel of ones and ``n >= M`` give the field that zero-pads ``spec``.  The
+    potential reference passes the left-endpoint kernel of its point values,
+    `resolvent_continuum` the exact ``conj(a(H*xi))``, ``H`` the cell width.
     """
-    M, n = spec.shape[1], N // refine
+    channels, M = spec.shape[:2]
     P = -(-M // n) * n
-    k = _signed_index(M)
-    kernel = np.exp(2j * np.pi / N * np.outer(k, np.arange(refine))).mean(axis=1) * (n / M)
+    kernel = kernel * (n / M)
     spec *= kernel[:, None]
     spec *= kernel
     if P > M:
-        spec = _zero_pad(spec, np.empty((spec.shape[0], P, P), complex), 1, 2)
-    return spec if P == n else spec.reshape(spec.shape[0], P // n, n, P // n, n).sum(axis=(1, 3))
+        spec = _zero_pad(spec, np.empty((channels, P, P), complex), 1, 2)
+    if P > n:
+        spec = spec.reshape(channels, P // n, n, P // n, n).sum(axis=(1, 3))
+    return _fftn(spec, (1, 2), inverse=True)
 
 
 def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: complex, m: float, V: PotentialSpec,
@@ -761,8 +759,8 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     is None when ``||residual|| <= tol * ||psi||``: a residual that is not finite fails,
     and a zero ``psi`` with a zero residual passes with no division.  Otherwise ``start``
     is ``u_p`` on ``mesh``, channel-first, to start the iteration from: ``S`` zero-padded
-    to ``N x N`` (`_cell_spectrum` at refine 1) and one inverse transform, as the top
-    level forms its cell averages.
+    to ``N x N`` and one inverse transform (`_cell_means` with a kernel of ones), as the
+    top level forms its cell averages.
     """
     channels, K, n = spec.shape[0], spec.shape[1], mesh.N // 2
     k = _signed_index(K)
@@ -805,7 +803,7 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
             psi_sq += _sum_sq(psi_rows)
     if math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq):
         return None, (sum_sq, psi_sq)
-    return _fftn(_cell_spectrum(spec.copy(), 1, mesh.N), (1, 2), inverse=True), (sum_sq, psi_sq)
+    return _cell_means(spec.copy(), np.ones(K), mesh.N), (sum_sq, psi_sq)
 
 
 def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: Optional[str], tol: float,
@@ -895,8 +893,8 @@ def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: co
     sampled on the mesh, `_iterate` solves from ``w = psi - V u_p`` (or its cold start)
     with its own ``max_iter``, its final relative residual ``res`` gives ``sum_sq = res**2 *
     psi_sq``, and the level hands back the forward transform of its ``u``, so ``K = N``.
-    The top's band goes through `_cell_spectrum` and one inverse transform of ``N /
-    refine`` sites per axis.
+    The top's band goes through `_cell_means`, with the left-endpoint kernel of the point
+    values, and one inverse transform of ``N / refine`` sites per axis.
     """
     next(_vmul_blocks(V, _site_axes(mesh), np.broadcast_to(0j, (2,) + mesh.shape)))  # before any transform
 
@@ -918,7 +916,8 @@ def _solve_with_potential(phi: ContinuumFunction, mesh: Mesh, refine: int, z: co
         return _fftn(np.moveaxis(solution.values, -1, 0), (1, 2)), (res**2 * psi_sq, psi_sq)
 
     spec, measured = solve(mesh)
-    return _fftn(_cell_spectrum(spec, refine, mesh.N), (1, 2), inverse=True), measured
+    kernel = np.exp(2j * np.pi / mesh.N * np.outer(_signed_index(spec.shape[1]), np.arange(refine))).mean(axis=1)
+    return _cell_means(spec, kernel, mesh.N // refine), measured
 
 
 def resolvent_with_potential(psi: LatticeField, q: ResolventQuery, V: PotentialSpec) -> LatticeField:

@@ -18,12 +18,14 @@ from latticedirac import (
     ResolventQuery,
     SpectralField,
     Sweep,
+    a_factor,
     apply_dirac,
     block_average,
     dense_matrix,
     dft,
     diff_backward,
     diff_forward,
+    function_catalog,
     idft,
     inner,
     lambda_mh,
@@ -34,6 +36,7 @@ from latticedirac import (
     resolvent_with_potential,
     sample,
     sample_potential,
+    sample_spectrum,
     spectra_strip_check,
     spectrum_bounds,
     split_hermitian,
@@ -55,7 +58,7 @@ from latticedirac.grid import gaussian, gaussian_spinor, modulated_gaussian, _st
 from latticedirac.operators import (
     POTENTIAL_IDS,
     PotentialSpec,
-    _cell_spectrum,
+    _cell_means,
     _iterate,
     _solve_with_potential,
     field_to_vec,
@@ -293,6 +296,46 @@ def test_continuum_resolvent_stationary_mode_limit():
         expect = np.einsum("ab,...b->...a", target, pf.values)
         errs.append(norm_l2(LatticeField(mesh, out.values - expect)) / norm_l2(pf))
     assert errs[2] < errs[1] < errs[0]
+
+
+def _refined_idft_reference(phi, z, m, mesh, refine):
+    """The continuum resolvent's cell averages on ``mesh`` by a centred inverse of the whole refined grid:
+    the refined spectrum, times ``(M - z)**-1`` and ``conj(a(H xi))``, then `idft` and one site in ``refine**2``."""
+    ref = Mesh(2, mesh.h / refine, mesh.N * refine)
+    grid = FrequencyGrid(ref)
+    spec = sample_spectrum(phi.fourier, grid) if phi.fourier is not None else dft(sample(phi, ref))
+    xi = grid.coords()
+    inverse = np.linalg.inv(symbol_continuum(xi, m) - z * np.eye(2))
+    kernel = np.conj(a_factor(mesh.h * xi[..., 0]) * a_factor(mesh.h * xi[..., 1]))
+    out = np.einsum("...ab,...b->...a", inverse, spec.values) * kernel[..., None]
+    return idft(SpectralField(grid, out)).values[::refine, ::refine]
+
+
+@pytest.mark.parametrize("closed_form", [True, False], ids=["declared", "sampled"])
+@pytest.mark.parametrize("name", ["gaussian-spinor", "bandlimited-spinor"])
+@pytest.mark.parametrize("refine", [1, 2, 3, 8])
+def test_continuum_resolvent_is_the_subsampled_inverse_of_the_refined_spectrum(refine, name, closed_form):
+    # the fold onto the coarse dual grid and one coarse inverse give the sites that a centred
+    # inverse of the whole refined grid keeps at the coarse cell corners (the aliasing identity)
+    phi = function_catalog(name)
+    if not closed_form:
+        phi = dataclasses.replace(phi, fourier=None)
+    mesh, z, m = Mesh(2, 0.4, 24), 0.5 + 2j, 1.0
+    expected = _refined_idft_reference(phi, z, m, mesh, refine)
+    out = resolvent_continuum(phi, z, m, mesh, refine=refine).values
+    assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("closed_form", [True, False], ids=["declared", "sampled"])
+def test_continuum_resolvent_transforms_back_at_the_coarse_size_only(closed_form, monkeypatch):
+    # one 2D inverse of the (2, 24, 24) folded spectrum; the refined mesh's size (192) is
+    # transformed forward only, and only for samples without a declared transform
+    phi = gaussian_spinor() if closed_form else dataclasses.replace(gaussian_spinor(), fourier=None)
+    forward = spy_transforms(monkeypatch, names=("fft",))
+    inverse = spy_transforms(monkeypatch, names=("ifft",))
+    resolvent_continuum(phi, 2j, 1.0, Mesh(2, 0.4, 24), refine=8)
+    assert one_d_lengths(inverse) == {24: 96}
+    assert one_d_lengths(forward) == ({} if closed_form else {192: 768})
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +825,7 @@ def test_cell_spectrum_is_the_spectrum_of_the_block_average_of_the_zero_padded_f
     padded[:, (k % fine.N)[:, None], k % fine.N] = (fine.N / M) ** 2 * spec
     field = LatticeField(fine, np.moveaxis(np.fft.ifft2(padded), 0, -1))
     expected = np.moveaxis(block_average(field, coarse).values, -1, 0)
-    averages = np.fft.ifft2(_cell_spectrum(spec, refine, fine.N))
+    averages = _cell_means(spec, np.exp(2j * np.pi / fine.N * np.outer(k, np.arange(refine))).mean(axis=1), cells)
     assert np.linalg.norm(averages - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
@@ -1151,6 +1194,15 @@ def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound):
     }
     np.fft.fft(np.zeros(1, complex))  # loads numpy.fft outside the traced call
     assert _peak_bytes(calls[solve]) <= bound * psi.values.nbytes
+
+
+def test_continuum_resolvent_memory_peak_holds_no_refined_inverse():
+    # in refined spinor fields (2 * 768**2 complex128): the closed-form samples, channel-last, and
+    # their channel-first copy, which the symbol, the kernel and the fold use in place (2.0); a
+    # centred inverse of the refined grid would hold its rolled copies on top (4.0)
+    np.fft.fft(np.zeros(1, complex))  # loads numpy.fft outside the traced call
+    peak = _peak_bytes(lambda: resolvent_continuum(gaussian_spinor(), 2j, 1.0, Mesh(2, 0.1, 96), refine=8))
+    assert peak <= 2.25 * (2 * 768**2 * 16)
 
 
 def test_potential_solve_memory_peak_holds_no_grid_sized_potential():
