@@ -23,7 +23,12 @@ Inside the frequency box `weighted_ft_error` sums the power spectrum of the
 sample zero-padded to ``4*N`` sites per axis (`_power_spectrum`).  A separable
 function's spectrum is the outer product of 1D transforms of its factors on
 their axis's sites, so no ``(4N)**2`` FFT is run; a function without
-``factors`` keeps the 2D `dft` of the padded sample.
+``factors`` keeps the 2D `dft` of the padded sample.  The sum walks blocks of
+whole rows of the ``4N`` dual grid, about `grid._BLOCK_SITES` values each:
+the power, the step factor (`_grid_step_factor`) and the weight
+(`_grid_weight`) are formed on one block at a time from per-axis values, and
+each row is summed whole, so no array of the ``(4N)**2`` grid is formed on
+the separable path and the sum is the same at any block size.
 
 The part of `weighted_ft_error` outside the frequency box is a fixed tensor
 Gauss-Legendre rule (`_tail_integral` on the axes of `_tail_axes`), checked
@@ -43,7 +48,8 @@ import numpy as np
 from .errors import SupportViolation, UnknownClosedForm
 from .grid import (
     ContinuumFunction, LatticeField, Mesh, l2_error_vs_continuum, sample, _RULES, _axis_values, _cell_points,
-    _checked, _grid_values, _multiply, _require_dimension, _tensor_axes,
+    _grid_values, _multiply, _outer_sup, _require_dimension, _require_estimate, _require_finite, _row_slices,
+    _row_sums, _tensor_axes,
 )
 
 __all__ = [
@@ -179,17 +185,29 @@ def _step_factor(xi: np.ndarray, h: float) -> np.ndarray:
     return np.asarray(_multiply([a_factor(h * xi[..., j]) for j in range(xi.shape[-1])]))
 
 
-def _grid_step_factor(grid: FrequencyGrid, h: float) -> np.ndarray:
-    """`_step_factor` on the dual ``grid``, the outer product of the per-axis values ``a(h*f)``.
+def _on_rows(axes, rows: slice) -> list[np.ndarray]:
+    """Per-axis values ``axes`` on the tensor grid of the ``rows`` of the first axis and all of the others."""
+    return _tensor_axes([axes[0][rows], *axes[1:]])
 
-    No stacked grid is built and ``a`` runs on ``N`` points per axis, not ``N**d``.
+
+def _grid_step_factor(grid: FrequencyGrid, h: float):
+    """``factor(rows)``: `_step_factor` on the ``rows`` of the dual ``grid``, from per-axis values ``a(h*f)``.
+
+    ``a`` runs here, once, on the ``N`` frequencies of an axis; each call forms
+    the outer product of the first axis's values on ``rows`` with the others'.
+    No stacked grid is built.
     """
-    return _multiply(_tensor_axes([a_factor(h * grid.frequencies)] * grid.mesh.d))
+    a = a_factor(h * grid.frequencies)
+    return lambda rows: _multiply(_on_rows([a] * grid.mesh.d, rows))
 
 
-def _grid_weight(grid: FrequencyGrid, s: float) -> np.ndarray:
-    """``(1 + |xi|**2)**(-s/2)`` on the dual ``grid``, from the broadcast sum of per-axis squares."""
-    return (1.0 + sum(_tensor_axes([grid.frequencies**2] * grid.mesh.d))) ** (-s / 2.0)
+def _grid_weight(grid: FrequencyGrid, s: float):
+    """``weight(rows)``: ``(1 + |xi|**2)**(-s/2)`` on the ``rows`` of the dual ``grid``.
+
+    Each call takes the broadcast sum of per-axis squares on those rows.
+    """
+    squares = grid.frequencies**2
+    return lambda rows: (1.0 + sum(_on_rows([squares] * grid.mesh.d, rows))) ** (-s / 2.0)
 
 
 def sample_spectrum(u: ContinuumFunction, grid: FrequencyGrid) -> SpectralField:
@@ -277,7 +295,8 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
                 vals = vals @ w  # contracts the last axis
             total += vals
         sums.append(total)
-    return float(_checked(sums, _TAIL_TOL, f"{phi.name} tail integral"))
+    _require_estimate(abs(sums[0] - sums[1]), _TAIL_TOL, f"{phi.name} tail integral")
+    return float(sums[0])
 
 
 def _require_weight_exponent(s: float):
@@ -286,27 +305,35 @@ def _require_weight_exponent(s: float):
         raise ValueError(f"weight exponent must be finite and nonnegative, got {s!r}")
 
 
-def _power_spectrum(phi: ContinuumFunction, mesh: Mesh) -> tuple[FrequencyGrid, np.ndarray]:
-    """``sum_c |F_h phi_h|**2`` on the dual grid of ``phi_h`` zero-padded to ``4*N`` sites per axis.
+def _power_spectrum(phi: ContinuumFunction, mesh: Mesh):
+    """The dual grid of ``phi_h`` zero-padded to ``4*N`` sites per axis, and ``power(rows)`` on it.
 
-    The padded sites give the finite sum of ``F_h phi_h`` at ``2*pi*k/(4*L)``.
-    A function with ``factors`` has each factor taken on its axis's sites
+    ``power(rows)`` is ``sum_c |F_h phi_h|**2`` on those rows of the grid; the
+    padded sites give the finite sum of ``F_h phi_h`` at ``2*pi*k/(4*L)``.  A
+    function with ``factors`` has each factor taken on its axis's sites
     (`grid._axis_values`), padded and transformed by one centred 1D FFT per axis,
-    and the channels summed over the outer product of the per-axis ``|.|**2``
-    (element-wise, in `np.einsum`); any other is sampled on the stacked sites and transformed by `dft`.
+    and only the per-axis ``|.|**2`` are kept: each call sums the channels of
+    their outer product on its rows (element-wise, in `np.einsum`).  Its samples
+    raise `ValueError` as `sample` does unless their outer product is finite, which
+    the per-axis maxima tell.  Any other function is sampled on the stacked sites
+    and transformed by `dft`, and its whole power is kept.
     """
     _require_dimension(phi, mesh)
     fine = Mesh(mesh.d, mesh.h, 4 * mesh.N)
     pad = (3 * mesh.N // 2,) * 2  # centred in 4*N sites
     if phi.factors is None:
         u = dft(LatticeField(fine, np.pad(sample(phi, mesh).values, [pad] * mesh.d + [(0, 0)])))
-        return u.grid, np.sum(u.values.real**2 + u.values.imag**2, axis=-1)
+        power = np.sum(u.values.real**2 + u.values.imag**2, axis=-1)
+        return u.grid, lambda rows: power[rows]
+    samples = _axis_values(phi, [mesh.h * mesh.indices] * mesh.d)
+    _require_finite(_outer_sup(samples))
     axes = []
-    for values in _axis_values(phi, [mesh.h * mesh.indices] * mesh.d):
+    for values in samples:
         work = _centred_fftn(np.pad(values, [pad, (0, 0)]), 1)
         work *= (2 * np.pi) ** -0.5 * mesh.h
         axes.append(work.real**2 + work.imag**2)
-    return FrequencyGrid(fine), np.einsum("ic,jc->ij" if mesh.d == 2 else "ic->i", *axes)
+    subscripts = "ic,jc->ij" if mesh.d == 2 else "ic->i"
+    return FrequencyGrid(fine), lambda rows: np.einsum(subscripts, axes[0][rows], *axes[1:])
 
 
 def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
@@ -321,7 +348,11 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
     The sum weighs ``|1 - prod_j a|**2 * <xi>**(-2s)`` against the channel-summed
     power spectrum of `_power_spectrum`: for a function with ``factors`` (every
     catalog entry) the outer product of per-axis 1D transforms, for any other
-    the 2D `dft` of the padded sample.
+    the 2D `dft` of the padded sample.  It walks blocks of whole rows of that
+    grid, about `grid._BLOCK_SITES` values each, forms the power, step factor
+    and weight on each block only and sums each row whole; the row sums are
+    added once at the end, so the result is the same at any block size.  A
+    sample that is not finite raises `ValueError`, on either path.
     Outside the box the step-function transform is within aliasing error of
     the declared closed form, whose weighted square `_tail_integral` integrates
     with a fixed composite Gauss-Legendre rule: panels graded from the box edge
@@ -340,10 +371,14 @@ def weighted_ft_error(phi: ContinuumFunction, mesh: Mesh, s: float) -> float:
     if phi.fourier is None:
         raise UnknownClosedForm(f"{phi.name} declares no closed-form transform")
     grid, power = _power_spectrum(phi, mesh)
-    gap = 1.0 - _grid_step_factor(grid, mesh.h)
-    power *= gap.real**2 + gap.imag**2
-    power *= _grid_weight(grid, 2.0 * s)
-    box_sq = grid.cell_volume * np.sum(power)
+    step, weight = _grid_step_factor(grid, mesh.h), _grid_weight(grid, 2.0 * s)
+    row_sums = []
+    for rows in _row_slices(grid.mesh.N, grid.mesh.N ** (mesh.d - 1)):
+        gap = 1.0 - step(rows)
+        block = power(rows) * (gap.real**2 + gap.imag**2)
+        block *= weight(rows)
+        row_sums.append(_row_sums(block))
+    box_sq = grid.cell_volume * np.sum(np.concatenate(row_sums))
     tail_sq = _tail_integral(phi, np.pi / mesh.h, s)
     return float(np.sqrt(box_sq + tail_sq))
 

@@ -28,14 +28,21 @@ Cell quadrature cuts each cell at the declared kinks strictly inside it,
 through the weights of `_axis_rules`, so every cell takes one vectorized path.  It
 walks the mesh in blocks of whole cell rows (about `_BLOCK_CELLS` cells
 each) on the calling thread, so node arrays never span the whole mesh.
-Per-cell results land in full arrays that are reduced once at the end, so
-every result is the same at any block size.  No thread is started here.
+Each block is reduced as it comes (`_reduce_rows`): per row, the sum of
+the squared-gap averages and the largest ``|G8 - G7|``, NaN when the row
+holds one.  Only the 8-point cell averages are kept whole, by `project`
+and by the walk's projection errors.  Each row is reduced whole and the
+row results are combined once at the end, so every result is the same at
+any block size.  No thread is started here.
 
 A 2D function with ``factors`` skips that walk in `project` and the
 projection errors: each cell is a product of two intervals, so its averages
 split into 1D averages per axis (`_separable_quadrature`), and no node
-array of the cells is formed.  These agree with the walk to rounding, not
-bit for bit, and give the same 8-vs-7-point pairs per cell to the checks.
+array of the cells is formed.  Its per-cell pairs are the outer products
+of those, formed one block of whole rows (about `_BLOCK_SITES` cells) at a
+time and reduced like the walk's, so the projection errors hold no array
+of the mesh's size.  These agree with the walk to rounding, not bit for
+bit, and give the same 8-vs-7-point pairs per cell to the checks.
 """
 
 from __future__ import annotations
@@ -77,6 +84,11 @@ _RULES = (_GAUSS_HI, _GAUSS_LO)
 
 # Cells per row block of the quadrature walk: one block's node arrays stay a few MB.
 _BLOCK_CELLS = 1024
+
+# Values per row block of the per-cell and dual-grid reductions here and in `fourier`, and of the
+# multiplier and potential passes of `operators`: the several operations on one block run on
+# cached data instead of each streaming whole arrays.
+_BLOCK_SITES = 16384
 
 
 @dataclass(frozen=True)
@@ -140,8 +152,7 @@ class LatticeField:
             raise ValueError(f"values shape {vals.shape} incompatible with mesh {expected}")
         if vals.shape[-1] not in (1, 2):
             raise ValueError(f"channel count must be 1 or 2, got {vals.shape[-1]}")
-        if not np.isfinite(vals).all():
-            raise ValueError("field values must be finite")
+        _require_finite(vals)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -252,10 +263,16 @@ def _require_channels(phi: ContinuumFunction, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _for_row_blocks(mesh: Mesh, block_fn) -> list:
-    """``block_fn`` of each slice of whole cell rows, about `_BLOCK_CELLS` cells each, in order."""
-    step = max(1, _BLOCK_CELLS // mesh.N ** (mesh.d - 1))
-    return [block_fn(slice(r, min(r + step, mesh.N))) for r in range(0, mesh.N, step)]
+def _require_finite(values):
+    """Raise `ValueError` unless every entry of ``values`` is finite, as `LatticeField` requires."""
+    if not np.isfinite(values).all():
+        raise ValueError("field values must be finite")
+
+
+def _row_slices(n: int, row_size: int, budget: Optional[int] = None) -> list[slice]:
+    """Slices of ``n`` rows of ``row_size`` values, whole rows of about ``budget`` (`_BLOCK_SITES`) values each."""
+    step = max(1, (_BLOCK_SITES if budget is None else budget) // row_size)
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
 def _axis_rules(phi: ContinuumFunction, mesh: Mesh, rule) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -351,46 +368,45 @@ def _block_means(vals: np.ndarray, axes, rows: slice) -> np.ndarray:
     return np.einsum("aqbrc,aq,br->abc", vals, axes[0][1][rows], axes[1][1])
 
 
-def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = False) -> list:
+def _cell_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=(), means: bool = False):
     """8- and 7-point Gauss cell averages from one evaluation of ``phi`` per rule (`_grid_values`).
 
-    Returns ``(G8, G7)`` pairs of full per-cell arrays: first the averages of
-    ``phi`` itself when ``means`` is set, then, for each entry ``v`` of ``gaps``,
-    the averages of the squared gap ``|phi - v|**2``.  An entry is an array of
-    site values, or None for the 8-point averages of ``phi`` on each cell.
-    Cells are cut at declared kinks through the weights of `_axis_rules`.
+    Returns a generator of ``(rows, means, pairs)`` for each block of whole cell rows, about
+    `_BLOCK_CELLS` cells, in order: the ``(G8, G7)`` averages of ``phi`` itself
+    on the cells of ``rows`` when ``means`` is set (else None), then, for each
+    entry ``v`` of ``gaps``, the pair of averages of the squared gap
+    ``|phi - v|**2``.  An entry is an array of site values, or None for the
+    8-point averages of ``phi`` on each cell.  Cells are cut at declared kinks
+    through the weights of `_axis_rules`.  `_reduce_rows` reduces the blocks.
     """
     rules = [_axis_rules(phi, mesh, rule) for rule in _RULES]
     grid_values = [_grid_values(phi, [x for x, _ in axes]) for axes in rules]
     need_own = means or any(v is None for v in gaps)
-    own = [np.empty(mesh.shape + (phi.channels,), complex) for _ in _RULES if need_own]
-    gap_means = [[np.empty(mesh.shape + (1,)) for _ in _RULES] for _ in gaps]
 
     def block(rows):
         vals = [values(rows) for values in grid_values]
-        if need_own:
-            for out, v, axes in zip(own, vals, rules):
-                out[rows] = _block_means(v, axes, rows)
-        for outs, values in zip(gap_means, gaps):
-            values = own[0] if values is None else values
-            cell_values = _broadcast_cell_values(values[rows], mesh.d)
-            for out, v, axes in zip(outs, vals, rules):
-                out[rows] = _block_means(_gap_sq(v, cell_values), axes, rows)
+        own = tuple(_block_means(v, axes, rows) for v, axes in zip(vals, rules)) if need_own else None
+        pairs = []
+        for values in gaps:
+            cell_values = _broadcast_cell_values(own[0] if values is None else values[rows], mesh.d)
+            pairs.append(tuple(_block_means(_gap_sq(v, cell_values), axes, rows) for v, axes in zip(vals, rules)))
+        return rows, (own if means else None), pairs
 
-    _for_row_blocks(mesh, block)
-    return ([tuple(own)] if means else []) + [tuple(outs) for outs in gap_means]
+    return (block(rows) for rows in _row_slices(mesh.N, mesh.N ** (mesh.d - 1), _BLOCK_CELLS))
 
 
-def _separable_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=()) -> list:
+def _separable_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=()):
     """`_cell_quadrature` with ``means`` set, for a 2D ``phi`` with ``factors``, from 1D averages.
 
-    Each factor is evaluated once per rule on its axis's nodes of `_axis_rules`, and
-    the cell means are outer products of the 1D means.  A ``gaps`` entry is a pair
-    ``(p, q)`` of per-axis values, each ``(N, channels)``, whose channel-wise outer
-    product is the cell value, or None for the 8-point 1D means.  For a channel
+    Each factor is evaluated once per rule on its axis's nodes of `_axis_rules`, at
+    the call, and the cell means are outer products of the 1D means.  A ``gaps`` entry
+    is a pair ``(p, q)`` of per-axis values, each ``(N, channels)``, whose channel-wise
+    outer product is the cell value, or None for the 8-point 1D means.  For a channel
     ``f(x) g(y)`` the cell average of ``|f g - p q|**2`` is
     ``avg|f - p|**2 avg|g|**2 + |p|**2 avg|g - q|**2 + 2 Re[avg((f - p) conj(p)) avg(g conj(g - q))]``,
-    and channels add.  Every pair holds full per-cell arrays, as from `_cell_quadrature`.
+    and channels add.  Returns the 8-point 1D means and a generator of the blocks of
+    `_cell_quadrature`, about `_BLOCK_SITES` cells of whole rows each, whose pairs are
+    these outer products on the cells of the block's rows.
     """
     def avg(v, w):
         return np.einsum("nqc,nq->nc", v, w)
@@ -398,34 +414,78 @@ def _separable_quadrature(phi: ContinuumFunction, mesh: Mesh, gaps=()) -> list:
     def abs2(v):
         return v.real**2 + v.imag**2
 
-    own, pairs = None, []
+    own, rules = None, []
     for rule in _RULES:
         (x, wx), (y, wy) = _axis_rules(phi, mesh, rule)
         f, g = _axis_values(phi, [x, y])
         means = [avg(f, wx), avg(g, wy)]
         own = means if own is None else own
-        out, g2 = [_outer(means)], avg(abs2(g), wy)
+        g2, terms = avg(abs2(g), wy), []
         for p, q in (own if cell is None else cell for cell in gaps):
             fp, gq = f - p[:, None], g - q[:, None]
-            gap = (_outer([avg(abs2(fp), wx), g2]) + _outer([abs2(p), avg(abs2(gq), wy)])
-                   + 2 * _outer([avg(fp, wx) * np.conj(p), avg(g * np.conj(gq), wy)]).real)
-            out.append(np.sum(gap, axis=-1))
-        pairs.append(out)
-    return list(zip(*pairs))
+            terms.append(([avg(abs2(fp), wx), g2], [abs2(p), avg(abs2(gq), wy)],
+                          [avg(fp, wx) * np.conj(p), avg(g * np.conj(gq), wy)]))
+        rules.append((means, terms))
+
+    def block(rows):
+        def on(axes):
+            return _outer([axes[0][rows], axes[1]])
+
+        pairs = [tuple(np.sum(on(a) + on(b) + 2 * on(c).real, axis=-1) for a, b, c in per_rule)
+                 for per_rule in zip(*(terms for _, terms in rules))]
+        return rows, tuple(on(means) for means, _ in rules), pairs
+
+    return own, (block(rows) for rows in _row_slices(mesh.N, mesh.N))
 
 
-def _checked(pair, bound: float, what: str) -> np.ndarray:
-    """The G8 half of ``pair``; `QuadratureFailure` when ``max |G8 - G7|`` exceeds ``bound`` or is not finite."""
-    hi, lo = pair
-    est = np.max(np.abs(hi - lo))
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``values`` (its first axis), each row summed whole."""
+    return np.sum(values.reshape(len(values), -1), axis=1)
+
+
+def _row_maxima(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``max |hi - lo|`` of each row (first axis); `np.max` keeps a NaN, where Python's ``max`` drops it."""
+    return np.max(np.abs(hi - lo).reshape(len(hi), -1), axis=1)
+
+
+def _reduce_rows(blocks, out: Optional[np.ndarray] = None):
+    """Per-row reductions of the ``(rows, means, pairs)`` row blocks of a cell quadrature.
+
+    Returns the per-row maxima of ``|G8 - G7|`` of the means (None without them)
+    and, per squared-gap pair, ``(sums, maxima)``: its per-row sums of G8 and
+    maxima of ``|G8 - G7|``.  The G8 means are written into ``out`` when it is
+    given; no other per-cell array outlives its block.  Each row is reduced whole
+    and the rows are only joined here, so any row blocks give the same bits.
+    """
+    def reduce(block):
+        rows, means, pairs = block
+        if means is not None and out is not None:
+            out[rows] = means[0]
+        maxima = None if means is None else _row_maxima(*means)
+        return maxima, [(_row_sums(hi), _row_maxima(hi, lo)) for hi, lo in pairs]
+
+    # map drops each block once reduced; a loop variable would hold it while the next one is formed
+    mean_maxima, gap_rows = zip(*map(reduce, blocks))
+    # gap_rows runs over blocks, then pairs, then (sums, maxima): join each pair's blocks
+    gaps = [tuple(map(np.concatenate, zip(*per_pair))) for per_pair in zip(*gap_rows)]
+    return (None if mean_maxima[0] is None else np.concatenate(mean_maxima)), gaps
+
+
+def _require_estimate(maxima, bound: float, what: str):
+    """`QuadratureFailure` when the self-estimate ``max(maxima)`` of ``|G8 - G7|`` exceeds ``bound`` or is NaN."""
+    est = np.max(maxima)
     if not est <= bound:
         raise QuadratureFailure(f"{what} self-estimate {est:.3e} above tolerance")
-    return hi
 
 
-def _cell_averages(phi: ContinuumFunction, mesh: Mesh, pair) -> LatticeField:
-    """Checked cell averages as a field; the bound is ``1e-10 * max(1, sup_norm)``."""
-    return LatticeField(mesh, _checked(pair, 1e-10 * max(1.0, phi.sup_norm), "cell-average"))
+def _check_cell_averages(maxima: np.ndarray, phi: ContinuumFunction):
+    """The check of `project`'s cell averages: the bound is ``1e-10 * max(1, sup_norm)``."""
+    _require_estimate(maxima, 1e-10 * max(1.0, phi.sup_norm), "cell-average")
+
+
+def _outer_sup(axes) -> float:
+    """``max |.|`` of the channel-wise outer product of per-axis values ``axes``, from per-axis maxima."""
+    return float(np.max(_multiply([np.max(np.abs(a), axis=0) for a in axes])))
 
 
 def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
@@ -436,16 +496,21 @@ def project(phi: ContinuumFunction, mesh: Mesh) -> LatticeField:
     Raises `QuadratureFailure` when the 7-vs-8-point Gauss-Legendre
     estimate exceeds ``1e-10 * max(1, sup_norm)``.  A 2D function with
     ``factors`` gets outer products of 1D averages (`_separable_quadrature`);
-    any other is integrated in row blocks (see the module docstring).
+    any other is integrated in row blocks (see the module docstring).  Either
+    way the 8-point averages are the one array of the mesh's size formed: the
+    7-point ones only feed per-row maxima of ``|G8 - G7|``, one block at a time.
     `exp_projection` gets these averages from the same node values as its
     error integrals.
     """
     _require_dimension(phi, mesh)
     if _separable(phi):
-        (pair,) = _separable_quadrature(phi, mesh)
+        _, blocks = _separable_quadrature(phi, mesh)
     else:
-        (pair,) = _cell_quadrature(phi, mesh, means=True)
-    return _cell_averages(phi, mesh, pair)
+        blocks = _cell_quadrature(phi, mesh, means=True)
+    means = np.empty(mesh.shape + (phi.channels,), complex)
+    maxima, _ = _reduce_rows(blocks, means)
+    _check_cell_averages(maxima, phi)
+    return LatticeField(mesh, means)
 
 
 def _separable(phi: ContinuumFunction) -> bool:
@@ -510,8 +575,8 @@ def l2_error_vs_continuum(f: LatticeField, phi: ContinuumFunction) -> float:
     _require_dimension(phi, f.mesh)
     if f.channels != phi.channels:
         raise MeshMismatch(f"field has {f.channels} channels, {phi.name} declares {phi.channels}")
-    (pair,) = _cell_quadrature(phi, f.mesh, [f.values])
-    return _error_norm(pair, f.values, phi, f.mesh)
+    _, (gap,) = _reduce_rows(_cell_quadrature(phi, f.mesh, [f.values]))
+    return _error_norm(gap, float(np.max(np.abs(f.values))), phi, f.mesh)
 
 
 def _projection_errors(phi: ContinuumFunction, mesh: Mesh) -> tuple[float, float]:
@@ -520,32 +585,41 @@ def _projection_errors(phi: ContinuumFunction, mesh: Mesh) -> tuple[float, float
     Both errors and the projection come from one evaluation of ``phi`` per
     Gauss rule, on the path `project` takes.  Where that is the row-block walk,
     the results are bit-identical to the separate calls; on the per-axis path
-    they agree to rounding.  Either way the first failure raised is that of the
-    separate calls: the sampling error-norm check, then the cell-average check,
-    then the projection error-norm check.
+    they agree to rounding, and every per-cell array is reduced to per-row sums
+    and maxima one block at a time (`_reduce_rows`): neither the sample nor the
+    projection is formed, and their sups come from per-axis maxima.  Either way
+    the first failure raised is that of the separate calls: `ValueError` for a
+    sample that is not finite, the sampling error-norm check, then the
+    cell-average check, then the projection error-norm check.
     """
     if _separable(phi):
         corners = _axis_values(phi, [mesh.h * mesh.indices] * 2)
-        f = LatticeField(mesh, _outer(corners))  # sample(phi, mesh), from the same corner values
-        means, sampling, projection = _separable_quadrature(phi, mesh, [corners, None])
+        f_sup = _outer_sup(corners)
+        _require_finite(f_sup)  # as sample(phi, mesh) raises, from the same corner values
+        own, blocks = _separable_quadrature(phi, mesh, [corners, None])
+        maxima, (sampling, projection) = _reduce_rows(blocks)
+        p_sup = _outer_sup(own)
     else:
         f = sample(phi, mesh)
-        means, sampling, projection = _cell_quadrature(phi, mesh, [f.values, None], means=True)
-    samp = _error_norm(sampling, f.values, phi, mesh)
-    p = _cell_averages(phi, mesh, means)
-    return samp, _error_norm(projection, p.values, phi, mesh)
+        p = np.empty(mesh.shape + (phi.channels,), complex)
+        maxima, (sampling, projection) = _reduce_rows(_cell_quadrature(phi, mesh, [f.values, None], means=True), p)
+        f_sup, p_sup = float(np.max(np.abs(f.values))), float(np.max(np.abs(p)))
+    samp = _error_norm(sampling, f_sup, phi, mesh)
+    _check_cell_averages(maxima, phi)
+    return samp, _error_norm(projection, p_sup, phi, mesh)
 
 
-def _error_norm(pair, values: np.ndarray, phi: ContinuumFunction, mesh: Mesh) -> float:
-    """L2 norm of ``J_h f - phi`` from the squared-gap averages ``pair`` of site values of ``f``."""
-    scale = max(1.0, (phi.sup_norm + float(np.max(np.abs(values)))) ** 2)
-    means = _checked(pair, 1e-10 * scale, "error-norm")
-    return float(np.sqrt(np.real(np.sum(means)) * mesh.h**mesh.d))
+def _error_norm(gap, sup: float, phi: ContinuumFunction, mesh: Mesh) -> float:
+    """L2 norm of ``J_h f - phi`` from the per-row ``(sums, maxima)`` of its squared gaps; ``sup`` is ``max |f|``."""
+    sums, maxima = gap
+    _require_estimate(maxima, 1e-10 * max(1.0, (phi.sup_norm + sup) ** 2), "error-norm")
+    return float(np.sqrt(np.sum(sums) * mesh.h**mesh.d))
 
 
 def _gap_sq(vals: np.ndarray, cell_values: np.ndarray) -> np.ndarray:
     """Squared pointwise 2-norm of ``vals - cell_values``, keeping a unit channel axis."""
-    return np.sum(np.abs(vals - cell_values) ** 2, axis=-1, keepdims=True)
+    gap = vals - cell_values
+    return np.sum(gap.real**2 + gap.imag**2, axis=-1, keepdims=True)
 
 
 def _broadcast_cell_values(values: np.ndarray, d: int) -> np.ndarray:

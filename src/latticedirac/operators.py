@@ -73,8 +73,8 @@ from .errors import (
     TooLarge,
 )
 from .grid import (
-    ContinuumFunction, LatticeField, Mesh, _axis_values, _cell_points, _grid_values, _require_dimension, norm_l2,
-    sample,
+    ContinuumFunction, LatticeField, Mesh, _axis_values, _cell_points, _grid_values, _require_dimension, _row_slices,
+    norm_l2, sample,
 )
 # dft, idft and zeta_discrete are unused here; perfbench/spans.py times calls through these names
 from .fourier import _fftn, a_factor, dft, idft
@@ -266,16 +266,9 @@ def diff_backward(f: LatticeField, j: int) -> LatticeField:
     return LatticeField(f.mesh, out)
 
 
-# Sites per block of the in-place multiplier and potential passes: the several
-# operations on one block run on cached data instead of each streaming whole arrays.
-_BLOCK_SITES = 16384
-
-
 def _row_blocks(x: np.ndarray):
-    """Slices of about `_BLOCK_SITES` sites along the first site axis of channel-first ``x``."""
-    n = x.shape[1]
-    rows = max(1, _BLOCK_SITES // x[0, 0].size)
-    return [slice(r, min(r + rows, n)) for r in range(0, n, rows)]
+    """Slices of about `grid._BLOCK_SITES` sites along the first site axis of channel-first ``x``."""
+    return _row_slices(x.shape[1], x[0, 0].size)
 
 
 def _channel_first(values: np.ndarray) -> np.ndarray:

@@ -4,10 +4,12 @@ The direct-summation transforms below are deliberately naive (O(N**2d))
 re-implementations used to cross-check the FFT paths at small sizes;
 `spy_fft` and `spy_transforms` record what reaches `numpy.fft.fft`/`ifft`,
 which the library's one transform call site runs once per axis, and
-`one_d_lengths` counts the 1D transforms it runs.
+`one_d_lengths` counts the 1D transforms it runs, and `peak_bytes` reads the
+`tracemalloc` peak of one call.
 """
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -75,3 +77,13 @@ def one_d_lengths(transforms) -> Counter:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240810)
+
+
+def peak_bytes(call) -> int:
+    """The `tracemalloc` peak of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

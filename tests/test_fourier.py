@@ -30,10 +30,13 @@ from latticedirac import (
 )
 from latticedirac.errors import QuadratureFailure, SupportViolation, UnknownClosedForm
 from latticedirac.fourier import _grid_step_factor, _grid_weight, _step_factor, _tail_integral
-from latticedirac.grid import FUNCTION_IDS, freq_window, function_catalog, gaussian, hat, modulated_gaussian
+from latticedirac.grid import (
+    FUNCTION_IDS, _product, _projection_errors, _row_slices, freq_window, function_catalog, gaussian, hat,
+    modulated_gaussian,
+)
 from latticedirac.operators import diff_backward, diff_forward
 
-from conftest import dft_direct, idft_direct, random_field, spy_transforms
+from conftest import dft_direct, idft_direct, peak_bytes, random_field, spy_transforms
 
 # first verified run of the weighted transform gap at
 # (gaussian a=1, d=1, h=0.2, N=128, s=1); regression anchor
@@ -202,14 +205,21 @@ def test_step_factor_is_the_product_of_the_two_axis_factors_bit_for_bit(N, rng):
 
 @pytest.mark.parametrize("d,N", [(1, 96), (2, 24), (2, 96), (2, 384), (2, 768)])
 def test_dual_grid_step_factor_and_weight_are_the_stacked_formulas_bit_for_bit(d, N):
-    # per-axis values and their outer product against the formulas on the stacked dual grid,
-    # below and above the size at which numpy runs a product in place in its new operand
+    # per-axis values and their outer product on each row block against the formulas on the same
+    # rows of the stacked dual grid: the default blocks, one row, and the whole grid, below and
+    # above the size at which numpy runs a product in place in its new operand
     grid = FrequencyGrid(Mesh(d, 9.6 / N, N))
     xi = grid.coords()
+    blocks = _row_slices(N, N ** (d - 1)) + [slice(N - 1, N), slice(None)]
+    assert len(blocks) > 3 or N <= 96
     for h in (grid.mesh.h, 0.4):
-        assert _grid_step_factor(grid, h).tobytes() == _step_factor(xi, h).tobytes()
+        factor = _grid_step_factor(grid, h)
+        for rows in blocks:
+            assert factor(rows).tobytes() == _step_factor(xi[rows], h).tobytes()
     for s in (0.0, 1.0, 2.5):
-        assert _grid_weight(grid, s).tobytes() == ((1.0 + np.sum(xi**2, axis=-1)) ** (-s / 2.0)).tobytes()
+        weight = _grid_weight(grid, s)
+        for rows in blocks:
+            assert weight(rows).tobytes() == ((1.0 + np.sum(xi[rows] ** 2, axis=-1)) ** (-s / 2.0)).tobytes()
 
 
 def test_step_transform_matches_adaptive_quadrature(rng):
@@ -296,6 +306,55 @@ def test_weighted_ft_error_of_a_separable_function_transforms_one_axis_at_a_time
     monkeypatch.setattr(fourier, "_fftn", spy)
     assert weighted_ft_error(dataclasses.replace(phi, evaluate=stacked), mesh, 1.0) == want
     assert calls == [((4 * mesh.N, phi.channels), (0,))] * 2
+
+
+@pytest.mark.parametrize("name", ["gaussian1d", "gaussian2d", "modwave2d", "gaussian-spinor"])
+def test_weighted_ft_error_is_unchanged_by_row_blocks(name, monkeypatch):
+    # the box sum adds each row of the 4N dual grid whole and the rows once at the end, so one row
+    # per block, five, and the whole grid in one block give the same bits, on either path
+    phi = function_catalog(name)
+    mesh = Mesh(phi.d, 0.2, 48)
+    row = (4 * mesh.N) ** (phi.d - 1)
+    results = []
+    for sites in (row, 5 * row, (4 * mesh.N) ** phi.d):
+        monkeypatch.setattr("latticedirac.grid._BLOCK_SITES", sites)
+        results.append([weighted_ft_error(f, mesh, 1.0) for f in (phi, dataclasses.replace(phi, factors=None))])
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("N", [192, 384])
+def test_weighted_ft_error_holds_no_array_of_the_padded_grid(N):
+    # power, step factor and weight are formed one block of rows at a time: the peak (2.1 MB, most
+    # of it the tail rule) stays below one (4N)**2 float array (4.7 MB at N = 192), where whole
+    # arrays of the 4N grid held 24 MB at N = 192 and 94 MB at N = 384
+    phi, mesh = gaussian(2), Mesh(2, 9.6 / N, N)
+    assert peak_bytes(lambda: weighted_ft_error(phi, mesh, 1.0)) < 3e6 < (4 * 192) ** 2 * 8
+
+
+def _bad_at(phi, x0, value, axes):
+    """``phi`` with ``value`` in place of its factors on ``axes`` at ``x0``, with its factors and without."""
+    factors = tuple(
+        (lambda x, f=f: np.where((x == x0)[..., None], value, f(x))) if j in axes else f
+        for j, f in enumerate(phi.factors)
+    )
+    separable = dataclasses.replace(phi, evaluate=_product(factors), factors=factors)
+    return separable, dataclasses.replace(separable, factors=None)
+
+
+@pytest.mark.parametrize("value,axes", [
+    (np.nan, (0,)),
+    (np.inf, (1,)),
+    (1e200, (0, 1)),  # finite per axis; the outer product overflows at (0.4, 0.4)
+], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("call", [lambda phi, mesh: weighted_ft_error(phi, mesh, 1.0), _projection_errors],
+                         ids=["weighted-ft", "projection-errors"])
+def test_a_sample_that_is_not_finite_raises_on_either_path(call, value, axes):
+    # gaussian2d with a bad value at the cell corner 0.4: the copy without factors raises as its
+    # sample is formed, the per-axis path from the per-axis samples, before any sum (an overflow
+    # warns on both paths, as numpy does by default)
+    for phi in _bad_at(gaussian(2), 0.4, value, axes):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^field values must be finite$"):
+            call(phi, Mesh(2, 0.4, 24))
 
 
 def _tensor_tail(phi, b, s, n=160, width=30.0):

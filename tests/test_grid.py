@@ -2,7 +2,6 @@
 
 import dataclasses
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from latticedirac.grid import (
     _stack_channels,
 )
 
-from conftest import random_field
+from conftest import peak_bytes, random_field
 
 
 def constant_function(d, value=1.0):
@@ -243,13 +242,49 @@ def test_projection_error_memory_peak_is_bounded():
     # the row-block walk of the error integral never holds a whole (N, q, N, q, 2) node
     # array (38 MB here): it holds one block at a time
     phi = gaussian(2)
-    tracemalloc.start()
-    try:
-        l2_error_vs_continuum(project(phi, Mesh(2, 0.05, 192)), phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6
+    assert peak_bytes(lambda: l2_error_vs_continuum(project(phi, Mesh(2, 0.05, 192)), phi)) < 32e6
+
+
+@pytest.mark.parametrize("name", ["gaussian2d", "modwave2d"])
+def test_separable_projection_errors_hold_no_array_of_the_mesh(name):
+    # the per-axis path reduces each block of rows to per-row sums and maxima, and takes the sups
+    # of the sample and the projection from per-axis maxima: its peak (1.2 MB for gaussian2d,
+    # 1.6 MB for modwave2d) stays below the N**2 complex cell averages of project (2.4 MB), where
+    # whole per-cell arrays for every gap held 14-17 MB
+    phi, mesh = function_catalog(name), Mesh(2, 9.6 / 384, 384)
+    assert peak_bytes(lambda: _projection_errors(phi, mesh)) < 2.0e6 < mesh.N**2 * 16
+
+
+@pytest.mark.parametrize("name", ["gaussian2d", "modwave2d", "gaussian-spinor"])
+def test_per_axis_quadrature_is_unchanged_by_row_blocks(name, monkeypatch):
+    # each row is reduced whole and the rows are added once at the end, so one row per block,
+    # five, and the whole mesh in one block give the same bits
+    phi, mesh = function_catalog(name), Mesh(2, 9.6 / 48, 48)
+    results = []
+    for sites in (mesh.N, 5 * mesh.N, mesh.N**2):
+        monkeypatch.setattr(grid, "_BLOCK_SITES", sites)
+        results.append((project(phi, mesh).values.tobytes(), _projection_errors(phi, mesh)))
+    assert results[0] == results[1] == results[2]
+
+
+def test_a_nan_in_the_last_row_block_fails_on_either_path():
+    # a factor that is NaN at the Gauss nodes of the last cell row, not at its corners: both the
+    # per-axis path and the stacked-point walk meet it in their last row block, and the NaN
+    # estimate fails the check as in the first block (np.max keeps a NaN, Python's max drops it)
+    mesh, g = Mesh(2, 0.05, 192), gaussian(2)
+    assert len(grid._row_slices(mesh.N, mesh.N)) > 1
+    assert len(grid._row_slices(mesh.N, mesh.N, grid._BLOCK_CELLS)) > 1
+    last_corner = mesh.h * (mesh.N // 2 - 1)
+
+    def late(x):
+        return np.where((x > last_corner)[..., None], np.nan, g.factors[0](x))
+
+    factors = (late, g.factors[1])
+    phi = dataclasses.replace(g, evaluate=grid._product(factors), factors=factors)
+    for call, first in ((project, "cell-average"), (_projection_errors, "error-norm")):
+        for f in (phi, _evaluate_only(phi)):
+            with pytest.raises(QuadratureFailure, match=f"^{first} self-estimate nan above tolerance$"):
+                call(f, mesh)
 
 
 def test_row_blocks_are_evaluated_on_the_calling_thread():
@@ -718,8 +753,8 @@ def test_factors_give_the_values_of_the_stacked_points(name):
 @pytest.mark.parametrize("name,N", [(name, N) for name in ("gaussian2d", "modwave2d", "gaussian-spinor")
                                      for N in (24, 48)])
 def test_stacked_point_quadrature_is_unchanged_by_row_blocks(name, N, monkeypatch):
-    # the row-block walk fills full per-cell arrays before any sum, so any row blocks give the same
-    # bits: one row per block, five, or the default
+    # the row-block walk reduces each row whole and adds the rows once at the end, so any row
+    # blocks give the same bits: one row per block, five, or the default
     plain = _evaluate_only(function_catalog(name))
     mesh = Mesh(2, 9.6 / N, N)
     f = sample(plain, mesh)

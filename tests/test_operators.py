@@ -1,7 +1,6 @@
 """Tests for difference stencils, the Dirac operator, resolvents, and the dense oracle."""
 
 import dataclasses
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -54,7 +53,7 @@ from latticedirac.errors import (
     TooLarge,
 )
 from latticedirac import operators
-from latticedirac.grid import gaussian, gaussian_spinor, modulated_gaussian, _stack_channels
+from latticedirac.grid import _BLOCK_SITES, gaussian, gaussian_spinor, modulated_gaussian, _stack_channels
 from latticedirac.operators import (
     POTENTIAL_IDS,
     PotentialSpec,
@@ -67,7 +66,7 @@ from latticedirac.operators import (
 )
 from latticedirac.symbols import SIGMA1, SIGMA2, SIGMA3, opnorm_2x2, resolvent_norm_bound
 
-from conftest import one_d_lengths, random_field, spy_fft, spy_transforms
+from conftest import one_d_lengths, peak_bytes, random_field, spy_fft, spy_transforms
 
 # few examples, drawn the same way on every run, so tier-1 stays quick and repeatable
 PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -1048,7 +1047,7 @@ def test_potential_values_of_the_wrong_shape_are_rejected_per_row_block(matrix_f
     # N = 192 is several row blocks: the solve evaluates V on one block of rows at a time,
     # the first one before any transform, in a level solve and in the coarse-to-fine reference
     mesh, p = Mesh(2, 0.05, 192), DiracParams(1.0, 0.05)
-    rows = operators._BLOCK_SITES // mesh.N
+    rows = _BLOCK_SITES // mesh.N
     assert rows < mesh.N
     V = PotentialSpec("misshapen", matrix_fn, 1.0, 0.0)
     psi = sample(gaussian_spinor(), mesh)
@@ -1156,22 +1155,12 @@ def test_multipliers_do_not_depend_on_the_row_blocks(monkeypatch):
     assert len(operators._row_blocks(np.empty((2,) + mesh.shape))) > 1  # the default splits the grid
     default, starts = _multiplier_results(mesh), _coset_start_results(mesh)
     for sites in (1, 5 * mesh.N // 2, mesh.N**2):  # one row per block, 5 of a coset's 96 rows, the whole grid in one
-        monkeypatch.setattr(operators, "_BLOCK_SITES", sites)
+        monkeypatch.setattr("latticedirac.grid._BLOCK_SITES", sites)
         for name, field in _multiplier_results(mesh).items():
             assert np.array_equal(field.values, default[name].values), (name, sites)
         for (start, sums), (expected, expected_sums) in zip(_coset_start_results(mesh), starts):
             assert np.array_equal(start, expected)
             assert np.allclose(sums, expected_sums, rtol=1e-14, atol=0), sites
-
-
-def _peak_bytes(call) -> int:
-    """The `tracemalloc` peak of ``call()``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("solve,bound", [("resolvent_free", 1.5), ("continuum solve", 1.1)])
@@ -1193,7 +1182,7 @@ def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound):
         "continuum solve": lambda: _nested_solve(gaussian_spinor(), mesh, 3j, 1.0, V, None),
     }
     np.fft.fft(np.zeros(1, complex))  # loads numpy.fft outside the traced call
-    assert _peak_bytes(calls[solve]) <= bound * psi.values.nbytes
+    assert peak_bytes(calls[solve]) <= bound * psi.values.nbytes
 
 
 def test_continuum_resolvent_memory_peak_holds_no_refined_inverse():
@@ -1201,7 +1190,7 @@ def test_continuum_resolvent_memory_peak_holds_no_refined_inverse():
     # their channel-first copy, which the symbol, the kernel and the fold use in place (2.0); a
     # centred inverse of the refined grid would hold its rolled copies on top (4.0)
     np.fft.fft(np.zeros(1, complex))  # loads numpy.fft outside the traced call
-    peak = _peak_bytes(lambda: resolvent_continuum(gaussian_spinor(), 2j, 1.0, Mesh(2, 0.1, 96), refine=8))
+    peak = peak_bytes(lambda: resolvent_continuum(gaussian_spinor(), 2j, 1.0, Mesh(2, 0.1, 96), refine=8))
     assert peak <= 2.25 * (2 * 768**2 * 16)
 
 
@@ -1213,7 +1202,7 @@ def test_potential_solve_memory_peak_holds_no_grid_sized_potential():
     q = ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h), policy="neumann")
     V = potential_catalog("hermitian-gaussian")
     np.fft.fft(np.zeros(1, complex))  # loads numpy.fft outside the traced call
-    assert _peak_bytes(lambda: resolvent_with_potential(psi, q, V)) <= 3 * psi.values.nbytes
+    assert peak_bytes(lambda: resolvent_with_potential(psi, q, V)) <= 3 * psi.values.nbytes
 
 
 # ---------------------------------------------------------------------------
