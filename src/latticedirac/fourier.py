@@ -17,7 +17,8 @@ on-grid, ``F[J_h f](xi_k)`` equals the DFT value times ``prod_j a(h*xi_kj)``;
 `_fftn` is the one FFT entry point, for `dft`/`idft` (`_centred_fftn`: on a
 copy rolled into natural FFT order), the 1D transforms of `_power_spectrum`
 and every transform of `operators`, all in natural order.  It runs numpy's
-FFT in place, one 1D transform per axis, on the calling thread; the library starts no thread.
+FFT in place, or into a buffer the caller passes, one 1D transform per axis,
+on the calling thread; the library starts no thread.
 
 Inside the frequency box `weighted_ft_error` sums the power spectrum of the
 sample zero-padded to ``4*N`` sites per axis (`_power_spectrum`).  A separable
@@ -42,6 +43,7 @@ of `inverse_ft_error`) samples it through `grid._grid_values`, as does
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -118,13 +120,19 @@ def spectral_norm(u: SpectralField) -> float:
     return float(np.sqrt(u.grid.cell_volume * np.sum(np.abs(u.values) ** 2)))
 
 
-def _fftn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
-    """``fftn`` (``ifftn`` if ``inverse``) over ``axes``, axis by axis; overwrites ``x`` when it is complex128."""
+def _fftn(x: np.ndarray, axes: tuple[int, ...], inverse: bool = False, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``fftn`` (``ifftn`` if ``inverse``) over ``axes``, axis by axis, into ``out`` and returned.
+
+    Without ``out`` it overwrites ``x`` when that is complex128; with ``out``, a complex128
+    array of the shape of ``x``, ``x`` is only read.
+    """
     x = np.asarray(x, dtype=complex)
+    out = x if out is None else out
     transform = np.fft.ifft if inverse else np.fft.fft
     for axis in axes:
-        transform(x, axis=axis, out=x)
-    return x
+        transform(x, axis=axis, out=out)
+        x = out
+    return out
 
 
 def _centred_fftn(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
@@ -270,10 +278,13 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     """``int <xi>**(-2s) |Fphi|**2`` outside ``[-b, b]**d`` from the closed form, per channel summed.
 
     A fixed composite Gauss-Legendre rule on the tensor grid of `_tail_axes`:
-    ``phi.fourier`` is sampled once per side ``+-xi_1 > b`` and per rule through
+    ``phi.fourier`` is sampled per side ``+-xi_1 > b`` and per rule through
     `grid._grid_values`, per axis for a separable transform, and values that do
-    not carry ``phi.channels`` raise `ValueError`.  It returns the 8-point sum
-    and raises `QuadratureFailure` when the separate 7-point sum differs by
+    not carry ``phi.channels`` raise `ValueError`.  The grid is walked one block of
+    ``xi_1`` nodes (about `grid._BLOCK_SITES` nodes) at a time: each block's values,
+    weight and power are contracted over the other axes at once, and the per-node sums
+    over ``xi_1`` at the end, so no array of the whole grid is formed.  It returns the
+    8-point sum and raises `QuadratureFailure` when the separate 7-point sum differs by
     more than `_TAIL_TOL`.  A spectrum declared to vanish outside the box
     (``support_inf <= b``) gives 0 at once.
     In 2D the region is ``|xi_1| > b`` plus ``|xi_1| > b, |xi_2| <= b`` once
@@ -287,13 +298,19 @@ def _tail_integral(phi: ContinuumFunction, b: float, s: float) -> float:
     sums = []
     for axes in _tail_axes(phi.d, b):
         nodes, weights = zip(*axes)
-        weight = (1.0 + sum(_tensor_axes([x**2 for x in nodes]))) ** (-s)  # the same on both sides
+        squares = [x**2 for x in nodes]
+        sides = [_grid_values(phi.fourier, [side, *nodes[1:]]) for side in (nodes[0], -nodes[0])]
+        contracted = np.empty((len(sides), len(nodes[0])))  # per side, each xi_1 node's inner sum
+        for rows in _row_slices(len(nodes[0]), int(np.prod([len(x) for x in nodes[1:]]))):
+            weight = (1.0 + sum(_on_rows(squares, rows))) ** (-s)  # the same on both sides
+            for values, out in zip(sides, contracted):
+                vals = np.sum(np.abs(values(rows)) ** 2, axis=-1) * weight
+                for w in weights[:0:-1]:
+                    vals = vals @ w  # contracts the last axis
+                out[rows] = vals
         total = 0.0
-        for side in (nodes[0], -nodes[0]):
-            vals = np.sum(np.abs(_grid_values(phi.fourier, [side, *nodes[1:]])()) ** 2, axis=-1) * weight
-            for w in weights[::-1]:
-                vals = vals @ w  # contracts the last axis
-            total += vals
+        for vals in contracted:
+            total += vals @ weights[0]
         sums.append(total)
     _require_estimate(abs(sums[0] - sums[1]), _TAIL_TOL, f"{phi.name} tail integral")
     return float(sums[0])

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateFit
+from .errors import DegenerateFit, MeshMismatch
 from .fourier import FrequencyGrid, inverse_ft_error, weighted_ft_error, _require_weight_exponent
 from .grid import (
     ContinuumFunction,
@@ -280,6 +280,21 @@ def _sweep(experiment: str, sweep: Sweep, names: Sequence[str], worker) -> Conve
     return _assemble(experiment, sweep, errors, timings[:n], Ns, extra)
 
 
+def _nested_finest(sweep: Sweep) -> Mesh:
+    """The mesh of the finest level of ``sweep``, whose one reference the resolvent sweeps block-average.
+
+    Raises `MeshMismatch`, naming the level, unless every level's ``N`` divides its ``N``,
+    so a sweep whose levels do not nest fails before its reference is built.
+    """
+    finest = sweep.mesh_for(sweep.levels[-1])
+    for h in sweep.levels:
+        N = sweep.mesh_for(h).N
+        if finest.N % N:
+            raise MeshMismatch(f"level h={h:g} (N={N}) does not nest in the finest level h={finest.h:g} "
+                               f"(N={finest.N}), so the reference built there cannot be block-averaged to it")
+    return finest
+
+
 def _resolvent_worker(sweep: Sweep, reference: LatticeField, V: Optional[PotentialSpec]):
     """Per-level error ``||R_z P_h phi - block_average(reference)||``, with ``V`` if given."""
     phi = sweep.resolved_function()
@@ -334,9 +349,11 @@ def exp_resolvent_free(sweep: Sweep) -> ConvergenceReport:
 
     One reference is computed on the ``refine``-fold refinement of the finest
     level (the floor-guard level when set) and block-averaged to every level,
-    so all levels share the same comparison target.
+    so all levels share the same comparison target.  A level whose ``N`` does
+    not divide the finest one's raises `MeshMismatch` before the reference is
+    built (`_nested_finest`).
     """
-    finest = sweep.mesh_for(sweep.levels[-1])
+    finest = _nested_finest(sweep)
     reference = resolvent_continuum(
         sweep.resolved_function(), sweep.z, sweep.m, finest, refine=sweep.refine
     )
@@ -362,7 +379,12 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     of the mesh's sites, each a copy of the half mesh.  Coset ``(0, 0)`` is the
     coarser solution, whose residual that mesh has already measured, so only the
     three other cosets are tested, each one block of rows at a time, so no
-    coset is held whole.  Each mesh hands back a spectrum, the coarser one's
+    coset is held whole; a catalog potential is folded into the coarser
+    spectrum there, so it costs one product with its column envelope per
+    site.  Each solve that iterates forms ``1/den`` of its symbol once and
+    keeps it for all its steps.  Levels that do not nest in the finest one
+    raise `MeshMismatch` before the reference is built, as the free sweep's
+    do.  Each mesh hands back a spectrum, the coarser one's
     when its start passes, so with a passing start the refined mesh's field is
     never formed; a failing start is the coarser spectrum zero-padded to the
     mesh and transformed back once.  The levels compare against the
@@ -375,7 +397,7 @@ def exp_resolvent_potential(sweep: Sweep) -> ConvergenceReport:
     if V is None:
         raise ValueError("the potential sweep needs a potential id")
     _require_resolvent_region(sweep.z, V)
-    phi, finest = sweep.resolved_function(), sweep.mesh_for(sweep.levels[-1])
+    phi, finest = sweep.resolved_function(), _nested_finest(sweep)
     fine = Mesh(2, finest.h / sweep.refine, finest.N * sweep.refine)
     _require_spinor_function(phi, fine)
     averages, _ = _solve_with_potential(phi, fine, sweep.refine, complex(sweep.z), sweep.m, V, None, sweep.tol,

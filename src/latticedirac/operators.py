@@ -45,16 +45,20 @@ cross-validation oracle.
 Fourier multipliers work channel-first: the two spinor channels are held as
 one contiguous ``(2, *sites)`` array, transformed over the site axes by
 `fourier._fftn` (numpy's FFT axis by axis, in place) and multiplied in place
-one block of rows at a time.  Every multiplier holds only the per-axis terms
-of ``zeta`` on the dual grid (`_Multiplier`); ``zeta`` and the coefficients of
-a block are formed from them when the block is multiplied, on every apply, so
-no grid-sized symbol or coefficient array is ever stored.  The perturbed
-solves treat the potential the same way: a catalog ``V`` declares its
-per-axis envelope and fixed matrix, evaluated once per multiply on each
-axis, and any other ``V`` is evaluated at the sites of each block of rows
-(of the mesh, or of one coset) just before it multiplies that block, so they
-hold no grid-sized potential array either; `sample_potential` samples the
-whole mesh for `apply_dirac` and `dense_matrix`.
+one block of rows at a time.  Every multiplier holds the per-axis terms of
+``zeta`` on the dual grid (`_Multiplier`); ``zeta`` and the coefficients of a
+block are formed from them when the block is multiplied, so no grid-sized
+symbol is ever stored.  A one-shot apply forms every coefficient on every
+apply; the multiplier of a solve (`_iterate`) keeps ``1/den`` from its first
+apply, one complex array of the mesh, since it is applied on every Neumann
+step and GMRES product.  The perturbed solves evaluate the potential block
+by block too: a catalog ``V`` declares its per-axis envelope and fixed
+matrix, evaluated once per multiply on each axis, and any other ``V`` is
+evaluated at the sites of each block of rows (of the mesh, or of one coset)
+just before it multiplies that block, so they hold no grid-sized potential
+array; the start test folds a declared ``V`` into the spectrum it transforms
+(`_coset_start`).  `sample_potential` samples the whole mesh for
+`apply_dirac` and `dense_matrix`.
 """
 
 from __future__ import annotations
@@ -117,11 +121,12 @@ class PotentialSpec:
     also declare ``envelope``, one callable per axis that maps a coordinate array
     to values of its shape, and the fixed 2x2 ``matrix`` (stored as nested tuples).
     The iterative solves then multiply by ``matrix`` and the outer product of the
-    envelope's values on each axis (`_vmul_blocks`), while `sample_potential` and
-    `dense_matrix` keep ``matrix_fn``, which must agree.  An envelope without a
-    matrix, or the reverse, anything but two callables, a matrix that is not 2x2,
-    or an envelope whose values on a probe axis have the wrong shape, raises
-    `ValueError` naming the potential.
+    envelope's values on each axis (`_vmul_blocks`), and the start test of the nested
+    solve folds both into the spectrum it transforms (`_coset_start`), while
+    `sample_potential` and `dense_matrix` keep ``matrix_fn``, which must agree.  An
+    envelope without a matrix, or the reverse, anything but two callables, a matrix
+    that is not 2x2, or an envelope whose values on a probe axis have the wrong
+    shape, raises `ValueError` naming the potential.
     """
 
     name: str
@@ -296,24 +301,34 @@ class _Multiplier:
 
     On the tensor grid of the per-axis frequencies ``f``, ``zeta = rows[i] + cols[j]``
     from the per-axis terms ``f`` and ``1j*f`` (continuum, ``p`` None) or the
-    `symbols._zeta_terms` of ``f``, then divided by ``h`` (discrete).  Only these terms
-    are stored; ``zeta`` and the coefficients of each block of rows are formed when it
-    is multiplied, on every apply, in buffers of one block.
+    `symbols._zeta_terms` of ``f``, then divided by ``h`` (discrete).  Without ``keep``
+    only these terms are stored; ``zeta`` and the coefficients of each block of rows are
+    formed when it is multiplied, on every apply, in buffers of one block.  With ``keep``
+    and a ``z``, for a solve that applies it many times, the first apply writes ``1/den``
+    of each block (`_resolvent_coefficients`) into one kept complex array of the grid,
+    and later applies form only ``zeta``, ``zeta/den`` and ``conj(zeta)/den`` from it by
+    the same operations (`_scaled_coefficients`), so every apply gives the same bits.
     """
 
-    def __init__(self, f: np.ndarray, p: Optional[DiracParams], m: float, z: Optional[complex] = None):
+    def __init__(self, f: np.ndarray, p: Optional[DiracParams], m: float, z: Optional[complex] = None,
+                 keep: bool = False):
         if p is None:
             self.h, self.rows, self.cols = None, f.astype(complex), 1j * f
         else:
             self.h = p.h
             self.rows, self.cols = _zeta_terms(f, p.h)
         self.m, self.z = m, z
+        self.keep, self.inverse = keep and z is not None, None
 
     def _coefficients(self, blocks: list[slice], shape: tuple[int, int]):
-        """Yield ``(s, zeta_s, conj_s)`` on each of ``blocks``: ``1``, ``zeta``, ``conj(zeta)`` for
-        ``M``, `_resolvent_coefficients` for ``(M - z)**-1``, in buffers of ``shape`` that are reused."""
-        zeta_buf, conj_s, s, zeta_s = (np.empty(shape, complex) for _ in range(4))
-        den = np.empty(shape)
+        """Yield ``(rows, (s, zeta_s, conj_s))`` on each of ``blocks``: ``1``, ``zeta``, ``conj(zeta)`` for
+        ``M``, `_resolvent_coefficients` for ``(M - z)**-1``, in buffers of ``shape`` that are reused,
+        but for ``s``, which is a block of the kept ``1/den`` when the multiplier keeps it."""
+        zeta_buf, conj_s, zeta_s = (np.empty(shape, complex) for _ in range(3))
+        forming = self.z is not None and self.inverse is None
+        if forming:
+            s_buf = np.empty((len(self.rows), len(self.cols)) if self.keep else shape, complex)
+            den = np.empty(shape)
         for rows in blocks:
             k = rows.stop - rows.start
             zeta = zeta_buf[:k]
@@ -322,9 +337,14 @@ class _Multiplier:
             if self.h is not None:
                 zeta /= self.h
             if self.z is None:
-                yield np.broadcast_to(1.0, zeta.shape), zeta, np.conjugate(zeta, out=conj_s[:k])
+                yield rows, (np.broadcast_to(1.0, zeta.shape), zeta, np.conjugate(zeta, out=conj_s[:k]))
+            elif not forming:
+                yield rows, _scaled_coefficients(zeta, self.inverse[rows], zeta_s[:k], conj_s[:k])
             else:
-                yield _resolvent_coefficients(zeta, self.m, self.z, s[:k], zeta_s[:k], conj_s[:k], den[:k])
+                s = s_buf[rows] if self.keep else s_buf[:k]
+                yield rows, _resolvent_coefficients(zeta, self.m, self.z, s, zeta_s[:k], conj_s[:k], den[:k])
+        if forming and self.keep:
+            self.inverse = s_buf
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Multiply channel-first ``x`` in place, one block of rows at a time, and return it.
@@ -337,7 +357,7 @@ class _Multiplier:
         blocks = _row_blocks(x)
         t0 = np.empty_like(x[0, blocks[0]])
         t1 = np.empty_like(t0)
-        for rows, (s, zeta_s, conj_s) in zip(blocks, self._coefficients(blocks, t0.shape)):
+        for rows, (s, zeta_s, conj_s) in self._coefficients(blocks, t0.shape):
             a, b = x[0, rows], x[1, rows]
             out0, out1 = t0[: a.shape[0]], t1[: a.shape[0]]
             np.multiply(s, a, out=out0)
@@ -357,8 +377,8 @@ def _resolvent_coefficients(zeta, m, z, s, zeta_s, conj_s, den):
     """``s = 1/(|zeta|**2 + m**2 - z**2)``, ``zeta*s`` and ``conj(zeta)*s``, written into the last four.
 
     ``(M - z)**-1 = (M + z) * s``.  These are the element-wise operations of
-    ``1.0 / (np.abs(zeta) ** 2 + m * m - z * z)`` and the two products, done in
-    place, so the results are bit-identical to them.
+    ``1.0 / (np.abs(zeta) ** 2 + m * m - z * z)`` and the two products
+    (`_scaled_coefficients`), done in place, so the results are bit-identical to them.
     """
     m, z = float(m), complex(z)
     np.abs(zeta, out=den)
@@ -366,6 +386,11 @@ def _resolvent_coefficients(zeta, m, z, s, zeta_s, conj_s, den):
     den += m * m
     np.subtract(den, z * z, out=s)
     np.divide(1.0, s, out=s)
+    return _scaled_coefficients(zeta, s, zeta_s, conj_s)
+
+
+def _scaled_coefficients(zeta, s, zeta_s, conj_s):
+    """``(s, zeta*s, conj(zeta)*s)``, the two products written into ``zeta_s`` and ``conj_s``."""
     np.multiply(zeta, s, out=zeta_s)
     np.conjugate(zeta, out=conj_s)
     conj_s *= s
@@ -730,23 +755,29 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     frequencies ``2*pi*k/L``.  The twiddles, the scale (a power of two, so exact) and
     ``M - z`` act on the ``K x K`` entries only.  Each inverse transform is pruned: one
     transform along the rows of the zero-padded ``(2, n, K)`` column band, then, one block
-    of rows at a time, one along the columns of those rows zero-padded to ``n`` columns in
-    a block buffer.
+    of rows at a time, one along the columns of those rows, out of place from one reused
+    pad buffer of ``n`` columns whose middle columns are zeroed once.
 
     Coset ``(0, 0)`` is therefore the half-mesh solution itself, with the half mesh's
     residual and right-hand side, so it is not formed here: the caller passes
     ``measured``, the squared sums ``(sum_sq, psi_sq)`` of its residual and of ``psi``
     that the half mesh's own test measured.  Each of the three other cosets forms its
-    twiddled spectrum once and copies it for ``(D - z) u_p``, and keeps the column bands of
-    both.  One walk over the row blocks of the coset then forms the rows of ``u_p`` and of
-    ``(D - z) u_p`` from the bands and evaluates ``psi``, the continuum ``phi`` at the
-    coset's sites, and ``V`` on them (`_vmul_blocks`), where the residual ``(D - z) u_p + V
-    u_p - psi`` and ``psi`` itself are added in squares to ``measured``; so the arrays of
-    side ``n`` are the two column bands and the block buffers that every coset reuses, and
-    no coset is held whole.  A ``phi`` with ``factors`` has them evaluated once per coset
-    on each axis (`grid._axis_values`), and each block of ``psi`` is their outer product,
-    channel-first, in one reused buffer; any other ``phi`` is evaluated per block
-    (`grid._grid_values`).
+    twiddled spectrum once and copies it for ``(D - z) u_p``, and keeps two column bands:
+    that of ``(D - z) u_p`` and that of ``u_p``.  One walk over the row blocks of the coset
+    then forms the rows of both from the bands, and of ``V u_p``, and evaluates ``psi``, the
+    continuum ``phi`` at the coset's sites, where the residual ``(D - z) u_p + V u_p - psi``
+    is added in squares to ``measured``; so the arrays of side ``n`` are the two column
+    bands and the block buffers that every coset reuses, and no coset is held whole.  A
+    ``V = e_0(x_0) e_1(x_1) matrix`` that declares its envelope is folded into the band:
+    ``matrix`` mixes the channels of the twiddled ``K x K`` spectrum in place of ``u_p``'s
+    own, and the row envelope ``e_0`` scales that column band, so each block's inverse
+    yields ``e_0 * matrix u_p`` and ``V u_p`` is that times the column envelope ``e_1``.
+    Any other ``V`` multiplies the rows of ``u_p`` at the sites of each block
+    (`_vmul_blocks`).  A ``phi`` with ``factors`` has them evaluated once per coset on each
+    axis (`grid._axis_values`), each block of ``psi`` is their outer product, channel-first,
+    in one reused buffer, and the coset's ``sum |psi|**2`` is the product of per-axis sums;
+    any other ``phi`` is evaluated per block (`grid._grid_values`) and its squares added
+    per block.  Either way the sums agree with the per-site ones to rounding.
 
     Returns ``(start, (sum_sq, psi_sq))`` with the sums over all of ``mesh``.  ``start``
     is None when ``||residual|| <= tol * ||psi||``: a residual that is not finite fails,
@@ -761,22 +792,43 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
     parity = (np.full(K, n / K), twiddle)  # per-axis factor of a coset of parity 0 or 1, with the scale
     symbol = _Multiplier(2 * np.pi * k / mesh.L, None, m)
     x = _site_axes(mesh)[0]
-    s, ds = np.empty_like(spec), np.empty_like(spec)
+    declared = V.envelope is not None
+    s, ds, ms = (np.empty_like(spec) for _ in range(3))
     bands = [np.empty((channels, n, K), complex) for _ in range(2)]
     blocks = _row_blocks(np.broadcast_to(0j, (channels, n, n)))
-    u, du, psi_buf = (np.empty((channels, blocks[0].stop, n), complex) for _ in range(3))
+    pad, u, du, psi_buf = (np.empty((channels, blocks[0].stop, n), complex) for _ in range(4))
+    low, high = (K + 1) // 2, n - K // 2  # band columns k >= 0 go first, k < 0 last (`_zero_pad`)
+    pad[:, :, low:high] = 0.0
 
     def inverse_rows(band, rows, out):
         """Rows ``rows`` of the ``n x n`` inverse whose column band is ``band``, written into ``out``."""
-        return _fftn(_zero_pad(band[:, rows], out[:, : rows.stop - rows.start], 2), (2,), inverse=True)
+        k = rows.stop - rows.start
+        pad[:, :k, :low], pad[:, :k, high:] = band[:, rows, :low], band[:, rows, low:]
+        return _fftn(pad[:, :k], (2,), inverse=True, out=out[:, :k])
 
     def rhs(coords):
-        """``psi(rows)``: channel-first ``phi`` on the rows ``rows`` of the tensor grid of ``coords``."""
+        """``psi(rows)``, channel-first ``phi`` on the rows ``rows`` of the tensor grid of ``coords``, and
+        ``sum |psi|**2`` over that grid from per-axis sums, or None for a ``phi`` without ``factors``."""
         if phi.factors is None:
             values = _grid_values(phi, coords)
-            return lambda rows: np.moveaxis(values(rows), -1, 0)
+            return (lambda rows: np.moveaxis(values(rows), -1, 0)), None
         f0, f1 = (f.T for f in _axis_values(phi, coords))
-        return lambda rows: np.multiply(f0[:, rows, None], f1[:, None], out=psi_buf[:, : rows.stop - rows.start])
+
+        def psi(rows):
+            return np.multiply(f0[:, rows, None], f1[:, None], out=psi_buf[:, : rows.stop - rows.start])
+
+        return psi, sum(float(np.vdot(c0, c0).real) * float(np.vdot(c1, c1).real) for c0, c1 in zip(f0, f1))
+
+    def column_band(t, band):
+        """The ``(2, n, K)`` column band of the ``n x n`` inverse of the band spectrum ``t``, written into ``band``."""
+        return _fftn(_zero_pad(t, band, 1), (1,), inverse=True)
+
+    def enveloped(band, env_cols):
+        """``(rows, V u_p)`` on each row block: the row inverse of the band of ``e_0 * matrix u_p``, times ``e_1``."""
+        for rows in blocks:
+            vu = inverse_rows(band, rows, u)
+            vu *= env_cols
+            yield rows, vu
 
     sum_sq, psi_sq = measured
     for a, b in ((0, 1), (1, 0), (1, 1)):
@@ -785,15 +837,29 @@ def _coset_start(spec: np.ndarray, mesh: Mesh, phi: ContinuumFunction, z: comple
         np.copyto(ds, s)
         symbol(ds)
         ds -= z * s
-        fu, dfu = (_fftn(_zero_pad(t, band, 1), (1,), inverse=True) for t, band in zip((s, ds), bands))
+        dfu = column_band(ds, bands[1])
         coords = [x[a::2], x[b::2]]
-        psi = rhs(coords)
-        for rows, vu in _vmul_blocks(V, coords, ((rows, inverse_rows(fu, rows, u)) for rows in blocks)):
+        if declared:  # V u_p = e_1 * (e_0 * matrix u_p): the matrix mixes the band, e_0 scales its rows
+            for row, out in zip(V.matrix, ms):
+                np.multiply(row[0], s[0], out=out)
+                out += row[1] * s[1]
+            env_rows, env_cols = _envelope_values(V, coords)
+            fu = column_band(ms, bands[0])
+            fu *= env_rows[:, None]
+            vus = enveloped(fu, env_cols)
+        else:
+            fu = column_band(s, bands[0])
+            vus = _vmul_blocks(V, coords, ((rows, inverse_rows(fu, rows, u)) for rows in blocks))
+        psi, squares = rhs(coords)
+        for rows, vu in vus:
             r, psi_rows = inverse_rows(dfu, rows, du), psi(rows)
             r += vu
             r -= psi_rows
             sum_sq += _sum_sq(r)
-            psi_sq += _sum_sq(psi_rows)
+            if squares is None:
+                psi_sq += _sum_sq(psi_rows)
+        if squares is not None:
+            psi_sq += squares
     if math.sqrt(sum_sq) <= tol * math.sqrt(psi_sq):
         return None, (sum_sq, psi_sq)
     return _cell_means(spec.copy(), np.ones(K), mesh.N), (sum_sq, psi_sq)
@@ -822,7 +888,8 @@ def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: 
     that measured it.  Its ``iterations`` are the Neumann steps or the Arnoldi steps run
     (``max_iter`` when GMRES met its own target but the measured residual did not).  A
     GMRES product that is not finite raises `NoConvergence` at once, with the number of
-    products made.
+    products made.  The free resolvent ``R_z`` is one `_Multiplier` that keeps ``1/den``
+    from its first apply, one complex array of the mesh, for every later step and product.
     """
     mesh = psi.mesh
     axes = _site_axes(mesh)
@@ -835,7 +902,7 @@ def _iterate(psi: LatticeField, z: complex, m: float, V: PotentialSpec, policy: 
 
     if policy is None:
         policy = "neumann" if V.sup_norm / abs(complex(z).imag) <= 0.9 else "krylov"
-    symbol = _Multiplier(_natural_frequencies(mesh), p, m, z)
+    symbol = _Multiplier(_natural_frequencies(mesh), p, m, z, keep=True)  # 1/den formed once per solve
     steps, info = max_iter, 0
     if policy == "krylov":
         shape = (psi.channels,) + mesh.shape

@@ -407,6 +407,14 @@ def test_one_channel_function_is_a_resolvent_sweep_error(function, capsys):
     assert capsys.readouterr().err.startswith("error: MeshMismatch: ")
 
 
+@pytest.mark.parametrize("experiment", ["resolve-free", "resolve-potential"])
+def test_resolvent_sweep_whose_levels_do_not_nest_exits_1(experiment, capsys):
+    # N = 24, 32, 48 on the 9.6 box: the h = 0.3 level cannot take block averages from N = 48
+    assert main([experiment, "--sweep", "0.4,0.3,0.2"]) == 1
+    assert capsys.readouterr().err == ("error: MeshMismatch: level h=0.3 (N=32) does not nest in the finest level "
+                                       "h=0.2 (N=48), so the reference built there cannot be block-averaged to it\n")
+
+
 def test_resolvent_gate_failure_exits_two(capsys):
     # two levels only: no rate can be fitted, so the slope gate fails
     code = main(["resolve-free", "--sweep", "0.4,0.2", "--refine", "4"])

@@ -324,11 +324,31 @@ def test_weighted_ft_error_is_unchanged_by_row_blocks(name, monkeypatch):
 
 @pytest.mark.parametrize("N", [192, 384])
 def test_weighted_ft_error_holds_no_array_of_the_padded_grid(N):
-    # power, step factor and weight are formed one block of rows at a time: the peak (2.1 MB, most
-    # of it the tail rule) stays below one (4N)**2 float array (4.7 MB at N = 192), where whole
-    # arrays of the 4N grid held 24 MB at N = 192 and 94 MB at N = 384
+    # power, step factor and weight are formed one block of rows at a time, and the tail rule one
+    # block of xi_1 nodes at a time: the peak (1.0 MB; 2.1 MB with whole node arrays in the tail
+    # rule) stays below one (4N)**2 float array (4.7 MB at N = 192), where whole arrays of the 4N
+    # grid held 24 MB at N = 192 and 94 MB at N = 384
     phi, mesh = gaussian(2), Mesh(2, 9.6 / N, N)
     assert peak_bytes(lambda: weighted_ft_error(phi, mesh, 1.0)) < 3e6 < (4 * 192) ** 2 * 8
+
+
+def test_tail_integral_holds_no_array_of_its_node_grid():
+    # at h = 0.05 the 2D tail rule has about 112 x 464 nodes; whole arrays of them (the closed
+    # form, its power, the weight and their product) read 1.7 MB, one block of xi_1 nodes 0.7 MB
+    phi = gaussian(2)
+    b = np.pi / 0.05
+    assert peak_bytes(lambda: _tail_integral(phi, b, 1.0)) < 1e6
+
+
+@pytest.mark.parametrize("name", ["gaussian1d", "gaussian2d", "modwave2d", "gaussian-spinor"])
+def test_tail_integral_is_unchanged_by_node_blocks(name, monkeypatch):
+    # each xi_1 node's inner sum is contracted within its block, and the nodes once at the end
+    phi = function_catalog(name)
+    b = np.pi / 0.4
+    want = _tail_integral(phi, b, 1.0)
+    for sites in (1, 2000, 10**7):  # one xi_1 node per block, a few, all of them in one
+        monkeypatch.setattr("latticedirac.grid._BLOCK_SITES", sites)
+        assert abs(_tail_integral(phi, b, 1.0) - want) <= 1e-14 * want
 
 
 def _bad_at(phi, x0, value, axes):

@@ -1,6 +1,7 @@
 """Tests for the convergence laboratory: sweeps, rate fits, and reports."""
 
 import dataclasses
+import re
 import threading
 import time
 import tracemalloc
@@ -231,6 +232,24 @@ def test_real_shift_with_a_potential_raises_real_shift_before_sampling(monkeypat
         monkeypatch.setattr(module, name, no_sampling)
     with pytest.raises(RealShift):
         exp_resolvent_potential(Sweep(hs=(0.4, 0.2), box=9.6, function="gaussian-spinor", z=1.0, potential="zero"))
+
+
+@pytest.mark.parametrize("experiment,extra", [
+    (exp_resolvent_free, {}), (exp_resolvent_potential, {"potential": "nonhermitian-gaussian", "z": 3j}),
+], ids=["free", "potential"])
+@pytest.mark.parametrize("hs,check_floor,bad", [
+    ((0.4, 0.3, 0.2), False, "h=0.3 (N=32)"),  # N = 24, 32, 48
+    ((0.32, 0.2), True, "h=0.32 (N=30)"),  # the floor-guard level h = 0.1 (N = 96) is the finest
+], ids=["levels", "floor-guard"])
+def test_resolvent_sweeps_whose_levels_do_not_nest_fail_before_the_reference(experiment, extra, hs, check_floor,
+                                                                              bad, monkeypatch):
+    built = []
+    for name in ("resolvent_continuum", "_solve_with_potential"):
+        monkeypatch.setattr(lab, name, lambda *args, _name=name, **kwargs: built.append(_name))
+    sweep = Sweep(hs=hs, box=9.6, function="gaussian-spinor", check_floor=check_floor, **extra)
+    with pytest.raises(MeshMismatch, match=re.escape(bad)):
+        experiment(sweep)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

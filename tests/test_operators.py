@@ -803,6 +803,33 @@ def test_band_start_matches_the_start_from_the_zero_padded_spectrum(z, shrink, t
     assert abs(psi_sq - expected_psi_sq) <= 1e-13 * expected_psi_sq
 
 
+@pytest.mark.parametrize("tol,passed", [(1e6, True), (1e-10, False)], ids=["passing", "failing"])
+@pytest.mark.parametrize("shrink", [2, 4, 8])
+@pytest.mark.parametrize("z", [3j, 1.2j], ids=["neumann", "krylov"])
+@pytest.mark.parametrize("name", POTENTIAL_IDS)
+def test_folded_start_matches_the_per_site_start(name, z, shrink, tol, passed, monkeypatch, rng):
+    # a declared V is folded into the band (its matrix mixes the channels, its row envelope scales
+    # the column band, its column envelope each block) and a phi with factors gives psi_sq from
+    # per-axis sums; against the per-site path of an undeclared V and a phi without factors
+    mesh, n = Mesh(2, 9.6 / 64, 64), 32
+    K = n // shrink
+    spec = rng.standard_normal((2, K, K)) + 1j * rng.standard_normal((2, K, K))
+    V, plain = potential_catalog(name), ContinuumFunction("plain-spinor", 2, 2, gaussian_spinor().evaluate)
+    per_site, (expected_sum_sq, expected_psi_sq) = operators._coset_start(
+        spec, mesh, plain, z, 1.0, _undeclared(V), tol, (0.5, 2.0))
+
+    def no_vmul(*args):
+        raise AssertionError("the folded start multiplied by V site by site")
+
+    monkeypatch.setattr(operators, "_vmul_blocks", no_vmul)
+    folded, (sum_sq, psi_sq) = operators._coset_start(spec, mesh, gaussian_spinor(), z, 1.0, V, tol, (0.5, 2.0))
+    assert (folded is None) == (per_site is None) == passed
+    if not passed:
+        assert np.linalg.norm(folded - per_site) <= 1e-13 * np.linalg.norm(per_site)
+    assert abs(sum_sq - expected_sum_sq) <= 1e-13 * expected_sum_sq
+    assert abs(psi_sq - expected_psi_sq) <= 1e-13 * expected_psi_sq
+
+
 _BAND_DIVISORS = {"full": 1, "half": 2, "quarter": 4, "eighth": 8}
 
 
@@ -1163,6 +1190,81 @@ def test_multipliers_do_not_depend_on_the_row_blocks(monkeypatch):
             assert np.allclose(sums, expected_sums, rtol=1e-14, atol=0), sites
 
 
+def _count_coefficient_forms(monkeypatch) -> list:
+    """One entry per `operators._resolvent_coefficients` call, the one place ``1/den`` is formed."""
+    calls = []
+
+    def spy(*args, _form=operators._resolvent_coefficients):
+        calls.append(1)
+        return _form(*args)
+
+    monkeypatch.setattr(operators, "_resolvent_coefficients", spy)
+    return calls
+
+
+def _count_applies(monkeypatch) -> list:
+    """One entry per `operators._multiplier_apply` call."""
+    applies = []
+
+    def spy(x, multiplier, _apply=operators._multiplier_apply):
+        applies.append(1)
+        return _apply(x, multiplier)
+
+    monkeypatch.setattr(operators, "_multiplier_apply", spy)
+    return applies
+
+
+@pytest.mark.parametrize("p", [None, DiracParams(1.0, 9.6 / 192)], ids=["continuum", "discrete"])
+@pytest.mark.parametrize("z,policy", [(3j, "neumann"), (1.2j, "krylov")], ids=["neumann", "krylov"])
+def test_a_solve_forms_one_over_den_once_per_row_block(z, policy, p, monkeypatch):
+    # the solve's multiplier keeps 1/den from its first apply: one form per row block over all
+    # the Neumann steps, or the GMRES products and the last step, however many applies there are
+    mesh = Mesh(2, 9.6 / 192, 192)
+    blocks = len(operators._row_blocks(np.empty((2,) + mesh.shape)))
+    assert blocks > 1
+    psi = sample(gaussian_spinor(), mesh)
+    forms, applies = _count_coefficient_forms(monkeypatch), _count_applies(monkeypatch)
+    _iterate(psi, z, 1.0, potential_catalog("nonhermitian-gaussian"), policy, 1e-10, 2000, 50, p=p)
+    assert len(applies) >= 10
+    assert len(forms) == blocks
+
+
+def test_one_shot_applies_form_one_over_den_on_every_apply(monkeypatch):
+    # the free resolvent keeps nothing between calls: each apply forms 1/den on every row block
+    mesh = Mesh(2, 9.6 / 192, 192)
+    blocks = len(operators._row_blocks(np.empty((2,) + mesh.shape)))
+    psi, q = sample(gaussian_spinor(), mesh), ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h))
+    forms = _count_coefficient_forms(monkeypatch)
+    for applies in (1, 2, 3):
+        resolvent_free(psi, q)
+        assert len(forms) == applies * blocks
+
+
+@pytest.mark.parametrize("p", [None, DiracParams(1.0, 9.6 / 192)], ids=["continuum", "discrete"])
+@pytest.mark.parametrize("z,policy", [(3j, "neumann"), (1.2j, "krylov")], ids=["neumann", "krylov"])
+def test_a_solve_with_kept_one_over_den_gives_the_bits_of_fresh_multipliers(z, policy, p, monkeypatch):
+    # the same solve with a multiplier built afresh, keeping nothing, for every apply
+    mesh = Mesh(2, 9.6 / 192, 192)
+    psi, V = sample(gaussian_spinor(), mesh), potential_catalog("nonhermitian-gaussian")
+    kept, kept_res = _iterate(psi, z, 1.0, V, policy, 1e-10, 2000, 50, p=p)
+    multiplier = operators._Multiplier
+
+    class Fresh(multiplier):
+        def __init__(self, *args, keep=False):
+            super().__init__(*args)
+            self.args = args
+
+        def __call__(self, x):
+            return multiplier(*self.args)(x)
+
+    monkeypatch.setattr(operators, "_Multiplier", Fresh)
+    forms = _count_coefficient_forms(monkeypatch)
+    fresh, fresh_res = _iterate(psi, z, 1.0, V, policy, 1e-10, 2000, 50, p=p)
+    assert len(forms) > len(operators._row_blocks(np.empty((2,) + mesh.shape)))  # formed on every apply
+    assert np.array_equal(kept.values, fresh.values)
+    assert kept_res == fresh_res
+
+
 @pytest.mark.parametrize("solve,bound", [("resolvent_free", 1.5), ("continuum solve", 1.1)])
 def test_resolvent_memory_peaks_hold_no_grid_sized_symbol(solve, bound):
     # in field bytes: the free resolvent holds its channel-first copy and block buffers; the
@@ -1196,7 +1298,9 @@ def test_continuum_resolvent_memory_peak_holds_no_refined_inverse():
 
 def test_potential_solve_memory_peak_holds_no_grid_sized_potential():
     # in field bytes, the potential's evaluation included: the Neumann solve holds its iterate
-    # and u, plus transform and block buffers; sampled values (2 x 2 complex per site) would add 2
+    # and u, plus transform and block buffers, and the 1/den its symbol keeps from the first
+    # apply (one complex array of the mesh, 0.5), 2.74 in all; sampled values (2 x 2 complex per
+    # site) would add 2
     mesh = Mesh(2, 9.6 / 512, 512)
     psi = sample(gaussian_spinor(), mesh)
     q = ResolventQuery(z=3j, p=DiracParams(1.0, mesh.h), policy="neumann")
